@@ -8,9 +8,15 @@ by the glued truncation, and evaluate the homological dimension bound.
 from heartglue.cli import load_corpus
 from heartglue.complexes import cohomology_dims, cx_direct_sum, shift
 from heartglue.derived import as_cx, minimal_model
-from heartglue.glue import (AddGeneratedAisle, check_dim_formula,
-                            check_sequence, glue_sequence, truncate_glued)
+from heartglue.glue import (AddGeneratedAisle, HeartDesc, check_dim_formula,
+                            check_sequence, glue, glue_sequence,
+                            truncate_glued)
 from heartglue.reps import projective, simple
+
+
+def heart_of(aisle, window):
+    return HeartDesc(aisle.heart_gens(),
+                     provenance=f"heart of {aisle.describe()}", window=window)
 
 
 def main():
@@ -33,9 +39,16 @@ def main():
     print("  lower part has a representative of total dim",
           small.total_dim, "down from", a.total_dim)
 
-    left = AddGeneratedAisle((as_cx(ps[0]), as_cx(ps[1])))
-    right = AddGeneratedAisle((as_cx(ps[2]),))
-    rep = check_dim_formula(left, right)
+    # glue the one-object aisles in order, as the dim-formula command does:
+    # the formula compares the last gluing step's two hearts with its result
+    w = es.window
+    glued = AddGeneratedAisle((es.object(1),), window=w)
+    glued_heart = heart_of(glued, w)
+    for i in range(2, len(es) + 1):
+        nxt = AddGeneratedAisle((es.object(i),), window=w)
+        left, right = glued_heart, heart_of(nxt, w)
+        glued, glued_heart = glue(glued, nxt, window=w)
+    rep = check_dim_formula(left, right, glued_heart)
     print("dimension bound: lhs =", rep.lhs, " rhs =", rep.rhs,
           f"(left {rep.dim_left}, right {rep.dim_right}, rel {rep.rel})")
 

@@ -374,7 +374,7 @@ class FaithfulReport:
 
 
 def _flat(f: RepMap) -> list[Fraction]:
-    return [c for b in f.blocks for row in b.data for c in row]
+    return [c for b in f.blocks for i in range(b.rows) for c in b.row(i)]
 
 
 def faithful_full_check(pres: Presentation, pairs=None,

@@ -277,7 +277,7 @@ def _corestrict(x: Cx, i: int, k: Rep, incl: RepMap) -> RepMap:
     d = x.d(i - 1)
     blocks = []
     for v in range(1, x.algebra.vertex_count + 1):
-        sol, _ = solve(incl.block(v), d.block(v))
+        sol = solve(incl.block(v), d.block(v))
         if sol is None:
             raise CxError("differential does not land in the next kernel")
         blocks.append(sol)
@@ -367,7 +367,7 @@ def truncate_std(x: Cx, level: int) -> Triangle:
     dl = x.d(level)
     blocks = []
     for v in range(1, alg.vertex_count + 1):
-        sol, _ = solve(pr.block(v).transpose(), dl.block(v).transpose())
+        sol = solve(pr.block(v).transpose(), dl.block(v).transpose())
         if sol is None:
             raise CxError("differential does not descend to the quotient")
         blocks.append(sol.transpose())

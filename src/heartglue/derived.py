@@ -24,7 +24,7 @@ from .complexes import (
     shift,
 )
 from .complexes import compose as ccompose
-from .linalg import RatMatrix, hstack, kernel_basis, rref, solve
+from .linalg import RatMatrix, hstack, kernel_basis, pivot_columns, solve
 from .reps import (
     Rep,
     RepMap,
@@ -252,20 +252,21 @@ class _GenLayout:
                 off += size
         self.total = off
 
-def _add_block(grid: list[list[Fraction]], r0: int, c0: int, m: RatMatrix,
+def _add_block(grid: list[list], r0: int, c0: int, m: RatMatrix,
                sign: int = 1) -> None:
-    for i in range(m.rows):
+    den = m.den
+    for i, src in enumerate(m.num):
         row = grid[r0 + i]
-        src = m.data[i]
-        for j in range(m.cols):
-            if src[j]:
-                row[c0 + j] += src[j] if sign > 0 else -src[j]
+        for j, x in enumerate(src):
+            if x:
+                x = x if sign > 0 else -x
+                row[c0 + j] += x if den == 1 else Fraction(x, den)
 
 
 def _chain_matrix(r: Cx, t: Cx, layout: _GenLayout) -> RatMatrix:
     """Rows of the linear system cutting out chain maps r -> t among all
     generator-data vectors."""
-    rows: list[list[Fraction]] = []
+    rows: list[list] = []
     for (k, c, v, pos) in layout.entries:
         dt = t.d(k)
         nrows = dt.target.dim_at(v)
@@ -273,7 +274,7 @@ def _chain_matrix(r: Cx, t: Cx, layout: _GenLayout) -> RatMatrix:
         dcol = dr.block(v).col_matrix(pos)
         nxt = r.term(k + 1)
         has_next = nxt.total_dim > 0 and nxt.proj_gens is not None
-        block_rows = [[Fraction(0)] * layout.total for _ in range(nrows)]
+        block_rows = [[0] * layout.total for _ in range(nrows)]
         _add_block(block_rows, 0, layout.offsets[(k, c)], dt.block(v))
         if has_next and not dcol.is_zero():
             ev = eval_columns(nxt, t.term(k + 1), v, dcol)
@@ -286,7 +287,7 @@ def _boundary_matrix(r: Cx, t: Cx, layout: _GenLayout,
                      hlayout: _GenLayout) -> RatMatrix:
     """Matrix sending homotopy data s (maps r^k -> t^{k-1}) to the chain map
     d_t s + s d_r, in the chain-map layout."""
-    grid = [[Fraction(0)] * hlayout.total for _ in range(layout.total)]
+    grid = [[0] * hlayout.total for _ in range(layout.total)]
     for (k, c, v, pos) in layout.entries:
         r0 = layout.offsets[(k, c)]
         dt = t.d(k - 1)
@@ -351,25 +352,25 @@ def solve_lift(p: Cx, g: CxMap, r: CxMap, strict: bool = False
     ulay = _GenLayout(p, w, 0)
     hlay = _GenLayout(p, z, -1) if not strict else None
     ncols = ulay.total + (hlay.total if hlay else 0)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list] = []
+    rhs: list = []
     # chain-map equations for u
     for (k, c, v, pos) in ulay.entries:
         dw = w.d(k)
         nrows = dw.target.dim_at(v)
         dcol = p.d(k).block(v).col_matrix(pos)
         nxt = p.term(k + 1)
-        block = [[Fraction(0)] * ncols for _ in range(nrows)]
+        block = [[0] * ncols for _ in range(nrows)]
         _add_block(block, 0, ulay.offsets[(k, c)], dw.block(v))
         if nxt.total_dim > 0 and not dcol.is_zero():
             ev = eval_columns(nxt, w.term(k + 1), v, dcol)
             _add_block(block, 0, ulay.degree_start[k + 1], ev, sign=-1)
         rows.extend(block)
-        rhs.extend([Fraction(0)] * nrows)
+        rhs.extend([0] * nrows)
     # lifting equations r u = g (+ d h + h d)
     for (k, c, v, pos) in ulay.entries:
         nrows = z.term(k).dim_at(v)
-        block = [[Fraction(0)] * ncols for _ in range(nrows)]
+        block = [[0] * ncols for _ in range(nrows)]
         _add_block(block, 0, ulay.offsets[(k, c)], r.comp(k).block(v))
         if hlay is not None:
             dz = z.d(k - 1)
@@ -385,7 +386,7 @@ def solve_lift(p: Cx, g: CxMap, r: CxMap, strict: bool = False
         gcol = g.comp(k).block(v).col(pos)
         rhs.extend(gcol)
     system = RatMatrix(rows, cols=ncols) if rows else RatMatrix.zeros(0, ncols)
-    sol, _ = solve(system, RatMatrix.column(rhs))
+    sol = solve(system, RatMatrix.column(rhs))
     if sol is None:
         raise LiftError("no lift through the quasi-isomorphism")
     vec = sol.col(0) if ncols else []
@@ -423,7 +424,7 @@ class DHomSpace:
         self.boundaries = _boundary_matrix(self.res.cx, self.t, self.layout,
                                            self.hlayout)
         combined = hstack([self.boundaries, self.cycles])
-        _, pivots = rref(combined)
+        pivots = pivot_columns(combined)
         nb = self.boundaries.cols
         zsel = [p - nb for p in pivots if p >= nb]
         self.zsel_cols = zsel
@@ -450,7 +451,7 @@ class DHomSpace:
         return self.class_of_vector(vec)
 
     def class_of_vector(self, vec: list[Fraction]) -> "DHomClass":
-        sol, _ = solve(self._solver, RatMatrix.column(vec))
+        sol = solve(self._solver, RatMatrix.column(vec))
         if sol is None:
             raise LiftError("vector is not a cycle in this Hom space")
         tail = sol.col(0)[self.boundaries.cols:]

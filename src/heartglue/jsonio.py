@@ -146,12 +146,12 @@ def module_from_dict(d: dict, alg: PathAlgebraDesc,
 
 
 def module_to_dict(m: Rep) -> dict:
-    return {
-        "dims": list(m.dims),
-        "arrows": {a.name: [[fraction_str(v) for v in row]
-                            for row in m.arrow_maps[a.name].data]
-                   for a in m.algebra.quiver.arrows},
-    }
+    arrows = {}
+    for a in m.algebra.quiver.arrows:
+        mat = m.arrow_maps[a.name]
+        arrows[a.name] = [[fraction_str(v) for v in mat.row(i)]
+                          for i in range(mat.rows)]
+    return {"dims": list(m.dims), "arrows": arrows}
 
 
 def object_from_dict(d: dict, alg: PathAlgebraDesc,

@@ -1,15 +1,30 @@
 """Exact rational matrices and the row-reduction kernel everything else calls.
 
-All entries are ``fractions.Fraction``; there is no floating point anywhere.
-Row reduction clears denominators row-wise and runs a fraction-free forward
-elimination before the final normalization, which keeps intermediate numbers
-small through the repeated solves higher layers perform.
+A matrix is stored as one grid of Python ints, ``num``, and one positive
+int denominator, ``den``: entry (i, j) is ``num[i][j] / den``.  The pair is
+kept canonical, ``gcd(den, every entry) == 1`` and a zero matrix has
+``den == 1``, so equal rational matrices have equal grids and hashing and
+equality never build a ``Fraction``.  There is no floating point anywhere;
+``Fraction`` appears only at the API boundary (entries, rows and columns
+read back out, and coefficients passed in).
+
+Row reduction runs Bareiss's fraction-free elimination (Bareiss 1968) on
+the int grid.  After each step every entry below the pivot rows is a minor
+of the input, so the division by the previous pivot is exact and ``//``
+never rounds.  Back substitution works on ``d * rref`` with d the last
+pivot, which is the determinant of the pivot minor up to sign; by Cramer's
+rule that is an int matrix as well, so its divisions are exact too.
+``pivot_columns``, ``rank`` and ``complement_pivots`` need the forward
+pass only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -24,12 +39,27 @@ def as_fraction(x) -> Fraction:
 
 
 class RatMatrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable dense matrix over the rationals, as ``num / den``.
 
-    __slots__ = ("rows", "cols", "data")
+    ``num`` is a tuple of int row tuples and ``den`` a positive int with
+    ``gcd(den, all entries of num) == 1``; a zero matrix has ``den == 1``.
+    The public constructor accepts ints, Fractions and strings and brings
+    them to that form; results of arithmetic are built by ``_new``.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in data)
+        den = 1
+        exact = True  # every entry is an int already
+        rows = []
+        for row in data:
+            row = tuple(row)
+            for x in row:
+                if type(x) is not int:
+                    exact = False
+                    den = lcm(den, as_fraction(x).denominator)
+            rows.append(row)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -39,9 +69,13 @@ class RatMatrix:
             cols = width
         elif cols is None:
             raise ValueError("cols is required for a matrix with no rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", rows)
+        if not exact:
+            rows = [tuple(_scaled(x, den) for x in r) for r in rows]
+        # den is the lcm of reduced denominators, so the pair is canonical
+        _set_rows(self, len(rows))
+        _set_cols(self, cols)
+        _set_num(self, tuple(rows))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -49,13 +83,14 @@ class RatMatrix:
     # constructors
 
     @staticmethod
+    @lru_cache(maxsize=1024)  # immutable values: one per shape is shared
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix([[0] * cols for _ in range(rows)], cols=cols)
+        return _new(((0,) * cols,) * rows, 1, cols)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                         cols=n)
+        return _new(tuple(tuple(1 if i == j else 0 for j in range(n))
+                          for i in range(n)), 1, n)
 
     @staticmethod
     def column(entries: Sequence) -> "RatMatrix":
@@ -83,30 +118,34 @@ class RatMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
+        d = self.den
+        return tuple(Fraction(x, d) for x in self.num[i])
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.data)
+        d = self.den
+        return tuple(Fraction(r[j], d) for r in self.num)
 
     def col_matrix(self, j: int) -> "RatMatrix":
-        return RatMatrix([[r[j]] for r in self.data], cols=1)
+        return _new(tuple((r[j],) for r in self.num), self.den, 1)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(map(any, self.num))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self.cols == other.cols and self.data == other.data
+        return (self.cols == other.cols and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.data))
+        return hash((self.cols, self.den, self.num))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
+        d = self.den
+        body = "; ".join(" ".join(str(Fraction(x, d)) for x in r) for r in self.num)
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
     # arithmetic
@@ -114,42 +153,98 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ot = other.data
-        out = []
-        for r in self.data:
-            row = [Fraction(0)] * other.cols
-            for k, x in enumerate(r):
-                if x:
-                    orow = ot[k]
-                    for j in range(other.cols):
-                        if orow[j]:
-                            row[j] += x * orow[j]
-            out.append(row)
-        return RatMatrix(out, cols=other.cols)
+        n = other.cols
+        if not (self.cols and n and any(map(any, self.num))):
+            return RatMatrix.zeros(self.rows, n)
+        ocols = tuple(zip(*other.num))
+        return _new(tuple(tuple([sum(map(mul, r, c)) for c in ocols])
+                          for r in self.num),
+                    self.den * other.den, n)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return RatMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-x for x in r] for r in self.data], cols=self.cols)
+        return _new(tuple(tuple([-x for x in r]) for r in self.num), self.den,
+                    self.cols)
 
     def scale(self, c) -> "RatMatrix":
         c = as_fraction(c)
-        return RatMatrix([[c * x for x in r] for r in self.data], cols=self.cols)
+        a = c.numerator
+        return _new(tuple(tuple([a * x for x in r]) for r in self.num),
+                    self.den * c.denominator, self.cols)
 
     def __rmul__(self, c) -> "RatMatrix":
         return self.scale(c)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                         cols=self.rows)
+        if not self.rows:
+            return RatMatrix.zeros(self.cols, 0)
+        return _new(tuple(zip(*self.num)), self.den, self.rows)
+
+
+def _scaled(x, den: int) -> int:
+    """den * x as an int, for den a multiple of x's denominator."""
+    if type(x) is int:
+        return x * den
+    f = as_fraction(x)
+    return f.numerator * (den // f.denominator)
+
+
+_set_rows = RatMatrix.rows.__set__
+_set_cols = RatMatrix.cols.__set__
+_set_num = RatMatrix.num.__set__
+_set_den = RatMatrix.den.__set__
+_alloc = object.__new__
+
+
+def _new(num: tuple, den: int, cols: int) -> RatMatrix:
+    """Matrix num / den from an int grid (a tuple of int tuples) that
+    arithmetic produced: only brings the pair to canonical form."""
+    if den != 1:
+        if den < 0:
+            num = tuple(tuple([-x for x in r]) for r in num)
+            den = -den
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = tuple(tuple([x // g for x in r]) for r in num)
+            den //= g
+    m = _alloc(RatMatrix)
+    _set_rows(m, len(num))
+    _set_cols(m, cols)
+    _set_num(m, num)
+    _set_den(m, den)
+    return m
+
+
+def _combine(a: RatMatrix, b: RatMatrix, sign: int) -> RatMatrix:
+    """a + sign * b over the lcm of the two denominators."""
+    if a.den == b.den:
+        op = add if sign > 0 else sub
+        return _new(tuple(tuple(map(op, r, s)) for r, s in zip(a.num, b.num)),
+                    a.den, a.cols)
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, sign * (den // b.den)
+    return _new(tuple(tuple([fa * x + fb * y for x, y in zip(r, s)])
+                      for r, s in zip(a.num, b.num)), den, a.cols)
+
+
+def _common(mats: Sequence[RatMatrix]) -> tuple[int, list[tuple]]:
+    """The lcm of the denominators and each matrix's grid over it."""
+    den = lcm(*(m.den for m in mats))
+    grids = []
+    for m in mats:
+        f = den // m.den
+        grids.append(m.num if f == 1
+                     else tuple(tuple([f * x for x in r]) for r in m.num))
+    return den, grids
 
 
 def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
@@ -158,8 +253,10 @@ def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack row mismatch")
-    return RatMatrix([sum((list(m.data[i]) for m in mats), []) for i in range(rows)],
-                     cols=sum(m.cols for m in mats))
+    den, grids = _common(mats)
+    return _new(tuple(tuple(chain.from_iterable(g[i] for g in grids))
+                      for i in range(rows)),
+                den, sum(m.cols for m in mats))
 
 
 def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
@@ -168,128 +265,152 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack column mismatch")
-    out = []
-    for m in mats:
-        out.extend(list(r) for r in m.data)
-    return RatMatrix(out, cols=cols)
+    den, grids = _common(mats)
+    return _new(tuple(chain.from_iterable(grids)), den, cols)
 
 
 def block_diag(mats: Sequence[RatMatrix]) -> RatMatrix:
-    rows = sum(m.rows for m in mats)
+    if not mats:
+        return RatMatrix.zeros(0, 0)
     cols = sum(m.cols for m in mats)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.data[i][j]
-        r0 += m.rows
+    den, grids = _common(mats)
+    out = []
+    c0 = 0
+    for m, g in zip(mats, grids):
+        left, right = (0,) * c0, (0,) * (cols - c0 - m.cols)
+        out.extend(left + r + right for r in g)
         c0 += m.cols
-    return RatMatrix(out, cols=cols)
+    return _new(tuple(out), den, cols)
+
+
+def _echelon(num: Sequence[Sequence[int]], nc: int) -> tuple[list[list[int]], list[int]]:
+    """Bareiss forward elimination of an int grid with nc columns.
+
+    Returns the echelon rows, pivot rows first, and the pivot columns.  The
+    pivot of row k is the (k+1)-st leading minor on the pivot columns, so
+    every update divides exactly, including rows with 0 in the pivot
+    column, which are rescaled by p / prev like the others.
+    """
+    rows = [list(r) for r in num if any(r)]
+    nr = len(rows)
+    pivots: list[int] = []
+    prev = 1
+    h = 0
+    for col in range(nc):
+        if h == nr:
+            break
+        sel = h
+        while sel < nr and not rows[sel][col]:
+            sel += 1
+        if sel == nr:
+            continue
+        if sel != h:
+            rows[h], rows[sel] = rows[sel], rows[h]
+        rh = rows[h]
+        p = rh[col]
+        for i in range(h + 1, nr):
+            ri = rows[i]
+            q = ri[col]
+            if q:
+                rows[i] = [(p * a - q * b) // prev for a, b in zip(ri, rh)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in ri]
+        pivots.append(col)
+        prev = p
+        h += 1
+    return rows, pivots
+
+
+def _back(rows: list[list[int]], pivots: list[int],
+          cols: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """Fraction-free back substitution on the pivot rows of _echelon.
+
+    Returns (d, red) with d the last pivot and red[k] = d * (row k of the
+    rref) restricted to cols.  d * rref is an int matrix by Cramer's rule,
+    so each division by a row's own pivot is exact.
+    """
+    r = len(pivots)
+    if not r:
+        return 1, []
+    d = rows[r - 1][pivots[r - 1]]
+    red: list[list[int]] = [[]] * r
+    for k in range(r - 1, -1, -1):
+        ek = rows[k]
+        acc = [d * ek[c] for c in cols]
+        for j in range(k + 1, r):
+            q = ek[pivots[j]]
+            if q:
+                acc = [a - q * b for a, b in zip(acc, red[j])]
+        p = ek[pivots[k]]
+        if p != 1:
+            acc = [a // p for a in acc]
+        red[k] = acc
+    return d, red
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form of m, plus the strictly increasing pivot columns."""
-    nr, nc = m.rows, m.cols
-    rows = [list(r) for r in m.data]
-    for r in rows:
-        den = 1
-        for x in r:
-            den = lcm(den, x.denominator)
-        if den != 1:
-            for j in range(nc):
-                r[j] = r[j] * den
-    # fraction-free forward elimination; divisions below are exact by the
-    # Bareiss identity, and Fraction absorbs the rank-deficient corner cases
-    pivots: list[tuple[int, int]] = []
-    prev = Fraction(1)
-    h = 0
-    for col in range(nc):
-        sel = None
-        for i in range(h, nr):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != h:
-            rows[h], rows[sel] = rows[sel], rows[h]
-        p = rows[h][col]
-        for i in range(h + 1, nr):
-            q = rows[i][col]
-            if q == 0:
-                continue
-            ri, rh = rows[i], rows[h]
-            rows[i] = [(p * ri[j] - q * rh[j]) / prev for j in range(nc)]
-        pivots.append((h, col))
-        prev = p
-        h += 1
-        if h == nr:
-            break
-    for h, col in reversed(pivots):
-        p = rows[h][col]
-        if p != 1:
-            rows[h] = [x / p for x in rows[h]]
-        rh = rows[h]
-        for i in range(h):
-            q = rows[i][col]
-            if q != 0:
-                ri = rows[i]
-                rows[i] = [a - q * b for a, b in zip(ri, rh)]
-    return RatMatrix(rows, cols=nc), tuple(col for _, col in pivots)
+    nc = m.cols
+    rows, pivots = _echelon(m.num, nc)
+    d, red = _back(rows, pivots, range(nc))
+    zero = (0,) * nc
+    grid = tuple(map(tuple, red)) + (zero,) * (m.rows - len(red))
+    return _new(grid, d, nc), tuple(pivots)
+
+
+def pivot_columns(m: RatMatrix) -> tuple[int, ...]:
+    """The pivot columns of rref(m), from the forward pass alone."""
+    return tuple(_echelon(m.num, m.cols)[1])
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m: RatMatrix) -> RatMatrix:
-    """Matrix whose columns are a basis of ker m (column count = nullity)."""
-    r, pivots = rref(m)
+    """Matrix whose columns are a basis of ker m (column count = nullity).
+
+    The basis vector for free column j has v[j] = 1 and v[pc] = -rref[k][j]
+    on the pivot columns pc, so it is the same rational basis rref gives.
+    """
+    rows, pivots = _echelon(m.num, m.cols)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
-    cols = []
-    for j in free:
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            v[pc] = -r.data[k][j]
-        cols.append(v)
-    return RatMatrix.from_cols(cols, rows=m.cols)
+    d, red = _back(rows, pivots, free)
+    grid = [[0] * len(free) for _ in range(m.cols)]
+    for t, j in enumerate(free):
+        grid[j][t] = d
+    for k, pc in enumerate(pivots):
+        grid[pc] = [-x for x in red[k]]
+    return _new(tuple(map(tuple, grid)), d, len(free))
 
 
-def solve(m: RatMatrix, b: RatMatrix) -> tuple[RatMatrix | None, RatMatrix]:
+def solve(m: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     """Solve m @ x = b for each column of b.
 
-    Returns (x, kernel) where x is the particular solution with all free
-    variables zero, or None when some column of b is outside the column span.
-    The kernel factor is kernel_basis(m) either way.
+    Returns the particular solution with all free variables zero, or None
+    when some column of b is outside the column span.
     """
     if b.rows != m.rows:
         raise ValueError(f"solve: rows(b)={b.rows} != rows(m)={m.rows}")
-    ker = kernel_basis(m)
-    r, pivots = rref(hstack([m, b]))
-    if any(p >= m.cols for p in pivots):
-        return None, ker
-    out = [[Fraction(0)] * b.cols for _ in range(m.cols)]
+    nc = m.cols
+    aug = hstack([m, b])
+    rows, pivots = _echelon(aug.num, aug.cols)
+    if pivots and pivots[-1] >= nc:
+        return None
+    d, red = _back(rows, pivots, range(nc, aug.cols))
+    grid = [(0,) * b.cols] * nc
     for k, pc in enumerate(pivots):
-        out[pc] = list(r.data[k][m.cols:])
-    return RatMatrix(out, cols=b.cols), ker
+        grid[pc] = tuple(red[k])
+    return _new(tuple(grid), d, b.cols)
 
 
 def span_membership(v: RatMatrix, s: RatMatrix) -> bool:
     """True iff the column v lies in the column span of s."""
-    x, _ = solve(s, v)
-    return x is not None
-
-
-def span_coordinates(v: RatMatrix, s: RatMatrix) -> RatMatrix | None:
-    """Coordinates expressing v over the columns of s, or None."""
-    x, _ = solve(s, v)
-    return x
+    return solve(s, v) is not None
 
 
 def complement_pivots(m: RatMatrix) -> tuple[int, ...]:
     """Indices of standard basis vectors completing col span(m) to the full space."""
-    _, pivots = rref(hstack([m, RatMatrix.identity(m.rows)]))
+    pivots = pivot_columns(hstack([m, RatMatrix.identity(m.rows)]))
     return tuple(p - m.cols for p in pivots if p >= m.cols)

@@ -21,8 +21,8 @@ from .linalg import (
     complement_pivots,
     hstack,
     kernel_basis,
+    pivot_columns,
     rank,
-    rref,
     solve,
     vstack,
 )
@@ -214,7 +214,7 @@ def projective_sum(alg: PathAlgebraDesc, vertices: Sequence[int]) -> Rep:
         for (c, p) in basis[t]:
             # right action: prepend the arrow to the traversal word
             combo = alg.reduce_path(s, (a.name,) + p.arrows)
-            col = [Fraction(0)] * dims[s - 1]
+            col = [0] * dims[s - 1]
             for bidx, coef in combo.items():
                 bp = alg.basis[bidx]
                 col[index[s][(c, bp)]] = coef
@@ -264,8 +264,8 @@ def summand_maps(m: Rep, keep: Sequence[int]) -> tuple[Rep, RepMap, RepMap]:
         cols = []
         prows = []
         for r in picks:
-            col = [Fraction(0)] * rows
-            col[r] = Fraction(1)
+            col = [0] * rows
+            col[r] = 1
             cols.append(col)
             prows.append(col)
         inj_blocks.append(RatMatrix.from_cols(cols, rows=rows))
@@ -306,15 +306,17 @@ def eval_columns(t: Rep, n: Rep, j: int, m: RatMatrix) -> RatMatrix:
     widths = [n.dim_at(v) for v in t.proj_gens]
     total = sum(widths)
     rows = n.dim_at(j)
-    acc = [[Fraction(0)] * total for _ in range(rows)]
+    acc = [[0] * total for _ in range(rows)]
     for k, (c, p) in enumerate(labels):
-        coef = m[k, 0]
-        if coef == 0:
+        a = m.num[k][0]
+        if a == 0:
             continue
         act = n.act_basis_path(p)
+        den = m.den * act.den
+        coef = a if den == 1 else Fraction(a, den)
         off = sum(widths[:c])
         for r in range(rows):
-            arow = act.data[r]
+            arow = act.num[r]
             row = acc[r]
             for q in range(widths[c]):
                 if arow[q]:
@@ -342,15 +344,19 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
         s, t = a.source - 1, a.target - 1
         am = m.act_arrow(a.name)
         an = n.act_arrow(a.name)
+        # each equation is scaled by am.den * an.den, which keeps it
+        # integral and leaves the kernel (and its rref basis) unchanged
+        am_num, an_num = am.num, an.num
         for r in range(n.dims[s]):
+            an_row = an_num[r]
             for c in range(m.dims[t]):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 for k in range(m.dims[s]):
-                    if am.data[k][c]:
-                        row[entry(s, r, k)] += am.data[k][c]
+                    if am_num[k][c]:
+                        row[entry(s, r, k)] += am_num[k][c] * an.den
                 for k in range(n.dims[t]):
-                    if an.data[r][k]:
-                        row[entry(t, k, c)] -= an.data[r][k]
+                    if an_row[k]:
+                        row[entry(t, k, c)] -= an_row[k] * am.den
                 rows.append(row)
     system = RatMatrix(rows, cols=total) if rows else RatMatrix.zeros(0, total)
     basis = kernel_basis(system)
@@ -375,7 +381,7 @@ def kernel(f: RepMap) -> tuple[Rep, RepMap]:
         s, t = a.source, a.target
         # act on the kernel through the inclusion: i_s X = act i_t
         rhs = f.source.act_arrow(a.name) @ kbs[t - 1]
-        x, _ = solve(kbs[s - 1], rhs)
+        x = solve(kbs[s - 1], rhs)
         if x is None:
             raise RepError("kernel is not arrow-stable; broken input")
         maps[a.name] = x
@@ -394,7 +400,7 @@ def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
         s, t = a.source, a.target
         # X pi_t = pi_s act; transpose to solve for X
         rhs = (projs[s - 1] @ f.target.act_arrow(a.name)).transpose()
-        x, _ = solve(projs[t - 1].transpose(), rhs)
+        x = solve(projs[t - 1].transpose(), rhs)
         if x is None:
             raise RepError("cokernel action insoluble; broken input")
         maps[a.name] = x.transpose()
@@ -408,7 +414,7 @@ def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
     alg = f.source.algebra
     monos = []
     for v in range(1, alg.vertex_count + 1):
-        _, piv = rref(f.block(v))
+        piv = pivot_columns(f.block(v))
         cols = [f.block(v).col(j) for j in piv]
         monos.append(RatMatrix.from_cols(cols, rows=f.target.dim_at(v)))
     dims = tuple(m.cols for m in monos)
@@ -416,7 +422,7 @@ def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
     for a in alg.quiver.arrows:
         s, t = a.source, a.target
         rhs = f.target.act_arrow(a.name) @ monos[t - 1]
-        x, _ = solve(monos[s - 1], rhs)
+        x = solve(monos[s - 1], rhs)
         if x is None:
             raise RepError("image is not arrow-stable; broken input")
         maps[a.name] = x
@@ -424,7 +430,7 @@ def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
     mono = RepMap(img, f.target, tuple(monos))
     epis = []
     for v in range(1, alg.vertex_count + 1):
-        x, _ = solve(monos[v - 1], f.block(v))
+        x = solve(monos[v - 1], f.block(v))
         if x is None:
             raise RepError("factorization through image failed")
         epis.append(x)
@@ -461,14 +467,13 @@ def direct_sum(parts: Sequence[Rep]) -> DirectSum:
         proj_blocks = []
         for v in range(nv):
             before = sum(q.dims[v] for q in parts[:k])
-            inj = RatMatrix.zeros(dims[v], p.dims[v])
-            rows = [[Fraction(0)] * p.dims[v] for _ in range(dims[v])]
+            rows = [[0] * p.dims[v] for _ in range(dims[v])]
             for i in range(p.dims[v]):
-                rows[before + i][i] = Fraction(1)
+                rows[before + i][i] = 1
             inj_blocks.append(RatMatrix(rows, cols=p.dims[v]))
-            prows = [[Fraction(0)] * dims[v] for _ in range(p.dims[v])]
+            prows = [[0] * dims[v] for _ in range(p.dims[v])]
             for i in range(p.dims[v]):
-                prows[i][before + i] = Fraction(1)
+                prows[i][before + i] = 1
             proj_blocks.append(RatMatrix(prows, cols=dims[v]))
         injections.append(RepMap(p, total, tuple(inj_blocks)))
         projections.append(RepMap(total, p, tuple(proj_blocks)))
@@ -552,8 +557,8 @@ def top_generators(m: Rep) -> list[tuple[int, RatMatrix]]:
         else:
             radical = RatMatrix.zeros(m.dim_at(v), 0)
         for j in complement_pivots(radical):
-            col = [Fraction(0)] * m.dim_at(v)
-            col[j] = Fraction(1)
+            col = [0] * m.dim_at(v)
+            col[j] = 1
             out.append((v, RatMatrix.column(col)))
     return out
 

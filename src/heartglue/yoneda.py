@@ -136,7 +136,7 @@ def _through_quotient(pr: RepMap, psi: RepMap) -> RepMap:
     # unique map out of a cokernel: result after pr equals psi
     blocks = []
     for v in range(1, pr.source.algebra.vertex_count + 1):
-        sol, _ = solve(pr.block(v).transpose(), psi.block(v).transpose())
+        sol = solve(pr.block(v).transpose(), psi.block(v).transpose())
         if sol is None:
             raise YExtError("map does not descend to the quotient")
         blocks.append(sol.transpose())
@@ -147,7 +147,7 @@ def _into_subobject(incl: RepMap, zeta: RepMap) -> RepMap:
     # corestriction: incl after result equals zeta
     blocks = []
     for v in range(1, incl.source.algebra.vertex_count + 1):
-        sol, _ = solve(incl.block(v), zeta.block(v))
+        sol = solve(incl.block(v), zeta.block(v))
         if sol is None:
             raise YExtError("map does not land in the subobject")
         blocks.append(sol)
