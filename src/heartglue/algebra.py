@@ -55,10 +55,6 @@ class Quiver:
     def is_strictly_ordered(self) -> bool:
         return all(a.source < a.target for a in self.arrows)
 
-    def opposite(self) -> "Quiver":
-        return Quiver(self.vertex_count,
-                      tuple(Arrow(a.name, a.target, a.source) for a in self.arrows))
-
 
 def make_quiver(vertex_count: int, arrows: Iterable[tuple[str, int, int]]) -> Quiver:
     return Quiver(vertex_count, tuple(Arrow(n, s, t) for n, s, t in arrows))
@@ -77,13 +73,6 @@ class Relation:
     @staticmethod
     def of(terms: Iterable[tuple[object, Sequence[str]]]) -> "Relation":
         return Relation(tuple((as_fraction(c), tuple(p)) for c, p in terms))
-
-    def reversed_paths(self) -> "Relation":
-        return Relation(tuple((c, tuple(reversed(p))) for c, p in self.terms))
-
-
-def opposite_relations(rels: Iterable[Relation]) -> tuple[Relation, ...]:
-    return tuple(r.reversed_paths() for r in rels)
 
 
 @dataclass(frozen=True)
@@ -321,7 +310,3 @@ def build_algebra(quiver: Quiver, relations: Sequence[Relation] = ()) -> PathAlg
         if any(c != 0 for c in combo.values()):
             raise AlgebraError(f"relation {rel} does not vanish after rewriting")
     return alg
-
-
-def opposite(q: Quiver) -> Quiver:
-    return q.opposite()

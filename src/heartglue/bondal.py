@@ -26,7 +26,7 @@ from .derived import (
     dhom_space,
     identity_class,
 )
-from .glue import ExcSequence, _scan_range
+from .glue import ExcSequence, _homs, _scan_range
 from .linalg import RatMatrix, complement_pivots, kernel_basis, rank
 from .reps import Rep, RepMap, hom_space, projective
 
@@ -291,11 +291,8 @@ def module_functor(pres: Presentation, x, window: int | None = None) -> Rep:
     end = pres.end
     w = window if window is not None else end.window
     for i, e in enumerate(end.objects, 1):
-        for n in _scan_range(e, cx, w):
-            if n == 0:
-                continue
-            d = derived_hom(e, cx, n)
-            if d:
+        for n, d in _homs(e, cx, w):
+            if n:
                 raise BondalError(
                     f"object {i} has maps of dimension {d} into the "
                     f"argument at shift {n}; the hom module only sees "

@@ -22,10 +22,10 @@ from pathlib import Path
 import click
 
 from .complexes import cohomology_dims, shift
-from .derived import as_cx, derived_hom, dhom_space
-from .glue import (AddGeneratedAisle, ExcError, GlueError, HeartDesc,
-                   _scan_range, check_dim_formula, check_sequence,
-                   default_window, glue, glue_sequence)
+from .derived import as_cx, dhom_space
+from .glue import (AddGeneratedAisle, ExcError, GlueError, _homs,
+                   check_dim_formula, check_sequence, default_window, glue,
+                   glue_sequence)
 from .jsonio import (SchemaError, algebra_to_dict, dump_json, load_algebra,
                      load_objects)
 from .bondal import BondalError, bondal_check
@@ -80,10 +80,6 @@ def _window(job: JobSpec, alg, count: int) -> int:
             else default_window(alg, count))
 
 
-def _shifts(a, b, w: int) -> list[int]:
-    return sorted(set(_scan_range(a, b, w)))
-
-
 def _jsonable(v):
     if isinstance(v, tuple):
         return list(v)
@@ -97,11 +93,8 @@ def _run_ext_table(job: JobSpec):
     entries = []
     for i, (_, a) in enumerate(objs, 1):
         for j, (_, b) in enumerate(objs, 1):
-            for n in _shifts(a, b, w):
-                d = derived_hom(a, b, n)
-                if d:
-                    entries.append({"source": i, "target": j,
-                                    "shift": n, "dim": d})
+            entries += [{"source": i, "target": j, "shift": n, "dim": d}
+                        for n, d in _homs(a, b, w)]
     report = {"command": "ext-table", "window": w,
               "objects": [label for label, _ in objs],
               "entries": entries, "ok": True}
@@ -188,24 +181,13 @@ def _run_dim_formula(job: JobSpec):
     lines = [f"dim-formula  window={w}"]
     try:
         es = check_sequence([v for _, v in objs], window=w)
-        aisles = [AddGeneratedAisle((es.object(i),), window=w)
-                  for i in range(1, len(es) + 1)]
-        acc = aisles[0]
-        acc_heart = HeartDesc(acc.heart_gens(),
-                              provenance=f"heart of {acc.describe()}",
-                              window=w)
-        left = right = acc_heart
-        for nxt in aisles[1:]:
-            left = acc_heart
-            right = HeartDesc(nxt.heart_gens(),
-                              provenance=f"heart of {nxt.describe()}",
-                              window=w)
-            acc, acc_heart = glue(acc, nxt, window=w)
-        rep = check_dim_formula(left, right, acc_heart, window=job.window)
+        glued, heart = glue_sequence(es, window=w)
+        rep = check_dim_formula(glued.left.heart(), glued.right.heart(),
+                                heart, window=job.window)
     except (ExcError, GlueError) as e:
         lines.append(f"failed: {e}")
         return 1, dict(base, ok=False, error=str(e)), lines
-    report = dict(base, window=rep.window, pieces=len(aisles),
+    report = dict(base, window=rep.window, pieces=len(es),
                   lhs=rep.lhs, rhs=rep.rhs, dim_left=rep.dim_left,
                   dim_right=rep.dim_right, rel=rep.rel,
                   witness=list(rep.witness), ok=rep.ok)

@@ -182,10 +182,6 @@ def identity_chain_map(x: Cx) -> CxMap:
     return CxMap(x, x, {i: identity_map(t) for i, t in x.terms.items()})
 
 
-def zero_chain_map(x: Cx, y: Cx) -> CxMap:
-    return CxMap(x, y, {})
-
-
 def shift_map(f: CxMap, k: int) -> CxMap:
     if k == 0:
         return f
@@ -323,7 +319,6 @@ class Triangle:
     g: CxMap
     comparison: CxMap | None = None
     cone_of_f: Cone | None = None
-    third: CxMap | None = None
 
     def certified(self) -> bool:
         if self.comparison is None:

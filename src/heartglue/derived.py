@@ -24,7 +24,8 @@ from .complexes import (
     shift,
 )
 from .complexes import compose as ccompose
-from .linalg import RatMatrix, hstack, kernel_basis, pivot_columns, solve
+from .linalg import (RatMatrix, hstack, kernel_basis, pivot_columns, solve,
+                     vstack)
 from .reps import (
     Rep,
     RepMap,
@@ -124,7 +125,6 @@ def resolve_cx(x: Cx) -> Resolution:
             w = CxMap(a, bprime, {})
         ra = resolve_cx(a)
         rb = resolve_cx(bprime)
-        from .complexes import compose as ccompose
         g = ccompose(w, ra.eps)
         wt, _ = solve_lift(ra.cx, g, rb.eps, strict=True)
         co = cone(wt)
@@ -236,6 +236,7 @@ class _GenLayout:
     complex r, targeting term degree k + delta of the complex t."""
 
     def __init__(self, r: Cx, t: Cx, delta: int):
+        self.delta = delta
         self.entries: list[tuple[int, int, int, int]] = []
         self.offsets: dict[tuple[int, int], int] = {}
         self.degree_start: dict[int, int] = {}
@@ -301,20 +302,27 @@ def _boundary_matrix(r: Cx, t: Cx, layout: _GenLayout,
     return RatMatrix(grid, cols=hlayout.total)
 
 
-def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
-                   vec: list[Fraction]) -> CxMap:
+def _vector_to_maps(r: Cx, t: Cx, layout: _GenLayout,
+                    vec: list[Fraction]) -> dict[int, RepMap]:
+    """The maps r^k -> t^{k + delta} carried by generator data in the
+    layout, one per nonzero term of r."""
     comps = {}
     for k in sorted(r.terms):
         term = r.terms[k]
         if not term.proj_gens:
             continue
+        tk = t.term(k + layout.delta)
         images = []
         for (c, v, pos) in generator_positions(term):
             off = layout.offsets[(k, c)]
-            size = t.term(k).dim_at(v)
-            images.append(RatMatrix.column(vec[off:off + size]))
-        comps[k] = map_from_generators(term, t.term(k), images)
-    return CxMap(r, t, comps)
+            images.append(RatMatrix.column(vec[off:off + tk.dim_at(v)]))
+        comps[k] = map_from_generators(term, tk, images)
+    return comps
+
+
+def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
+                   vec: list[Fraction]) -> CxMap:
+    return CxMap(r, t, _vector_to_maps(r, t, layout, vec))
 
 
 def _map_to_vector(u: CxMap, layout: _GenLayout) -> list[Fraction]:
@@ -327,14 +335,16 @@ def _map_to_vector(u: CxMap, layout: _GenLayout) -> list[Fraction]:
     return vec
 
 
-def reanchor(u: CxMap, src: Cx, tgt: Cx) -> CxMap:
-    """Rebuild a chain map between complexes sharing the same term objects.
+def reanchor(u: CxMap, src: Cx, tgt: Cx, by: int = 0) -> CxMap:
+    """The same blocks as a chain map src -> tgt, degrees moved by by.
 
-    Valid whenever src/tgt agree with u's endpoints degreewise up to zero
-    padding; the blocks are reused unchanged."""
+    Valid whenever src and tgt agree with u's endpoints shifted by -by,
+    degreewise up to zero padding.  Source and target shift together, so
+    no signs appear; blocks are placed positionally, which also survives
+    components anchored to a complex's padding zero terms."""
     comps = {}
     for k, c in u.components.items():
-        comps[k] = RepMap(src.term(k), tgt.term(k), c.blocks)
+        comps[k + by] = RepMap(src.term(k + by), tgt.term(k + by), c.blocks)
     return CxMap(src, tgt, comps)
 
 
@@ -350,61 +360,29 @@ def solve_lift(p: Cx, g: CxMap, r: CxMap, strict: bool = False
     w = r.source
     z = r.target
     ulay = _GenLayout(p, w, 0)
-    hlay = _GenLayout(p, z, -1) if not strict else None
-    ncols = ulay.total + (hlay.total if hlay else 0)
-    rows: list[list] = []
-    rhs: list = []
-    # chain-map equations for u
-    for (k, c, v, pos) in ulay.entries:
-        dw = w.d(k)
-        nrows = dw.target.dim_at(v)
-        dcol = p.d(k).block(v).col_matrix(pos)
-        nxt = p.term(k + 1)
-        block = [[0] * ncols for _ in range(nrows)]
-        _add_block(block, 0, ulay.offsets[(k, c)], dw.block(v))
-        if nxt.total_dim > 0 and not dcol.is_zero():
-            ev = eval_columns(nxt, w.term(k + 1), v, dcol)
-            _add_block(block, 0, ulay.degree_start[k + 1], ev, sign=-1)
-        rows.extend(block)
-        rhs.extend([0] * nrows)
-    # lifting equations r u = g (+ d h + h d)
-    for (k, c, v, pos) in ulay.entries:
-        nrows = z.term(k).dim_at(v)
-        block = [[0] * ncols for _ in range(nrows)]
-        _add_block(block, 0, ulay.offsets[(k, c)], r.comp(k).block(v))
-        if hlay is not None:
-            dz = z.d(k - 1)
-            _add_block(block, 0, ulay.total + hlay.offsets[(k, c)],
-                       dz.block(v), sign=-1)
-            dcol = p.d(k).block(v).col_matrix(pos)
-            nxt = p.term(k + 1)
-            if nxt.total_dim > 0 and not dcol.is_zero():
-                ev = eval_columns(nxt, z.term(k), v, dcol)
-                _add_block(block, 0, ulay.total + hlay.degree_start[k + 1],
-                           ev, sign=-1)
-        rows.extend(block)
-        gcol = g.comp(k).block(v).col(pos)
-        rhs.extend(gcol)
-    system = RatMatrix(rows, cols=ncols) if rows else RatMatrix.zeros(0, ncols)
+    zlay = _GenLayout(p, z, 0)
+    # rows: u is a chain map, then r u - (d h + h d) = g
+    chain = _chain_matrix(p, w, ulay)
+    lift = [[0] * ulay.total for _ in range(zlay.total)]
+    for (k, c, v, pos) in zlay.entries:
+        _add_block(lift, zlay.offsets[(k, c)], ulay.offsets[(k, c)],
+                   r.comp(k).block(v))
+    if strict:
+        bnd = RatMatrix.zeros(zlay.total, 0)
+    else:
+        hlay = _GenLayout(p, z, -1)
+        bnd = _boundary_matrix(p, z, zlay, hlay)
+    system = vstack([
+        hstack([chain, RatMatrix.zeros(chain.rows, bnd.cols)]),
+        hstack([RatMatrix(lift, cols=ulay.total), -bnd])])
+    rhs = [0] * chain.rows + _map_to_vector(g, zlay)
     sol = solve(system, RatMatrix.column(rhs))
     if sol is None:
         raise LiftError("no lift through the quasi-isomorphism")
-    vec = sol.col(0) if ncols else []
-    u = _vector_to_map(p, w, ulay, list(vec[:ulay.total]))
-    homotopy: dict[int, RepMap] = {}
-    if hlay is not None:
-        hvec = list(vec[ulay.total:])
-        for k in sorted(p.terms):
-            term = p.terms[k]
-            if not term.proj_gens:
-                continue
-            images = []
-            for (c, v, pos) in generator_positions(term):
-                off = hlay.offsets[(k, c)]
-                size = z.term(k - 1).dim_at(v)
-                images.append(RatMatrix.column(hvec[off:off + size]))
-            f = map_from_generators(term, z.term(k - 1), images)
-            homotopy[k] = f
+    vec = list(sol.col(0))
+    u = _vector_to_map(p, w, ulay, vec[:ulay.total])
+    homotopy = ({} if strict
+                else _vector_to_maps(p, z, hlay, vec[ulay.total:]))
     return u, homotopy
 
 
@@ -507,16 +485,9 @@ def derived_hom(x, y, n: int) -> int:
     return dhom_space(x, y, n).dim
 
 
-def hom_table(x, y, lo: int, hi: int) -> dict[int, int]:
-    return {n: derived_hom(x, y, n) for n in range(lo, hi + 1)}
-
-
 def identity_class(x) -> DHomClass:
     sp = dhom_space(x, x, 0)
-    eps = sp.res.eps
-    if eps.target is not sp.t:
-        eps = CxMap(sp.res.cx, sp.t, eps.components)
-    return sp.class_of(eps)
+    return sp.class_of(sp.res.eps)
 
 
 def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
@@ -528,12 +499,7 @@ def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
     target = dhom_space(c1.space.x, c2.space.y, n + m)
     u1 = c1.space.representative(c1)
     ry = resolve_cx(c1.space.y)
-    shifted_res = shift(ry.cx, n)
-    r_comps = {}
-    for i, comp in ry.eps.components.items():
-        r_comps[i - n] = RepMap(shifted_res.term(i - n),
-                                c1.space.t.term(i - n), comp.blocks)
-    r = CxMap(shifted_res, c1.space.t, r_comps)
+    r = reanchor(ry.eps, shift(ry.cx, n), c1.space.t, by=-n)
     lifted, _ = solve_lift(c1.space.res.cx, u1, r)
     u2 = c2.space.representative(c2)
     nv = c1.space.x.algebra.vertex_count

@@ -6,7 +6,8 @@ the whole category.  This module verifies exceptionality, projects objects
 onto the pieces, and glues a t-structure given on each piece into one on
 the total category: membership tests for the glued aisle, truncation
 triangles with computed certificates, and the homological dimension
-bookkeeping for the glued heart.
+bookkeeping for the glued heart.  Compatibility, n-fold compatibility and
+the dimension formula share one Hom scan.
 
 Aisles are described intensionally.  ``StandardAisle`` cuts cohomology at
 a fixed degree, ``AddGeneratedAisle`` takes nonnegative shifts of finitely
@@ -23,7 +24,8 @@ from .complexes import (Cx, CxMap, Cone, Triangle, cohomology_dims,
                         compose as ccompose, cone, cx_direct_sum,
                         identity_chain_map, is_acyclic, shift, truncate_std,
                         zero_cx)
-from .derived import as_cx, derived_hom, dhom_space, resolve, solve_lift
+from .derived import (as_cx, derived_hom, dhom_space, reanchor, resolve,
+                      solve_lift)
 
 
 class GlueError(ValueError):
@@ -66,6 +68,17 @@ def _scan_range(e: Cx, x: Cx, window: int | None = None) -> range:
     if window is not None:
         lo, hi = min(lo, -window), max(hi, window)
     return range(lo, hi + 1)
+
+
+def _homs(a: Cx, b: Cx, window: int | None = None, top: int | None = None):
+    """Yield (n, dim Hom(a, b[n])) for every nonzero Hom in the scan range,
+    in increasing n; with top set, no shift above top is computed."""
+    for n in _scan_range(a, b, window):
+        if top is not None and n > top:
+            return
+        d = derived_hom(a, b, n)
+        if d:
+            yield n, d
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +160,7 @@ def check_sequence(objs, strong: bool = False,
             if i == j:
                 table[(i, j, 0)] = 1
                 continue
-            for n in _scan_range(a.object, b.object, w):
-                d = derived_hom(a.object, b.object, n)
-                if not d:
-                    continue
+            for n, d in _homs(a.object, b.object, w):
                 table[(i, j, n)] = d
                 if i > j:
                     raise ExcError(
@@ -167,17 +177,6 @@ def check_sequence(objs, strong: bool = False,
     return ExcSequence(tuple(verified), is_strong, w, table)
 
 
-def _deshift(u: CxMap, p: Cx, x: Cx, n: int) -> CxMap:
-    # u: R -> x[n]; the same blocks read as a map p = R[-n] -> x.  Source
-    # and target shift together, so no signs appear.  Blocks are rebuilt
-    # positionally, which also survives components anchored to a
-    # complex's padding zero terms.
-    comps = {}
-    for k, c in u.components.items():
-        comps[k + n] = RepMap(p.term(k + n), x.term(k + n), c.blocks)
-    return CxMap(p, x, comps)
-
-
 def _hom_parts(e: Cx, x: Cx, shifts) -> list[tuple[Cx, CxMap, int]]:
     """One shifted copy of the resolution of e per basis class of
     Hom(e, x[n]), each with its evaluation map into x."""
@@ -187,7 +186,7 @@ def _hom_parts(e: Cx, x: Cx, shifts) -> list[tuple[Cx, CxMap, int]]:
         for cls in sp.basis():
             u = sp.representative(cls)
             p = shift(sp.res.cx, -n)
-            parts.append((p, _deshift(u, p, x, n), n))
+            parts.append((p, reanchor(u, p, x, by=n), n))
     return parts
 
 
@@ -233,6 +232,12 @@ class AisleSpec:
 
     def describe(self) -> str:
         raise NotImplementedError
+
+    def heart(self) -> "HeartDesc":
+        """The heart generated by heart_gens, validated on construction."""
+        return HeartDesc(self.heart_gens(),
+                         provenance=f"heart of {self.describe()}",
+                         window=self.window)
 
 
 class StandardAisle(AisleSpec):
@@ -286,12 +291,10 @@ class AddGeneratedAisle(AisleSpec):
                 for b in objs:
                     if a is b:
                         continue
-                    for n in _scan_range(a, b, self.window):
-                        d = derived_hom(a, b, n)
-                        if d:
-                            raise GlueError(
-                                "aisle generators must be orthogonal: found "
-                                f"Hom of dimension {d} at shift {n}")
+                    for n, d in _homs(a, b, self.window):
+                        raise GlueError(
+                            "aisle generators must be orthogonal: found "
+                            f"Hom of dimension {d} at shift {n}")
         self._gens = objs
 
     def _parts(self, x: Cx) -> list[tuple[Cx, CxMap, int]]:
@@ -359,7 +362,7 @@ def _rotation_comparison(cq: Cone, q: CxMap, b: Cx) -> tuple[Cx, CxMap, CxMap]:
     """
     x = q.source
     a = shift(cq.cx, -1)
-    f = -_deshift(cq.proj, a, x, 1)
+    f = -reanchor(cq.proj, a, x, by=1)
     cf = cone(f)
     alg = x.algebra
     comps = {}
@@ -425,7 +428,7 @@ class GluedAisle(AisleSpec):
         down = shift(x1, -1)
         a1, _, tri1 = self.left.truncate(down)
         u_src = shift(a1, 1)
-        j = _deshift(tri1.f, u_src, x1, -1)
+        j = reanchor(tri1.f, u_src, x1, by=-1)
         # lift the shifted left part through r; a tagged stand-in makes
         # the lifting problem solvable by generator data
         rsu = resolve(u_src)
@@ -448,11 +451,6 @@ class GluedAisle(AisleSpec):
 
     def describe(self) -> str:
         return f"glue({self.left.describe()}, {self.right.describe()})"
-
-
-def truncate_glued(x: Cx, aisle: AisleSpec) -> tuple[Cx, Cx, Triangle]:
-    """Truncation triangle of x with respect to the given aisle."""
-    return aisle.truncate(x)
 
 
 def sod_project(x: Cx, es: ExcSequence, k: int) -> Cx:
@@ -479,13 +477,14 @@ def sod_project(x: Cx, es: ExcSequence, k: int) -> Cx:
 
 @dataclass(frozen=True)
 class CompatReport:
-    """Outcome of a pairwise compatibility check.
+    """Outcome of a compatibility check, pairwise or n-fold.
 
-    Violations are (kind, left_gen, right_gen, shift, dim) with 1-based
-    generator positions into the respective aisle generator lists.  Kind
-    "backward" means the right piece maps to the left one, so the two do
-    not form a semiorthogonal decomposition at all; kind "negative"
-    means the left aisle maps to a positive co-aisle shift on the right.
+    Violations are (kind, left, right, shift, dim).  Kind "backward"
+    means the right piece maps to the left one, so the two do not form a
+    semiorthogonal decomposition at all; kind "negative" means the left
+    aisle maps to a positive co-aisle shift on the right.  compatible
+    names 1-based generator positions into the two aisle generator
+    lists; nfold_compatible names the pieces i < k.
     """
 
     ok: bool
@@ -494,6 +493,20 @@ class CompatReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _violations(g1s, g2s, deepest: int,
+                window: int) -> list[tuple[str, int, int, int, int]]:
+    """Backward Homs from g2s to g1s at any shift and forward Homs from
+    g1s to g2s at shifts n <= deepest, by 1-based generator positions."""
+    viol = []
+    for i1, g1 in enumerate(g1s, 1):
+        for i2, g2 in enumerate(g2s, 1):
+            viol += [("backward", i1, i2, n, d)
+                     for n, d in _homs(g2, g1, window)]
+            viol += [("negative", i1, i2, n, d)
+                     for n, d in _homs(g1, g2, window, top=deepest)]
+    return viol
 
 
 def compatible(a1: AisleSpec, a2: AisleSpec,
@@ -510,19 +523,7 @@ def compatible(a1: AisleSpec, a2: AisleSpec,
     g1s, g2s = a1.aisle_gens(), a2.aisle_gens()
     w = (window if window is not None
          else default_window(a1.algebra, len(g1s) + len(g2s)))
-    viol = []
-    for i1, g1 in enumerate(g1s, 1):
-        for i2, g2 in enumerate(g2s, 1):
-            for n in _scan_range(g2, g1, w):
-                d = derived_hom(g2, g1, n)
-                if d:
-                    viol.append(("backward", i1, i2, n, d))
-            for n in _scan_range(g1, g2, w):
-                if n >= 0:
-                    continue
-                d = derived_hom(g1, g2, n)
-                if d:
-                    viol.append(("negative", i1, i2, n, d))
+    viol = _violations(g1s, g2s, -1, w)
     return CompatReport(not viol, w, tuple(viol))
 
 
@@ -541,14 +542,10 @@ class HeartDesc:
     def __post_init__(self):
         for a in self.generators:
             for b in self.generators:
-                for n in _scan_range(a, b):
-                    if n >= 0:
-                        continue
-                    d = derived_hom(a, b, n)
-                    if d:
-                        raise GlueError(
-                            "not a heart: generators map into a negative "
-                            f"shift (dimension {d} at {n})")
+                for n, d in _homs(a, b, top=-1):
+                    raise GlueError(
+                        "not a heart: generators map into a negative "
+                        f"shift (dimension {d} at {n})")
 
 
 def glue(a1: AisleSpec, a2: AisleSpec,
@@ -565,10 +562,7 @@ def glue(a1: AisleSpec, a2: AisleSpec,
         raise GlueError("aisles are not compatible; first violations: "
                         f"{rep.violations[:3]}")
     aisle = GluedAisle(a1, a2)
-    heart = HeartDesc(aisle.heart_gens(),
-                      provenance=f"heart of {aisle.describe()}",
-                      window=aisle.window)
-    return aisle, heart
+    return aisle, aisle.heart()
 
 
 def glue_sequence(es: ExcSequence,
@@ -577,43 +571,28 @@ def glue_sequence(es: ExcSequence,
 
     Each object carries its own one-generator aisle; the result glues
     them all, so the heart generators come out as E_m, E_{m-1}[1], ...,
-    E_1[m-1].
+    E_1[m-1].  With two or more objects the last step's pieces are the
+    glued aisle's left and right.
     """
     w = window if window is not None else es.window
     aisle: AisleSpec = AddGeneratedAisle((es.object(1),), window=w)
-    heart = HeartDesc(aisle.heart_gens(),
-                      provenance=f"heart of {aisle.describe()}", window=w)
+    heart = aisle.heart()
     for i in range(2, len(es) + 1):
         nxt = AddGeneratedAisle((es.object(i),), window=w)
         aisle, heart = glue(aisle, nxt, window=w)
     return aisle, heart
 
 
-@dataclass(frozen=True)
-class NfoldReport:
-    """Direct check that an ordered family of aisles glues in one go.
+def nfold_compatible(aisles, window: int | None = None) -> CompatReport:
+    """Check that an ordered family of aisles glues in one go.
 
     For pieces i < k nothing may map backward from piece k to piece i,
     and forward maps must miss the deep negative shifts: the condition
     is Hom(G_i, G_k[n]) = 0 whenever n <= i - k, one shift deeper per
-    intermediate piece.  Violations are (kind, i, k, shift, dim) with
-    the same kinds as CompatReport.
-    """
-
-    ok: bool
-    window: int
-    violations: tuple[tuple[str, int, int, int, int], ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def nfold_compatible(aisles, window: int | None = None) -> NfoldReport:
-    """Check all components of an ordered family at once.
-
-    This is the direct form of n-fold compatibility; glue_sequence
-    reaches the same configurations one pairwise step at a time, and the
-    two are cross-checked in the test suite.
+    intermediate piece.  Violations name the pieces (i, k).  For two
+    pieces this is compatible; glue_sequence reaches the same
+    configurations one pairwise step at a time, and the two are
+    cross-checked in the test suite.
     """
     aisles = list(aisles)
     if not aisles:
@@ -624,26 +603,22 @@ def nfold_compatible(aisles, window: int | None = None) -> NfoldReport:
     viol = []
     for i in range(1, len(aisles) + 1):
         for k in range(i + 1, len(aisles) + 1):
-            for g1 in aisles[i - 1].aisle_gens():
-                for g2 in aisles[k - 1].aisle_gens():
-                    for n in _scan_range(g2, g1, w):
-                        d = derived_hom(g2, g1, n)
-                        if d:
-                            viol.append(("backward", i, k, n, d))
-                    for n in _scan_range(g1, g2, w):
-                        if n > i - k:
-                            continue
-                        d = derived_hom(g1, g2, n)
-                        if d:
-                            viol.append(("negative", i, k, n, d))
-    return NfoldReport(not viol, w, tuple(viol))
+            viol += [(kind, i, k, n, d) for kind, _, _, n, d in _violations(
+                aisles[i - 1].aisle_gens(), aisles[k - 1].aisle_gens(),
+                i - k, w)]
+    return CompatReport(not viol, w, tuple(viol))
 
 
-def _sup_shift(g1: Cx, g2: Cx, window: int | None = None) -> int | None:
+def _top_shift(gs1, gs2, window: int | None = None
+               ) -> tuple[int, int, int] | None:
+    """The first pair (i, j), 1-based, with the largest shift n where
+    Hom(gs1[i], gs2[j][n]) is nonzero, as (i, j, n); None when all vanish."""
     best = None
-    for n in _scan_range(g1, g2, window):
-        if derived_hom(g1, g2, n):
-            best = n
+    for i, a in enumerate(gs1, 1):
+        for j, b in enumerate(gs2, 1):
+            for n, _ in _homs(a, b, window):
+                if best is None or n > best[2]:
+                    best = (i, j, n)
     return best
 
 
@@ -653,25 +628,15 @@ def heart_dim(h: HeartDesc, window: int | None = None) -> int | None:
     None for a heart with no generators; 0 or more otherwise, since
     identities live at shift 0.
     """
-    best = None
-    for a in h.generators:
-        for b in h.generators:
-            s = _sup_shift(a, b, window)
-            if s is not None and (best is None or s > best):
-                best = s
-    return best
+    top = _top_shift(h.generators, h.generators, window)
+    return None if top is None else top[2]
 
 
 def rdim(h1: HeartDesc, h2: HeartDesc, window: int | None = None) -> int:
     """Largest shift with a nonzero Hom from h1 generators to h2 ones,
     or -1 when every such Hom vanishes."""
-    best = None
-    for a in h1.generators:
-        for b in h2.generators:
-            s = _sup_shift(a, b, window)
-            if s is not None and (best is None or s > best):
-                best = s
-    return -1 if best is None else best
+    top = _top_shift(h1.generators, h2.generators, window)
+    return -1 if top is None else top[2]
 
 
 @dataclass(frozen=True)
@@ -706,17 +671,11 @@ def check_dim_formula(h1: HeartDesc, h2: HeartDesc, glued: HeartDesc,
         raise GlueError("both hearts are zero")
     r = rdim(h1, h2, window)
     rhs = max(v for v in (d1, d2, r + 1) if v is not None)
-    best = None
-    wit = None
-    for i, a in enumerate(glued.generators, 1):
-        for j, b in enumerate(glued.generators, 1):
-            s = _sup_shift(a, b, window)
-            if s is not None and (best is None or s > best):
-                best = s
-                wit = (i, j, s)
-    if best is None:
+    wit = _top_shift(glued.generators, glued.generators, window)
+    if wit is None:
         raise GlueError("the glued heart is zero")
+    lhs = wit[2]
     w = window if window is not None else glued.window
-    return DimFormulaReport(best, d1 if d1 is not None else -1,
+    return DimFormulaReport(lhs, d1 if d1 is not None else -1,
                             d2 if d2 is not None else -1, r, rhs,
-                            best == rhs, w, wit)
+                            lhs == rhs, w, wit)

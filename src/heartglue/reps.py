@@ -534,14 +534,6 @@ def exact_certificate(f: RepMap, g: RepMap) -> None:
             raise RepError(f"rank gap at vertex {v}: not exact in the middle")
 
 
-def is_exact_pair(f: RepMap, g: RepMap) -> bool:
-    try:
-        exact_certificate(f, g)
-        return True
-    except RepError:
-        return False
-
-
 def top_generators(m: Rep) -> list[tuple[int, RatMatrix]]:
     """(vertex, column) generators lifting a basis of m / rad m.
 

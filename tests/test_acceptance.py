@@ -20,8 +20,7 @@ from heartglue.complexes import (cohomology_dims, cone, cx_direct_sum,
 from heartglue.derived import (DHomClass, as_cx, compose_classes, derived_hom,
                                dhom_space, minimal_model)
 from heartglue.glue import (AddGeneratedAisle, HeartDesc, check_dim_formula,
-                            check_sequence, glue, glue_sequence,
-                            truncate_glued)
+                            check_sequence, glue, glue_sequence)
 from heartglue.jsonio import load_algebra
 from heartglue.linalg import RatMatrix, rank
 from heartglue.reps import (Rep, RepError, cokernel, exact_certificate,
@@ -189,7 +188,7 @@ def test_criterion_3_glued_aisles_are_t_structures(corpus):
                     [rng.choice(pool),
                      shift(rng.choice(pool), rng.randint(-2, 2))]).cx
                 x = shift(x, rng.randint(-1, 1))
-                a, b, tri = truncate_glued(x, aisle)
+                a, b, tri = aisle.truncate(x)
                 assert tri.certified()
                 assert aisle.member(a)
                 assert aisle.member(shift(a, 1))

@@ -10,8 +10,6 @@ from heartglue.algebra import (
     Relation,
     build_algebra,
     make_quiver,
-    opposite,
-    opposite_relations,
 )
 from heartglue.linalg import RatMatrix, rank
 
@@ -208,13 +206,3 @@ def test_rejects_non_parallel_relation():
 def test_rejects_duplicate_arrow_names():
     with pytest.raises(AlgebraError):
         make_quiver(2, [("a", 1, 2), ("a", 1, 2)])
-
-
-def test_opposite_quiver():
-    q = make_quiver(2, [("a", 1, 2)])
-    op = opposite(q)
-    assert op.arrows[0].source == 2 and op.arrows[0].target == 1
-    assert opposite(op) == q
-    rel = Relation.of([(1, ["a", "b"])])
-    (rev,) = opposite_relations([rel])
-    assert rev.terms[0][1] == ("b", "a")

@@ -36,7 +36,6 @@ from heartglue.complexes import (
     shift_map,
     triangle_to_ses,
     truncate_std,
-    zero_chain_map,
 )
 
 
@@ -251,7 +250,7 @@ def test_shift_map_stays_chain_map(a2):
 def test_zero_chain_map_composes(a2):
     x = module_cx(projective(a2, 2))
     y = module_cx(simple(a2, 2))
-    z = zero_chain_map(x, y)
+    z = CxMap(x, y, {})
     assert z.is_zero()
     assert compose(z, identity_chain_map(x)).is_zero()
 

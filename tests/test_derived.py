@@ -37,7 +37,6 @@ from heartglue.derived import (
     compose_classes,
     derived_hom,
     dhom_space,
-    hom_table,
     identity_class,
     minimal_model,
     resolve,
@@ -116,7 +115,7 @@ def test_hom_dimensions_kronecker(kron):
     assert derived_hom(p1, p2, 0) == 2
     assert derived_hom(p2, p2, 0) == 1
     assert derived_hom(s2, p1, 1) == 2
-    assert hom_table(p1, p2, -2, 2) == {-2: 0, -1: 0, 0: 2, 1: 0, 2: 0}
+    assert [derived_hom(p1, p2, n) for n in range(-2, 3)] == [0, 0, 2, 0, 0]
 
 
 def test_hom_ext_square_a3rel(a3rel):
@@ -227,6 +226,28 @@ def test_solve_lift_through_resolution(kron):
     # lift the augmentation through itself: u with eps u = eps
     u, h = solve_lift(res.cx, res.eps, res.eps)
     assert u.comp(0).block(2).rows == 1
+
+
+def test_solve_lift_up_to_homotopy(kron):
+    # g: P2 -> (P2 --id--> P2) is null-homotopic but has no strict lift
+    # through the zero map out of 0; the lift is u = 0 with a homotopy
+    # satisfying r u - g = d h + h d
+    p2 = projective(kron, 2)
+    p = as_cx(p2)
+    z = Cx(kron, {-1: p2, 0: p2}, {-1: identity_map(p2)})
+    g = CxMap(p, z, {0: identity_map(p2)})
+    r = CxMap(Cx(kron, {}, {}), z, {})
+    from heartglue.derived import LiftError
+    with pytest.raises(LiftError):
+        solve_lift(p, g, r, strict=True)
+    u, h = solve_lift(p, g, r)
+    for k in (-1, 0, 1):
+        hk = h.get(k, zero_map(p.term(k), z.term(k - 1)))
+        hk1 = h.get(k + 1, zero_map(p.term(k + 1), z.term(k)))
+        moved = rcompose(r.comp(k), u.comp(k)) - g.comp(k)
+        assert (moved - rcompose(z.d(k - 1), hk)
+                - rcompose(hk1, p.d(k))).is_zero()
+    assert not h[0].is_zero()
 
 
 def test_solve_lift_reports_failure(kron):

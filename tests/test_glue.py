@@ -31,7 +31,6 @@ from heartglue.glue import (
     nfold_compatible,
     rdim,
     sod_project,
-    truncate_glued,
 )
 from heartglue.linalg import RatMatrix
 from heartglue.reps import Rep, projective, simple
@@ -310,9 +309,15 @@ class TestNfoldCompatibility:
         ]
         for gens, expected in families:
             pieces = self._pieces(gens)
-            direct = nfold_compatible(pieces).ok
+            direct = nfold_compatible(pieces)
             iterated = self._iterated_ok(pieces)
-            assert direct == iterated == expected
+            assert direct.ok == iterated == expected
+            if len(pieces) == 2:
+                # the pairwise check is the two-piece case of the direct one
+                pair = compatible(*pieces)
+                assert pair.ok == direct.ok
+                assert ([(v[0], v[3], v[4]) for v in pair.violations]
+                        == [(v[0], v[3], v[4]) for v in direct.violations])
 
     def test_distant_pieces_tolerate_deeper_shifts(self, a2):
         # Hom(S2, S1[1]) shows up at shift -1 relative to piece 3; with a
@@ -397,7 +402,7 @@ class TestTruncation:
         p1 = as_cx(projective(kron, 1))
         p2 = as_cx(projective(kron, 2))
         x = cx_direct_sum([p2, p1]).cx
-        a, b, tri = truncate_glued(x, aisle)
+        a, b, tri = aisle.truncate(x)
         assert tri.certified()
         assert cohomology_dims(a) == {0: (2, 1)}
         assert cohomology_dims(b) == {0: (1, 0)}

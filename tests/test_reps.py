@@ -21,7 +21,6 @@ from heartglue.reps import (
     hom_space,
     identity_map,
     image,
-    is_exact_pair,
     kernel,
     map_from_generators,
     projective,
@@ -220,7 +219,8 @@ def test_exactness_certificate(a2):
     exact_certificate(incl, q)
     # and a failing pair: zero into P_2 then projection is not exact
     z = zero_map(s1, p2)
-    assert not is_exact_pair(z, q)
+    with pytest.raises(RepError):
+        exact_certificate(z, q)
 
 
 def test_projective_cover_of_simple(a3rel):
