@@ -196,6 +196,11 @@ class PathAlgebraDesc:
     def __post_init__(self):
         object.__setattr__(self, "_index", {
             (p.source, p.arrows): i for i, p in enumerate(self.basis)})
+        between: dict[tuple[int, int], list[BasisPath]] = {}
+        for p in self.basis:
+            between.setdefault((p.source, p.target), []).append(p)
+        object.__setattr__(self, "_between",
+                           {ij: tuple(ps) for ij, ps in between.items()})
         object.__setattr__(self, "_rewriter", _Rewriter(self.quiver, self.relations))
         object.__setattr__(self, "_arrow_by_name",
                            {a.name: a for a in self.quiver.arrows})
@@ -221,7 +226,7 @@ class PathAlgebraDesc:
         """Basis residues with source i and target j (the space p_j A p_i)."""
         if not (1 <= i <= self.vertex_count and 1 <= j <= self.vertex_count):
             raise AlgebraError("vertex out of range")
-        return tuple(p for p in self.basis if p.source == i and p.target == j)
+        return self._between.get((i, j), ())
 
     def reduce_path(self, source: int, arrows: tuple[str, ...]) -> dict[int, Fraction]:
         """Residue of a composable path as coefficients over the basis."""

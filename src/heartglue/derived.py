@@ -264,21 +264,33 @@ def _add_block(grid: list[list], r0: int, c0: int, m: RatMatrix,
                 row[c0 + j] += x if den == 1 else Fraction(x, den)
 
 
+def _next_columns(r: Cx, target: Rep, k: int, v: int,
+                  pos: int) -> RatMatrix | None:
+    """Generator data in target of d_r^k applied to the generator at
+    (v, pos) of r^k, or None when that image is zero.  A missing
+    differential is zero and is never built."""
+    dr = r.diffs.get(k)
+    if dr is None:
+        return None
+    dcol = dr.block(v).col_matrix(pos)
+    nxt = r.terms[k + 1]
+    if nxt.total_dim == 0 or nxt.proj_gens is None or dcol.is_zero():
+        return None
+    return eval_columns(nxt, target, v, dcol)
+
+
 def _chain_matrix(r: Cx, t: Cx, layout: _GenLayout) -> RatMatrix:
     """Rows of the linear system cutting out chain maps r -> t among all
     generator-data vectors."""
     rows: list[list] = []
     for (k, c, v, pos) in layout.entries:
-        dt = t.d(k)
-        nrows = dt.target.dim_at(v)
-        dr = r.d(k)
-        dcol = dr.block(v).col_matrix(pos)
-        nxt = r.term(k + 1)
-        has_next = nxt.total_dim > 0 and nxt.proj_gens is not None
-        block_rows = [[0] * layout.total for _ in range(nrows)]
-        _add_block(block_rows, 0, layout.offsets[(k, c)], dt.block(v))
-        if has_next and not dcol.is_zero():
-            ev = eval_columns(nxt, t.term(k + 1), v, dcol)
+        nxt = t.term(k + 1)
+        block_rows = [[0] * layout.total for _ in range(nxt.dim_at(v))]
+        dt = t.diffs.get(k)
+        if dt is not None:
+            _add_block(block_rows, 0, layout.offsets[(k, c)], dt.block(v))
+        ev = _next_columns(r, nxt, k, v, pos)
+        if ev is not None:
             _add_block(block_rows, 0, layout.degree_start[k + 1], ev, sign=-1)
         rows.extend(block_rows)
     return RatMatrix(rows, cols=layout.total)
@@ -291,13 +303,11 @@ def _boundary_matrix(r: Cx, t: Cx, layout: _GenLayout,
     grid = [[0] * hlayout.total for _ in range(layout.total)]
     for (k, c, v, pos) in layout.entries:
         r0 = layout.offsets[(k, c)]
-        dt = t.d(k - 1)
-        _add_block(grid, r0, hlayout.offsets[(k, c)], dt.block(v))
-        dr = r.d(k)
-        dcol = dr.block(v).col_matrix(pos)
-        nxt = r.term(k + 1)
-        if nxt.total_dim > 0 and nxt.proj_gens is not None and not dcol.is_zero():
-            ev = eval_columns(nxt, t.term(k), v, dcol)
+        dt = t.diffs.get(k - 1)
+        if dt is not None:
+            _add_block(grid, r0, hlayout.offsets[(k, c)], dt.block(v))
+        ev = _next_columns(r, t.term(k), k, v, pos)
+        if ev is not None:
             _add_block(grid, r0, hlayout.degree_start[k + 1], ev)
     return RatMatrix(grid, cols=hlayout.total)
 

@@ -52,6 +52,12 @@ def _need(d: dict, key: str, where: str):
     return d[key]
 
 
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise SchemaError(f"{where}: must be a list")
+    return v
+
+
 def _vertex(v, where: str, count: int) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= count:
         raise SchemaError(f"{where}: vertex must be an integer in 1..{count}")
@@ -81,13 +87,14 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> PathAlgebraDesc:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError(f"{where}: vertices must be a positive integer")
     arrows = []
-    for k, a in enumerate(_need(d, "arrows", where)):
+    for k, a in enumerate(_list(_need(d, "arrows", where), f"{where}: arrows")):
         spot = f"{where}: arrows[{k}]"
         arrows.append((str(_need(a, "name", spot)),
                        _vertex(_need(a, "source", spot), spot, n),
                        _vertex(_need(a, "target", spot), spot, n)))
     relations = []
-    for k, terms in enumerate(d.get("relations", [])):
+    for k, terms in enumerate(_list(d.get("relations", []),
+                                    f"{where}: relations")):
         spot = f"{where}: relations[{k}]"
         if not isinstance(terms, list) or not terms:
             raise SchemaError(f"{spot}: must be a nonempty list of terms")
@@ -130,15 +137,23 @@ def module_from_dict(d: dict, alg: PathAlgebraDesc,
         raise SchemaError(
             f"{where}: dims must list {alg.vertex_count} sizes")
     raw = _need(d, "arrows", where)
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where}: arrows must map arrow names to matrices")
     maps = {}
     for a in alg.quiver.arrows:
         rows = raw.get(a.name)
         spot = f"{where}: arrows[{a.name!r}]"
         if rows is None:
             raise SchemaError(f"{spot}: missing matrix")
+        if (not isinstance(rows, list)
+                or not all(isinstance(row, list) for row in rows)):
+            raise SchemaError(f"{spot}: matrix must be a list of rows")
         data = tuple(tuple(parse_fraction(v, spot) for v in row)
                      for row in rows)
-        maps[a.name] = RatMatrix(data, cols=dims[a.target - 1])
+        try:
+            maps[a.name] = RatMatrix(data, cols=dims[a.target - 1])
+        except ValueError as e:
+            raise SchemaError(f"{spot}: {e}") from None
     try:
         return Rep(alg, tuple(dims), maps)
     except (RepError, ValueError) as e:

@@ -63,7 +63,6 @@ class Rep:
                 raise RepError(
                     f"arrow {a.name}: matrix shape {m.shape}, expected {want}")
         for rel in self.algebra.relations:
-            src, tgt = None, None
             acc = None
             for c, p in rel.terms:
                 m = self.act_path_word(p).scale(c)
@@ -86,7 +85,6 @@ class Rep:
 
     def act_path_word(self, arrows: Sequence[str]) -> RatMatrix:
         """Action of a composable arrow word in traversal order."""
-        q = self.algebra.quiver
         if not arrows:
             raise RepError("act_path_word needs a nonempty word")
         m = self.arrow_maps[arrows[0]]

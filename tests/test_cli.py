@@ -258,6 +258,31 @@ class TestPlumbing:
         assert code == 2
         assert "unknown command" in rendered
 
+    @pytest.mark.parametrize("algebra, module", [
+        (None, {"dims": [1, 1], "arrows": []}),
+        (None, {"dims": [1, 1], "arrows": {"a": 5}}),
+        (None, {"dims": [1, 1], "arrows": {"a": [5]}}),
+        (None, {"dims": [2, 2], "arrows": {"a": [[1], [2, 3]]}}),
+        (None, {"dims": [1, 1], "arrows": {"a": [[1, 2]]}}),
+        ({"vertices": 2, "arrows": 5}, None),
+        ({"vertices": 2, "arrows": [], "relations": 5}, None),
+    ], ids=["module-arrows-list", "matrix-int", "matrix-row-int",
+            "ragged-rows", "row-width", "algebra-arrows-int",
+            "relations-int"])
+    def test_malformed_input_exits_2(self, tmp_path, algebra, module):
+        alg = corpus("a2")
+        if algebra is not None:
+            alg = str(tmp_path / "alg.json")
+            (tmp_path / "alg.json").write_text(dump_json(algebra),
+                                               encoding="utf-8")
+        objs = ()
+        if module is not None:
+            objs = (objects_file(tmp_path, [dict(module, type="module")]),)
+        code, rendered = run(JobSpec(command="ext-table", algebra_path=alg,
+                                     object_paths=objs, output="json"))
+        assert code == 2
+        assert json.loads(rendered)["ok"] is False
+
     def test_window_must_be_positive(self):
         code, rendered = run(JobSpec(command="ext-table",
                                      algebra_path=corpus("a2"), window=0))

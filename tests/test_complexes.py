@@ -111,6 +111,9 @@ def test_chain_condition_rejected(a2):
     # identity at 0 with zero at -1 breaks the commuting square over f
     with pytest.raises(CxError):
         CxMap(x, x, {0: identity_map(p2)})
+    # only d_target f is present at -1: f itself, which is nonzero
+    with pytest.raises(CxError):
+        CxMap(Cx(a2, {-1: p1}, {}), x, {-1: identity_map(p1)})
     # the full identity passes
     _ = CxMap(x, x, {0: identity_map(p2), -1: identity_map(p1)})
 

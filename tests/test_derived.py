@@ -109,6 +109,22 @@ def test_hom_dimensions_a2(a2):
         assert derived_hom(s2, s1, n) == 0
 
 
+def test_hom_system_builds_no_module_maps(a2, monkeypatch):
+    # missing differentials are read as zero, never built as zero maps
+    p1, p2 = projective(a2, 1), projective(a2, 2)
+    resolve(as_cx(p1))
+    built = []
+    validate = RepMap.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(RepMap, "__post_init__", counting)
+    assert derived_hom(p1, p2, 5) == 0
+    assert len(built) == 0
+
+
 def test_hom_dimensions_kronecker(kron):
     p1, p2 = projective(kron, 1), projective(kron, 2)
     s2 = simple(kron, 2)
