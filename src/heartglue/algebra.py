@@ -91,7 +91,11 @@ class BasisPath:
 
 def _path_endpoints(q: Quiver, path: Sequence[str]) -> tuple[int, int]:
     """Source and target of a nonempty composable arrow-name sequence."""
-    arrows = [q.arrow(n) for n in path]
+    try:
+        arrows = [q.arrow(n) for n in path]
+    except KeyError as e:
+        raise AlgebraError(
+            f"path {tuple(path)} names unknown arrow {e.args[0]!r}") from None
     for a, b in zip(arrows, arrows[1:]):
         if a.target != b.source:
             raise AlgebraError(

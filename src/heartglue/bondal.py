@@ -279,7 +279,7 @@ def presentation_multiplicative(pres: Presentation) -> int:
     return checked
 
 
-def module_functor(pres: Presentation, x, window: int | None = None) -> Rep:
+def module_functor(pres: Presentation, x) -> Rep:
     """Hom module of x over the presented algebra.
 
     The vertex-v component is Hom(E_v, x) in canonical coordinates, and
@@ -289,9 +289,8 @@ def module_functor(pres: Presentation, x, window: int | None = None) -> Rep:
     """
     cx = as_cx(x)
     end = pres.end
-    w = window if window is not None else end.window
     for i, e in enumerate(end.objects, 1):
-        for n, d in _homs(e, cx, w):
+        for n, d in _homs(e, cx):
             if n:
                 raise BondalError(
                     f"object {i} has maps of dimension {d} into the "
@@ -392,7 +391,7 @@ def faithful_full_check(pres: Presentation, pairs=None,
     def image(obj) -> Rep:
         key = id(as_cx(obj))
         if key not in images:
-            images[key] = module_functor(pres, obj, w)
+            images[key] = module_functor(pres, obj)
         return images[key]
 
     mism = []
@@ -439,8 +438,8 @@ def hom_table_match(pres: Presentation,
     for i, ei in enumerate(end.objects, 1):
         for j, ej in enumerate(end.objects, 1):
             pairs += 1
-            shifts = set(_scan_range(ei, ej, w))
-            shifts.update(_scan_range(projs[i - 1], projs[j - 1], w))
+            shifts = set(_scan_range(ei, ej))
+            shifts.update(_scan_range(projs[i - 1], projs[j - 1]))
             for n in sorted(shifts):
                 de = derived_hom(ei, ej, n)
                 dp = derived_hom(projs[i - 1], projs[j - 1], n)

@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 
 from .complexes import cohomology_dims, shift
-from .derived import as_cx, dhom_space
+from .derived import as_cx, derived_hom, dhom_space
 from .glue import (AddGeneratedAisle, ExcError, GlueError, _homs,
                    check_dim_formula, check_sequence, default_window, glue,
                    glue_sequence)
@@ -94,7 +94,7 @@ def _run_ext_table(job: JobSpec):
     for i, (_, a) in enumerate(objs, 1):
         for j, (_, b) in enumerate(objs, 1):
             entries += [{"source": i, "target": j, "shift": n, "dim": d}
-                        for n, d in _homs(a, b, w)]
+                        for n, d in _homs(a, b)]
     report = {"command": "ext-table", "window": w,
               "objects": [label for label, _ in objs],
               "entries": entries, "ok": True}
@@ -222,9 +222,9 @@ def _run_yoneda_oracle(job: JobSpec):
     for i, (_, a) in enumerate(objs, 1):
         for j, (_, b) in enumerate(objs, 1):
             for n in range(1, max_degree + 1):
-                sp = dhom_space(a, b, n)
-                if sp.dim == 0:
+                if not derived_hom(a, b, n):
                     continue
+                sp = dhom_space(a, b, n)
                 good = all(
                     f_map(splice_from_class(c, a, b, n)).coords == c.coords
                     for c in sp.basis())

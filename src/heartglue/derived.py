@@ -6,7 +6,10 @@ generators, so chain maps, homotopies, and lifts all reduce to finite
 linear systems over the generator data. Hom(X, Y[n]) is computed as chain
 maps R_X -> shift(Y, n) modulo null-homotopic ones, with a canonical
 coordinate system fixed by row reduction; composition lifts through the
-resolution of the middle object.
+resolution of the middle object. When no copy generator of R_X meets a
+nonzero vertex space of Y[n] in its degree, the chain maps have no
+unknowns and the space is zero; derived_hom answers that case from the
+degrees and dimensions alone, without building the space.
 """
 
 from __future__ import annotations
@@ -253,6 +256,16 @@ class _GenLayout:
                 off += size
         self.total = off
 
+
+def _has_unknowns(r: Cx, y: Cx, n: int) -> bool:
+    """Whether _GenLayout(r, shift(y, n), 0) has any columns, read from
+    the dimensions of y without building the shift or the layout."""
+    if any(t.proj_gens is None for t in r.terms.values()):
+        raise LiftError("layout needs a tagged complex")
+    return any(y.term(k + n).dims[v - 1]
+               for k, t in r.terms.items() for v in t.proj_gens)
+
+
 def _add_block(grid: list[list], r0: int, c0: int, m: RatMatrix,
                sign: int = 1) -> None:
     den = m.den
@@ -491,8 +504,12 @@ def dhom_space(x, y, n: int) -> DHomSpace:
 
 
 def derived_hom(x, y, n: int) -> int:
-    """dim Hom(x, y[n])."""
-    return dhom_space(x, y, n).dim
+    """dim Hom(x, y[n]); 0 without building the space when its chain maps
+    have no unknowns."""
+    cx, cy = as_cx(x), as_cx(y)
+    if not _has_unknowns(resolve_cx(cx).cx, cy, n):
+        return 0
+    return dhom_space(cx, cy, n).dim
 
 
 def identity_class(x) -> DHomClass:

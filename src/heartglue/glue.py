@@ -52,28 +52,27 @@ def default_window(algebra, count: int = 1) -> int:
     return algebra.vertex_count + count + 2
 
 
-def _scan_range(e: Cx, x: Cx, window: int | None = None) -> range:
+def _scan_range(e: Cx, x: Cx) -> range:
     """Every shift n where Hom(e, x[n]) can be nonzero.
 
     Projective resolutions over an admissible quotient of an acyclic
     quiver have length below the vertex count, so chain maps out of the
     resolution of e vanish once the degree supports no longer overlap.
-    A requested window only ever widens the scan.
+    Reports still quote their window, but no shift outside this range is
+    computed: every Hom there is zero, however wide the window.
     """
     if e.is_zero_object() or x.is_zero_object():
         return range(0)
     pad = e.algebra.vertex_count + 2
     lo = x.min_deg() - e.max_deg()
     hi = x.max_deg() - e.min_deg() + pad
-    if window is not None:
-        lo, hi = min(lo, -window), max(hi, window)
     return range(lo, hi + 1)
 
 
-def _homs(a: Cx, b: Cx, window: int | None = None, top: int | None = None):
+def _homs(a: Cx, b: Cx, top: int | None = None):
     """Yield (n, dim Hom(a, b[n])) for every nonzero Hom in the scan range,
     in increasing n; with top set, no shift above top is computed."""
-    for n in _scan_range(a, b, window):
+    for n in _scan_range(a, b):
         if top is not None and n > top:
             return
         d = derived_hom(a, b, n)
@@ -99,7 +98,7 @@ def check_exceptional(obj, window: int | None = None) -> ExcObject:
     if cx.is_zero_object():
         raise ExcError("the zero object is not exceptional", shift=0, dim=0)
     w = window if window is not None else default_window(cx.algebra)
-    for n in _scan_range(cx, cx, w):
+    for n in _scan_range(cx, cx):
         d = derived_hom(cx, cx, n)
         want = 1 if n == 0 else 0
         if d != want:
@@ -160,7 +159,7 @@ def check_sequence(objs, strong: bool = False,
             if i == j:
                 table[(i, j, 0)] = 1
                 continue
-            for n, d in _homs(a.object, b.object, w):
+            for n, d in _homs(a.object, b.object):
                 table[(i, j, n)] = d
                 if i > j:
                     raise ExcError(
@@ -177,11 +176,11 @@ def check_sequence(objs, strong: bool = False,
     return ExcSequence(tuple(verified), is_strong, w, table)
 
 
-def _hom_parts(e: Cx, x: Cx, shifts) -> list[tuple[Cx, CxMap, int]]:
+def _hom_parts(e: Cx, x: Cx) -> list[tuple[Cx, CxMap, int]]:
     """One shifted copy of the resolution of e per basis class of
     Hom(e, x[n]), each with its evaluation map into x."""
     parts = []
-    for n in shifts:
+    for n, _ in _homs(e, x):
         sp = dhom_space(e, x, n)
         for cls in sp.basis():
             u = sp.representative(cls)
@@ -291,7 +290,7 @@ class AddGeneratedAisle(AisleSpec):
                 for b in objs:
                     if a is b:
                         continue
-                    for n, d in _homs(a, b, self.window):
+                    for n, d in _homs(a, b):
                         raise GlueError(
                             "aisle generators must be orthogonal: found "
                             f"Hom of dimension {d} at shift {n}")
@@ -300,7 +299,7 @@ class AddGeneratedAisle(AisleSpec):
     def _parts(self, x: Cx) -> list[tuple[Cx, CxMap, int]]:
         parts = []
         for g in self._gens:
-            parts += _hom_parts(g, x, _scan_range(g, x))
+            parts += _hom_parts(g, x)
         return parts
 
     def member(self, x: Cx) -> bool:
@@ -407,7 +406,7 @@ class GluedAisle(AisleSpec):
         # the cone is the left remainder
         parts = []
         for g in self.right.sod_gens():
-            parts += _hom_parts(g, x, _scan_range(g, x))
+            parts += _hom_parts(g, x)
         v2, ev2 = _assemble(x, parts)
         return v2, ev2, cone(ev2)
 
@@ -467,7 +466,7 @@ def sod_project(x: Cx, es: ExcSequence, k: int) -> Cx:
     cur = x
     for j in range(m, 0, -1):
         e = es.object(j)
-        parts = _hom_parts(e, cur, _scan_range(e, cur))
+        parts = _hom_parts(e, cur)
         v, ev = _assemble(cur, parts)
         if j == k:
             return v
@@ -495,17 +494,17 @@ class CompatReport:
         return self.ok
 
 
-def _violations(g1s, g2s, deepest: int,
-                window: int) -> list[tuple[str, int, int, int, int]]:
+def _violations(g1s, g2s,
+                deepest: int) -> list[tuple[str, int, int, int, int]]:
     """Backward Homs from g2s to g1s at any shift and forward Homs from
     g1s to g2s at shifts n <= deepest, by 1-based generator positions."""
     viol = []
     for i1, g1 in enumerate(g1s, 1):
         for i2, g2 in enumerate(g2s, 1):
             viol += [("backward", i1, i2, n, d)
-                     for n, d in _homs(g2, g1, window)]
+                     for n, d in _homs(g2, g1)]
             viol += [("negative", i1, i2, n, d)
-                     for n, d in _homs(g1, g2, window, top=deepest)]
+                     for n, d in _homs(g1, g2, top=deepest)]
     return viol
 
 
@@ -523,7 +522,7 @@ def compatible(a1: AisleSpec, a2: AisleSpec,
     g1s, g2s = a1.aisle_gens(), a2.aisle_gens()
     w = (window if window is not None
          else default_window(a1.algebra, len(g1s) + len(g2s)))
-    viol = _violations(g1s, g2s, -1, w)
+    viol = _violations(g1s, g2s, -1)
     return CompatReport(not viol, w, tuple(viol))
 
 
@@ -605,37 +604,36 @@ def nfold_compatible(aisles, window: int | None = None) -> CompatReport:
         for k in range(i + 1, len(aisles) + 1):
             viol += [(kind, i, k, n, d) for kind, _, _, n, d in _violations(
                 aisles[i - 1].aisle_gens(), aisles[k - 1].aisle_gens(),
-                i - k, w)]
+                i - k)]
     return CompatReport(not viol, w, tuple(viol))
 
 
-def _top_shift(gs1, gs2, window: int | None = None
-               ) -> tuple[int, int, int] | None:
+def _top_shift(gs1, gs2) -> tuple[int, int, int] | None:
     """The first pair (i, j), 1-based, with the largest shift n where
     Hom(gs1[i], gs2[j][n]) is nonzero, as (i, j, n); None when all vanish."""
     best = None
     for i, a in enumerate(gs1, 1):
         for j, b in enumerate(gs2, 1):
-            for n, _ in _homs(a, b, window):
+            for n, _ in _homs(a, b):
                 if best is None or n > best[2]:
                     best = (i, j, n)
     return best
 
 
-def heart_dim(h: HeartDesc, window: int | None = None) -> int | None:
+def heart_dim(h: HeartDesc) -> int | None:
     """Largest shift with a nonzero Hom between heart generators.
 
     None for a heart with no generators; 0 or more otherwise, since
     identities live at shift 0.
     """
-    top = _top_shift(h.generators, h.generators, window)
+    top = _top_shift(h.generators, h.generators)
     return None if top is None else top[2]
 
 
-def rdim(h1: HeartDesc, h2: HeartDesc, window: int | None = None) -> int:
+def rdim(h1: HeartDesc, h2: HeartDesc) -> int:
     """Largest shift with a nonzero Hom from h1 generators to h2 ones,
     or -1 when every such Hom vanishes."""
-    top = _top_shift(h1.generators, h2.generators, window)
+    top = _top_shift(h1.generators, h2.generators)
     return -1 if top is None else top[2]
 
 
@@ -665,13 +663,13 @@ class DimFormulaReport:
 def check_dim_formula(h1: HeartDesc, h2: HeartDesc, glued: HeartDesc,
                       window: int | None = None) -> DimFormulaReport:
     """Compare the glued heart dimension against the piecewise formula."""
-    d1 = heart_dim(h1, window)
-    d2 = heart_dim(h2, window)
+    d1 = heart_dim(h1)
+    d2 = heart_dim(h2)
     if d1 is None and d2 is None:
         raise GlueError("both hearts are zero")
-    r = rdim(h1, h2, window)
+    r = rdim(h1, h2)
     rhs = max(v for v in (d1, d2, r + 1) if v is not None)
-    wit = _top_shift(glued.generators, glued.generators, window)
+    wit = _top_shift(glued.generators, glued.generators)
     if wit is None:
         raise GlueError("the glued heart is zero")
     lhs = wit[2]

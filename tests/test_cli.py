@@ -1,7 +1,11 @@
 """Command line front end: reports, exit codes, determinism."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +15,9 @@ from heartglue.cli import (CORPUS_NAMES, JobSpec, corpus_path, load_corpus,
 from heartglue.glue import check_sequence
 from heartglue.jsonio import dump_json
 from heartglue.reps import projective
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -94,6 +101,44 @@ class TestCheckExceptional:
         assert rep["exceptional"] is False
         assert rep["failure"]["position"] == [2, 1]
         assert rep["failure"]["dim"] == 1
+
+
+class TestBoundedScans:
+    """Only shifts where the degree supports overlap are computed, so a
+    huge shift costs no more than a small one."""
+
+    BIG = 10_000_000
+
+    def _report(self, tmp_path, command):
+        objs = objects_file(tmp_path, [
+            {"type": "simple", "vertex": 2},
+            {"type": "shift", "by": self.BIG,
+             "of": {"type": "simple", "vertex": 1}}])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "heartglue.cli", command, corpus("a3"),
+             "--objects", objs, "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=60)
+        return done.returncode, json.loads(done.stdout)
+
+    def test_ext_table(self, tmp_path):
+        code, rep = self._report(tmp_path, "ext-table")
+        assert code == 0
+        assert rep["window"] == 7
+        assert rep["entries"] == [
+            {"source": 1, "target": 1, "shift": 0, "dim": 1},
+            {"source": 1, "target": 2, "shift": 1 - self.BIG, "dim": 1},
+            {"source": 2, "target": 2, "shift": 0, "dim": 1}]
+
+    def test_check_exceptional(self, tmp_path):
+        code, rep = self._report(tmp_path, "check-exceptional")
+        assert code == 1
+        assert rep["exceptional"] is True
+        assert rep["strong"] is False
+        assert rep["shifted_entries"] == [
+            {"source": 1, "target": 2, "shift": 1 - self.BIG, "dim": 1}]
 
 
 class TestGlueHearts:
@@ -266,9 +311,11 @@ class TestPlumbing:
         (None, {"dims": [1, 1], "arrows": {"a": [[1, 2]]}}),
         ({"vertices": 2, "arrows": 5}, None),
         ({"vertices": 2, "arrows": [], "relations": 5}, None),
+        ({"vertices": 2, "arrows": [{"name": "a", "source": 1, "target": 2}],
+          "relations": [[{"coef": 1, "path": ["b", "a"]}]]}, None),
     ], ids=["module-arrows-list", "matrix-int", "matrix-row-int",
             "ragged-rows", "row-width", "algebra-arrows-int",
-            "relations-int"])
+            "relations-int", "relation-unknown-arrow"])
     def test_malformed_input_exits_2(self, tmp_path, algebra, module):
         alg = corpus("a2")
         if algebra is not None:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from heartglue.algebra import Relation, build_algebra, make_quiver
+from heartglue.glue import _scan_range
+from heartglue.jsonio import load_algebra
 from heartglue.linalg import RatMatrix
 from heartglue.reps import (
     Rep,
@@ -20,6 +22,7 @@ from heartglue.reps import (
     summand_maps,
     zero_map,
 )
+from heartglue.cli import CORPUS_NAMES, corpus_path
 from heartglue.complexes import (
     Cx,
     CxMap,
@@ -33,6 +36,8 @@ from heartglue.complexes import (
 )
 from heartglue.derived import (
     DHomClass,
+    DHomSpace,
+    _has_unknowns,
     as_cx,
     compose_classes,
     derived_hom,
@@ -44,6 +49,8 @@ from heartglue.derived import (
     resolve_rep,
     solve_lift,
 )
+
+BUNDLED = CORPUS_NAMES + ("branching",)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +130,51 @@ def test_hom_system_builds_no_module_maps(a2, monkeypatch):
     monkeypatch.setattr(RepMap, "__post_init__", counting)
     assert derived_hom(p1, p2, 5) == 0
     assert len(built) == 0
+
+
+def test_zero_hom_space_is_not_built(a2, monkeypatch):
+    # no generator of the resolution of P1 meets P2[5], so the space is
+    # answered as zero without being built
+    p1, p2 = projective(a2, 1), projective(a2, 2)
+    built = []
+    init = DHomSpace.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DHomSpace, "__init__", counting)
+    assert derived_hom(p1, p2, 5) == 0
+    assert built == []
+
+
+def _two_term(alg):
+    """P_i -> P_j along the first nonzero map between distinct
+    projectives, in degrees -1 and 0."""
+    n = alg.vertex_count
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            maps = hom_space(projective(alg, i), projective(alg, j))
+            if i != j and maps:
+                f = maps[0]
+                return Cx(alg, {-1: f.source, 0: f.target}, {-1: f})
+    raise AssertionError("no map between distinct projectives")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_unknown_free_spaces_are_zero(name):
+    alg = load_algebra(str(corpus_path(name)))
+    n = alg.vertex_count
+    objs = [as_cx(simple(alg, i)) for i in range(1, n + 1)]
+    objs += [as_cx(projective(alg, i)) for i in range(1, n + 1)]
+    objs.append(_two_term(alg))
+    for x in objs:
+        r = resolve_cx(x).cx
+        for y in objs:
+            for k in _scan_range(x, y):
+                full = DHomSpace(x, y, k)
+                assert derived_hom(x, y, k) == full.dim
+                assert _has_unknowns(r, y, k) == (full.layout.total > 0)
 
 
 def test_hom_dimensions_kronecker(kron):
