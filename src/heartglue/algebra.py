@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,6 +22,19 @@ from .linalg import as_fraction
 
 class AlgebraError(ValueError):
     """Raised when a quiver or relation set fails validation."""
+
+
+def memo_field():
+    """A per-object memo: a dict outside the object's value and repr."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def memoised(obj, key, build):
+    """obj.memo[key], built by build() on the first request."""
+    got = obj.memo.get(key)
+    if got is None:
+        got = obj.memo[key] = build()
+    return got
 
 
 @dataclass(frozen=True)
@@ -196,6 +209,7 @@ class PathAlgebraDesc:
     quiver: Quiver
     relations: tuple[Relation, ...]
     basis: tuple[BasisPath, ...]
+    memo: dict = memo_field()
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {
@@ -206,8 +220,6 @@ class PathAlgebraDesc:
         object.__setattr__(self, "_between",
                            {ij: tuple(ps) for ij, ps in between.items()})
         object.__setattr__(self, "_rewriter", _Rewriter(self.quiver, self.relations))
-        object.__setattr__(self, "_arrow_by_name",
-                           {a.name: a for a in self.quiver.arrows})
 
     @property
     def dim(self) -> int:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import PathAlgebraDesc, Relation, build_algebra, make_quiver
+from .algebra import (PathAlgebraDesc, Relation, build_algebra, make_quiver,
+                      memo_field, memoised)
 from .complexes import Cx
 from .derived import (
     DHomClass,
@@ -52,11 +53,13 @@ class EndAlgebra:
     The basis is grouped by (source, target) position: one identity per
     diagonal and the canonical degree-zero classes off the diagonal.
     Products follow the path-algebra convention x*y = "y first, then x".
+    memo keeps each basis product once computed, keyed by (a, b).
     """
 
     objects: tuple[Cx, ...]
     elements: tuple[EndElement, ...]
     window: int
+    memo: dict = memo_field()
 
     def __post_init__(self):
         pairs: dict[tuple[int, int], list[int]] = {}
@@ -64,7 +67,6 @@ class EndAlgebra:
             pairs.setdefault((e.i, e.j), []).append(k)
         object.__setattr__(self, "_pairs",
                            {p: tuple(v) for p, v in pairs.items()})
-        object.__setattr__(self, "_products", {})
 
     @property
     def dim(self) -> int:
@@ -91,17 +93,14 @@ class EndAlgebra:
 
     def product(self, a: int, b: int) -> dict[int, Fraction]:
         """Coefficients of element a times element b (b composes first)."""
-        got = self._products.get((a, b))
-        if got is not None:
-            return dict(got)
+        return dict(memoised(self, (a, b), lambda: self._product(a, b)))
+
+    def _product(self, a: int, b: int) -> dict[int, Fraction]:
         ea, eb = self.elements[a], self.elements[b]
         if eb.j != ea.i:
-            out: dict[int, Fraction] = {}
-        else:
-            z = compose_classes(ea.cls, eb.cls)
-            out = self.coords_over(eb.i, ea.j, z)
-        self._products[(a, b)] = out
-        return dict(out)
+            return {}
+        z = compose_classes(ea.cls, eb.cls)
+        return self.coords_over(eb.i, ea.j, z)
 
     def multiply(self, u: dict[int, Fraction],
                  v: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -386,10 +385,10 @@ def faithful_full_check(pres: Presentation, pairs=None,
     w = window if window is not None else end.window
     if pairs is None:
         pairs = [(a, b) for a in end.objects for b in end.objects]
-    images: dict[int, Rep] = {}
+    images: dict[Cx, Rep] = {}
 
     def image(obj) -> Rep:
-        key = id(as_cx(obj))
+        key = as_cx(obj)
         if key not in images:
             images[key] = module_functor(pres, obj)
         return images[key]

@@ -12,7 +12,9 @@ projection to shift(X, 1) are both chain maps and are returned with it.
 A differential or chain-map component missing from its dict is zero.
 Cx.d and CxMap.comp build that zero map on request, but the chain-map
 check here and the Hom-system assembly in derived read the dicts directly
-and never build it.
+and never build it. A term missing from its dict is the zero module, and
+Cx.term returns the algebra's one shared zero module (reps.zero_rep) for
+it, so every complex over an algebra pads with the same object.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import PathAlgebraDesc
+from .algebra import PathAlgebraDesc, memo_field
 from .linalg import RatMatrix, hstack, solve, vstack
 from .reps import (
     DirectSum,
@@ -47,9 +49,9 @@ class Cx:
     algebra: PathAlgebraDesc
     terms: dict[int, Rep]
     diffs: dict[int, RepMap]
+    memo: dict = memo_field()
 
     def __post_init__(self):
-        object.__setattr__(self, "_zero", zero_rep(self.algebra))
         for i, t in self.terms.items():
             if t.algebra is not self.algebra:
                 raise CxError(f"term at {i} lives over a different algebra")
@@ -64,7 +66,8 @@ class Cx:
                     raise CxError(f"d^2 != 0 at degree {i}")
 
     def term(self, i: int) -> Rep:
-        return self.terms.get(i, self._zero)
+        got = self.terms.get(i)
+        return got if got is not None else zero_rep(self.algebra)
 
     def d(self, i: int) -> RepMap:
         got = self.diffs.get(i)

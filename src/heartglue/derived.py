@@ -10,6 +10,13 @@ resolution of the middle object. When no copy generator of R_X meets a
 nonzero vertex space of Y[n] in its degree, the chain maps have no
 unknowns and the space is zero; derived_hom answers that case from the
 degrees and dimensions alone, without building the space.
+
+Memo policy: each result is kept in the memo of the object it describes
+and nowhere else. A module's memo holds its complex (as_cx) and its
+resolution; a complex's memo holds its resolution and, keyed by
+(as_cx(y), n), the space Hom(x, y[n]). Keys are objects compared by
+identity, since classes, lifts and class_of check endpoints with `is`:
+only the objects of the first request hit. An entry dies with its object.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import memoised
 from .complexes import (
     Cx,
     CxMap,
@@ -59,97 +67,83 @@ def as_cx(obj) -> Cx:
     if isinstance(obj, Cx):
         return obj
     if isinstance(obj, Rep):
-        got = getattr(obj, "_as_cx", None)
-        if got is None:
-            got = module_cx(obj)
-            object.__setattr__(obj, "_as_cx", got)
-        return got
+        return memoised(obj, "cx", lambda: module_cx(obj))
     raise TypeError(f"not a module or complex: {obj!r}")
 
 
 def resolve_rep(m: Rep) -> Resolution:
-    got = getattr(m, "_resolution", None)
-    if got is not None:
-        return got
+    return memoised(m, "resolution", lambda: _resolve_module(m))
+
+
+def _resolve_module(m: Rep) -> Resolution:
     target = as_cx(m)
     if m.proj_gens is not None:
-        res = Resolution(target, identity_chain_map(target), target)
-    elif m.total_dim == 0:
+        return Resolution(target, identity_chain_map(target), target)
+    if m.total_dim == 0:
         r = Cx(m.algebra, {}, {})
-        res = Resolution(r, CxMap(r, target, {}), target)
-    else:
-        cover, pi = projective_cover(m)
-        terms = {0: cover}
-        diffs: dict[int, RepMap] = {}
-        ker_rep, incl = kernel(pi)
-        deg = 0
-        while ker_rep.total_dim:
-            if deg < -(m.algebra.vertex_count + 2):
-                raise LiftError("resolution exceeded the global bound")
-            q, piq = projective_cover(ker_rep)
-            diffs[deg - 1] = rcompose(incl, piq)
-            terms[deg - 1] = q
-            ker_rep, incl = kernel(piq)
-            deg -= 1
-        cx = Cx(m.algebra, terms, diffs)
-        eps = CxMap(cx, target, {0: pi})
-        res = Resolution(cx, eps, target)
-    object.__setattr__(m, "_resolution", res)
-    return res
+        return Resolution(r, CxMap(r, target, {}), target)
+    cover, pi = projective_cover(m)
+    terms = {0: cover}
+    diffs: dict[int, RepMap] = {}
+    ker_rep, incl = kernel(pi)
+    deg = 0
+    while ker_rep.total_dim:
+        if deg < -(m.algebra.vertex_count + 2):
+            raise LiftError("resolution exceeded the global bound")
+        q, piq = projective_cover(ker_rep)
+        diffs[deg - 1] = rcompose(incl, piq)
+        terms[deg - 1] = q
+        ker_rep, incl = kernel(piq)
+        deg -= 1
+    cx = Cx(m.algebra, terms, diffs)
+    return Resolution(cx, CxMap(cx, target, {0: pi}), target)
 
 
 def resolve_cx(x: Cx) -> Resolution:
-    got = getattr(x, "_resolution", None)
-    if got is not None:
-        return got
+    return memoised(x, "resolution", lambda: _resolve_complex(x))
+
+
+def _resolve_complex(x: Cx) -> Resolution:
     if x.is_tagged():
-        res = Resolution(x, identity_chain_map(x), x)
-        object.__setattr__(x, "_resolution", res)
-        return res
+        return Resolution(x, identity_chain_map(x), x)
     degs = x.degrees()
     if not degs:
         r = Cx(x.algebra, {}, {})
-        res = Resolution(r, CxMap(r, x, {}), x)
-    elif len(degs) == 1:
+        return Resolution(r, CxMap(r, x, {}), x)
+    if len(degs) == 1:
         b = degs[0]
-        m = x.terms[b]
-        rm = resolve_rep(m)
+        rm = resolve_rep(x.terms[b])
         rcxs = shift(rm.cx, -b)
-        eps = CxMap(rcxs, x, {b: rm.eps.comp(0)})
-        res = Resolution(rcxs, eps, x)
+        return Resolution(rcxs, CxMap(rcxs, x, {b: rm.eps.comp(0)}), x)
+    b = degs[-1]
+    below = brutal_below(x, b)
+    a = shift(below, -1)
+    bprime = Cx(x.algebra, {b: x.terms[b]}, {})
+    if (b - 1) in x.diffs:
+        w = CxMap(a, bprime, {b: x.diffs[b - 1]})
     else:
-        b = degs[-1]
-        below = brutal_below(x, b)
-        a = shift(below, -1)
-        bprime = Cx(x.algebra, {b: x.terms[b]}, {})
-        if (b - 1) in x.diffs:
-            w = CxMap(a, bprime, {b: x.diffs[b - 1]})
-        else:
-            w = CxMap(a, bprime, {})
-        ra = resolve_cx(a)
-        rb = resolve_cx(bprime)
-        g = ccompose(w, ra.eps)
-        wt, _ = solve_lift(ra.cx, g, rb.eps, strict=True)
-        co = cone(wt)
-        comps = {}
-        for k in sorted(co.cx.terms):
-            tx = x.term(k)
-            blocks = []
-            for v in range(1, x.algebra.vertex_count + 1):
-                if k == b:
-                    left = RatMatrix.zeros(tx.dim_at(v),
-                                           ra.cx.term(k + 1).dim_at(v))
-                    right = rb.eps.comp(b).block(v)
-                else:
-                    left = ra.eps.comp(k + 1).block(v)
-                    right = RatMatrix.zeros(tx.dim_at(v),
-                                            rb.cx.term(k).dim_at(v))
-                blocks.append(hstack([left, right]))
-            comps[k] = RepMap(co.cx.term(k), tx, tuple(blocks))
-        eps = CxMap(co.cx, x, comps)
-        res = Resolution(co.cx, eps, x)
-    object.__setattr__(x, "_resolution", res)
-    return res
+        w = CxMap(a, bprime, {})
+    ra = resolve_cx(a)
+    rb = resolve_cx(bprime)
+    g = ccompose(w, ra.eps)
+    wt, _ = solve_lift(ra.cx, g, rb.eps, strict=True)
+    co = cone(wt)
+    comps = {}
+    for k in sorted(co.cx.terms):
+        tx = x.term(k)
+        blocks = []
+        for v in range(1, x.algebra.vertex_count + 1):
+            if k == b:
+                left = RatMatrix.zeros(tx.dim_at(v),
+                                       ra.cx.term(k + 1).dim_at(v))
+                right = rb.eps.comp(b).block(v)
+            else:
+                left = ra.eps.comp(k + 1).block(v)
+                right = RatMatrix.zeros(tx.dim_at(v),
+                                        rb.cx.term(k).dim_at(v))
+            blocks.append(hstack([left, right]))
+        comps[k] = RepMap(co.cx.term(k), tx, tuple(blocks))
+    return Resolution(co.cx, CxMap(co.cx, x, comps), x)
 
 
 def resolve(obj) -> Resolution:
@@ -490,17 +484,9 @@ class DHomClass:
         return DHomClass(self.space, tuple(a * c for c in self.coords))
 
 
-_spaces: dict[tuple[int, int, int], DHomSpace] = {}
-
-
 def dhom_space(x, y, n: int) -> DHomSpace:
     cx, cy = as_cx(x), as_cx(y)
-    key = (id(cx), id(cy), n)
-    got = _spaces.get(key)
-    if got is None:
-        got = DHomSpace(cx, cy, n)
-        _spaces[key] = got
-    return got
+    return memoised(cx, (cy, n), lambda: DHomSpace(cx, cy, n))
 
 
 def derived_hom(x, y, n: int) -> int:

@@ -10,11 +10,12 @@ from j into i, and Hom(P_i, M) is identified with G_i M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraError, BasisPath, PathAlgebraDesc
+from .algebra import (AlgebraError, BasisPath, PathAlgebraDesc, memo_field,
+                      memoised)
 from .linalg import (
     RatMatrix,
     block_diag,
@@ -47,6 +48,7 @@ class Rep:
     dims: tuple[int, ...]
     arrow_maps: dict[str, RatMatrix]
     proj_gens: tuple[int, ...] | None = None
+    memo: dict = memo_field()
 
     def __post_init__(self):
         n = self.algebra.vertex_count
@@ -96,11 +98,6 @@ class Rep:
         if p.is_trivial():
             return RatMatrix.identity(self.dim_at(p.source))
         return self.act_path_word(p.arrows)
-
-    def same_shape(self, other: "Rep") -> bool:
-        return (self.algebra is other.algebra and self.dims == other.dims
-                and all(self.arrow_maps[a.name] == other.arrow_maps[a.name]
-                        for a in self.algebra.quiver.arrows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,10 +170,11 @@ def zero_map(m: Rep, n: Rep) -> RepMap:
 
 
 def zero_rep(alg: PathAlgebraDesc) -> Rep:
-    n = alg.vertex_count
-    return Rep(alg, (0,) * n,
-               {a.name: RatMatrix.zeros(0, 0) for a in alg.quiver.arrows},
-               proj_gens=())
+    """The zero module of the algebra: one object, built once."""
+    return memoised(alg, "zero_rep", lambda: Rep(
+        alg, (0,) * alg.vertex_count,
+        {a.name: RatMatrix.zeros(0, 0) for a in alg.quiver.arrows},
+        proj_gens=()))
 
 
 def simple(alg: PathAlgebraDesc, i: int) -> Rep:

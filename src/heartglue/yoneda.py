@@ -105,7 +105,7 @@ class YClass:
                 and self.canonical.coords == other.canonical.coords)
 
     def __hash__(self) -> int:
-        return hash((id(self.canonical.space), self.canonical.coords))
+        return hash((self.canonical.space, self.canonical.coords))
 
 
 def yclass(witness: YExt) -> YClass:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from heartglue.cli import (CORPUS_NAMES, JobSpec, corpus_path, load_corpus,
                            main, run)
@@ -33,6 +34,119 @@ def objects_file(tmp_path, specs, name="objs.json"):
     p = tmp_path / name
     p.write_text(dump_json({"objects": specs}), encoding="utf-8")
     return str(p)
+
+
+def run_on_dicts(tmp_path, command, algebra, objects):
+    """Run command as JSON on an algebra description (None: the bundled
+    a2) and an object spec list (None: the default projectives)."""
+    alg = corpus("a2")
+    if algebra is not None:
+        alg = str(tmp_path / "alg.json")
+        (tmp_path / "alg.json").write_text(dump_json(algebra),
+                                           encoding="utf-8")
+    paths = ()
+    if objects is not None:
+        p = tmp_path / "objs.json"
+        p.write_text(dump_json({"objects": objects}), encoding="utf-8")
+        paths = (str(p),)
+    return run(JobSpec(command=command, algebra_path=alg,
+                       object_paths=paths, output="json"))
+
+
+# (algebra, module) pairs the input checks must reject with exit 2; a
+# module is an object spec without its "type"
+MALFORMED = [
+    (None, {"dims": [1, 1], "arrows": []}),
+    (None, {"dims": [1, 1], "arrows": {"a": 5}}),
+    (None, {"dims": [1, 1], "arrows": {"a": [5]}}),
+    (None, {"dims": [2, 2], "arrows": {"a": [[1], [2, 3]]}}),
+    (None, {"dims": [1, 1], "arrows": {"a": [[1, 2]]}}),
+    ({"vertices": 2, "arrows": 5}, None),
+    ({"vertices": 2, "arrows": [], "relations": 5}, None),
+    ({"vertices": 2, "arrows": [{"name": "a", "source": 1, "target": 2}],
+      "relations": [[{"coef": 1, "path": ["b", "a"]}]]}, None),
+]
+MALFORMED_IDS = ["module-arrows-list", "matrix-int", "matrix-row-int",
+                 "ragged-rows", "row-width", "algebra-arrows-int",
+                 "relations-int", "relation-unknown-arrow"]
+
+
+def malformed_examples(test):
+    """Run every MALFORMED input through an ext-table fuzz test first."""
+    for algebra, module in MALFORMED:
+        objects = None if module is None else [dict(module, type="module")]
+        test = example(command="ext-table", algebra=algebra,
+                       objects=objects)(test)
+    return test
+
+
+# the fuzzer's seeds: the bundled a2 algebra, and an object file with a
+# shifted projective and a module over it
+A2 = {"vertices": 2, "arrows": [{"name": "a", "source": 1, "target": 2}],
+      "relations": []}
+OBJECTS = [{"type": "shift", "by": 1, "of": {"type": "projective",
+                                             "vertex": 2}},
+           {"type": "module", "dims": [1, 1], "arrows": {"a": [["1"]]}}]
+
+NAMES = st.sampled_from(["a", "b", "z", ""])
+SCALARS = (st.integers(-3, 3) | st.sampled_from(["1/2", "-2", "x", "1/0"])
+           | st.none() | st.booleans() | st.floats(-2, 2))
+MATRICES = st.lists(st.lists(SCALARS, max_size=4), max_size=4)
+JUNK = (st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 2)
+        | NAMES | st.just([]) | st.just({}) | MATRICES)
+# extra entries a list or dict may grow: arrows with any names and
+# vertices, relation terms on any path, matrices under any arrow name
+GROWTH = (st.fixed_dictionaries({"name": NAMES, "source": st.integers(-1, 4),
+                                 "target": st.integers(-1, 4)})
+          | st.lists(st.fixed_dictionaries(
+              {"coef": SCALARS, "path": st.lists(NAMES, max_size=3)}),
+              max_size=2)
+          | MATRICES | JUNK)
+
+
+def _positions(value, at=()):
+    """Every position in a JSON value, as a path of keys and indices."""
+    yield at
+    if isinstance(value, (dict, list)):
+        keys = value if isinstance(value, dict) else range(len(value))
+        for k in keys:
+            yield from _positions(value[k], at + (k,))
+
+
+def _mutate_at(draw, value, at):
+    """value with one point mutation at the position at."""
+    if at:
+        out = dict(value) if isinstance(value, dict) else list(value)
+        out[at[0]] = _mutate_at(draw, out[at[0]], at[1:])
+        return out
+    if isinstance(value, (dict, list)):
+        out = dict(value) if isinstance(value, dict) else list(value)
+        how = draw(st.sampled_from(["drop", "grow", "junk"]))
+        if how == "drop" and out:
+            del out[draw(st.sampled_from(list(out) if isinstance(out, dict)
+                                         else range(len(out))))]
+        elif how == "grow" and isinstance(out, dict):
+            out[draw(NAMES)] = draw(GROWTH)
+        elif how == "grow":
+            out.append(draw(GROWTH))
+        else:
+            return draw(JUNK)
+        return out
+    if isinstance(value, int) and not isinstance(value, bool):
+        return draw(st.integers(-1, 4) | JUNK)
+    if isinstance(value, str):
+        return draw(NAMES | SCALARS)
+    return draw(JUNK)
+
+
+@st.composite
+def mutated(draw, value):
+    """value after one or two point mutations: a key or entry dropped,
+    added or given a wrong type, a name or number replaced."""
+    for _ in range(draw(st.integers(1, 2))):
+        value = _mutate_at(draw, value,
+                           draw(st.sampled_from(list(_positions(value)))))
+    return value
 
 
 class TestExtTable:
@@ -303,32 +417,27 @@ class TestPlumbing:
         assert code == 2
         assert "unknown command" in rendered
 
-    @pytest.mark.parametrize("algebra, module", [
-        (None, {"dims": [1, 1], "arrows": []}),
-        (None, {"dims": [1, 1], "arrows": {"a": 5}}),
-        (None, {"dims": [1, 1], "arrows": {"a": [5]}}),
-        (None, {"dims": [2, 2], "arrows": {"a": [[1], [2, 3]]}}),
-        (None, {"dims": [1, 1], "arrows": {"a": [[1, 2]]}}),
-        ({"vertices": 2, "arrows": 5}, None),
-        ({"vertices": 2, "arrows": [], "relations": 5}, None),
-        ({"vertices": 2, "arrows": [{"name": "a", "source": 1, "target": 2}],
-          "relations": [[{"coef": 1, "path": ["b", "a"]}]]}, None),
-    ], ids=["module-arrows-list", "matrix-int", "matrix-row-int",
-            "ragged-rows", "row-width", "algebra-arrows-int",
-            "relations-int", "relation-unknown-arrow"])
+    @pytest.mark.parametrize("algebra, module", MALFORMED,
+                             ids=MALFORMED_IDS)
     def test_malformed_input_exits_2(self, tmp_path, algebra, module):
-        alg = corpus("a2")
-        if algebra is not None:
-            alg = str(tmp_path / "alg.json")
-            (tmp_path / "alg.json").write_text(dump_json(algebra),
-                                               encoding="utf-8")
-        objs = ()
-        if module is not None:
-            objs = (objects_file(tmp_path, [dict(module, type="module")]),)
-        code, rendered = run(JobSpec(command="ext-table", algebra_path=alg,
-                                     object_paths=objs, output="json"))
+        objects = None if module is None else [dict(module, type="module")]
+        code, rendered = run_on_dicts(tmp_path, "ext-table", algebra, objects)
         assert code == 2
         assert json.loads(rendered)["ok"] is False
+
+    @settings(max_examples=500, deadline=None)
+    @given(command=st.sampled_from(["ext-table", "check-exceptional"]),
+           algebra=st.none() | mutated(A2),
+           objects=st.none() | mutated(OBJECTS))
+    @malformed_examples
+    def test_fuzzed_input_never_raises(self, tmp_path_factory, command,
+                                       algebra, objects):
+        code, rendered = run_on_dicts(tmp_path_factory.mktemp("fuzz"),
+                                      command, algebra, objects)
+        assert code in (0, 1, 2)
+        report = json.loads(rendered)
+        if code == 2:
+            assert report["ok"] is False
 
     def test_window_must_be_positive(self):
         code, rendered = run(JobSpec(command="ext-table",

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from heartglue.algebra import build_algebra, make_quiver, Relation
 from heartglue.linalg import RatMatrix
 from heartglue.reps import (
+    Rep,
     RepMap,
     compose as rcompose,
     hom_space,
@@ -17,6 +18,7 @@ from heartglue.reps import (
     projective,
     simple,
     zero_map,
+    zero_rep,
 )
 from heartglue.complexes import (
     Cx,
@@ -327,3 +329,21 @@ def test_truncation_triangle_certified_on_random_input(data):
         got_r = cohomology_dims(tri.right)
         want_r = {i: d for i, d in cohomology_dims(x).items() if i > level}
         assert got_r == want_r
+
+
+def test_complexes_share_one_zero_module(a2, monkeypatch):
+    p1 = projective(a2, 1)
+    built = []
+    post_init = Rep.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Rep, "__post_init__", counting)
+    x = Cx(a2, {0: p1}, {})
+    y = shift(x, 3)
+    z = Cx(a2, {}, {})
+    assert built == []
+    assert x.term(99) is y.term(99) is z.term(99) is zero_rep(a2)
+    assert zero_rep(a2).total_dim == 0 and zero_rep(a2).proj_gens == ()

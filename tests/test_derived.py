@@ -1,5 +1,7 @@
 """Resolutions and derived Hom: dimensions, composition, dual-route oracles."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,7 @@ from heartglue.complexes import (
 from heartglue.derived import (
     DHomClass,
     DHomSpace,
+    LiftError,
     _has_unknowns,
     as_cx,
     compose_classes,
@@ -469,3 +472,39 @@ def test_minimal_model_on_random_two_term_complexes(data):
     # reduced output has no cancellable component left
     again, _ = minimal_model(small)
     assert again.dims_table() == small.dims_table()
+
+
+def test_memo_entries_are_freed_with_their_complex(kron):
+    # Hom(S2[1], S1[2]) = Ext^1(S2, S1) is 2-dimensional
+    x = shift(as_cx(simple(kron, 2)), 1)
+    sp = dhom_space(x, simple(kron, 1), 2)
+    assert sp.dim == 2
+    dead_x, dead_sp = weakref.ref(x), weakref.ref(sp)
+    del x, sp
+    gc.collect()
+    assert dead_x() is None
+    assert dead_sp() is None
+
+
+def test_equal_complexes_built_apart_get_their_own_spaces(kron):
+    s1, s2 = simple(kron, 1), simple(kron, 2)
+    x1, x2 = shift(as_cx(s2), 1), shift(as_cx(s2), 1)
+    sp1, sp2 = dhom_space(x1, s1, 2), dhom_space(x2, s1, 2)
+    assert sp1 is not sp2
+    assert sp1.x is x1 and sp2.x is x2
+    assert sp1.dim == sp2.dim == 2
+    # the target side is keyed by identity as well
+    y1, y2 = shift(as_cx(s1), -1), shift(as_cx(s1), -1)
+    assert dhom_space(s2, y1, 1) is not dhom_space(s2, y2, 1)
+    # a representative of one space is foreign to the other
+    with pytest.raises(LiftError, match="not anchored"):
+        sp2.class_of(sp1.representative(sp1.basis()[0]))
+
+
+def test_hom_space_is_reused_while_its_objects_live(kron):
+    s1, s2 = simple(kron, 1), simple(kron, 2)
+    x = shift(as_cx(s2), 1)
+    assert dhom_space(x, s1, 2) is dhom_space(x, s1, 2)
+    # a module and its degree-0 complex are one object to the memo
+    assert dhom_space(s2, s1, 1) is dhom_space(as_cx(s2), as_cx(s1), 1)
+    assert resolve(s2) is resolve_rep(s2)
