@@ -28,9 +28,10 @@ def main():
     print("  lower part:", cohomology_dims(a), "in aisle:", aisle.member(a))
     print("  upper part:", cohomology_dims(b))
     print("  triangle certified:", tri.certified())
-    small, _ = minimal_model(a)
-    print("  lower part has a representative of total dim",
-          small.total_dim, "down from", a.total_dim)
+    # truncation runs on minimal models, so A comes out minimal already
+    model, _ = minimal_model(x)
+    print("  total dim: X", x.total_dim, "minimal model of X",
+          model.total_dim, "lower part", a.total_dim)
 
     # as the dim-formula command does: the formula compares the hearts of
     # the last gluing step's two pieces with the glued heart

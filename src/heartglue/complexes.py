@@ -243,13 +243,10 @@ def cone(f: CxMap) -> Cone:
         diffs[k] = RepMap(terms[k], terms[k + 1], tuple(blocks))
     c = Cx(alg, terms, diffs)
     incl = CxMap(y, c, {k: sums[k].injections[1] for k in degs})
-    sx = shift(x, 1)
-    proj_comps = {}
-    for k in degs:
-        p = sums[k].projections[0]
-        # anchor the projection to the shifted complex's term object
-        proj_comps[k] = RepMap(terms[k], sx.term(k), p.blocks)
-    proj = CxMap(c, sx, proj_comps)
+    # x.term(k + 1) is shift(x, 1).term(k), padding zeros included, so
+    # the summand projections are already anchored to the shifted complex
+    proj = CxMap(c, shift(x, 1),
+                 {k: sums[k].projections[0] for k in degs})
     return Cone(c, incl, proj)
 
 

@@ -42,11 +42,10 @@ from .reps import (
     RepMap,
     eval_columns,
     generator_positions,
-    identity_map,
     kernel,
     map_from_generators,
     projective_cover,
-    summand_maps,
+    projective_sum,
 )
 from .reps import compose as rcompose
 
@@ -152,80 +151,112 @@ def resolve(obj) -> Resolution:
     return resolve_cx(as_cx(obj))
 
 
-def _iso_pivot(s: Rep, t: Rep, d: RepMap) -> tuple[int, int, Fraction] | None:
-    """A component of d carrying a copy generator of s to a same-vertex copy
-    generator of t with a nonzero scalar.  The quiver is ordered, so e_v A e_v
-    is spanned by the trivial path and any such component is invertible."""
-    tpos = generator_positions(t)
-    for (c, v, pos) in generator_positions(s):
-        col = d.block(v)
-        for (c2, w, pos2) in tpos:
-            if w == v and col[pos2, pos]:
-                return c, c2, col[pos2, pos]
-    return None
+def _copy_rows(alg, gens: tuple[int, ...], j: int) -> list[range]:
+    """Basis indices at vertex j of each copy of the projective sum on
+    gens, which lays its basis out copy by copy."""
+    out, off = [], 0
+    for v in gens:
+        n = len(alg.paths_between(j, v))
+        out.append(range(off, off + n))
+        off += n
+    return out
+
+
+def _split(copies: list[range], drop: set[int]) -> tuple[list[int], list[int]]:
+    """The basis indices of the kept copies and of the dropped ones."""
+    keep, gone = [], []
+    for c, idx in enumerate(copies):
+        (gone if c in drop else keep).extend(idx)
+    return keep, gone
 
 
 def minimal_model(x) -> tuple[Cx, CxMap]:
     """Reduced projective complex quasi-isomorphic to x, with the comparison.
 
-    Cancels invertible differential components between projective summands:
-    for d: X + P -> Y + Q with an isomorphism phi: P -> Q inside d, the pair
-    (P, Q) drops out, the differential becomes d11 - d12 phi^-1 d21, and
-    (id, -phi^-1 d21) followed by the old inclusions is a quasi-isomorphism
-    from the smaller complex.  Iterating until no pivot is left makes every
-    differential radical, so the terms reach the smallest dimensions in the
-    quasi-isomorphism class.
+    Gaussian elimination (Bar-Natan, Fast Khovanov homology computations,
+    2007): for d: X + P -> Y + Q with an isomorphism phi: P -> Q inside d,
+    the pair (P, Q) drops out, the differential becomes
+    d11 - d12 phi^-1 d21, the one before it keeps its X rows and the one
+    after it its Y columns, and (id, -phi^-1 d21) on X with the inclusion
+    of Y is a quasi-isomorphism from the smaller complex.
 
-    Returns (m, q) with q: m -> x a quasi-isomorphism.
+    The quiver is ordered, so e_v A e_v = k: the part of d between copies
+    of P_v is a scalar matrix S_v, and d is radical exactly when every S_v
+    is zero.  One sweep over the degrees picks in each d^k, per vertex, a
+    maximal invertible block of S_v and eliminates all of them at once;
+    the chosen copies of different vertices map triangularly by the vertex
+    order, so phi is invertible, and phi^-1 d21 is solved per vertex.  No
+    unit survives or reappears: the same-vertex part of a composite is the
+    product of the same-vertex parts, because a map P_w -> P_v -> P_w with
+    v != w is radical, so the new S_v is S11 - S12 Phi^-1 S21 = 0 by the
+    rank of Phi; the neighbouring differentials only lose rows or columns.
+
+    Returns (m, q) with q: m -> x a quasi-isomorphism and m radical; only
+    the inclusion is tracked.  A tagged input with nothing to cancel comes
+    back as itself with its identity.
     """
     res = resolve(x)
-    terms = dict(res.cx.terms)
-    diffs = dict(res.cx.diffs)
-    incl = {k: identity_map(t) for k, t in terms.items()}
-    changed = True
-    while changed:
-        changed = False
-        for k in sorted(terms):
-            if k not in diffs:
+    r = res.cx
+    alg = r.algebra
+    gens = {k: t.proj_gens for k, t in r.terms.items()}
+    diffs = {k: list(d.blocks) for k, d in r.diffs.items()}
+    # incl[k][j - 1]: the kept basis at vertex j in the basis of r^k
+    incl = {k: [RatMatrix.identity(n) for n in t.dims]
+            for k, t in r.terms.items()}
+    for k in sorted(diffs):
+        src, tgt = gens[k], gens[k + 1]
+        drop_s: set[int] = set()
+        drop_t: set[int] = set()
+        for v in set(src) & set(tgt):
+            cs = [c for c, w in enumerate(src) if w == v]
+            ct = [c for c, w in enumerate(tgt) if w == v]
+            at_s, at_t = _copy_rows(alg, src, v), _copy_rows(alg, tgt, v)
+            # each copy of P_v has its generator first at vertex v
+            s = diffs[k][v - 1].take([at_t[c][0] for c in ct],
+                                     [at_s[c][0] for c in cs])
+            cols = pivot_columns(s)
+            if cols:
+                rows = pivot_columns(s.take(None, cols).transpose())
+                drop_s.update(cs[i] for i in cols)
+                drop_t.update(ct[i] for i in rows)
+        if not drop_s:
+            continue
+        for j in range(1, alg.vertex_count + 1):
+            sk, sd = _split(_copy_rows(alg, src, j), drop_s)
+            if not sd:
                 continue
-            hit = _iso_pivot(terms[k], terms[k + 1], diffs[k])
-            if hit is None:
-                continue
-            c, c2, coef = hit
-            s, t = terms[k], terms[k + 1]
-            s2, s_in, s_out = summand_maps(
-                s, [i for i in range(len(s.proj_gens)) if i != c])
-            t2, t_in, t_out = summand_maps(
-                t, [i for i in range(len(t.proj_gens)) if i != c2])
-            pc, pc_in, _ = summand_maps(s, (c,))
-            _, _, q_out = summand_maps(t, (c2,))
-            d = diffs[k]
-            d11 = rcompose(t_out, rcompose(d, s_in))
-            d12 = rcompose(t_out, rcompose(d, pc_in))
-            d21 = rcompose(q_out, rcompose(d, s_in))
-            # phi^-1 d21, pulled back along the canonical match of the two
-            # single-copy sums (phi is coef times that identification)
-            back = RepMap(s2, pc,
-                          tuple(b.scale(Fraction(1, 1) / coef)
-                                for b in d21.blocks))
-            diffs[k] = d11 - rcompose(d12, back)
-            if (k - 1) in diffs:
-                diffs[k - 1] = rcompose(s_out, diffs[k - 1])
-            if (k + 1) in diffs:
-                diffs[k + 1] = rcompose(diffs[k + 1], t_in)
-            incl[k] = rcompose(incl[k], s_in - rcompose(pc_in, back))
-            incl[k + 1] = rcompose(incl[k + 1], t_in)
-            terms[k], terms[k + 1] = s2, t2
-            changed = True
-            break
-    for k in [k for k, term in terms.items() if term.total_dim == 0]:
-        del terms[k]
-        del incl[k]
-        diffs.pop(k, None)
-        diffs.pop(k - 1, None)
-    reduced = Cx(res.cx.algebra, terms, diffs)
-    into_res = CxMap(reduced, res.cx, incl)
-    return reduced, ccompose(res.eps, into_res)
+            tk, td = _split(_copy_rows(alg, tgt, j), drop_t)
+            d = diffs[k][j - 1]
+            back = solve(d.take(td, sd), d.take(td, sk))  # phi^-1 d21
+            if back is None:
+                raise LiftError("cancelled block is not invertible")
+            diffs[k][j - 1] = d.take(tk, sk) - d.take(tk, sd) @ back
+            i = incl[k][j - 1]
+            incl[k][j - 1] = i.take(None, sk) - i.take(None, sd) @ back
+            incl[k + 1][j - 1] = incl[k + 1][j - 1].take(None, tk)
+            if k - 1 in diffs:
+                diffs[k - 1][j - 1] = diffs[k - 1][j - 1].take(sk, None)
+            if k + 1 in diffs:
+                diffs[k + 1][j - 1] = diffs[k + 1][j - 1].take(None, tk)
+        gens[k] = tuple(v for c, v in enumerate(src) if c not in drop_s)
+        gens[k + 1] = tuple(v for c, v in enumerate(tgt) if c not in drop_t)
+    if all(len(g) == len(r.terms[k].proj_gens) for k, g in gens.items()):
+        return r, res.eps
+    terms = {}
+    for k, g in gens.items():
+        if g:
+            t = r.terms[k]
+            terms[k] = t if len(g) == len(t.proj_gens) else projective_sum(alg, g)
+    reduced = Cx(alg, terms, {
+        k: RepMap(terms[k], terms[k + 1], tuple(blocks))
+        for k, blocks in diffs.items()
+        if k in terms and k + 1 in terms
+        and not all(b.is_zero() for b in blocks)})
+    into = CxMap(reduced, r, {k: RepMap(t, r.terms[k], tuple(incl[k]))
+                              for k, t in terms.items()})
+    if r is res.target:
+        return reduced, into
+    return reduced, ccompose(res.eps, into)
 
 
 class _GenLayout:

@@ -9,6 +9,12 @@ triangles with computed certificates, and the homological dimension
 bookkeeping for the glued heart.  Compatibility, n-fold compatibility and
 the dimension formula share one Hom scan.
 
+Glued truncation works on minimal projective models
+(derived.minimal_model): the object, the left remainder and the rotated
+aisle part are each reduced, so the complexes stay near their minimal size
+at every level of the nesting.  It returns A minimal, f: A -> X, and
+B = cone(f), certified by the identity comparison.
+
 Aisles are described intensionally.  ``StandardAisle`` cuts cohomology at
 a fixed degree, ``AddGeneratedAisle`` takes nonnegative shifts of finitely
 many orthogonal exceptional generators, and ``GluedAisle`` combines an
@@ -24,8 +30,8 @@ from .complexes import (Cx, CxMap, Cone, Triangle, cohomology_dims,
                         compose as ccompose, cone, cx_direct_sum,
                         identity_chain_map, is_acyclic, shift, truncate_std,
                         zero_cx)
-from .derived import (as_cx, derived_hom, dhom_space, reanchor, resolve,
-                      solve_lift)
+from .derived import (as_cx, derived_hom, dhom_space, minimal_model,
+                      reanchor, resolve, solve_lift)
 
 
 class GlueError(ValueError):
@@ -352,33 +358,6 @@ def _cone_functorial(ca: Cone, cb: Cone, m: CxMap, x: Cx) -> CxMap:
     return CxMap(ca.cx, cb.cx, comps)
 
 
-def _rotation_comparison(cq: Cone, q: CxMap, b: Cx) -> tuple[Cx, CxMap, CxMap]:
-    """Rotate the cone triangle of q: X -> B back one step.
-
-    Returns (A, f, phi) with A = cone(q)[-1], f: A -> X the negated
-    shifted projection, and phi: cone(f) -> B the comparison sending
-    (x', b, x) to b + q(x).
-    """
-    x = q.source
-    a = shift(cq.cx, -1)
-    f = -reanchor(cq.proj, a, x, by=1)
-    cf = cone(f)
-    alg = x.algebra
-    comps = {}
-    for k, t in cf.cx.terms.items():
-        qk = q.comp(k)
-        blocks = []
-        for v in range(1, alg.vertex_count + 1):
-            bk = b.term(k).dim_at(v)
-            blocks.append(hstack([
-                RatMatrix.zeros(bk, x.term(k + 1).dim_at(v)),
-                RatMatrix.identity(bk),
-                qk.block(v),
-            ]))
-        comps[k] = RepMap(t, b.term(k), tuple(blocks))
-    return a, f, CxMap(cf.cx, b, comps)
-
-
 class GluedAisle(AisleSpec):
     """The aisle glued from one on the left piece and one on the right.
 
@@ -417,27 +396,42 @@ class GluedAisle(AisleSpec):
         return self.left.member(shift(c.cx, -1))
 
     def truncate(self, x: Cx) -> tuple[Cx, Cx, Triangle]:
-        v2, ev2, cproj = self._project(x)
+        """Truncate on minimal projective models.
+
+        X is replaced once by its minimal model m -> X, so every later
+        step runs on tagged complexes and resolve is the identity there;
+        the left remainder is reduced again before the left truncation.
+        The rotated cone A' -> m is reduced to A, and the result is
+        A -> X, the composite with the model map, and B = cone(A -> X)
+        with the identity comparison.
+        """
+        m, q_x = minimal_model(x)
+        v2, ev2, cproj = self._project(m)
         x1 = cproj.cx
-        a2, _, tri2 = self.right.truncate(v2)
+        _, _, tri2 = self.right.truncate(v2)
         f2 = ccompose(ev2, tri2.f)
         ca2 = cone(f2)
-        # cone(A2 -> X) -> cone(V2 -> X), functorial over the inclusion
-        r = _cone_functorial(ca2, cproj, tri2.f, x)
-        down = shift(x1, -1)
+        # cone(A2 -> m) -> cone(V2 -> m), functorial over the inclusion
+        r = _cone_functorial(ca2, cproj, tri2.f, m)
+        down, q_down = minimal_model(shift(x1, -1))
         a1, _, tri1 = self.left.truncate(down)
         u_src = shift(a1, 1)
-        j = reanchor(tri1.f, u_src, x1, by=-1)
+        j = reanchor(ccompose(q_down, tri1.f), u_src, x1, by=-1)
         # lift the shifted left part through r; a tagged stand-in makes
         # the lifting problem solvable by generator data
         rsu = resolve(u_src)
         lifted, _ = solve_lift(rsu.cx, ccompose(j, rsu.eps), r)
-        cu = cone(lifted)
-        q = ccompose(cu.incl, ca2.incl)
+        q = ccompose(cone(lifted).incl, ca2.incl)
+        # rotate m -> cone(q) back one step: A' = cone(q)[-1] -> m
         cq = cone(q)
-        a, f, phi = _rotation_comparison(cq, q, cu.cx)
-        tri = Triangle(a, x, cu.cx, f, q, comparison=phi, cone_of_f=cone(f))
-        return a, cu.cx, tri
+        a = shift(cq.cx, -1)
+        f_m = -reanchor(cq.proj, a, m, by=1)
+        small, q_a = minimal_model(a)
+        f = ccompose(q_x, ccompose(f_m, q_a))
+        c = cone(f)
+        tri = Triangle(small, x, c.cx, f, c.incl,
+                       comparison=identity_chain_map(c.cx), cone_of_f=c)
+        return small, c.cx, tri
 
     def heart_gens(self) -> tuple[Cx, ...]:
         return self._hearts

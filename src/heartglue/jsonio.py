@@ -89,7 +89,10 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> PathAlgebraDesc:
     arrows = []
     for k, a in enumerate(_list(_need(d, "arrows", where), f"{where}: arrows")):
         spot = f"{where}: arrows[{k}]"
-        arrows.append((str(_need(a, "name", spot)),
+        name = _need(a, "name", spot)
+        if not isinstance(name, str):
+            raise SchemaError(f"{spot}: name must be a string")
+        arrows.append((name,
                        _vertex(_need(a, "source", spot), spot, n),
                        _vertex(_need(a, "target", spot), spot, n)))
     relations = []

@@ -131,6 +131,18 @@ class RatMatrix:
     def col_matrix(self, j: int) -> "RatMatrix":
         return _new(tuple((r[j],) for r in self.num), self.den, 1)
 
+    def take(self, rows: Sequence[int] | None,
+             cols: Sequence[int] | None) -> "RatMatrix":
+        """The submatrix on the given row and column indices, in order;
+        None keeps them all."""
+        num = self.num
+        if rows is not None:
+            num = tuple(num[i] for i in rows)
+        if cols is None:
+            return _new(num, self.den, self.cols)
+        return _new(tuple(tuple([r[j] for j in cols]) for r in num),
+                    self.den, len(cols))
+
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 

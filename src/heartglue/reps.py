@@ -238,38 +238,6 @@ def generator_positions(m: Rep) -> list[tuple[int, int, int]]:
     return out
 
 
-def summand_maps(m: Rep, keep: Sequence[int]) -> tuple[Rep, RepMap, RepMap]:
-    """Sub-sum of a tagged projective sum on the kept copies.
-
-    Returns (sub, inclusion sub -> m, coordinate projection m -> sub).
-    Both maps are module maps because arrows act copy by copy.
-    """
-    if m.proj_gens is None:
-        raise RepError("module is not tagged as a projective sum")
-    keep = tuple(keep)
-    for c in keep:
-        if not 0 <= c < len(m.proj_gens):
-            raise RepError(f"copy {c} out of range")
-    sub = projective_sum(m.algebra, [m.proj_gens[c] for c in keep])
-    inj_blocks = []
-    proj_blocks = []
-    for j in range(1, m.algebra.vertex_count + 1):
-        spot = {lab: r for r, lab in enumerate(tagged_basis(m, j))}
-        rows = len(spot)
-        picks = [spot[(keep[c], p)] for (c, p) in tagged_basis(sub, j)]
-        cols = []
-        prows = []
-        for r in picks:
-            col = [0] * rows
-            col[r] = 1
-            cols.append(col)
-            prows.append(col)
-        inj_blocks.append(RatMatrix.from_cols(cols, rows=rows))
-        proj_blocks.append(RatMatrix(prows, cols=rows))
-    return (sub, RepMap(sub, m, tuple(inj_blocks)),
-            RepMap(m, sub, tuple(proj_blocks)))
-
-
 def map_from_generators(t: Rep, n: Rep, images: Sequence[RatMatrix]) -> RepMap:
     """The unique module map out of the tagged projective sum t sending the
     copy-c generator to the column images[c] in G_{v_c} n."""

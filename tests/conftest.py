@@ -5,9 +5,10 @@ import random
 import pytest
 
 from heartglue.algebra import Relation, build_algebra, make_quiver
-from heartglue.complexes import CxMap
-from heartglue.derived import dhom_space
-from heartglue.reps import RepMap, compose as rcompose
+from heartglue.complexes import Cx, CxMap
+from heartglue.derived import derived_hom, dhom_space
+from heartglue.glue import _scan_range
+from heartglue.reps import RepMap, compose as rcompose, generator_positions
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +61,23 @@ def class_of_module_map(f: RepMap):
                    {i: RepMap(sp.res.cx.term(i), sp.t.term(i), m.blocks)
                     for i, m in comps.items()})
     return sp.class_of(lifted)
+
+
+def is_minimal(x: Cx) -> bool:
+    """Whether x is tagged and no differential has a nonzero component
+    between copy generators at the same vertex (every d is radical)."""
+    if not x.is_tagged():
+        return False
+    for d in x.diffs.values():
+        into = generator_positions(d.target)
+        for _, v, pos in generator_positions(d.source):
+            if any(w == v and d.block(v)[pos2, pos] for _, w, pos2 in into):
+                return False
+    return True
+
+
+def in_coaisle(aisle, b: Cx) -> bool:
+    """Whether Hom(G[l], B) = 0 for every aisle generator G and l >= 0."""
+    return all(derived_hom(g, b, n) == 0
+               for g in aisle.aisle_gens()
+               for n in _scan_range(g, b) if n <= 0)

@@ -65,10 +65,15 @@ MALFORMED = [
     ({"vertices": 2, "arrows": [], "relations": 5}, None),
     ({"vertices": 2, "arrows": [{"name": "a", "source": 1, "target": 2}],
       "relations": [[{"coef": 1, "path": ["b", "a"]}]]}, None),
+    ({"vertices": 2, "arrows": [{"name": None, "source": 1, "target": 2}]},
+     None),
+    ({"vertices": 2, "arrows": [{"name": 5, "source": 1, "target": 2}]},
+     None),
 ]
 MALFORMED_IDS = ["module-arrows-list", "matrix-int", "matrix-row-int",
                  "ragged-rows", "row-width", "algebra-arrows-int",
-                 "relations-int", "relation-unknown-arrow"]
+                 "relations-int", "relation-unknown-arrow", "arrow-name-null",
+                 "arrow-name-int"]
 
 
 def malformed_examples(test):

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import is_minimal
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.glue import _scan_range
 from heartglue.jsonio import load_algebra
-from heartglue.linalg import RatMatrix
+from heartglue.linalg import RatMatrix, solve
 from heartglue.reps import (
     Rep,
     RepError,
@@ -18,10 +19,11 @@ from heartglue.reps import (
     compose as rcompose,
     hom_space,
     identity_map,
+    map_from_generators,
     projective,
     projective_sum,
     simple,
-    summand_maps,
+    tagged_basis,
     zero_map,
 )
 from heartglue.cli import CORPUS_NAMES, corpus_path
@@ -398,24 +400,6 @@ def test_hom_from_projectives_on_random_modules(data):
         assert derived_hom(projective(alg, i), m, 1) == 0
 
 
-def test_summand_maps_split_off_kept_copies(kron):
-    big = projective_sum(kron, (1, 2, 1))
-    sub, inj, proj = summand_maps(big, (0, 2))
-    assert sub.proj_gens == (1, 1)
-    assert rcompose(proj, inj).same_blocks(identity_map(sub))
-    mid, mid_in, _ = summand_maps(big, (1,))
-    assert mid.dims == projective(kron, 2).dims
-    for v in (1, 2):
-        assert inj.block(v).cols + mid_in.block(v).cols == big.dim_at(v)
-
-
-def test_summand_maps_reject_untagged_modules_and_bad_copies(kron):
-    with pytest.raises(RepError, match="tagged"):
-        summand_maps(simple(kron, 1), (0,))
-    with pytest.raises(RepError, match="out of range"):
-        summand_maps(projective_sum(kron, (1,)), (1,))
-
-
 def test_minimal_model_keeps_a_cover_resolution(kron):
     # covers are minimal already, so nothing cancels
     s = simple(kron, 2)
@@ -470,6 +454,67 @@ def test_minimal_model_on_random_two_term_complexes(data):
     assert cohomology_dims(small) == cohomology_dims(x)
     assert small.total_dim <= resolve(x).cx.total_dim
     # reduced output has no cancellable component left
+    again, _ = minimal_model(small)
+    assert again.dims_table() == small.dims_table()
+
+
+def _random_sum(data, alg, min_size=0):
+    vertices = st.integers(1, alg.vertex_count)
+    return projective_sum(alg, data.draw(
+        st.lists(vertices, min_size=min_size, max_size=3)))
+
+
+def _random_map(data, p, q):
+    """A random module map between tagged projective sums."""
+    entries = st.integers(-2, 2)
+    return map_from_generators(p, q, [
+        RatMatrix.column([data.draw(entries) for _ in range(q.dim_at(v))])
+        for v in p.proj_gens])
+
+
+def _random_automorphism(data, t):
+    """A random automorphism of the tagged sum t and its inverse: each
+    copy generator goes to itself plus anything in the earlier copies."""
+    entries = st.integers(-2, 2)
+    images = []
+    for c, v in enumerate(t.proj_gens):
+        images.append(RatMatrix.column([
+            data.draw(entries) if c2 < c else int(c2 == c and p.is_trivial())
+            for c2, p in tagged_basis(t, v)]))
+    g = map_from_generators(t, t, images)
+    inv = RepMap(t, t, tuple(solve(b, RatMatrix.identity(b.rows))
+                             for b in g.blocks))
+    return g, inv
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_minimal_model_on_random_tagged_complexes(kron, a3rel, commsquare,
+                                                  data):
+    alg = data.draw(st.sampled_from([kron, a3rel, commsquare]))
+    pieces = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(-1, 1))
+        if data.draw(st.booleans()):
+            # a cone of an identity: contractible, all units
+            p = _random_sum(data, alg, min_size=1)
+            q = projective_sum(alg, p.proj_gens)
+            d = RepMap(p, q, identity_map(p).blocks)
+        else:
+            p, q = _random_sum(data, alg), _random_sum(data, alg)
+            d = _random_map(data, p, q)
+        pieces.append(Cx(alg, {k: p, k + 1: q}, {k: d}))
+    s = cx_direct_sum(pieces).cx
+    # mix the pieces by an automorphism of every term
+    autos = {k: _random_automorphism(data, t) for k, t in s.terms.items()}
+    x = Cx(alg, s.terms, {
+        k: rcompose(autos[k + 1][0], rcompose(d, autos[k][1]))
+        for k, d in s.diffs.items()})
+    small, q = minimal_model(x)
+    assert q.source is small and q.target is x
+    assert is_acyclic(cone(q).cx)
+    assert is_minimal(small)
+    assert small.total_dim <= x.total_dim
     again, _ = minimal_model(small)
     assert again.dims_table() == small.dims_table()
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import in_coaisle, is_minimal
 from heartglue.algebra import build_algebra, make_quiver
 from heartglue.complexes import (
     cohomology_dims,
@@ -62,6 +63,15 @@ def regular_kron_module(kron):
     # one-dimensional self-extension
     return Rep(kron, (1, 1), {"a": RatMatrix([[Fraction(1)]], cols=1),
                               "b": RatMatrix([[Fraction(0)]], cols=1)})
+
+
+def truncate_checked(aisle, x):
+    """aisle.truncate(x), checking that A is minimal and B lies in the
+    co-aisle; the identity comparison alone would certify any A -> X."""
+    a, b, tri = aisle.truncate(x)
+    assert is_minimal(a)
+    assert in_coaisle(aisle, b)
+    return a, b, tri
 
 
 def chi(x):
@@ -384,7 +394,7 @@ class TestTruncation:
     def test_member_truncates_to_itself(self, kron, kron_glued):
         _, aisle, _ = kron_glued
         x = as_cx(simple(kron, 2))
-        a, b, tri = aisle.truncate(x)
+        a, b, tri = truncate_checked(aisle, x)
         assert tri.certified()
         assert is_acyclic(b)
         assert cohomology_dims(a) == cohomology_dims(x)
@@ -392,7 +402,7 @@ class TestTruncation:
     def test_coaisle_object_truncates_to_zero_part(self, kron, kron_glued):
         _, aisle, _ = kron_glued
         x = shift(as_cx(projective(kron, 2)), -1)
-        a, b, tri = aisle.truncate(x)
+        a, b, tri = truncate_checked(aisle, x)
         assert tri.certified()
         assert is_acyclic(a)
         assert cohomology_dims(b) == cohomology_dims(x)
@@ -402,7 +412,7 @@ class TestTruncation:
         p1 = as_cx(projective(kron, 1))
         p2 = as_cx(projective(kron, 2))
         x = cx_direct_sum([p2, p1]).cx
-        a, b, tri = aisle.truncate(x)
+        a, b, tri = truncate_checked(aisle, x)
         assert tri.certified()
         assert cohomology_dims(a) == {0: (2, 1)}
         assert cohomology_dims(b) == {0: (1, 0)}
@@ -418,25 +428,25 @@ class TestTruncation:
                 as_cx(regular_kron_module(kron)),
                 shift(p1, -2)]
         for x in pool:
-            a, b, tri = aisle.truncate(x)
+            a, b, tri = truncate_checked(aisle, x)
             assert tri.certified()
             assert aisle.member(a)
             assert derived_hom(a, b, 0) == 0
             got = tuple(u + v for u, v in zip(chi(a), chi(b)))
             assert got == chi(x)
-            again, rest, _ = aisle.truncate(a)
+            again, rest, _ = truncate_checked(aisle, a)
             assert is_acyclic(rest)
             assert cohomology_dims(again) == cohomology_dims(a)
 
     def test_three_term_truncation(self, a3rel, a3rel_glued):
         _, aisle, _ = a3rel_glued
         s2 = as_cx(simple(a3rel, 2))
-        a, b, tri = aisle.truncate(s2)
+        a, b, tri = truncate_checked(aisle, s2)
         assert tri.certified()
         assert is_acyclic(a)
         assert cohomology_dims(b) == {0: (0, 1, 0)}
         x = cx_direct_sum([shift(s2, 1), as_cx(projective(a3rel, 3))]).cx
-        a, b, tri = aisle.truncate(x)
+        a, b, tri = truncate_checked(aisle, x)
         assert tri.certified()
         assert cohomology_dims(a) == cohomology_dims(x)
         assert is_acyclic(b)
@@ -458,7 +468,7 @@ class TestTruncation:
             maps[arrow.name] = RatMatrix(rows, cols=c)
         x = shift(as_cx(Rep(kron, dims, maps)),
                   data.draw(st.integers(min_value=-1, max_value=1)))
-        a, b, tri = aisle.truncate(x)
+        a, b, tri = truncate_checked(aisle, x)
         assert tri.certified()
         got = tuple(u + v for u, v in zip(chi(a), chi(b)))
         assert got == chi(x)

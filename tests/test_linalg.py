@@ -153,6 +153,11 @@ def test_stacking_and_blocks():
     assert vstack([a, b]) == RatMatrix([[1, 2], [3, 4]])
     assert hstack([a, b]) == RatMatrix([[1, 2, 3, 4]])
     assert block_diag([a, b]) == RatMatrix([[1, 2, 0, 0], [0, 0, 3, 4]])
+    m = RatMatrix([[Fraction(1, 2), 2, 3], [4, 5, 6]])
+    assert m.take([1, 0], [2, 0]) == RatMatrix([[6, 4], [3, Fraction(1, 2)]])
+    assert m.take(None, [1]) == RatMatrix([[2], [5]])
+    assert m.take([0], None) == RatMatrix([[Fraction(1, 2), 2, 3]])
+    assert m.take([], [0]).shape == (0, 1)
 
 
 def test_immutability():
