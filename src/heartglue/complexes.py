@@ -8,6 +8,9 @@ H^i(shift(x, k)) = H^{i+k}(x). shift(x, 0) returns x itself.
 The cone of a chain map f: X -> Y has C^k = X^{k+1} (+) Y^k with X-part
 first and d(x, y) = (-d_X x, f x + d_Y y); the inclusion of Y and the
 projection to shift(X, 1) are both chain maps and are returned with it.
+The layout of a direct sum lives in reps: a Cone and a CxSum carry each
+term as a reps.DirectSum, and their differentials, inclusions and
+projections, like the comparisons built out of a cone, are reps.block_maps.
 
 A differential or chain-map component missing from its dict is zero.
 Cx.d and CxMap.comp build that zero map on request, but the chain-map
@@ -22,18 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import PathAlgebraDesc, memo_field
-from .linalg import RatMatrix, hstack, solve, vstack
+from .algebra import PathAlgebraDesc, memo_field, memoised
 from .reps import (
     DirectSum,
     Rep,
-    RepError,
     RepMap,
+    block_map,
     cokernel,
     direct_sum,
     exact_certificate,
     identity_map,
     kernel,
+    through_epi,
+    through_mono,
     zero_map,
     zero_rep,
 )
@@ -212,97 +216,96 @@ def shift_map(f: CxMap, k: int) -> CxMap:
 
 @dataclass(frozen=True, eq=False)
 class Cone:
+    """cone(f) with its terms as direct sums; incl and proj are built on
+    first request."""
+
+    f: CxMap
     cx: Cx
-    incl: CxMap
-    proj: CxMap
+    sums: dict[int, DirectSum]
+    shifted: Cx  # shift(f.source, 1), the target of proj
+    memo: dict = memo_field()
+
+    @property
+    def incl(self) -> CxMap:
+        return memoised(self, "incl", lambda: CxMap(
+            self.f.target, self.cx,
+            {k: s.injection(1) for k, s in self.sums.items()}))
+
+    @property
+    def proj(self) -> CxMap:
+        # x.term(k + 1) is shift(x, 1).term(k), padding zeros included, so
+        # the summand projections are already anchored to the shifted complex
+        return memoised(self, "proj", lambda: CxMap(
+            self.cx, self.shifted,
+            {k: s.projection(0) for k, s in self.sums.items()}))
 
 
 def cone(f: CxMap) -> Cone:
     x, y = f.source, f.target
-    alg = x.algebra
-    degs = sorted(set(i - 1 for i in x.terms) | set(y.terms))
-    sums: dict[int, DirectSum] = {}
-    terms: dict[int, Rep] = {}
-    for k in degs:
-        ds = direct_sum([x.term(k + 1), y.term(k)])
-        sums[k] = ds
-        terms[k] = ds.rep
+    sx = shift(x, 1)
+    degs = sorted(set(sx.terms) | set(y.terms))
+    sums = {k: direct_sum([sx.term(k), y.term(k)]) for k in degs}
     diffs: dict[int, RepMap] = {}
     for k in degs:
-        if (k + 1) not in terms:
+        if (k + 1) not in sums:
             continue
-        dx = x.d(k + 1)
-        dy = y.d(k)
-        fk = f.comp(k + 1)
-        blocks = []
-        for v in range(1, alg.vertex_count + 1):
-            top = hstack([-dx.block(v), RatMatrix.zeros(
-                dx.target.dim_at(v), dy.source.dim_at(v))])
-            bot = hstack([fk.block(v), dy.block(v)])
-            blocks.append(vstack([top, bot]))
-        diffs[k] = RepMap(terms[k], terms[k + 1], tuple(blocks))
-    c = Cx(alg, terms, diffs)
-    incl = CxMap(y, c, {k: sums[k].injections[1] for k in degs})
-    # x.term(k + 1) is shift(x, 1).term(k), padding zeros included, so
-    # the summand projections are already anchored to the shifted complex
-    proj = CxMap(c, shift(x, 1),
-                 {k: sums[k].projections[0] for k in degs})
-    return Cone(c, incl, proj)
+        grid = [[sx.diffs.get(k), None],
+                [f.components.get(k + 1), y.diffs.get(k)]]
+        if any(g is not None for row in grid for g in row):
+            diffs[k] = block_map(sums[k], sums[k + 1], grid)
+    c = Cx(x.algebra, {k: s.rep for k, s in sums.items()}, diffs)
+    return Cone(f, c, sums, sx)
 
 
 @dataclass(frozen=True, eq=False)
 class CxSum:
+    """The sum of complexes, each term a reps.DirectSum of theirs; the
+    injections and projections are built on first request."""
+
+    parts: tuple[Cx, ...]
     cx: Cx
-    injections: tuple[CxMap, ...]
-    projections: tuple[CxMap, ...]
+    sums: dict[int, DirectSum]
+    memo: dict = memo_field()
+
+    @property
+    def injections(self) -> tuple[CxMap, ...]:
+        return memoised(self, "injections", lambda: tuple(
+            CxMap(p, self.cx,
+                  {k: s.injection(i) for k, s in self.sums.items()})
+            for i, p in enumerate(self.parts)))
+
+    @property
+    def projections(self) -> tuple[CxMap, ...]:
+        return memoised(self, "projections", lambda: tuple(
+            CxMap(self.cx, p,
+                  {k: s.projection(i) for k, s in self.sums.items()})
+            for i, p in enumerate(self.parts)))
 
 
 def cx_direct_sum(parts: list[Cx]) -> CxSum:
     if not parts:
         raise CxError("empty direct sum of complexes")
-    alg = parts[0].algebra
     degs = sorted(set(i for p in parts for i in p.terms))
     sums = {k: direct_sum([p.term(k) for p in parts]) for k in degs}
-    terms = {k: sums[k].rep for k in degs}
     diffs = {}
     for k in degs:
-        if (k + 1) not in terms:
+        if (k + 1) not in sums:
             continue
-        total = None
-        for i, p in enumerate(parts):
-            piece = rcompose(sums[k + 1].injections[i],
-                             rcompose(p.d(k), sums[k].projections[i]))
-            total = piece if total is None else total + piece
-        if total is not None and not total.is_zero():
-            diffs[k] = total
-    sum_cx = Cx(alg, terms, diffs)
-    injs = []
-    projs = []
-    for i, p in enumerate(parts):
-        injs.append(CxMap(p, sum_cx,
-                          {k: sums[k].injections[i] for k in degs}))
-        projs.append(CxMap(sum_cx, p,
-                           {k: sums[k].projections[i] for k in degs}))
-    return CxSum(sum_cx, tuple(injs), tuple(projs))
-
-
-def _corestrict(x: Cx, i: int, k: Rep, incl: RepMap) -> RepMap:
-    """d^{i-1} factored through the inclusion of ker d^i."""
-    d = x.d(i - 1)
-    blocks = []
-    for v in range(1, x.algebra.vertex_count + 1):
-        sol = solve(incl.block(v), d.block(v))
-        if sol is None:
-            raise CxError("differential does not land in the next kernel")
-        blocks.append(sol)
-    return RepMap(x.term(i - 1), k, tuple(blocks))
+        ds = [p.diffs.get(k) for p in parts]
+        if any(d is not None for d in ds):
+            total = block_map(sums[k], sums[k + 1],
+                              [[d if i == j else None for j in range(len(ds))]
+                               for i, d in enumerate(ds)])
+            if not total.is_zero():
+                diffs[k] = total
+    cx = Cx(parts[0].algebra, {k: s.rep for k, s in sums.items()}, diffs)
+    return CxSum(tuple(parts), cx, sums)
 
 
 def heart_cohomology(x: Cx, i: int) -> Rep:
     """H^i of the complex, as a module."""
-    k, incl = kernel(x.d(i))
-    j = _corestrict(x, i, k, incl)
-    h, _ = cokernel(j)
+    _, incl = kernel(x.d(i))
+    h, _ = cokernel(through_mono(incl, x.d(i - 1)))
     return h
 
 
@@ -349,7 +352,6 @@ def truncate_std(x: Cx, level: int) -> Triangle:
 
     Left term keeps cohomology in degrees <= level, right term the rest.
     """
-    alg = x.algebra
     lo = x.min_deg()
     if lo is None:
         lo = level
@@ -359,10 +361,9 @@ def truncate_std(x: Cx, level: int) -> Triangle:
     terms_a[level] = k
     diffs_a = {i: d for i, d in x.diffs.items() if lo <= i < level - 1}
     if level - 1 >= lo:
-        j = _corestrict(x, level, k, incl)
         terms_a.setdefault(level - 1, x.term(level - 1))
-        diffs_a[level - 1] = j
-    a = Cx(alg, terms_a, diffs_a)
+        diffs_a[level - 1] = through_mono(incl, x.d(level - 1))
+    a = Cx(x.algebra, terms_a, diffs_a)
     f_comps = {i: identity_map(x.term(i)) for i in range(lo, level)
                if x.term(i).total_dim}
     f_comps[level] = incl
@@ -377,18 +378,11 @@ def truncate_std(x: Cx, level: int) -> Triangle:
     terms_b.update({i: x.term(i) for i in range(level + 1, hi + 1)})
     diffs_b = {i: d for i, d in x.diffs.items() if level < i < hi}
     # induced differential out of the quotient
-    dl = x.d(level)
-    blocks = []
-    for v in range(1, alg.vertex_count + 1):
-        sol = solve(pr.block(v).transpose(), dl.block(v).transpose())
-        if sol is None:
-            raise CxError("differential does not descend to the quotient")
-        blocks.append(sol.transpose())
-    dq = RepMap(q, x.term(level + 1), blocks)
+    dq = through_epi(pr, x.d(level))
     if not dq.is_zero():
         terms_b.setdefault(level + 1, x.term(level + 1))
         diffs_b[level] = dq
-    b = Cx(alg, terms_b, diffs_b)
+    b = Cx(x.algebra, terms_b, diffs_b)
     g_comps = {level: pr}
     for i in range(level + 1, hi + 1):
         if x.term(i).total_dim:
@@ -396,17 +390,9 @@ def truncate_std(x: Cx, level: int) -> Triangle:
     g = CxMap(x, b, g_comps)
 
     cf = cone(f)
-    comp_blocks = {}
-    for i in sorted(cf.cx.terms):
-        left_w = a.term(i + 1)
-        gi = g.comp(i)
-        blocks = []
-        for v in range(1, alg.vertex_count + 1):
-            blocks.append(hstack([
-                RatMatrix.zeros(b.term(i).dim_at(v), left_w.dim_at(v)),
-                gi.block(v)]))
-        comp_blocks[i] = RepMap(cf.cx.term(i), b.term(i), tuple(blocks))
-    comparison = CxMap(cf.cx, b, comp_blocks)
+    comparison = CxMap(cf.cx, b, {
+        i: block_map(s, b.term(i), [[None, g.components[i]]])
+        for i, s in cf.sums.items() if i in g.components})
     return Triangle(a, x, b, f, g, comparison=comparison, cone_of_f=cf)
 
 
@@ -416,18 +402,11 @@ def ses_to_triangle(f: RepMap, g: RepMap) -> Triangle:
     lx = module_cx(f.source)
     mx = module_cx(f.target)
     nx = module_cx(g.target)
-    fc = CxMap(lx, mx, {0: RepMap(lx.term(0), mx.term(0), f.blocks)})
-    gc = CxMap(mx, nx, {0: RepMap(mx.term(0), nx.term(0), g.blocks)})
+    fc = CxMap(lx, mx, {0: f})
+    gc = CxMap(mx, nx, {0: g})
     cf = cone(fc)
-    comps = {}
-    alg = f.source.algebra
-    blocks0 = []
-    for v in range(1, alg.vertex_count + 1):
-        blocks0.append(hstack([
-            RatMatrix.zeros(g.target.dim_at(v), 0), g.block(v)]))
-    comps[0] = RepMap(cf.cx.term(0), nx.term(0), tuple(blocks0))
-    comps[-1] = zero_map(cf.cx.term(-1), nx.term(-1))
-    comparison = CxMap(cf.cx, nx, comps)
+    comparison = CxMap(cf.cx, nx,
+                       {0: block_map(cf.sums[0], g.target, [[None, g]])})
     return Triangle(lx, mx, nx, fc, gc, comparison=comparison, cone_of_f=cf)
 
 

@@ -35,11 +35,12 @@ from .complexes import (
     shift,
 )
 from .complexes import compose as ccompose
-from .linalg import (RatMatrix, hstack, kernel_basis, pivot_columns, solve,
-                     vstack)
+from .linalg import (RatMatrix, block_matrix, hstack, kernel_basis,
+                     pivot_columns, solve)
 from .reps import (
     Rep,
     RepMap,
+    block_map,
     eval_columns,
     generator_positions,
     kernel,
@@ -128,20 +129,11 @@ def _resolve_complex(x: Cx) -> Resolution:
     wt, _ = solve_lift(ra.cx, g, rb.eps, strict=True)
     co = cone(wt)
     comps = {}
-    for k in sorted(co.cx.terms):
-        tx = x.term(k)
-        blocks = []
-        for v in range(1, x.algebra.vertex_count + 1):
-            if k == b:
-                left = RatMatrix.zeros(tx.dim_at(v),
-                                       ra.cx.term(k + 1).dim_at(v))
-                right = rb.eps.comp(b).block(v)
-            else:
-                left = ra.eps.comp(k + 1).block(v)
-                right = RatMatrix.zeros(tx.dim_at(v),
-                                        rb.cx.term(k).dim_at(v))
-            blocks.append(hstack([left, right]))
-        comps[k] = RepMap(co.cx.term(k), tx, tuple(blocks))
+    for k, s in co.sums.items():
+        # ra.eps lands in a.term(k + 1) = x.term(k), rb.eps in degree b only
+        grid = [[ra.eps.components.get(k + 1), rb.eps.components.get(k)]]
+        if grid[0] != [None, None]:
+            comps[k] = block_map(s, x.term(k), grid)
     return Resolution(co.cx, CxMap(co.cx, x, comps), x)
 
 
@@ -420,9 +412,9 @@ def solve_lift(p: Cx, g: CxMap, r: CxMap, strict: bool = False
     else:
         hlay = _GenLayout(p, z, -1)
         bnd = _boundary_matrix(p, z, zlay, hlay)
-    system = vstack([
-        hstack([chain, RatMatrix.zeros(chain.rows, bnd.cols)]),
-        hstack([RatMatrix(lift, cols=ulay.total), -bnd])])
+    system = block_matrix(
+        [[chain, None], [RatMatrix(lift, cols=ulay.total), -bnd]],
+        [chain.rows, zlay.total], [ulay.total, bnd.cols])
     rhs = [0] * chain.rows + _map_to_vector(g, zlay)
     sol = solve(system, RatMatrix.column(rhs))
     if sol is None:

@@ -24,14 +24,13 @@ are 1-based, matching the vertex convention.
 
 from dataclasses import dataclass
 
-from .linalg import RatMatrix, hstack, vstack
-from .reps import RepMap, simple
+from .reps import ID, block_map, simple
 from .complexes import (Cx, CxMap, Cone, Triangle, cohomology_dims,
                         compose as ccompose, cone, cx_direct_sum,
                         identity_chain_map, is_acyclic, shift, truncate_std,
                         zero_cx)
 from .derived import (as_cx, derived_hom, dhom_space, minimal_model,
-                      reanchor, resolve, solve_lift)
+                      reanchor, solve_lift)
 
 
 class GlueError(ValueError):
@@ -201,11 +200,12 @@ def _assemble(x: Cx, parts) -> tuple[Cx, CxMap]:
         v = zero_cx(x.algebra)
         return v, CxMap(v, x, {})
     s = cx_direct_sum([p for p, _, _ in parts])
-    ev = None
-    for (_, f, _), pr in zip(parts, s.projections):
-        term = ccompose(f, pr)
-        ev = term if ev is None else ev + term
-    return s.cx, ev
+    comps = {}
+    for k, ds in s.sums.items():
+        row = [f.components.get(k) for _, f, _ in parts]
+        if any(g is not None for g in row):
+            comps[k] = block_map(ds, x.term(k), [row])
+    return s.cx, CxMap(s.cx, x, comps)
 
 
 class AisleSpec:
@@ -339,23 +339,13 @@ class AddGeneratedAisle(AisleSpec):
         return f"add({len(self._gens)})"
 
 
-def _cone_functorial(ca: Cone, cb: Cone, m: CxMap, x: Cx) -> CxMap:
+def _cone_functorial(ca: Cone, cb: Cone, m: CxMap) -> CxMap:
     """cone(f) -> cone(g) induced by m: src(f) -> src(g) over the
-    identity of the shared target x, for strictly commuting squares."""
-    alg = x.algebra
-    comps = {}
-    for k, t in ca.cx.terms.items():
-        mk = m.comp(k + 1)
-        blocks = []
-        for v in range(1, alg.vertex_count + 1):
-            a1 = m.source.term(k + 1).dim_at(v)
-            b1 = m.target.term(k + 1).dim_at(v)
-            xk = x.term(k).dim_at(v)
-            top = hstack([mk.block(v), RatMatrix.zeros(b1, xk)])
-            bot = hstack([RatMatrix.zeros(xk, a1), RatMatrix.identity(xk)])
-            blocks.append(vstack([top, bot]))
-        comps[k] = RepMap(t, cb.cx.term(k), tuple(blocks))
-    return CxMap(ca.cx, cb.cx, comps)
+    identity of the shared target, for strictly commuting squares."""
+    return CxMap(ca.cx, cb.cx, {
+        k: block_map(s, cb.sums[k], [[m.components.get(k + 1), None],
+                                     [None, ID]])
+        for k, s in ca.sums.items() if k in cb.sums})
 
 
 class GluedAisle(AisleSpec):
@@ -412,15 +402,15 @@ class GluedAisle(AisleSpec):
         f2 = ccompose(ev2, tri2.f)
         ca2 = cone(f2)
         # cone(A2 -> m) -> cone(V2 -> m), functorial over the inclusion
-        r = _cone_functorial(ca2, cproj, tri2.f, m)
+        r = _cone_functorial(ca2, cproj, tri2.f)
         down, q_down = minimal_model(shift(x1, -1))
         a1, _, tri1 = self.left.truncate(down)
         u_src = shift(a1, 1)
         j = reanchor(ccompose(q_down, tri1.f), u_src, x1, by=-1)
-        # lift the shifted left part through r; a tagged stand-in makes
-        # the lifting problem solvable by generator data
-        rsu = resolve(u_src)
-        lifted, _ = solve_lift(rsu.cx, ccompose(j, rsu.eps), r)
+        # lift the shifted left part through r; A1 is tagged (a minimal
+        # model or a sum of resolutions), so the lift is solved on its
+        # generator data directly
+        lifted, _ = solve_lift(u_src, j, r)
         q = ccompose(cone(lifted).incl, ca2.incl)
         # rotate m -> cone(q) back one step: A' = cone(q)[-1] -> m
         cq = cone(q)

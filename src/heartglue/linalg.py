@@ -88,6 +88,7 @@ class RatMatrix:
         return _new(((0,) * cols,) * rows, 1, cols)
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def identity(n: int) -> "RatMatrix":
         return _new(tuple(tuple(1 if i == j else 0 for j in range(n))
                           for i in range(n)), 1, n)
@@ -281,18 +282,24 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     return _new(tuple(chain.from_iterable(grids)), den, cols)
 
 
-def block_diag(mats: Sequence[RatMatrix]) -> RatMatrix:
-    if not mats:
-        return RatMatrix.zeros(0, 0)
-    cols = sum(m.cols for m in mats)
-    den, grids = _common(mats)
+def block_matrix(grid: Sequence[Sequence[RatMatrix | None]],
+                 heights: Sequence[int], widths: Sequence[int]) -> RatMatrix:
+    """The matrix with grid[i][j] as its block in block row i and block
+    column j, of shape heights[i] x widths[j]; a None block is zero.
+    Each row is joined once from the blocks' int grids."""
+    slots = [(m, h, w) for row, h in zip(grid, heights, strict=True)
+             for m, w in zip(row, widths, strict=True)]
+    if any(m is not None and m.shape != (h, w) for m, h, w in slots):
+        raise ValueError("a block does not fit its slot")
+    den, grids = _common([m for m, _, _ in slots if m is not None])
+    filled = iter(grids)
     out = []
-    c0 = 0
-    for m, g in zip(mats, grids):
-        left, right = (0,) * c0, (0,) * (cols - c0 - m.cols)
-        out.extend(left + r + right for r in g)
-        c0 += m.cols
-    return _new(tuple(out), den, cols)
+    for row, h in zip(grid, heights):
+        blocks = [[(0,) * w] * h if m is None else next(filled)
+                  for m, w in zip(row, widths)]
+        out.extend(tuple(chain.from_iterable(b[r] for b in blocks))
+                   for r in range(h))
+    return _new(tuple(out), den, sum(widths))
 
 
 def _echelon(num: Sequence[Sequence[int]], nc: int) -> tuple[list[list[int]], list[int]]:

@@ -6,26 +6,31 @@ G_i V = V e_i. The arrow a: s -> t acts by a matrix act(a): G_t V -> G_s V
 order acts by act(a1) @ act(a2) @ ... @ act(ak). With these conventions the
 indecomposable projective P_i = e_i A has G_j P_i spanned by the residue paths
 from j into i, and Hom(P_i, M) is identified with G_i M.
+
+This module alone knows the layout of a direct sum: at every vertex the
+parts follow each other in order. A DirectSum keeps its parts, and
+block_map builds any map between two sums from its grid of components,
+one block matrix per vertex; injections, projections, cone differentials
+and the maps of the extension calculus are all block_maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import (AlgebraError, BasisPath, PathAlgebraDesc, memo_field,
                       memoised)
 from .linalg import (
     RatMatrix,
-    block_diag,
+    block_matrix,
     complement_pivots,
     hstack,
     kernel_basis,
     pivot_columns,
     rank,
     solve,
-    vstack,
 )
 
 
@@ -336,22 +341,22 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
     return out
 
 
-def kernel(f: RepMap) -> tuple[Rep, RepMap]:
-    alg = f.source.algebra
-    kbs = [kernel_basis(f.block(v)) for v in range(1, alg.vertex_count + 1)]
-    dims = tuple(k.cols for k in kbs)
+def _span(m: Rep, cols: Sequence[RatMatrix]) -> tuple[Rep, RepMap]:
+    """The submodule of m spanned at each vertex v by the columns of
+    cols[v - 1], which are independent, with its inclusion."""
     maps = {}
-    for a in alg.quiver.arrows:
-        s, t = a.source, a.target
-        # act on the kernel through the inclusion: i_s X = act i_t
-        rhs = f.source.act_arrow(a.name) @ kbs[t - 1]
-        x = solve(kbs[s - 1], rhs)
+    for a in m.algebra.quiver.arrows:
+        # act on the span through the inclusion: i_s X = act i_t
+        x = solve(cols[a.source - 1], m.act_arrow(a.name) @ cols[a.target - 1])
         if x is None:
-            raise RepError("kernel is not arrow-stable; broken input")
+            raise RepError("span is not arrow-stable; broken input")
         maps[a.name] = x
-    ker = Rep(alg, dims, maps)
-    incl = RepMap(ker, f.source, tuple(kbs))
-    return ker, incl
+    sub = Rep(m.algebra, tuple(c.cols for c in cols), maps)
+    return sub, RepMap(sub, m, tuple(cols))
+
+
+def kernel(f: RepMap) -> tuple[Rep, RepMap]:
+    return _span(f.source, [kernel_basis(b) for b in f.blocks])
 
 
 def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
@@ -375,110 +380,129 @@ def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
 
 def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
     """(image, mono into target, epi from source) with mono @ epi = f."""
-    alg = f.source.algebra
-    monos = []
-    for v in range(1, alg.vertex_count + 1):
-        piv = pivot_columns(f.block(v))
-        cols = [f.block(v).col(j) for j in piv]
-        monos.append(RatMatrix.from_cols(cols, rows=f.target.dim_at(v)))
-    dims = tuple(m.cols for m in monos)
-    maps = {}
-    for a in alg.quiver.arrows:
-        s, t = a.source, a.target
-        rhs = f.target.act_arrow(a.name) @ monos[t - 1]
-        x = solve(monos[s - 1], rhs)
+    img, mono = _span(f.target,
+                      [b.take(None, pivot_columns(b)) for b in f.blocks])
+    return img, mono, through_mono(mono, f)
+
+
+def through_mono(incl: RepMap, f: RepMap) -> RepMap:
+    """The map h with incl after h equal to f, for incl injective."""
+    blocks = []
+    for a, b in zip(incl.blocks, f.blocks):
+        x = solve(a, b)
         if x is None:
-            raise RepError("image is not arrow-stable; broken input")
-        maps[a.name] = x
-    img = Rep(alg, dims, maps)
-    mono = RepMap(img, f.target, tuple(monos))
-    epis = []
-    for v in range(1, alg.vertex_count + 1):
-        x = solve(monos[v - 1], f.block(v))
+            raise RepError("map does not factor through the monomorphism")
+        blocks.append(x)
+    return RepMap(f.source, incl.source, tuple(blocks))
+
+
+def through_epi(pr: RepMap, f: RepMap) -> RepMap:
+    """The map h with h after pr equal to f, for pr surjective."""
+    blocks = []
+    for a, b in zip(pr.blocks, f.blocks):
+        x = solve(a.transpose(), b.transpose())
         if x is None:
-            raise RepError("factorization through image failed")
-        epis.append(x)
-    epi = RepMap(f.source, img, tuple(epis))
-    return img, mono, epi
+            raise RepError("map does not factor through the epimorphism")
+        blocks.append(x.transpose())
+    return RepMap(pr.target, f.target, tuple(blocks))
+
+
+ID = object()  # a block_map entry: the identity of a part of both sums
 
 
 @dataclass(frozen=True, eq=False)
 class DirectSum:
+    """rep is the sum of parts, laid out part by part at every vertex.
+
+    The injection and projection of part i are built on first request.
+    """
+
     rep: Rep
-    injections: tuple[RepMap, ...]
-    projections: tuple[RepMap, ...]
+    parts: tuple[Rep, ...]
+    memo: dict = memo_field()
+
+    def _unit(self, i: int) -> list:
+        return [ID if k == i else None for k in range(len(self.parts))]
+
+    def injection(self, i: int) -> RepMap:
+        return memoised(self, ("inj", i), lambda: block_map(
+            self.parts[i], self, [[e] for e in self._unit(i)]))
+
+    def projection(self, i: int) -> RepMap:
+        return memoised(self, ("proj", i), lambda: block_map(
+            self, self.parts[i], [self._unit(i)]))
+
+    @property
+    def injections(self) -> tuple[RepMap, ...]:
+        return tuple(map(self.injection, range(len(self.parts))))
+
+    @property
+    def projections(self) -> tuple[RepMap, ...]:
+        return tuple(map(self.projection, range(len(self.parts))))
 
 
 def direct_sum(parts: Sequence[Rep]) -> DirectSum:
     if not parts:
         raise RepError("direct sum of nothing (pass zero_rep instead)")
+    parts = tuple(parts)
     alg = parts[0].algebra
     if any(p.algebra is not alg for p in parts):
         raise RepError("direct sum across algebras")
-    nv = alg.vertex_count
-    dims = tuple(sum(p.dims[v] for p in parts) for v in range(nv))
-    maps = {a.name: block_diag([p.act_arrow(a.name) for p in parts])
-            for a in alg.quiver.arrows}
+    dims = tuple(map(sum, zip(*(p.dims for p in parts))))
+    maps = {a.name: block_matrix(
+        [[p.act_arrow(a.name) if i == j else None for j in range(len(parts))]
+         for i, p in enumerate(parts)],
+        [p.dims[a.source - 1] for p in parts],
+        [p.dims[a.target - 1] for p in parts]) for a in alg.quiver.arrows}
     tags = None
     if all(p.proj_gens is not None for p in parts):
+        # the copy-major tagged layout agrees with the block layout
         tags = tuple(v for p in parts for v in p.proj_gens)
-        # the copy-major tagged layout must agree with the block layout
-    total = Rep(alg, dims, maps, proj_gens=tags)
-    injections = []
-    projections = []
-    for k, p in enumerate(parts):
-        inj_blocks = []
-        proj_blocks = []
-        for v in range(nv):
-            before = sum(q.dims[v] for q in parts[:k])
-            rows = [[0] * p.dims[v] for _ in range(dims[v])]
-            for i in range(p.dims[v]):
-                rows[before + i][i] = 1
-            inj_blocks.append(RatMatrix(rows, cols=p.dims[v]))
-            prows = [[0] * dims[v] for _ in range(p.dims[v])]
-            for i in range(p.dims[v]):
-                prows[i][before + i] = 1
-            proj_blocks.append(RatMatrix(prows, cols=dims[v]))
-        injections.append(RepMap(p, total, tuple(inj_blocks)))
-        projections.append(RepMap(total, p, tuple(proj_blocks)))
-    return DirectSum(total, tuple(injections), tuple(projections))
+    return DirectSum(Rep(alg, dims, maps, proj_gens=tags), parts)
+
+
+def block_map(src: DirectSum | Rep, tgt: DirectSum | Rep,
+              grid: Sequence[Sequence[RepMap | None]]) -> RepMap:
+    """The map between two direct sums whose component from source part j
+    to target part i is grid[i][j]: a RepMap, ID, or None for zero.
+
+    A plain Rep is a sum of one part.  No zero block is built as a map.
+    """
+    sparts, srep = ((src.parts, src.rep) if isinstance(src, DirectSum)
+                    else ((src,), src))
+    tparts, trep = ((tgt.parts, tgt.rep) if isinstance(tgt, DirectSum)
+                    else ((tgt,), tgt))
+    for row, tp in zip(grid, tparts, strict=True):
+        for g, sp in zip(row, sparts, strict=True):
+            if g is None:
+                continue
+            ends = (tp, tp) if g is ID else (g.source, g.target)
+            if ends[0] is not sp or ends[1] is not tp:
+                raise RepError("block is not anchored to its parts")
+    blocks = []
+    for v in range(srep.algebra.vertex_count):
+        ws = [p.dims[v] for p in sparts]
+        blocks.append(block_matrix(
+            [[g if g is None else RatMatrix.identity(w) if g is ID
+              else g.blocks[v] for g, w in zip(row, ws)] for row in grid],
+            [p.dims[v] for p in tparts], ws))
+    return RepMap(srep, trep, tuple(blocks))
 
 
 def filtration_step(v: Rep, k: int) -> tuple[Rep, RepMap]:
     """The subrepresentation F^k v supported on vertices <= k, with inclusion."""
-    alg = v.algebra
-    n = alg.vertex_count
+    n = v.algebra.vertex_count
     if not 0 <= k <= n:
         raise RepError(f"filtration level {k} outside 0..{n}")
-    dims = tuple(v.dims[i] if i + 1 <= k else 0 for i in range(n))
-    maps = {}
-    for a in alg.quiver.arrows:
-        s, t = a.source, a.target
-        if t <= k:
-            maps[a.name] = v.act_arrow(a.name)
-        else:
-            maps[a.name] = RatMatrix.zeros(dims[s - 1], 0)
-    sub = Rep(alg, dims, maps)
-    blocks = []
-    for i in range(n):
-        if i + 1 <= k:
-            blocks.append(RatMatrix.identity(v.dims[i]))
-        else:
-            blocks.append(RatMatrix.zeros(v.dims[i], 0))
-    return sub, RepMap(sub, v, tuple(blocks))
+    return _span(v, [RatMatrix.identity(d) if i < k else RatMatrix.zeros(d, 0)
+                     for i, d in enumerate(v.dims)])
 
 
 def filtration_inclusion(v: Rep, k: int) -> RepMap:
     """The step inclusion F^{k-1} v -> F^k v."""
-    lower, _ = filtration_step(v, k - 1)
-    upper, _ = filtration_step(v, k)
-    blocks = []
-    for i in range(v.algebra.vertex_count):
-        if i + 1 <= k - 1:
-            blocks.append(RatMatrix.identity(v.dims[i]))
-        else:
-            blocks.append(RatMatrix.zeros(upper.dims[i], 0))
-    return RepMap(lower, upper, tuple(blocks))
+    _, lower = filtration_step(v, k - 1)
+    _, upper = filtration_step(v, k)
+    return through_mono(upper, lower)
 
 
 def exact_certificate(f: RepMap, g: RepMap) -> None:

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import RatMatrix, rank, solve, span_membership
-from .reps import (Rep, RepMap, cokernel, direct_sum, identity_map, image,
-                   kernel, zero_rep)
+from .linalg import RatMatrix, rank, span_membership
+from .reps import (ID, Rep, RepMap, block_map, cokernel, direct_sum,
+                   identity_map, image, kernel, through_epi, through_mono,
+                   zero_map, zero_rep)
 from .reps import compose as rcompose
 from .complexes import Cx, CxMap, ses_to_triangle
 from .complexes import compose as ccompose
@@ -118,40 +119,15 @@ def split_ext(a: Rep, b: Rep, n: int) -> YExt:
         raise YExtError("extensions have positive length")
     if n == 1:
         ds = direct_sum([b, a])
-        return YExt(b, a, (ds.rep,), (ds.injections[0], ds.projections[1]))
+        return YExt(b, a, (ds.rep,), (ds.injection(0), ds.projection(1)))
     z = zero_rep(a.algebra)
     middle = (b,) + (z,) * (n - 2) + (a,)
     maps = [identity_map(b)]
     chain = (b,) + middle + (a,)
     for i in range(1, n):
-        maps.append(RepMap(chain[i], chain[i + 1],
-                           tuple(RatMatrix.zeros(chain[i + 1].dim_at(v),
-                                                 chain[i].dim_at(v))
-                                 for v in range(1, a.algebra.vertex_count + 1))))
+        maps.append(zero_map(chain[i], chain[i + 1]))
     maps.append(identity_map(a))
     return YExt(b, a, middle, tuple(maps))
-
-
-def _through_quotient(pr: RepMap, psi: RepMap) -> RepMap:
-    # unique map out of a cokernel: result after pr equals psi
-    blocks = []
-    for v in range(1, pr.source.algebra.vertex_count + 1):
-        sol = solve(pr.block(v).transpose(), psi.block(v).transpose())
-        if sol is None:
-            raise YExtError("map does not descend to the quotient")
-        blocks.append(sol.transpose())
-    return RepMap(pr.target, psi.target, tuple(blocks))
-
-
-def _into_subobject(incl: RepMap, zeta: RepMap) -> RepMap:
-    # corestriction: incl after result equals zeta
-    blocks = []
-    for v in range(1, incl.source.algebra.vertex_count + 1):
-        sol = solve(incl.block(v), zeta.block(v))
-        if sol is None:
-            raise YExtError("map does not land in the subobject")
-        blocks.append(sol)
-    return RepMap(zeta.source, incl.source, tuple(blocks))
 
 
 def _route_sign(n: int) -> int:
@@ -238,16 +214,14 @@ def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:
     r = sp.res.cx
     tw = c if _route_sign(n) == 1 else c.scale(-1)
     u0 = sp.representative(tw).comp(-n)
-    d0 = r.d(-n)
     ds = direct_sum([b, r.term(-n + 1)])
-    phi = rcompose(ds.injections[0], u0) - rcompose(ds.injections[1], d0)
-    x1, pr = cokernel(phi)
-    xi0 = rcompose(pr, ds.injections[0])
+    x1, pr = cokernel(block_map(r.term(-n), ds, [[u0], [-r.d(-n)]]))
+    xi0 = rcompose(pr, ds.injection(0))
     eps0 = sp.res.eps.comp(0)
+    nxt = eps0 if n == 1 else r.d(-n + 1)
+    xi1 = through_epi(pr, block_map(ds, nxt.target, [[None, nxt]]))
     if n == 1:
-        xi1 = _through_quotient(pr, rcompose(eps0, ds.projections[1]))
         return YExt(b, a, (x1,), (xi0, xi1))
-    xi1 = _through_quotient(pr, rcompose(r.d(-n + 1), ds.projections[1]))
     middle = (x1,) + tuple(r.term(k) for k in range(-n + 2, 1))
     maps = (xi0, xi1) + tuple(r.d(k) for k in range(-n + 2, 0)) + (eps0,)
     return YExt(b, a, middle, maps)
@@ -258,10 +232,9 @@ def pushout_action(g: RepMap, x: YExt) -> YExt:
     if g.source is not x.left:
         raise YExtError("pushout map must start at the left end")
     ds = direct_sum([g.target, x.middle[0]])
-    phi = rcompose(ds.injections[0], g) - rcompose(ds.injections[1], x.maps[0])
-    x1, pr = cokernel(phi)
-    xi0 = rcompose(pr, ds.injections[0])
-    xi1 = _through_quotient(pr, rcompose(x.maps[1], ds.projections[1]))
+    x1, pr = cokernel(block_map(x.left, ds, [[g], [-x.maps[0]]]))
+    xi0 = rcompose(pr, ds.injection(0))
+    xi1 = through_epi(pr, block_map(ds, x.maps[1].target, [[None, x.maps[1]]]))
     return YExt(g.target, x.right, (x1,) + x.middle[1:],
                 (xi0, xi1) + x.maps[2:])
 
@@ -271,12 +244,10 @@ def pullback_action(x: YExt, h: RepMap) -> YExt:
     if h.target is not x.right:
         raise YExtError("pullback map must end at the right end")
     ds = direct_sum([x.middle[-1], h.source])
-    theta = (rcompose(x.maps[-1], ds.projections[0])
-             - rcompose(h, ds.projections[1]))
-    k, incl = kernel(theta)
-    xi_last = rcompose(ds.projections[1], incl)
-    zeta = rcompose(ds.injections[0], x.maps[-2])
-    xi_prev = _into_subobject(incl, zeta)
+    k, incl = kernel(block_map(ds, x.right, [[x.maps[-1], -h]]))
+    xi_last = rcompose(ds.projection(1), incl)
+    zeta = block_map(x.maps[-2].source, ds, [[x.maps[-2]], [None]])
+    xi_prev = through_mono(incl, zeta)
     return YExt(x.left, h.source, x.middle[:-1] + (k,),
                 x.maps[:-2] + (xi_prev, xi_last))
 
@@ -294,26 +265,20 @@ def yoneda_product(x: YExt, y: YExt) -> YExt:
                 y.maps[:-1] + (junction,) + x.maps[1:])
 
 
-def _paired_sum_map(src, tgt, f0: RepMap, f1: RepMap) -> RepMap:
-    return (rcompose(tgt.injections[0], rcompose(f0, src.projections[0]))
-            + rcompose(tgt.injections[1], rcompose(f1, src.projections[1])))
-
-
 def baer_sum(x: YExt, y: YExt) -> YExt:
     """Sum of same-endpoint extensions; classes add."""
     if x.left is not y.left or x.right is not y.right or x.n != y.n:
         raise YExtError("Baer sum needs matching endpoints and equal length")
-    sums = [direct_sum([x.left, y.left])]
-    for xm, ym in zip(x.middle, y.middle):
-        sums.append(direct_sum([xm, ym]))
-    sums.append(direct_sum([x.right, y.right]))
-    maps = tuple(_paired_sum_map(sums[i], sums[i + 1], x.maps[i], y.maps[i])
-                 for i in range(len(x.maps)))
+    sums = [direct_sum([p, q]) for p, q in
+            zip((x.left,) + x.middle + (x.right,),
+                (y.left,) + y.middle + (y.right,))]
+    maps = tuple(block_map(sums[i], sums[i + 1], [[f, None], [None, g]])
+                 for i, (f, g) in enumerate(zip(x.maps, y.maps)))
     doubled = YExt(sums[0].rep, sums[-1].rep,
                    tuple(s.rep for s in sums[1:-1]), maps)
-    fold = sums[0].projections[0] + sums[0].projections[1]
+    fold = block_map(sums[0], x.left, [[ID, ID]])
     halved = pushout_action(fold, doubled)
-    diag = sums[-1].injections[0] + sums[-1].injections[1]
+    diag = block_map(x.right, sums[-1], [[ID], [ID]])
     return pullback_action(halved, diag)
 
 

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heartglue.algebra import build_algebra, make_quiver, Relation
+from heartglue.algebra import build_algebra, make_quiver
 from heartglue.linalg import RatMatrix
 from heartglue.reps import (
     Rep,
     RepMap,
-    compose as rcompose,
     hom_space,
     identity_map,
     kernel,

@@ -35,7 +35,6 @@ from heartglue.complexes import (
     cx_direct_sum,
     heart_cohomology,
     is_acyclic,
-    module_cx,
     shift,
 )
 from heartglue.derived import (

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heartglue.linalg import (
     RatMatrix,
-    block_diag,
+    block_matrix,
     complement_pivots,
     hstack,
     kernel_basis,
@@ -152,7 +152,14 @@ def test_stacking_and_blocks():
     b = RatMatrix([[3, 4]])
     assert vstack([a, b]) == RatMatrix([[1, 2], [3, 4]])
     assert hstack([a, b]) == RatMatrix([[1, 2, 3, 4]])
-    assert block_diag([a, b]) == RatMatrix([[1, 2, 0, 0], [0, 0, 3, 4]])
+    assert block_matrix([[a, None], [None, b]], [1, 1], [2, 2]) == RatMatrix(
+        [[1, 2, 0, 0], [0, 0, 3, 4]])
+    half = RatMatrix([[Fraction(1, 2)]])
+    mixed = block_matrix([[None, half], [a, None]], [1, 1], [2, 1])
+    assert mixed == RatMatrix([[0, 0, Fraction(1, 2)], [1, 2, 0]])
+    assert block_matrix([[None]], [2], [0]).shape == (2, 0)
+    with pytest.raises(ValueError):
+        block_matrix([[a]], [1], [3])
     m = RatMatrix([[Fraction(1, 2), 2, 3], [4, 5, 6]])
     assert m.take([1, 0], [2, 0]) == RatMatrix([[6, 4], [3, Fraction(1, 2)]])
     assert m.take(None, [1]) == RatMatrix([[2], [5]])

@@ -127,7 +127,10 @@ def test_stacking(r, widths, data):
     news = [p[0] for p in parts]
     olds = [p[1] for p in parts]
     assert agree(lin.hstack(news), ref.hstack(olds))
-    assert agree(lin.block_diag(news), ref.block_diag(olds))
+    diag = [[m if i == j else None for j, m in enumerate(news)]
+            for i in range(len(news))]
+    assert agree(lin.block_matrix(diag, [r] * len(news), widths),
+                 ref.block_diag(olds))
     flipped = [m.transpose() for m in news]
     assert agree(lin.vstack(flipped), ref.vstack([m.transpose() for m in olds]))
 

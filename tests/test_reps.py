@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from heartglue.algebra import build_algebra, make_quiver, Relation
 from heartglue.linalg import RatMatrix, rank
 from heartglue.reps import (
+    ID,
     Rep,
     RepMap,
     RepError,
+    block_map,
     compose,
     cokernel,
     direct_sum,
@@ -310,3 +312,84 @@ def test_kernel_image_rank_bookkeeping(data):
     for v in (1, 2):
         assert k.dim_at(v) + img.dim_at(v) == m.dim_at(v)
         assert img.dim_at(v) + c.dim_at(v) == n.dim_at(v)
+
+
+_SQ = build_algebra(
+    make_quiver(4, [("a", 1, 2), ("b", 1, 3), ("c", 2, 4), ("d", 3, 4)]),
+    [Relation.of([(1, ("a", "c")), (-1, ("b", "d"))])])
+# zero-dimensional parts: the shared zero module and a simple's zero pieces
+_POOL = ([zero_rep(_SQ)] + [simple(_SQ, i) for i in range(1, 5)]
+         + [projective(_SQ, i) for i in range(1, 5)])
+_HOMS = {(i, j): hom_space(a, b) for i, a in enumerate(_POOL)
+         for j, b in enumerate(_POOL)}
+
+
+def _ref_injection(parts, total, i) -> RepMap:
+    """Part i into the sum, from the block offsets alone."""
+    blocks = []
+    for v in range(4):
+        before = sum(p.dims[v] for p in parts[:i])
+        blocks.append(RatMatrix(
+            [[int(r == before + c) for c in range(parts[i].dims[v])]
+             for r in range(total.dims[v])], cols=parts[i].dims[v]))
+    return RepMap(parts[i], total, tuple(blocks))
+
+
+def _ref_projection(parts, total, i) -> RepMap:
+    inj = _ref_injection(parts, total, i)
+    return RepMap(total, parts[i], tuple(b.transpose() for b in inj.blocks))
+
+
+@st.composite
+def _block_grids(draw):
+    """Part lists for a source and a target sum and a grid between them
+    of random maps, None entries and (where the parts agree) ID."""
+    idx = st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=3)
+    src, tgt = draw(idx), draw(idx)
+    grid = []
+    for t in tgt:
+        row = []
+        for s in src:
+            kind = draw(st.sampled_from(
+                ["none", "map", "id"] if s == t else ["none", "map"]))
+            if kind == "id":
+                row.append(ID)
+            elif kind == "none":
+                row.append(None)
+            else:
+                g = zero_map(_POOL[s], _POOL[t])
+                for h in _HOMS[(s, t)]:
+                    g = g + h.scale(draw(st.integers(-2, 2)))
+                row.append(g)
+        grid.append(row)
+    return [_POOL[s] for s in src], [_POOL[t] for t in tgt], grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_grids(), st.booleans(), st.booleans())
+def test_block_map_is_the_sum_of_its_components(case, plain_src, plain_tgt):
+    sparts, tparts, grid = case
+    src = direct_sum(sparts)
+    tgt = direct_sum(tparts)
+    # a one-part sum may also be passed as the plain module
+    s_arg = sparts[0] if plain_src and len(sparts) == 1 else src
+    t_arg = tparts[0] if plain_tgt and len(tparts) == 1 else tgt
+    s_rep = sparts[0] if s_arg is sparts[0] else src.rep
+    t_rep = tparts[0] if t_arg is tparts[0] else tgt.rep
+    want = zero_map(s_rep, t_rep)
+    for i, row in enumerate(grid):
+        for j, g in enumerate(row):
+            if g is None:
+                continue
+            if g is ID:
+                g = identity_map(sparts[j])
+            inj = _ref_injection(tparts, t_rep, i)
+            proj = _ref_projection(sparts, s_rep, j)
+            want = want + compose(inj, compose(g, proj))
+    got = block_map(s_arg, t_arg, grid)
+    assert got.source is s_rep and got.target is t_rep
+    assert got.same_blocks(want)
+    for i in range(len(sparts)):
+        assert src.injection(i).same_blocks(
+            _ref_injection(sparts, src.rep, i))
+        assert src.projection(i) is src.projections[i]
