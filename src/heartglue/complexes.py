@@ -13,11 +13,13 @@ term as a reps.DirectSum, and their differentials, inclusions and
 projections, like the comparisons built out of a cone, are reps.block_maps.
 
 A differential or chain-map component missing from its dict is zero.
-Cx.d and CxMap.comp build that zero map on request, but the chain-map
-check here and the Hom-system assembly in derived read the dicts directly
-and never build it. A term missing from its dict is the zero module, and
-Cx.term returns the algebra's one shared zero module (reps.zero_rep) for
-it, so every complex over an algebra pads with the same object.
+Cx.d and CxMap.comp build that zero map on request; the checks here,
+which compare per-vertex block products (d^2 = 0, d f = f d) and read
+ranks (cohomology_dims), and the Hom systems in derived build no map or
+module. A missing term is the algebra's one zero module (reps.zero_rep).
+A shift is one object, kept in the unshifted complex's memo, so
+shift(shift(x, a), b) is shift(x, a + b); a module's complex, module_cx,
+is one object in the module's memo.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import PathAlgebraDesc, memo_field, memoised
+from .linalg import RatMatrix, rank
 from .reps import (
     DirectSum,
     Rep,
     RepMap,
     block_map,
     cokernel,
+    composite_blocks,
     direct_sum,
     exact_certificate,
     identity_map,
@@ -64,10 +68,9 @@ class Cx:
                 raise CxError(f"differential at {i} misses an endpoint term")
             if d.source is not self.terms[i] or d.target is not self.terms[i + 1]:
                 raise CxError(f"differential at {i} not anchored to the terms")
-        for i in self.diffs:
-            if (i + 1) in self.diffs:
-                if not rcompose(self.diffs[i + 1], self.diffs[i]).is_zero():
-                    raise CxError(f"d^2 != 0 at degree {i}")
+        for i, d in self.diffs.items():
+            if not _agree(_product(self.diffs.get(i + 1), d), None):
+                raise CxError(f"d^2 != 0 at degree {i}")
 
     def term(self, i: int) -> Rep:
         got = self.terms.get(i)
@@ -104,8 +107,9 @@ class Cx:
         return {i: self.terms[i].dims for i in self.degrees()}
 
 
-def module_cx(m: Rep, deg: int = 0) -> Cx:
-    return Cx(m.algebra, {deg: m}, {})
+def module_cx(m: Rep) -> Cx:
+    """m in degree 0; one complex per module, kept in its memo."""
+    return memoised(m, "cx", lambda: Cx(m.algebra, {0: m}, {}))
 
 
 def zero_cx(alg: PathAlgebraDesc) -> Cx:
@@ -113,13 +117,22 @@ def zero_cx(alg: PathAlgebraDesc) -> Cx:
 
 
 def shift(x: Cx, k: int) -> Cx:
+    """x[k], kept in the memo of the unshifted complex it records."""
+    base, j = x.memo.get("unshifted", (x, 0))
+    k += j
     if k == 0:
-        return x
+        return base
+    return memoised(base, ("shift", k), lambda: _shifted(base, k))
+
+
+def _shifted(x: Cx, k: int) -> Cx:
     terms = {i - k: t for i, t in x.terms.items()}
     sign = Fraction(-1) if k % 2 else Fraction(1)
     diffs = {i - k: (d if sign == 1 else d.scale(sign))
              for i, d in x.diffs.items()}
-    return Cx(x.algebra, terms, diffs)
+    out = Cx(x.algebra, terms, diffs)
+    out.memo["unshifted"] = (x, k)
+    return out
 
 
 def brutal_below(x: Cx, b: int) -> Cx:
@@ -146,15 +159,10 @@ class CxMap:
         degs = (set(self.source.terms) | set(self.target.terms)
                 | set(self.components))
         for i in degs:
-            lhs = _after(self.target.diffs.get(i), self.components.get(i))
-            rhs = _after(self.components.get(i + 1), self.source.diffs.get(i))
-            if lhs is None:
-                bad = rhs is not None and not rhs.is_zero()
-            elif rhs is None:
-                bad = not lhs.is_zero()
-            else:
-                bad = not (lhs - rhs).is_zero()
-            if bad:
+            lhs = _product(self.target.diffs.get(i), self.components.get(i))
+            rhs = _product(self.components.get(i + 1),
+                           self.source.diffs.get(i))
+            if not _agree(lhs, rhs):
                 raise CxError(f"not a chain map at degree {i}")
 
     def comp(self, i: int) -> RepMap:
@@ -184,11 +192,16 @@ class CxMap:
                      {i: c.scale(a) for i, c in self.components.items()})
 
 
-def _after(g: RepMap | None, f: RepMap | None) -> RepMap | None:
-    """g after f, or None when either factor is a missing (zero) map."""
-    if g is None or f is None:
-        return None
-    return rcompose(g, f)
+def _product(g: RepMap | None, f: RepMap | None) -> list[RatMatrix] | None:
+    """The per-vertex blocks of g after f; None if a factor is missing."""
+    return None if g is None or f is None else composite_blocks(g, f)
+
+
+def _agree(a: list[RatMatrix] | None, b: list[RatMatrix] | None) -> bool:
+    """Whether two per-vertex block lists are equal, None being zero."""
+    if a is None or b is None:
+        return all(m.is_zero() for m in (a or b or ()))
+    return a == b
 
 
 def _parallel(f: CxMap, g: CxMap) -> None:
@@ -199,7 +212,8 @@ def _parallel(f: CxMap, g: CxMap) -> None:
 def compose(g: CxMap, f: CxMap) -> CxMap:
     if f.target is not g.source:
         raise CxError("chain map composition endpoint mismatch")
-    comps = {i: rcompose(g.comp(i), c) for i, c in f.components.items()}
+    comps = {i: rcompose(g.components[i], c)
+             for i, c in f.components.items() if i in g.components}
     return CxMap(f.source, g.target, comps)
 
 
@@ -310,14 +324,19 @@ def heart_cohomology(x: Cx, i: int) -> Rep:
 
 
 def cohomology_dims(x: Cx) -> dict[int, tuple[int, ...]]:
+    """dim H^i e_v for each nonzero H^i: dim X^i_v - rank d^i_v -
+    rank d^{i-1}_v, as M -> M e_v is exact and d^2 = 0."""
     lo, hi = x.min_deg(), x.max_deg()
     if lo is None:
         return {}
+    ranks = {i: [rank(b) for b in d.blocks] for i, d in x.diffs.items()}
+    none = [0] * x.algebra.vertex_count
     out = {}
     for i in range(lo, hi + 1):
-        h = heart_cohomology(x, i)
-        if h.total_dim:
-            out[i] = h.dims
+        h = tuple(n - a - b for n, a, b in zip(
+            x.term(i).dims, ranks.get(i, none), ranks.get(i - 1, none)))
+        if any(h):
+            out[i] = h
     return out
 
 
@@ -329,8 +348,8 @@ def is_acyclic(x: Cx) -> bool:
 class Triangle:
     """left --f--> mid --g--> right --> left[1].
 
-    When present, comparison is a quasi-isomorphism cone(f) -> right
-    certifying the triangle is distinguished; cone_of_f carries that cone.
+    cone_of_f carries cone(f); the triangle is certified when right is
+    that cone, or comparison is a quasi-isomorphism cone(f) -> right.
     """
 
     left: Cx
@@ -342,8 +361,9 @@ class Triangle:
     cone_of_f: Cone | None = None
 
     def certified(self) -> bool:
+        c = self.cone_of_f
         if self.comparison is None:
-            return False
+            return c is not None and c.f is self.f and c.cx is self.right
         return is_acyclic(cone(self.comparison).cx)
 
 

@@ -12,11 +12,12 @@ unknowns and the space is zero; derived_hom answers that case from the
 degrees and dimensions alone, without building the space.
 
 Memo policy: each result is kept in the memo of the object it describes
-and nowhere else. A module's memo holds its complex (as_cx) and its
-resolution; a complex's memo holds its resolution and, keyed by
-(as_cx(y), n), the space Hom(x, y[n]). Keys are objects compared by
-identity, since classes, lifts and class_of check endpoints with `is`:
-only the objects of the first request hit. An entry dies with its object.
+and nowhere else. A module's memo holds its complex (module_cx) and its
+resolution; a complex's memo holds its resolution, its shifts (the shift
+memo, filled by complexes.shift) and, keyed by (as_cx(y), n), the space
+Hom(x, y[n]). Keys are objects compared by identity, since classes, lifts
+and class_of check endpoints with `is`: only the objects of the first
+request hit. An entry dies with its object.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .complexes import (
     identity_chain_map,
     module_cx,
     shift,
+    shift_map,
 )
 from .complexes import compose as ccompose
 from .linalg import (RatMatrix, block_matrix, hstack, kernel_basis,
@@ -67,7 +69,7 @@ def as_cx(obj) -> Cx:
     if isinstance(obj, Cx):
         return obj
     if isinstance(obj, Rep):
-        return memoised(obj, "cx", lambda: module_cx(obj))
+        return module_cx(obj)
     raise TypeError(f"not a module or complex: {obj!r}")
 
 
@@ -368,24 +370,13 @@ def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
 def _map_to_vector(u: CxMap, layout: _GenLayout) -> list[Fraction]:
     vec = [Fraction(0)] * layout.total
     for (k, c, v, pos) in layout.entries:
-        col = u.comp(k).block(v).col(pos)
+        comp = u.components.get(k)
+        if comp is None:
+            continue
         off = layout.offsets[(k, c)]
-        for i, val in enumerate(col):
+        for i, val in enumerate(comp.block(v).col(pos)):
             vec[off + i] = val
     return vec
-
-
-def reanchor(u: CxMap, src: Cx, tgt: Cx, by: int = 0) -> CxMap:
-    """The same blocks as a chain map src -> tgt, degrees moved by by.
-
-    Valid whenever src and tgt agree with u's endpoints shifted by -by,
-    degreewise up to zero padding.  Source and target shift together, so
-    no signs appear; blocks are placed positionally, which also survives
-    components anchored to a complex's padding zero terms."""
-    comps = {}
-    for k, c in u.components.items():
-        comps[k + by] = RepMap(src.term(k + by), tgt.term(k + by), c.blocks)
-    return CxMap(src, tgt, comps)
 
 
 def solve_lift(p: Cx, g: CxMap, r: CxMap, strict: bool = False
@@ -534,16 +525,7 @@ def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
     n, m = c1.space.n, c2.space.n
     target = dhom_space(c1.space.x, c2.space.y, n + m)
     u1 = c1.space.representative(c1)
-    ry = resolve_cx(c1.space.y)
-    r = reanchor(ry.eps, shift(ry.cx, n), c1.space.t, by=-n)
-    lifted, _ = solve_lift(c1.space.res.cx, u1, r)
+    eps = shift_map(resolve_cx(c1.space.y).eps, n)
+    lifted, _ = solve_lift(c1.space.res.cx, u1, eps)
     u2 = c2.space.representative(c2)
-    nv = c1.space.x.algebra.vertex_count
-    v_comps = {}
-    for k, comp in lifted.components.items():
-        step = u2.comp(k + n)
-        blocks = tuple(step.block(v) @ comp.block(v)
-                       for v in range(1, nv + 1))
-        v_comps[k] = RepMap(target.res.cx.term(k), target.t.term(k), blocks)
-    v = CxMap(target.res.cx, target.t, v_comps)
-    return target.class_of(v)
+    return target.class_of(ccompose(shift_map(u2, n), lifted))

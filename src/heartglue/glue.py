@@ -13,7 +13,7 @@ Glued truncation works on minimal projective models
 (derived.minimal_model): the object, the left remainder and the rotated
 aisle part are each reduced, so the complexes stay near their minimal size
 at every level of the nesting.  It returns A minimal, f: A -> X, and
-B = cone(f), certified by the identity comparison.
+B = cone(f) itself, so the triangle needs no comparison map.
 
 Aisles are described intensionally.  ``StandardAisle`` cuts cohomology at
 a fixed degree, ``AddGeneratedAisle`` takes nonnegative shifts of finitely
@@ -26,11 +26,9 @@ from dataclasses import dataclass
 
 from .reps import ID, block_map, simple
 from .complexes import (Cx, CxMap, Cone, Triangle, cohomology_dims,
-                        compose as ccompose, cone, cx_direct_sum,
-                        identity_chain_map, is_acyclic, shift, truncate_std,
-                        zero_cx)
-from .derived import (as_cx, derived_hom, dhom_space, minimal_model,
-                      reanchor, solve_lift)
+                        compose as ccompose, cone, cx_direct_sum, is_acyclic,
+                        shift, shift_map, truncate_std, zero_cx)
+from .derived import as_cx, derived_hom, dhom_space, minimal_model, solve_lift
 
 
 class GlueError(ValueError):
@@ -188,9 +186,8 @@ def _hom_parts(e: Cx, x: Cx) -> list[tuple[Cx, CxMap, int]]:
     for n, _ in _homs(e, x):
         sp = dhom_space(e, x, n)
         for cls in sp.basis():
-            u = sp.representative(cls)
-            p = shift(sp.res.cx, -n)
-            parts.append((p, reanchor(u, p, x, by=n), n))
+            u = shift_map(sp.representative(cls), -n)
+            parts.append((u.source, u, n))
     return parts
 
 
@@ -213,7 +210,7 @@ class AisleSpec:
 
     member tests containment in the aisle; truncate returns (A, B, tri)
     with A in the aisle, B in the complementary co-aisle shifted down,
-    and tri the triangle A -> X -> B carrying a comparison certificate.
+    and tri the triangle A -> X -> B, certified distinguished.
     """
 
     algebra = None
@@ -322,9 +319,7 @@ class AddGeneratedAisle(AisleSpec):
             raise GlueError("object is not generated by the aisle objects")
         a, f = _assemble(x, [t for t in every if t[2] <= 0])
         c = cone(f)
-        tri = Triangle(a, x, c.cx, f, c.incl,
-                       comparison=identity_chain_map(c.cx), cone_of_f=c)
-        return a, c.cx, tri
+        return a, c.cx, Triangle(a, x, c.cx, f, c.incl, cone_of_f=c)
 
     def heart_gens(self) -> tuple[Cx, ...]:
         return self._gens
@@ -392,8 +387,7 @@ class GluedAisle(AisleSpec):
         step runs on tagged complexes and resolve is the identity there;
         the left remainder is reduced again before the left truncation.
         The rotated cone A' -> m is reduced to A, and the result is
-        A -> X, the composite with the model map, and B = cone(A -> X)
-        with the identity comparison.
+        A -> X, the composite with the model map, and B = cone(A -> X).
         """
         m, q_x = minimal_model(x)
         v2, ev2, cproj = self._project(m)
@@ -405,23 +399,18 @@ class GluedAisle(AisleSpec):
         r = _cone_functorial(ca2, cproj, tri2.f)
         down, q_down = minimal_model(shift(x1, -1))
         a1, _, tri1 = self.left.truncate(down)
-        u_src = shift(a1, 1)
-        j = reanchor(ccompose(q_down, tri1.f), u_src, x1, by=-1)
+        j = shift_map(ccompose(q_down, tri1.f), 1)
         # lift the shifted left part through r; A1 is tagged (a minimal
         # model or a sum of resolutions), so the lift is solved on its
         # generator data directly
-        lifted, _ = solve_lift(u_src, j, r)
+        lifted, _ = solve_lift(j.source, j, r)
         q = ccompose(cone(lifted).incl, ca2.incl)
         # rotate m -> cone(q) back one step: A' = cone(q)[-1] -> m
-        cq = cone(q)
-        a = shift(cq.cx, -1)
-        f_m = -reanchor(cq.proj, a, m, by=1)
-        small, q_a = minimal_model(a)
+        f_m = -shift_map(cone(q).proj, -1)
+        small, q_a = minimal_model(f_m.source)
         f = ccompose(q_x, ccompose(f_m, q_a))
         c = cone(f)
-        tri = Triangle(small, x, c.cx, f, c.incl,
-                       comparison=identity_chain_map(c.cx), cone_of_f=c)
-        return small, c.cx, tri
+        return small, c.cx, Triangle(small, x, c.cx, f, c.incl, cone_of_f=c)
 
     def heart_gens(self) -> tuple[Cx, ...]:
         return self._hearts

@@ -162,8 +162,12 @@ def compose(g: RepMap, f: RepMap) -> RepMap:
     """g after f."""
     if f.target is not g.source:
         raise RepError("composition endpoint mismatch")
-    return RepMap(f.source, g.target,
-                  tuple(gb @ fb for gb, fb in zip(g.blocks, f.blocks)))
+    return RepMap(f.source, g.target, tuple(composite_blocks(g, f)))
+
+
+def composite_blocks(g: RepMap, f: RepMap) -> list[RatMatrix]:
+    """The per-vertex blocks of g after f, without building the map."""
+    return [gb @ fb for gb, fb in zip(g.blocks, f.blocks)]
 
 
 def identity_map(m: Rep) -> RepMap:
@@ -505,21 +509,21 @@ def filtration_inclusion(v: Rep, k: int) -> RepMap:
     return through_mono(upper, lower)
 
 
-def exact_certificate(f: RepMap, g: RepMap) -> None:
-    """Raise unless 0 -> source(f) -> source(g) -> target(g) -> 0 is exact."""
-    if f.target is not g.source:
-        raise RepError("sequence maps do not compose")
-    if not compose(g, f).is_zero():
-        raise RepError("g after f is not zero")
-    for v in range(1, f.source.algebra.vertex_count + 1):
-        rf = rank(f.block(v))
-        rg = rank(g.block(v))
-        if rf != f.source.dim_at(v):
-            raise RepError(f"first map not injective at vertex {v}")
-        if rg != g.target.dim_at(v):
-            raise RepError(f"second map not surjective at vertex {v}")
-        if rf + rg != g.source.dim_at(v):
-            raise RepError(f"rank gap at vertex {v}: not exact in the middle")
+def exact_certificate(*maps: RepMap) -> None:
+    """Raise unless 0 -> maps[0].source -> ... -> maps[-1].target -> 0 is
+    exact: consecutive maps compose to zero on their blocks, and at every
+    vertex the ranks into and out of each term add up to its dimension."""
+    for i, (f, g) in enumerate(zip(maps, maps[1:])):
+        if f.target is not g.source:
+            raise RepError("sequence maps do not compose")
+        if not all(b.is_zero() for b in composite_blocks(g, f)):
+            raise RepError(f"composite of maps {i},{i + 1} is nonzero")
+    terms = (maps[0].source,) + tuple(f.target for f in maps)
+    for v in range(1, maps[0].source.algebra.vertex_count + 1):
+        ranks = [0] + [rank(f.block(v)) for f in maps] + [0]
+        for i, t in enumerate(terms):
+            if ranks[i] + ranks[i + 1] != t.dim_at(v):
+                raise RepError(f"not exact at term {i}, vertex {v}")
 
 
 def top_generators(m: Rep) -> list[tuple[int, RatMatrix]]:

@@ -29,14 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import RatMatrix, rank, span_membership
-from .reps import (ID, Rep, RepMap, block_map, cokernel, direct_sum,
-                   identity_map, image, kernel, through_epi, through_mono,
-                   zero_map, zero_rep)
+from .reps import (ID, Rep, RepError, RepMap, block_map, cokernel,
+                   direct_sum, exact_certificate, identity_map, image, kernel,
+                   through_epi, through_mono, zero_map, zero_rep)
 from .reps import compose as rcompose
 from .complexes import Cx, CxMap, ses_to_triangle
 from .complexes import compose as ccompose
 from .derived import (DHomClass, as_cx, compose_classes, dhom_space,
-                      reanchor, solve_lift)
+                      solve_lift)
 
 
 class YExtError(ValueError):
@@ -49,9 +49,7 @@ class YExt:
 
     maps[0] leaves `left`, maps[-1] lands in `right`, and maps[i] for
     0 < i < n runs middle[i-1] -> middle[i].  Exactness at every spot is
-    certified on construction: consecutive composites vanish and the
-    per-vertex ranks of incoming and outgoing maps add up to the middle
-    dimension; the first map must be injective and the last surjective.
+    certified on construction by reps.exact_certificate.
     """
 
     left: Rep
@@ -68,20 +66,10 @@ class YExt:
         for i, f in enumerate(self.maps):
             if f.source is not chain[i] or f.target is not chain[i + 1]:
                 raise YExtError(f"map {i} does not match the stored terms")
-        for i in range(len(self.maps) - 1):
-            if not rcompose(self.maps[i + 1], self.maps[i]).is_zero():
-                raise YExtError(f"composite of maps {i},{i+1} is nonzero")
-        nv = self.left.algebra.vertex_count
-        for v in range(1, nv + 1):
-            if rank(self.maps[0].block(v)) != self.left.dim_at(v):
-                raise YExtError("leftmost map is not injective")
-            if rank(self.maps[-1].block(v)) != self.right.dim_at(v):
-                raise YExtError("rightmost map is not surjective")
-            for i, m in enumerate(self.middle):
-                got = (rank(self.maps[i].block(v))
-                       + rank(self.maps[i + 1].block(v)))
-                if got != m.dim_at(v):
-                    raise YExtError(f"sequence is not exact at middle term {i}")
+        try:
+            exact_certificate(*self.maps)
+        except RepError as err:
+            raise YExtError(str(err)) from None
 
     @property
     def n(self) -> int:
@@ -147,10 +135,9 @@ def _connecting(f: RepMap, g: RepMap) -> DHomClass:
     """
     tri = ses_to_triangle(f, g)
     sp = dhom_space(g.target, f.source, 1)
-    eps = reanchor(sp.res.eps, sp.res.cx, tri.right)
-    u, _ = solve_lift(sp.res.cx, eps, tri.comparison)
-    delta = ccompose(tri.cone_of_f.proj, u)
-    return sp.class_of(reanchor(delta, sp.res.cx, sp.t))
+    # tri.right is as_cx(Q) and the projection lands in as_cx(K)[1] = sp.t
+    u, _ = solve_lift(sp.res.cx, sp.res.eps, tri.comparison)
+    return sp.class_of(ccompose(tri.cone_of_f.proj, u))
 
 
 def f_map(x: YExt) -> DHomClass:
@@ -187,8 +174,7 @@ def f_map_via_quasi_iso(x: YExt) -> DHomClass:
     sp = dhom_space(x.right, x.left, n)
     q = CxMap(w, as_cx(x.right), {0: x.maps[n]})
     pi = CxMap(w, sp.t, {-n: identity_map(x.left)})
-    eps = reanchor(sp.res.eps, sp.res.cx, as_cx(x.right))
-    u, _ = solve_lift(sp.res.cx, eps, q)
+    u, _ = solve_lift(sp.res.cx, sp.res.eps, q)
     cls = sp.class_of(ccompose(pi, u))
     return cls if _route_sign(n) == 1 else cls.scale(-1)
 

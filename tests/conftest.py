@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import Cx, CxMap
 from heartglue.derived import derived_hom, dhom_space
 from heartglue.glue import _scan_range
-from heartglue.reps import RepMap, compose as rcompose, generator_positions
+from heartglue.linalg import RatMatrix
+from heartglue.reps import (RepMap, compose as rcompose, generator_positions,
+                            map_from_generators, projective_sum)
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +64,21 @@ def class_of_module_map(f: RepMap):
                    {i: RepMap(sp.res.cx.term(i), sp.t.term(i), m.blocks)
                     for i, m in comps.items()})
     return sp.class_of(lifted)
+
+
+def random_sum(data, alg, min_size=0):
+    """A random tagged sum of at most three indecomposable projectives."""
+    vertices = st.integers(1, alg.vertex_count)
+    return projective_sum(alg, data.draw(
+        st.lists(vertices, min_size=min_size, max_size=3)))
+
+
+def random_map(data, p, q):
+    """A random module map between tagged projective sums."""
+    entries = st.integers(-2, 2)
+    return map_from_generators(p, q, [
+        RatMatrix.column([data.draw(entries) for _ in range(q.dim_at(v))])
+        for v in p.proj_gens])
 
 
 def is_minimal(x: Cx) -> bool:

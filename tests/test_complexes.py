@@ -5,11 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_map, random_sum
 from heartglue.algebra import build_algebra, make_quiver
+from heartglue.derived import DHomClass, as_cx, dhom_space
 from heartglue.linalg import RatMatrix
 from heartglue.reps import (
     Rep,
     RepMap,
+    block_map,
+    direct_sum,
+    exact_certificate,
     hom_space,
     identity_map,
     kernel,
@@ -19,6 +24,7 @@ from heartglue.reps import (
     zero_map,
     zero_rep,
 )
+from heartglue.reps import compose as rcompose
 from heartglue.complexes import (
     Cx,
     CxError,
@@ -32,6 +38,7 @@ from heartglue.complexes import (
     identity_chain_map,
     is_acyclic,
     module_cx,
+    Triangle,
     ses_to_triangle,
     shift,
     shift_map,
@@ -346,3 +353,93 @@ def test_complexes_share_one_zero_module(a2, monkeypatch):
     assert built == []
     assert x.term(99) is y.term(99) is z.term(99) is zero_rep(a2)
     assert zero_rep(a2).total_dim == 0 and zero_rep(a2).proj_gens == ()
+
+
+def test_shifts_and_module_complexes_are_one_object_each(a2):
+    p1, p2 = projective(a2, 1), projective(a2, 2)
+    f = hom_space(p1, p2)[0]
+    x = two_term(a2, f)
+    assert shift(shift(x, 2), -1) is shift(x, 1)
+    assert shift(shift(x, 3), -3) is x
+    assert shift(shift(x, -1), 1) is x
+    assert module_cx(p2) is as_cx(p2)
+    q = RepMap(p2, simple(a2, 2), (RatMatrix.zeros(0, 1),
+                                   RatMatrix.identity(1)))
+    k, incl = kernel(q)
+    tri = ses_to_triangle(incl, q)
+    assert tri.right is as_cx(q.target)
+    assert tri.left is as_cx(k)
+    assert tri.cone_of_f.shifted is shift(as_cx(k), 1)
+
+
+def _cohomology_modules(x):
+    """The dimensions of each nonzero H^i, each H^i built as a module."""
+    degs = x.degrees()
+    if not degs:
+        return {}
+    hs = {i: heart_cohomology(x, i) for i in range(degs[0], degs[-1] + 1)}
+    return {i: h.dims for i, h in hs.items() if h.total_dim}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cohomology_dims_match_the_cohomology_modules(kron, a3rel,
+                                                      commsquare, data):
+    alg = data.draw(st.sampled_from([kron, a3rel, commsquare]))
+    p, q = random_sum(data, alg), random_sum(data, alg)
+    a = random_map(data, p, q)
+    two = Cx(alg, {-1: p, 0: q}, {-1: a})
+    # P -> Q + Q' -> R with (a, c a) and (-b c, b): the composite vanishes
+    q2, r = random_sum(data, alg), random_sum(data, alg)
+    c, b = random_map(data, q, q2), random_map(data, q2, r)
+    mid = direct_sum([q, q2])
+    three = Cx(alg, {-1: p, 0: mid.rep, 1: r}, {
+        -1: block_map(p, mid, [[a], [rcompose(c, a)]]),
+        0: block_map(mid, r, [[-rcompose(b, c), b]])})
+    xs = [two, three]
+    sp = dhom_space(two, three, data.draw(st.integers(-1, 1)))
+    if sp.dim:
+        coords = tuple(Fraction(data.draw(st.integers(-2, 2)))
+                       for _ in range(sp.dim))
+        xs.append(cone(sp.representative(DHomClass(sp, coords))).cx)
+    for x in xs:
+        want = _cohomology_modules(x)
+        assert cohomology_dims(x) == want
+        assert is_acyclic(x) == (not want)
+
+
+def test_checks_build_no_module_maps(kron, monkeypatch):
+    p1, p2 = projective(kron, 1), projective(kron, 2)
+    ds = direct_sum([p1, p1])
+    g = block_map(ds, p2, [[hom_space(p1, p2)[0]] * 2])
+    k, incl = kernel(g)
+    q, proj = cokernel(g)
+    ids = {i: identity_map(t) for i, t in enumerate((k, ds.rep, p2, q))}
+    built = []
+    validate = RepMap.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(RepMap, "__post_init__", counting)
+    x = Cx(kron, {0: k, 1: ds.rep, 2: p2, 3: q}, {0: incl, 1: g, 2: proj})
+    CxMap(x, x, ids)
+    assert cohomology_dims(x) == {}
+    assert cohomology_dims(brutal_below(x, 3)) == {2: q.dims}
+    assert built == []
+    exact_certificate(incl, g, proj)
+    assert built == []
+
+
+def test_triangle_on_its_cone_is_certified_without_a_comparison(a2):
+    p1, p2 = projective(a2, 1), projective(a2, 2)
+    f = CxMap(module_cx(p1), module_cx(p2), {0: hom_space(p1, p2)[0]})
+    c = cone(f)
+    assert Triangle(f.source, f.target, c.cx, f, c.incl,
+                    cone_of_f=c).certified()
+    # a cone of another map, or none at all, certifies nothing
+    other = cone(f.scale(2))
+    assert not Triangle(f.source, f.target, other.cx, f, other.incl,
+                        cone_of_f=other).certified()
+    assert not Triangle(f.source, f.target, c.cx, f, c.incl).certified()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import is_minimal
+from conftest import is_minimal, random_map, random_sum
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.glue import _scan_range
 from heartglue.jsonio import load_algebra
@@ -457,20 +457,6 @@ def test_minimal_model_on_random_two_term_complexes(data):
     assert again.dims_table() == small.dims_table()
 
 
-def _random_sum(data, alg, min_size=0):
-    vertices = st.integers(1, alg.vertex_count)
-    return projective_sum(alg, data.draw(
-        st.lists(vertices, min_size=min_size, max_size=3)))
-
-
-def _random_map(data, p, q):
-    """A random module map between tagged projective sums."""
-    entries = st.integers(-2, 2)
-    return map_from_generators(p, q, [
-        RatMatrix.column([data.draw(entries) for _ in range(q.dim_at(v))])
-        for v in p.proj_gens])
-
-
 def _random_automorphism(data, t):
     """A random automorphism of the tagged sum t and its inverse: each
     copy generator goes to itself plus anything in the earlier copies."""
@@ -496,12 +482,12 @@ def test_minimal_model_on_random_tagged_complexes(kron, a3rel, commsquare,
         k = data.draw(st.integers(-1, 1))
         if data.draw(st.booleans()):
             # a cone of an identity: contractible, all units
-            p = _random_sum(data, alg, min_size=1)
+            p = random_sum(data, alg, min_size=1)
             q = projective_sum(alg, p.proj_gens)
             d = RepMap(p, q, identity_map(p).blocks)
         else:
-            p, q = _random_sum(data, alg), _random_sum(data, alg)
-            d = _random_map(data, p, q)
+            p, q = random_sum(data, alg), random_sum(data, alg)
+            d = random_map(data, p, q)
         pieces.append(Cx(alg, {k: p, k + 1: q}, {k: d}))
     s = cx_direct_sum(pieces).cx
     # mix the pieces by an automorphism of every term
@@ -530,15 +516,32 @@ def test_memo_entries_are_freed_with_their_complex(kron):
     assert dead_sp() is None
 
 
+def test_shifts_in_the_shift_memo_are_freed_with_their_base(kron):
+    base = as_cx(simple(kron, 2))
+    x = shift(shift(base, 3), -2)
+    assert x is shift(base, 1)
+    y = shift(as_cx(simple(kron, 1)), -2)
+    sp = dhom_space(x, y, 4)
+    assert sp.dim == 2 and sp.t is shift(as_cx(y), 4)
+    dead = [weakref.ref(o) for o in (base, x, y, sp)]
+    del base, x, y, sp
+    gc.collect()
+    assert [r() for r in dead] == [None] * 4
+
+
 def test_equal_complexes_built_apart_get_their_own_spaces(kron):
+    # one complex shifted twice is one object, so the equal complexes
+    # are built from modules built apart
     s1, s2 = simple(kron, 1), simple(kron, 2)
-    x1, x2 = shift(as_cx(s2), 1), shift(as_cx(s2), 1)
+    x1 = shift(as_cx(simple(kron, 2)), 1)
+    x2 = shift(as_cx(simple(kron, 2)), 1)
     sp1, sp2 = dhom_space(x1, s1, 2), dhom_space(x2, s1, 2)
     assert sp1 is not sp2
     assert sp1.x is x1 and sp2.x is x2
     assert sp1.dim == sp2.dim == 2
     # the target side is keyed by identity as well
-    y1, y2 = shift(as_cx(s1), -1), shift(as_cx(s1), -1)
+    y1 = shift(as_cx(simple(kron, 1)), -1)
+    y2 = shift(as_cx(simple(kron, 1)), -1)
     assert dhom_space(s2, y1, 1) is not dhom_space(s2, y2, 1)
     # a representative of one space is foreign to the other
     with pytest.raises(LiftError, match="not anchored"):

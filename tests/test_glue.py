@@ -67,7 +67,8 @@ def regular_kron_module(kron):
 
 def truncate_checked(aisle, x):
     """aisle.truncate(x), checking that A is minimal and B lies in the
-    co-aisle; the identity comparison alone would certify any A -> X."""
+    co-aisle; B is cone(f) itself, which certifies the triangle for any
+    A -> X."""
     a, b, tri = aisle.truncate(x)
     assert is_minimal(a)
     assert in_coaisle(aisle, b)

@@ -225,6 +225,28 @@ def test_exactness_certificate(a2):
         exact_certificate(z, q)
 
 
+def _four_term(kron):
+    """0 -> K -> P1 + P1 -> P2 -> Q -> 0 for the map (a, a) into P2."""
+    p1, p2 = projective(kron, 1), projective(kron, 2)
+    ds = direct_sum([p1, p1])
+    g = block_map(ds, p2, [[hom_space(p1, p2)[0]] * 2])
+    _, incl = kernel(g)
+    _, proj = cokernel(g)
+    return incl, g, proj
+
+
+def test_exactness_certificate_on_four_terms(kron):
+    incl, g, proj = _four_term(kron)
+    assert incl.source.dims == (1, 0) and proj.target.dims == (1, 1)
+    exact_certificate(incl, g, proj)
+    # a zero middle map keeps every composite zero but leaves the
+    # homology ker 0 / im incl at P1 + P1
+    with pytest.raises(RepError, match="not exact at term 1"):
+        exact_certificate(incl, zero_map(g.source, g.target), proj)
+    with pytest.raises(RepError, match="composite of maps 1,2"):
+        exact_certificate(incl, g, identity_map(g.target))
+
+
 def test_projective_cover_of_simple(a3rel):
     for i in (1, 2, 3):
         s = simple(a3rel, i)
