@@ -204,7 +204,12 @@ class _Rewriter:
 
 @dataclass(frozen=True, eq=False)
 class PathAlgebraDesc:
-    """Finite-dimensional path algebra with a fixed residue-path basis."""
+    """Finite-dimensional path algebra with a fixed residue-path basis.
+
+    memo holds, from construction, the basis index of each path
+    ("index"), the basis paths between two vertices ("between") and the
+    relation rewriter ("rewriter").
+    """
 
     quiver: Quiver
     relations: tuple[Relation, ...]
@@ -212,14 +217,13 @@ class PathAlgebraDesc:
     memo: dict = memo_field()
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {
-            (p.source, p.arrows): i for i, p in enumerate(self.basis)})
         between: dict[tuple[int, int], list[BasisPath]] = {}
         for p in self.basis:
             between.setdefault((p.source, p.target), []).append(p)
-        object.__setattr__(self, "_between",
-                           {ij: tuple(ps) for ij, ps in between.items()})
-        object.__setattr__(self, "_rewriter", _Rewriter(self.quiver, self.relations))
+        self.memo.update(
+            index={(p.source, p.arrows): i for i, p in enumerate(self.basis)},
+            between={ij: tuple(ps) for ij, ps in between.items()},
+            rewriter=_Rewriter(self.quiver, self.relations))
 
     @property
     def dim(self) -> int:
@@ -230,7 +234,7 @@ class PathAlgebraDesc:
         return self.quiver.vertex_count
 
     def index_of(self, source: int, arrows: tuple[str, ...]) -> int:
-        return self._index[(source, arrows)]
+        return self.memo["index"][(source, arrows)]
 
     def idempotent(self, i: int) -> int:
         """Basis index of the length-0 path e_i."""
@@ -242,13 +246,13 @@ class PathAlgebraDesc:
         """Basis residues with source i and target j (the space p_j A p_i)."""
         if not (1 <= i <= self.vertex_count and 1 <= j <= self.vertex_count):
             raise AlgebraError("vertex out of range")
-        return self._between.get((i, j), ())
+        return self.memo["between"].get((i, j), ())
 
     def reduce_path(self, source: int, arrows: tuple[str, ...]) -> dict[int, Fraction]:
         """Residue of a composable path as coefficients over the basis."""
         if not arrows:
             return {self.idempotent(source): Fraction(1)}
-        combo = self._rewriter.reduce_word(arrows)
+        combo = self.memo["rewriter"].reduce_word(arrows)
         out: dict[int, Fraction] = {}
         for p, c in combo.items():
             out[self.index_of(source, p)] = c

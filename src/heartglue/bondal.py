@@ -53,7 +53,8 @@ class EndAlgebra:
     The basis is grouped by (source, target) position: one identity per
     diagonal and the canonical degree-zero classes off the diagonal.
     Products follow the path-algebra convention x*y = "y first, then x".
-    memo keeps each basis product once computed, keyed by (a, b).
+    memo keeps each basis product once computed, keyed by (a, b), and,
+    under "pairs", the basis indices of each (source, target) pair.
     """
 
     objects: tuple[Cx, ...]
@@ -65,8 +66,7 @@ class EndAlgebra:
         pairs: dict[tuple[int, int], list[int]] = {}
         for k, e in enumerate(self.elements):
             pairs.setdefault((e.i, e.j), []).append(k)
-        object.__setattr__(self, "_pairs",
-                           {p: tuple(v) for p, v in pairs.items()})
+        self.memo["pairs"] = {p: tuple(v) for p, v in pairs.items()}
 
     @property
     def dim(self) -> int:
@@ -77,7 +77,7 @@ class EndAlgebra:
         return len(self.objects)
 
     def pair(self, i: int, j: int) -> tuple[int, ...]:
-        return self._pairs.get((i, j), ())
+        return self.memo["pairs"].get((i, j), ())
 
     def unit_index(self, i: int) -> int:
         return self.pair(i, i)[0]

@@ -1,9 +1,13 @@
 """Projective resolutions and morphism spaces in the bounded derived category.
 
 Every object is replaced by a quasi-isomorphic bounded-above complex of
-tagged projective sums. Maps out of such a complex are free on the copy
-generators, so chain maps, homotopies, and lifts all reduce to finite
-linear systems over the generator data. Hom(X, Y[n]) is computed as chain
+tagged projective sums. A resolution is its augmentation map: resolve(x)
+is the quasi-isomorphism eps: R -> as_cx(x), and R is eps.source. Maps
+out of R are free on the copy generators, so chain maps, homotopies, and
+lifts all reduce to finite linear systems over the generator data, which
+is one RatMatrix column in _GenLayout order: a block per copy generator,
+degree by degree. The systems are block matrices of the differentials'
+and the maps' vertex blocks. Hom(X, Y[n]) is computed as chain
 maps R_X -> shift(Y, n) modulo null-homotopic ones, with a canonical
 coordinate system fixed by row reduction; composition lifts through the
 resolution of the middle object. When no copy generator of R_X meets a
@@ -12,8 +16,8 @@ unknowns and the space is zero; derived_hom answers that case from the
 degrees and dimensions alone, without building the space.
 
 Memo policy: each result is kept in the memo of the object it describes
-and nowhere else. A module's memo holds its complex (module_cx) and its
-resolution; a complex's memo holds its resolution, its shifts (the shift
+and nowhere else. A module's memo holds its complex (module_cx); a
+complex's memo holds its resolution, its shifts (the shift
 memo, filled by complexes.shift) and, keyed by (as_cx(y), n), the space
 Hom(x, y[n]). Keys are objects compared by identity, since classes, lifts
 and class_of check endpoints with `is`: only the objects of the first
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .algebra import memoised
 from .complexes import (
@@ -43,6 +48,7 @@ from .reps import (
     Rep,
     RepMap,
     block_map,
+    copy_rows,
     eval_columns,
     generator_positions,
     kernel,
@@ -57,13 +63,6 @@ class LiftError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Resolution:
-    cx: Cx
-    eps: CxMap
-    target: Cx
-
-
 def as_cx(obj) -> Cx:
     """The object as a complex; modules are placed in degree 0, once."""
     if isinstance(obj, Cx):
@@ -73,87 +72,56 @@ def as_cx(obj) -> Cx:
     raise TypeError(f"not a module or complex: {obj!r}")
 
 
-def resolve_rep(m: Rep) -> Resolution:
-    return memoised(m, "resolution", lambda: _resolve_module(m))
+def resolve(obj) -> CxMap:
+    """The augmentation eps: R -> as_cx(obj) of a bounded-above complex R
+    of tagged projective sums; R is eps.source. Kept in as_cx(obj).memo."""
+    x = as_cx(obj)
+    return memoised(x, "resolution", lambda: _resolve(x))
 
 
-def _resolve_module(m: Rep) -> Resolution:
-    target = as_cx(m)
-    if m.proj_gens is not None:
-        return Resolution(target, identity_chain_map(target), target)
-    if m.total_dim == 0:
-        r = Cx(m.algebra, {}, {})
-        return Resolution(r, CxMap(r, target, {}), target)
-    cover, pi = projective_cover(m)
-    terms = {0: cover}
-    diffs: dict[int, RepMap] = {}
-    ker_rep, incl = kernel(pi)
-    deg = 0
-    while ker_rep.total_dim:
-        if deg < -(m.algebra.vertex_count + 2):
-            raise LiftError("resolution exceeded the global bound")
-        q, piq = projective_cover(ker_rep)
-        diffs[deg - 1] = rcompose(incl, piq)
-        terms[deg - 1] = q
-        ker_rep, incl = kernel(piq)
-        deg -= 1
-    cx = Cx(m.algebra, terms, diffs)
-    return Resolution(cx, CxMap(cx, target, {0: pi}), target)
-
-
-def resolve_cx(x: Cx) -> Resolution:
-    return memoised(x, "resolution", lambda: _resolve_complex(x))
-
-
-def _resolve_complex(x: Cx) -> Resolution:
+def _resolve(x: Cx) -> CxMap:
     if x.is_tagged():
-        return Resolution(x, identity_chain_map(x), x)
+        return identity_chain_map(x)
     degs = x.degrees()
     if not degs:
-        r = Cx(x.algebra, {}, {})
-        return Resolution(r, CxMap(r, x, {}), x)
-    if len(degs) == 1:
-        b = degs[0]
-        rm = resolve_rep(x.terms[b])
-        rcxs = shift(rm.cx, -b)
-        return Resolution(rcxs, CxMap(rcxs, x, {b: rm.eps.comp(0)}), x)
+        return CxMap(Cx(x.algebra, {}, {}), x, {})
     b = degs[-1]
+    if len(degs) == 1:
+        m = x.terms[b]
+        if x is not as_cx(m):
+            eps = resolve(m)
+            return CxMap(shift(eps.source, -b), x, {b: eps.comp(0)})
+        # the module in degree 0: resolve it by projective covers
+        cover, pi = projective_cover(m)
+        terms = {0: cover}
+        diffs: dict[int, RepMap] = {}
+        ker_rep, incl = kernel(pi)
+        deg = 0
+        while ker_rep.total_dim:
+            if deg < -(m.algebra.vertex_count + 2):
+                raise LiftError("resolution exceeded the global bound")
+            q, piq = projective_cover(ker_rep)
+            diffs[deg - 1] = rcompose(incl, piq)
+            terms[deg - 1] = q
+            ker_rep, incl = kernel(piq)
+            deg -= 1
+        return CxMap(Cx(m.algebra, terms, diffs), x, {0: pi})
     below = brutal_below(x, b)
     a = shift(below, -1)
     bprime = Cx(x.algebra, {b: x.terms[b]}, {})
-    if (b - 1) in x.diffs:
-        w = CxMap(a, bprime, {b: x.diffs[b - 1]})
-    else:
-        w = CxMap(a, bprime, {})
-    ra = resolve_cx(a)
-    rb = resolve_cx(bprime)
-    g = ccompose(w, ra.eps)
-    wt, _ = solve_lift(ra.cx, g, rb.eps, strict=True)
+    w = CxMap(a, bprime, {b: x.diffs[b - 1]} if b - 1 in x.diffs else {})
+    ra = resolve(a)
+    rb = resolve(bprime)
+    g = ccompose(w, ra)
+    wt, _ = solve_lift(ra.source, g, rb, strict=True)
     co = cone(wt)
     comps = {}
     for k, s in co.sums.items():
-        # ra.eps lands in a.term(k + 1) = x.term(k), rb.eps in degree b only
-        grid = [[ra.eps.components.get(k + 1), rb.eps.components.get(k)]]
+        # ra lands in a.term(k + 1) = x.term(k), rb in degree b only
+        grid = [[ra.components.get(k + 1), rb.components.get(k)]]
         if grid[0] != [None, None]:
             comps[k] = block_map(s, x.term(k), grid)
-    return Resolution(co.cx, CxMap(co.cx, x, comps), x)
-
-
-def resolve(obj) -> Resolution:
-    if isinstance(obj, Rep):
-        return resolve_rep(obj)
-    return resolve_cx(as_cx(obj))
-
-
-def _copy_rows(alg, gens: tuple[int, ...], j: int) -> list[range]:
-    """Basis indices at vertex j of each copy of the projective sum on
-    gens, which lays its basis out copy by copy."""
-    out, off = [], 0
-    for v in gens:
-        n = len(alg.paths_between(j, v))
-        out.append(range(off, off + n))
-        off += n
-    return out
+    return CxMap(co.cx, x, comps)
 
 
 def _split(copies: list[range], drop: set[int]) -> tuple[list[int], list[int]]:
@@ -189,8 +157,8 @@ def minimal_model(x) -> tuple[Cx, CxMap]:
     the inclusion is tracked.  A tagged input with nothing to cancel comes
     back as itself with its identity.
     """
-    res = resolve(x)
-    r = res.cx
+    eps = resolve(x)
+    r = eps.source
     alg = r.algebra
     gens = {k: t.proj_gens for k, t in r.terms.items()}
     diffs = {k: list(d.blocks) for k, d in r.diffs.items()}
@@ -204,7 +172,7 @@ def minimal_model(x) -> tuple[Cx, CxMap]:
         for v in set(src) & set(tgt):
             cs = [c for c, w in enumerate(src) if w == v]
             ct = [c for c, w in enumerate(tgt) if w == v]
-            at_s, at_t = _copy_rows(alg, src, v), _copy_rows(alg, tgt, v)
+            at_s, at_t = copy_rows(alg, src, v), copy_rows(alg, tgt, v)
             # each copy of P_v has its generator first at vertex v
             s = diffs[k][v - 1].take([at_t[c][0] for c in ct],
                                      [at_s[c][0] for c in cs])
@@ -216,10 +184,10 @@ def minimal_model(x) -> tuple[Cx, CxMap]:
         if not drop_s:
             continue
         for j in range(1, alg.vertex_count + 1):
-            sk, sd = _split(_copy_rows(alg, src, j), drop_s)
+            sk, sd = _split(copy_rows(alg, src, j), drop_s)
             if not sd:
                 continue
-            tk, td = _split(_copy_rows(alg, tgt, j), drop_t)
+            tk, td = _split(copy_rows(alg, tgt, j), drop_t)
             d = diffs[k][j - 1]
             back = solve(d.take(td, sd), d.take(td, sk))  # phi^-1 d21
             if back is None:
@@ -235,7 +203,7 @@ def minimal_model(x) -> tuple[Cx, CxMap]:
         gens[k] = tuple(v for c, v in enumerate(src) if c not in drop_s)
         gens[k + 1] = tuple(v for c, v in enumerate(tgt) if c not in drop_t)
     if all(len(g) == len(r.terms[k].proj_gens) for k, g in gens.items()):
-        return r, res.eps
+        return r, eps
     terms = {}
     for k, g in gens.items():
         if g:
@@ -248,32 +216,35 @@ def minimal_model(x) -> tuple[Cx, CxMap]:
         and not all(b.is_zero() for b in blocks)})
     into = CxMap(reduced, r, {k: RepMap(t, r.terms[k], tuple(incl[k]))
                               for k, t in terms.items()})
-    if r is res.target:
+    if r is eps.target:
         return reduced, into
-    return reduced, ccompose(res.eps, into)
+    return reduced, ccompose(eps, into)
 
 
 class _GenLayout:
-    """Column layout for the per-generator data of maps out of a tagged
-    complex r, targeting term degree k + delta of the complex t."""
+    """Generator data for maps out of a tagged complex r into the terms
+    t^{k + delta}: one column, a block per copy generator of r in degree
+    order, of the dimension of t^{k + delta} at the generator's vertex."""
 
     def __init__(self, r: Cx, t: Cx, delta: int):
         self.delta = delta
-        self.entries: list[tuple[int, int, int, int]] = []
-        self.offsets: dict[tuple[int, int], int] = {}
-        self.degree_start: dict[int, int] = {}
-        off = 0
+        self.entries: list[tuple[int, int, int, int]] = []  # (k, c, v, pos)
+        self.sizes: list[int] = []
+        self.first: dict[int, int] = {}  # degree -> its first block
         for k in sorted(r.terms):
             term = r.terms[k]
             if term.proj_gens is None:
                 raise LiftError("layout needs a tagged complex")
-            self.degree_start[k] = off
+            self.first[k] = len(self.entries)
             for (c, v, pos) in generator_positions(term):
-                size = t.term(k + delta).dim_at(v)
                 self.entries.append((k, c, v, pos))
-                self.offsets[(k, c)] = off
-                off += size
-        self.total = off
+                self.sizes.append(t.term(k + delta).dim_at(v))
+        self.offsets = list(accumulate(self.sizes, initial=0))
+        self.total = self.offsets[-1]
+
+    def block(self, vec: RatMatrix, i: int) -> RatMatrix:
+        """Block i of the column vec."""
+        return vec.take(range(self.offsets[i], self.offsets[i + 1]), None)
 
 
 def _has_unknowns(r: Cx, y: Cx, n: int) -> bool:
@@ -285,22 +256,11 @@ def _has_unknowns(r: Cx, y: Cx, n: int) -> bool:
                for k, t in r.terms.items() for v in t.proj_gens)
 
 
-def _add_block(grid: list[list], r0: int, c0: int, m: RatMatrix,
-               sign: int = 1) -> None:
-    den = m.den
-    for i, src in enumerate(m.num):
-        row = grid[r0 + i]
-        for j, x in enumerate(src):
-            if x:
-                x = x if sign > 0 else -x
-                row[c0 + j] += x if den == 1 else Fraction(x, den)
-
-
 def _next_columns(r: Cx, target: Rep, k: int, v: int,
-                  pos: int) -> RatMatrix | None:
-    """Generator data in target of d_r^k applied to the generator at
-    (v, pos) of r^k, or None when that image is zero.  A missing
-    differential is zero and is never built."""
+                  pos: int) -> list[RatMatrix] | None:
+    """Per copy of r^{k+1}, the blocks taking its generator data in
+    target to d_r^k of the generator at (v, pos) of r^k; None when that
+    image is zero.  A missing differential is zero and is never built."""
     dr = r.diffs.get(k)
     if dr is None:
         return None
@@ -311,41 +271,29 @@ def _next_columns(r: Cx, target: Rep, k: int, v: int,
     return eval_columns(nxt, target, v, dcol)
 
 
-def _chain_matrix(r: Cx, t: Cx, layout: _GenLayout) -> RatMatrix:
-    """Rows of the linear system cutting out chain maps r -> t among all
-    generator-data vectors."""
-    rows: list[list] = []
-    for (k, c, v, pos) in layout.entries:
-        nxt = t.term(k + 1)
-        block_rows = [[0] * layout.total for _ in range(nxt.dim_at(v))]
-        dt = t.diffs.get(k)
+def _system(r: Cx, t: Cx, layout: _GenLayout, sign: int) -> RatMatrix:
+    """d_t s + sign s d_r on generator data s of maps r^k -> t^{k + delta},
+    read in the chain-map layout of r -> t^{k + delta + 1}.  With delta 0
+    and sign -1 its kernel is the chain maps r -> t; with delta -1 and sign
+    1 it sends a homotopy to its boundary.  Block-bidiagonal by degree."""
+    n = len(layout.entries)
+    grid: list[list] = [[None] * n for _ in range(n)]
+    heights = []
+    for i, (k, c, v, pos) in enumerate(layout.entries):
+        k0 = k + layout.delta
+        heights.append(t.term(k0 + 1).dim_at(v))
+        dt = t.diffs.get(k0)
         if dt is not None:
-            _add_block(block_rows, 0, layout.offsets[(k, c)], dt.block(v))
-        ev = _next_columns(r, nxt, k, v, pos)
+            grid[i][i] = dt.block(v)
+        ev = _next_columns(r, t.term(k0 + 1), k, v, pos)
         if ev is not None:
-            _add_block(block_rows, 0, layout.degree_start[k + 1], ev, sign=-1)
-        rows.extend(block_rows)
-    return RatMatrix(rows, cols=layout.total)
-
-
-def _boundary_matrix(r: Cx, t: Cx, layout: _GenLayout,
-                     hlayout: _GenLayout) -> RatMatrix:
-    """Matrix sending homotopy data s (maps r^k -> t^{k-1}) to the chain map
-    d_t s + s d_r, in the chain-map layout."""
-    grid = [[0] * hlayout.total for _ in range(layout.total)]
-    for (k, c, v, pos) in layout.entries:
-        r0 = layout.offsets[(k, c)]
-        dt = t.diffs.get(k - 1)
-        if dt is not None:
-            _add_block(grid, r0, hlayout.offsets[(k, c)], dt.block(v))
-        ev = _next_columns(r, t.term(k), k, v, pos)
-        if ev is not None:
-            _add_block(grid, r0, hlayout.degree_start[k + 1], ev)
-    return RatMatrix(grid, cols=hlayout.total)
+            j = layout.first[k + 1]
+            grid[i][j:j + len(ev)] = ev if sign > 0 else [-b for b in ev]
+    return block_matrix(grid, heights, layout.sizes)
 
 
 def _vector_to_maps(r: Cx, t: Cx, layout: _GenLayout,
-                    vec: list[Fraction]) -> dict[int, RepMap]:
+                    vec: RatMatrix) -> dict[int, RepMap]:
     """The maps r^k -> t^{k + delta} carried by generator data in the
     layout, one per nonzero term of r."""
     comps = {}
@@ -353,30 +301,24 @@ def _vector_to_maps(r: Cx, t: Cx, layout: _GenLayout,
         term = r.terms[k]
         if not term.proj_gens:
             continue
-        tk = t.term(k + layout.delta)
-        images = []
-        for (c, v, pos) in generator_positions(term):
-            off = layout.offsets[(k, c)]
-            images.append(RatMatrix.column(vec[off:off + tk.dim_at(v)]))
-        comps[k] = map_from_generators(term, tk, images)
+        i = layout.first[k]
+        images = [layout.block(vec, i + c) for c in range(len(term.proj_gens))]
+        comps[k] = map_from_generators(term, t.term(k + layout.delta), images)
     return comps
 
 
 def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
-                   vec: list[Fraction]) -> CxMap:
+                   vec: RatMatrix) -> CxMap:
     return CxMap(r, t, _vector_to_maps(r, t, layout, vec))
 
 
-def _map_to_vector(u: CxMap, layout: _GenLayout) -> list[Fraction]:
-    vec = [Fraction(0)] * layout.total
+def _map_to_vector(u: CxMap, layout: _GenLayout) -> RatMatrix:
+    """The generator data of u, a map out of a tagged complex."""
+    grid = []
     for (k, c, v, pos) in layout.entries:
-        comp = u.components.get(k)
-        if comp is None:
-            continue
-        off = layout.offsets[(k, c)]
-        for i, val in enumerate(comp.block(v).col(pos)):
-            vec[off + i] = val
-    return vec
+        b = _block(u, k, v)
+        grid.append([None if b is None else b.col_matrix(pos)])
+    return block_matrix(grid, layout.sizes, [1])
 
 
 def solve_lift(p: Cx, g: CxMap, r: CxMap, strict: bool = False
@@ -393,53 +335,57 @@ def solve_lift(p: Cx, g: CxMap, r: CxMap, strict: bool = False
     ulay = _GenLayout(p, w, 0)
     zlay = _GenLayout(p, z, 0)
     # rows: u is a chain map, then r u - (d h + h d) = g
-    chain = _chain_matrix(p, w, ulay)
-    lift = [[0] * ulay.total for _ in range(zlay.total)]
-    for (k, c, v, pos) in zlay.entries:
-        _add_block(lift, zlay.offsets[(k, c)], ulay.offsets[(k, c)],
-                   r.comp(k).block(v))
+    chain = _system(p, w, ulay, -1)
+    n = len(zlay.entries)
+    lift: list[list] = [[None] * n for _ in range(n)]
+    for i, (k, _, v, _) in enumerate(zlay.entries):
+        lift[i][i] = _block(r, k, v)
     if strict:
         bnd = RatMatrix.zeros(zlay.total, 0)
     else:
         hlay = _GenLayout(p, z, -1)
-        bnd = _boundary_matrix(p, z, zlay, hlay)
-    system = block_matrix(
-        [[chain, None], [RatMatrix(lift, cols=ulay.total), -bnd]],
-        [chain.rows, zlay.total], [ulay.total, bnd.cols])
-    rhs = [0] * chain.rows + _map_to_vector(g, zlay)
-    sol = solve(system, RatMatrix.column(rhs))
+        bnd = _system(p, z, hlay, 1)
+    heights = [chain.rows, zlay.total]
+    lift_rows = block_matrix(lift, zlay.sizes, ulay.sizes)
+    system = block_matrix([[chain, None], [lift_rows, -bnd]],
+                          heights, [ulay.total, bnd.cols])
+    rhs = block_matrix([[None], [_map_to_vector(g, zlay)]], heights, [1])
+    sol = solve(system, rhs)
     if sol is None:
         raise LiftError("no lift through the quasi-isomorphism")
-    vec = list(sol.col(0))
-    u = _vector_to_map(p, w, ulay, vec[:ulay.total])
-    homotopy = ({} if strict
-                else _vector_to_maps(p, z, hlay, vec[ulay.total:]))
+    u = _vector_to_map(p, w, ulay, sol.take(range(ulay.total), None))
+    homotopy = ({} if strict else _vector_to_maps(
+        p, z, hlay, sol.take(range(ulay.total, sol.rows), None)))
     return u, homotopy
 
 
+def _block(f: CxMap, k: int, v: int) -> RatMatrix | None:
+    """The vertex-v block of f in degree k; None for a missing component."""
+    comp = f.components.get(k)
+    return None if comp is None else comp.block(v)
+
+
 class DHomSpace:
-    """Hom(x, y[n]) in the derived category, with a fixed coordinate basis."""
+    """Hom(x, y[n]) in the derived category, with a fixed coordinate basis.
+
+    eps is the resolution of x, r its tagged complex and t = y[n]; classes
+    are chain maps r -> t modulo null-homotopic ones."""
 
     def __init__(self, x: Cx, y: Cx, n: int):
         self.x = x
         self.y = y
         self.n = n
-        self.res = resolve_cx(x)
+        self.eps = resolve(x)
+        self.r = self.eps.source
         self.t = shift(y, n)
-        self.layout = _GenLayout(self.res.cx, self.t, 0)
-        self.hlayout = _GenLayout(self.res.cx, self.t, -1)
-        chain = _chain_matrix(self.res.cx, self.t, self.layout)
-        self.cycles = kernel_basis(chain)
-        self.boundaries = _boundary_matrix(self.res.cx, self.t, self.layout,
-                                           self.hlayout)
-        combined = hstack([self.boundaries, self.cycles])
-        pivots = pivot_columns(combined)
+        self.layout = _GenLayout(self.r, self.t, 0)
+        self.cycles = kernel_basis(_system(self.r, self.t, self.layout, -1))
+        self.boundaries = _system(self.r, self.t,
+                                  _GenLayout(self.r, self.t, -1), 1)
         nb = self.boundaries.cols
-        zsel = [p - nb for p in pivots if p >= nb]
-        self.zsel_cols = zsel
-        self.picked = RatMatrix.from_cols(
-            [self.cycles.col(j) for j in zsel], rows=self.layout.total)
-        self.dim = len(zsel)
+        pivots = pivot_columns(hstack([self.boundaries, self.cycles]))
+        self.picked = self.cycles.take(None, [p - nb for p in pivots if p >= nb])
+        self.dim = self.picked.cols
         self._solver = hstack([self.boundaries, self.picked])
 
     def zero(self) -> "DHomClass":
@@ -454,26 +400,20 @@ class DHomSpace:
         return out
 
     def class_of(self, u: CxMap) -> "DHomClass":
-        if u.source is not self.res.cx or u.target is not self.t:
+        if u.source is not self.r or u.target is not self.t:
             raise LiftError("chain map not anchored to this Hom space")
-        vec = _map_to_vector(u, self.layout)
-        return self.class_of_vector(vec)
+        return self.class_of_vector(_map_to_vector(u, self.layout))
 
-    def class_of_vector(self, vec: list[Fraction]) -> "DHomClass":
-        sol = solve(self._solver, RatMatrix.column(vec))
+    def class_of_vector(self, vec: RatMatrix) -> "DHomClass":
+        """The class of generator data vec, a column in the layout."""
+        sol = solve(self._solver, vec)
         if sol is None:
             raise LiftError("vector is not a cycle in this Hom space")
-        tail = sol.col(0)[self.boundaries.cols:]
-        return DHomClass(self, tuple(tail))
+        return DHomClass(self, sol.col(0)[self.boundaries.cols:])
 
     def representative(self, cls: "DHomClass") -> CxMap:
-        vec = [Fraction(0)] * self.layout.total
-        for coeff, j in zip(cls.coords, range(self.dim)):
-            if coeff:
-                col = self.picked.col(j)
-                for i, val in enumerate(col):
-                    vec[i] += coeff * val
-        return _vector_to_map(self.res.cx, self.t, self.layout, vec)
+        vec = self.picked @ RatMatrix.column(cls.coords)
+        return _vector_to_map(self.r, self.t, self.layout, vec)
 
 
 @dataclass(frozen=True)
@@ -507,14 +447,14 @@ def derived_hom(x, y, n: int) -> int:
     """dim Hom(x, y[n]); 0 without building the space when its chain maps
     have no unknowns."""
     cx, cy = as_cx(x), as_cx(y)
-    if not _has_unknowns(resolve_cx(cx).cx, cy, n):
+    if not _has_unknowns(resolve(cx).source, cy, n):
         return 0
     return dhom_space(cx, cy, n).dim
 
 
 def identity_class(x) -> DHomClass:
     sp = dhom_space(x, x, 0)
-    return sp.class_of(sp.res.eps)
+    return sp.class_of(sp.eps)
 
 
 def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
@@ -525,7 +465,7 @@ def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
     n, m = c1.space.n, c2.space.n
     target = dhom_space(c1.space.x, c2.space.y, n + m)
     u1 = c1.space.representative(c1)
-    eps = shift_map(resolve_cx(c1.space.y).eps, n)
-    lifted, _ = solve_lift(c1.space.res.cx, u1, eps)
+    eps = shift_map(resolve(c1.space.y), n)
+    lifted, _ = solve_lift(c1.space.r, u1, eps)
     u2 = c2.space.representative(c2)
     return target.class_of(ccompose(shift_map(u2, n), lifted))

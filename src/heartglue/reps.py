@@ -11,13 +11,18 @@ This module alone knows the layout of a direct sum: at every vertex the
 parts follow each other in order. A DirectSum keeps its parts, and
 block_map builds any map between two sums from its grid of components,
 one block matrix per vertex; injections, projections, cone differentials
-and the maps of the extension calculus are all block_maps.
+and the maps of the extension calculus are all block_maps. When one part
+alone is nonzero, that part is the sum.
+
+A tagged projective sum is the same layout with one copy of P_v per
+generator: copy_rows is the one reader of where each copy's basis sits
+at a vertex, and generator_positions, minimal models and the generator
+data of derived all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (AlgebraError, BasisPath, PathAlgebraDesc, memo_field,
@@ -236,15 +241,24 @@ def tagged_basis(m: Rep, j: int) -> list[tuple[int, BasisPath]]:
             for p in m.algebra.paths_between(j, v)]
 
 
+def copy_rows(alg: PathAlgebraDesc, gens: Sequence[int], j: int) -> list[range]:
+    """The basis indices at vertex j of each copy of the projective sum on
+    gens, which lays its basis out copy by copy."""
+    out, off = [], 0
+    for v in gens:
+        n = len(alg.paths_between(j, v))
+        out.append(range(off, off + n))
+        off += n
+    return out
+
+
 def generator_positions(m: Rep) -> list[tuple[int, int, int]]:
-    """(copy, vertex, index in G_vertex) of each copy generator e_v."""
+    """(copy, vertex, index in G_vertex) of each copy generator e_v: the
+    first row of its copy at its vertex, as e_v is the only path v -> v."""
     if m.proj_gens is None:
         raise RepError("module is not tagged as a projective sum")
-    out = []
-    for c, v in enumerate(m.proj_gens):
-        labels = tagged_basis(m, v)
-        out.append((c, v, labels.index((c, BasisPath(v, v, ())))))
-    return out
+    rows = {v: copy_rows(m.algebra, m.proj_gens, v) for v in set(m.proj_gens)}
+    return [(c, v, rows[v][c][0]) for c, v in enumerate(m.proj_gens)]
 
 
 def map_from_generators(t: Rep, n: Rep, images: Sequence[RatMatrix]) -> RepMap:
@@ -254,47 +268,29 @@ def map_from_generators(t: Rep, n: Rep, images: Sequence[RatMatrix]) -> RepMap:
         raise RepError("source is not tagged")
     if len(images) != len(t.proj_gens):
         raise RepError("one image column per generator required")
+    if any(x.shape != (n.dim_at(v), 1) for x, v in zip(images, t.proj_gens)):
+        raise RepError("generator image has wrong shape")
     blocks = []
     for j in range(1, t.algebra.vertex_count + 1):
-        cols = []
-        for (c, p) in tagged_basis(t, j):
-            x = images[c]
-            if x.shape != (n.dim_at(t.proj_gens[c]), 1):
-                raise RepError("generator image has wrong shape")
-            cols.append((n.act_basis_path(p) @ x).col(0))
-        blocks.append(RatMatrix.from_cols(cols, rows=n.dim_at(j)))
+        cols = [n.act_basis_path(p) @ images[c] for c, p in tagged_basis(t, j)]
+        blocks.append(hstack(cols) if cols else RatMatrix.zeros(n.dim_at(j), 0))
     return RepMap(t, n, tuple(blocks))
 
 
-def eval_columns(t: Rep, n: Rep, j: int, m: RatMatrix) -> RatMatrix:
-    """Coefficient matrix U with U @ stacked-generator-data = phi_j(m).
+def eval_columns(t: Rep, n: Rep, j: int, m: RatMatrix) -> list[RatMatrix]:
+    """Blocks U_c, one per copy c, with sum_c U_c @ image_c = phi_j(m).
 
     Here phi ranges over module maps t -> n from the tagged projective sum t,
-    its unknown data being the stacked generator images (copy-major), and m is
-    a fixed column in G_j t.
+    image_c being the image of the copy-c generator in G_{v_c} n, and m is a
+    fixed column in G_j t.
     """
     if t.proj_gens is None:
         raise RepError("source is not tagged")
-    labels = tagged_basis(t, j)
-    widths = [n.dim_at(v) for v in t.proj_gens]
-    total = sum(widths)
-    rows = n.dim_at(j)
-    acc = [[0] * total for _ in range(rows)]
-    for k, (c, p) in enumerate(labels):
-        a = m.num[k][0]
-        if a == 0:
-            continue
-        act = n.act_basis_path(p)
-        den = m.den * act.den
-        coef = a if den == 1 else Fraction(a, den)
-        off = sum(widths[:c])
-        for r in range(rows):
-            arow = act.num[r]
-            row = acc[r]
-            for q in range(widths[c]):
-                if arow[q]:
-                    row[off + q] += coef * arow[q]
-    return RatMatrix(acc, cols=total)
+    out = [RatMatrix.zeros(n.dim_at(j), n.dim_at(v)) for v in t.proj_gens]
+    for k, (c, p) in enumerate(tagged_basis(t, j)):
+        if m.num[k][0]:
+            out[c] = out[c] + n.act_basis_path(p).scale(m[k, 0])
+    return out
 
 
 def hom_space(m: Rep, n: Rep) -> list[RepMap]:
@@ -446,22 +442,26 @@ class DirectSum:
 
 
 def direct_sum(parts: Sequence[Rep]) -> DirectSum:
+    """The sum of parts; when one part alone is nonzero and its tagging is
+    the sum's (tagged when every part is), that part is the sum."""
     if not parts:
         raise RepError("direct sum of nothing (pass zero_rep instead)")
     parts = tuple(parts)
     alg = parts[0].algebra
     if any(p.algebra is not alg for p in parts):
         raise RepError("direct sum across algebras")
+    tagged = all(p.proj_gens is not None for p in parts)
+    nonzero = [p for p in parts if p.total_dim]
+    if len(nonzero) == 1 and (nonzero[0].proj_gens is not None) == tagged:
+        return DirectSum(nonzero[0], parts)
     dims = tuple(map(sum, zip(*(p.dims for p in parts))))
     maps = {a.name: block_matrix(
         [[p.act_arrow(a.name) if i == j else None for j in range(len(parts))]
          for i, p in enumerate(parts)],
         [p.dims[a.source - 1] for p in parts],
         [p.dims[a.target - 1] for p in parts]) for a in alg.quiver.arrows}
-    tags = None
-    if all(p.proj_gens is not None for p in parts):
-        # the copy-major tagged layout agrees with the block layout
-        tags = tuple(v for p in parts for v in p.proj_gens)
+    # the copy-major tagged layout agrees with the block layout
+    tags = tuple(v for p in parts for v in p.proj_gens) if tagged else None
     return DirectSum(Rep(alg, dims, maps, proj_gens=tags), parts)
 
 

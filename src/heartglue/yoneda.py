@@ -136,7 +136,7 @@ def _connecting(f: RepMap, g: RepMap) -> DHomClass:
     tri = ses_to_triangle(f, g)
     sp = dhom_space(g.target, f.source, 1)
     # tri.right is as_cx(Q) and the projection lands in as_cx(K)[1] = sp.t
-    u, _ = solve_lift(sp.res.cx, sp.res.eps, tri.comparison)
+    u, _ = solve_lift(sp.r, sp.eps, tri.comparison)
     return sp.class_of(ccompose(tri.cone_of_f.proj, u))
 
 
@@ -174,7 +174,7 @@ def f_map_via_quasi_iso(x: YExt) -> DHomClass:
     sp = dhom_space(x.right, x.left, n)
     q = CxMap(w, as_cx(x.right), {0: x.maps[n]})
     pi = CxMap(w, sp.t, {-n: identity_map(x.left)})
-    u, _ = solve_lift(sp.res.cx, sp.res.eps, q)
+    u, _ = solve_lift(sp.r, sp.eps, q)
     cls = sp.class_of(ccompose(pi, u))
     return cls if _route_sign(n) == 1 else cls.scale(-1)
 
@@ -197,13 +197,13 @@ def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:
         raise YExtError("splicing needs module endpoints")
     if sp.x is not as_cx(a) or sp.y is not as_cx(b):
         raise YExtError("class endpoints do not match the given modules")
-    r = sp.res.cx
+    r = sp.r
     tw = c if _route_sign(n) == 1 else c.scale(-1)
     u0 = sp.representative(tw).comp(-n)
     ds = direct_sum([b, r.term(-n + 1)])
     x1, pr = cokernel(block_map(r.term(-n), ds, [[u0], [-r.d(-n)]]))
     xi0 = rcompose(pr, ds.injection(0))
-    eps0 = sp.res.eps.comp(0)
+    eps0 = sp.eps.comp(0)
     nxt = eps0 if n == 1 else r.d(-n + 1)
     xi1 = through_epi(pr, block_map(ds, nxt.target, [[None, nxt]]))
     if n == 1:

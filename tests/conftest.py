@@ -59,9 +59,9 @@ def class_of_module_map(f: RepMap):
     """Degree-0 Hom class of a plain module map."""
     sp = dhom_space(f.source, f.target, 0)
     comps = {i: rcompose(f, c) if i == 0 else c
-             for i, c in sp.res.eps.components.items()}
-    lifted = CxMap(sp.res.cx, sp.t,
-                   {i: RepMap(sp.res.cx.term(i), sp.t.term(i), m.blocks)
+             for i, c in sp.eps.components.items()}
+    lifted = CxMap(sp.r, sp.t,
+                   {i: RepMap(sp.r.term(i), sp.t.term(i), m.blocks)
                     for i, m in comps.items()})
     return sp.class_of(lifted)
 

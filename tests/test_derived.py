@@ -49,8 +49,6 @@ from heartglue.derived import (
     identity_class,
     minimal_model,
     resolve,
-    resolve_cx,
-    resolve_rep,
     solve_lift,
 )
 
@@ -76,36 +74,37 @@ def a3rel():
 def class_of_module_map(f: RepMap) -> DHomClass:
     """The degree-0 derived class of a plain module map."""
     sp = dhom_space(f.source, f.target, 0)
-    eps0 = sp.res.eps.comp(0)
+    eps0 = sp.eps.comp(0)
     comp = rcompose(f, eps0)
-    u = CxMap(sp.res.cx, sp.t, {0: RepMap(sp.res.cx.term(0),
-                                          sp.t.term(0), comp.blocks)})
+    u = CxMap(sp.r, sp.t, {0: RepMap(sp.r.term(0),
+                                     sp.t.term(0), comp.blocks)})
     return sp.class_of(u)
 
 
 def test_resolution_of_projective_is_itself(kron):
     p2 = projective(kron, 2)
-    res = resolve_rep(p2)
-    assert res.cx.term(0) is p2
-    assert res.cx.degrees() == [0]
+    eps = resolve(p2)
+    assert eps.source.term(0) is p2
+    assert eps.source.degrees() == [0]
 
 
 def test_resolution_of_simple_top(kron):
     s2 = simple(kron, 2)
-    res = resolve_rep(s2)
+    eps = resolve(s2)
     # 0 -> P1^2 -> P2 -> S2
-    assert res.cx.degrees() == [-1, 0]
-    assert res.cx.term(0).proj_gens == (2,)
-    assert res.cx.term(-1).proj_gens == (1, 1)
-    assert is_acyclic(cone(res.eps).cx)
+    assert eps.source.degrees() == [-1, 0]
+    assert eps.source.term(0).proj_gens == (2,)
+    assert eps.source.term(-1).proj_gens == (1, 1)
+    assert is_acyclic(cone(eps).cx)
 
 
 def test_resolution_length_respects_nakayama_bound(a3rel):
     s3 = simple(a3rel, 3)
-    res = resolve_rep(s3)
-    assert res.cx.degrees() == [-2, -1, 0]
-    assert [res.cx.term(i).proj_gens for i in (-2, -1, 0)] == [(1,), (2,), (3,)]
-    assert is_acyclic(cone(res.eps).cx)
+    eps = resolve(s3)
+    assert eps.source.degrees() == [-2, -1, 0]
+    assert [eps.source.term(i).proj_gens
+            for i in (-2, -1, 0)] == [(1,), (2,), (3,)]
+    assert is_acyclic(cone(eps).cx)
 
 
 def test_hom_dimensions_a2(a2):
@@ -134,6 +133,30 @@ def test_hom_system_builds_no_module_maps(a2, monkeypatch):
     monkeypatch.setattr(RepMap, "__post_init__", counting)
     assert derived_hom(p1, p2, 5) == 0
     assert len(built) == 0
+
+
+def test_generator_data_parses_no_matrix_entries(a3rel, monkeypatch):
+    # the Hom, lift and class systems are assembled from matrix blocks, so
+    # none of them goes through the entry-parsing public constructor
+    x, y = as_cx(simple(a3rel, 3)), as_cx(simple(a3rel, 1))
+    eps = resolve(x)
+    first = DHomSpace(x, y, 2)
+    u = first.representative(first.basis()[0])
+    p, q = projective(a3rel, 2), projective(a3rel, 3)
+    images = [RatMatrix.column([1])]
+    built = []
+    parse = RatMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatMatrix, "__init__", counting)
+    sp = DHomSpace(x, y, 2)
+    assert sp.class_of(u).coords == first.basis()[0].coords
+    solve_lift(eps.source, eps, eps)
+    map_from_generators(p, q, images)
+    assert built == []
 
 
 def test_zero_hom_space_is_not_built(a2, monkeypatch):
@@ -173,12 +196,31 @@ def test_unknown_free_spaces_are_zero(name):
     objs += [as_cx(projective(alg, i)) for i in range(1, n + 1)]
     objs.append(_two_term(alg))
     for x in objs:
-        r = resolve_cx(x).cx
+        r = resolve(x).source
         for y in objs:
             for k in _scan_range(x, y):
                 full = DHomSpace(x, y, k)
                 assert derived_hom(x, y, k) == full.dim
                 assert _has_unknowns(r, y, k) == (full.layout.total > 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_class_of_a_representative_returns_its_coordinates(kron, a3rel,
+                                                           commsquare, data):
+    alg = data.draw(st.sampled_from([kron, a3rel, commsquare]))
+    n = alg.vertex_count
+    two = _two_term(alg)
+    objs = [as_cx(simple(alg, i)) for i in range(1, n + 1)]
+    objs += [as_cx(projective(alg, i)) for i in range(1, n + 1)]
+    objs += [two, shift(two, 1), shift(two, -1)]
+    x, y = data.draw(st.sampled_from(objs)), data.draw(st.sampled_from(objs))
+    shifts = [k for k in _scan_range(x, y) if derived_hom(x, y, k)]
+    assume(shifts)
+    sp = dhom_space(x, y, data.draw(st.sampled_from(shifts)))
+    c = tuple(Fraction(data.draw(st.integers(-3, 3)),
+                       data.draw(st.integers(1, 3))) for _ in range(sp.dim))
+    assert sp.class_of(sp.representative(DHomClass(sp, c))).coords == c
 
 
 def test_hom_dimensions_kronecker(kron):
@@ -275,9 +317,9 @@ def test_resolution_of_two_term_complex(kron):
     p1 = projective(kron, 1)
     # a complex of non-projectives: S2 in degrees -1 and 0, zero differential
     x = Cx(kron, {-1: s2, 0: s2}, {})
-    res = resolve_cx(x)
-    assert res.cx.is_tagged()
-    assert is_acyclic(cone(res.eps).cx)
+    eps = resolve(x)
+    assert eps.source.is_tagged()
+    assert is_acyclic(cone(eps).cx)
     for n in (-1, 0, 1, 2):
         assert derived_hom(p1, x, n) == heart_cohomology(x, n).dim_at(1)
 
@@ -293,10 +335,10 @@ def test_shift_invariance_of_hom(a3rel):
 
 def test_solve_lift_through_resolution(kron):
     s2 = simple(kron, 2)
-    res = resolve_rep(s2)
+    eps = resolve(s2)
     target = as_cx(s2)
     # lift the augmentation through itself: u with eps u = eps
-    u, h = solve_lift(res.cx, res.eps, res.eps)
+    u, h = solve_lift(eps.source, eps, eps)
     assert u.comp(0).block(2).rows == 1
 
 
@@ -366,9 +408,9 @@ def test_resolution_is_quasi_iso_on_random_modules(data):
     alg = build_algebra(make_quiver(3, [("a", 1, 2), ("b", 2, 3)]),
                         [Relation.of([(1, ("a", "b"))])])
     m = data.draw(random_module(alg))
-    res = resolve_rep(m)
-    assert res.cx.is_tagged()
-    assert is_acyclic(cone(res.eps).cx)
+    eps = resolve(m)
+    assert eps.source.is_tagged()
+    assert is_acyclic(cone(eps).cx)
 
 
 @settings(max_examples=10, deadline=None)
@@ -381,9 +423,9 @@ def test_resolution_is_quasi_iso_on_random_two_term_complexes(data):
     assume(homs)
     f = homs[0]
     x = Cx(alg, {-1: m, 0: n}, {-1: f})
-    res = resolve_cx(x)
-    assert res.cx.is_tagged()
-    assert is_acyclic(cone(res.eps).cx)
+    eps = resolve(x)
+    assert eps.source.is_tagged()
+    assert is_acyclic(cone(eps).cx)
     p1 = projective(alg, 1)
     for i in (-2, -1, 0, 1):
         assert derived_hom(p1, x, i) == heart_cohomology(x, i).dim_at(1)
@@ -403,7 +445,7 @@ def test_minimal_model_keeps_a_cover_resolution(kron):
     # covers are minimal already, so nothing cancels
     s = simple(kron, 2)
     small, q = minimal_model(s)
-    assert small.dims_table() == resolve(s).cx.dims_table()
+    assert small.dims_table() == resolve(s).source.dims_table()
     assert is_acyclic(cone(q).cx)
     assert cohomology_dims(small) == {0: (0, 1)}
 
@@ -419,7 +461,7 @@ def test_minimal_model_kills_an_identity_cone(kron):
 
 
 def test_minimal_model_strips_a_padded_summand(kron):
-    base = resolve(simple(kron, 2)).cx
+    base = resolve(simple(kron, 2)).source
     one = projective(kron, 1)
     other = projective(kron, 1)
     f = RepMap(one, other, tuple(RatMatrix.identity(d) for d in one.dims))
@@ -451,7 +493,7 @@ def test_minimal_model_on_random_two_term_complexes(data):
     small, q = minimal_model(x)
     assert is_acyclic(cone(q).cx)
     assert cohomology_dims(small) == cohomology_dims(x)
-    assert small.total_dim <= resolve(x).cx.total_dim
+    assert small.total_dim <= resolve(x).source.total_dim
     # reduced output has no cancellable component left
     again, _ = minimal_model(small)
     assert again.dims_table() == small.dims_table()
@@ -554,4 +596,4 @@ def test_hom_space_is_reused_while_its_objects_live(kron):
     assert dhom_space(x, s1, 2) is dhom_space(x, s1, 2)
     # a module and its degree-0 complex are one object to the memo
     assert dhom_space(s2, s1, 1) is dhom_space(as_cx(s2), as_cx(s1), 1)
-    assert resolve(s2) is resolve_rep(s2)
+    assert resolve(s2) is resolve(as_cx(s2))

@@ -183,6 +183,23 @@ def test_direct_sum_matches_projective_sum(a3):
         assert via_sum.act_arrow(a.name) == via_ds.act_arrow(a.name)
 
 
+def test_direct_sum_of_one_nonzero_part_is_that_part(a3):
+    z = zero_rep(a3)
+    untagged = simple(a3, 2)
+    for m in (projective(a3, 2), untagged):
+        ds = direct_sum([z, m])
+        assert ds.rep is m and ds.parts == (z, m)
+        assert compose(ds.projection(1), ds.injection(1)).same_blocks(
+            identity_map(m))
+    # an untagged zero part next to a tagged part makes an untagged sum
+    bare_zero = Rep(a3, (0, 0, 0), {a.name: RatMatrix.zeros(0, 0)
+                                    for a in a3.quiver.arrows})
+    p = projective(a3, 2)
+    ds = direct_sum([bare_zero, p])
+    assert ds.rep is not p and ds.rep.proj_gens is None
+    assert ds.rep.dims == p.dims
+
+
 def test_map_from_generators_roundtrip(kron):
     p2 = projective(kron, 2)
     for f in hom_space(projective(kron, 1), p2):
@@ -197,19 +214,21 @@ def test_eval_columns_predicts_map_values(a3):
     t = projective_sum(a3, (1, 2))
     n = projective(a3, 3)
     for f in hom_space(t, n):
-        data = []
+        images = []
         for c, v in enumerate(t.proj_gens):
             labels = tagged_basis(t, v)
             idx = labels.index((c, a3.basis[a3.index_of(v, ())]))
-            data.extend(f.block(v).col(idx))
-        stacked = RatMatrix.column(data)
+            images.append(f.block(v).col_matrix(idx))
         for j in (1, 2, 3):
             for k in range(t.dim_at(j)):
                 e = RatMatrix.column(
                     [Fraction(1) if i == k else Fraction(0)
                      for i in range(t.dim_at(j))])
                 u = eval_columns(t, n, j, e)
-                assert (u @ stacked) == f.block(j).col_matrix(k)
+                total = RatMatrix.zeros(n.dim_at(j), 1)
+                for u_c, image in zip(u, images, strict=True):
+                    total = total + u_c @ image
+                assert total == f.block(j).col_matrix(k)
 
 
 def test_exactness_certificate(a2):
