@@ -7,21 +7,25 @@ out of R are free on the copy generators, so chain maps, homotopies, and
 lifts all reduce to finite linear systems over the generator data, which
 is one RatMatrix column in _GenLayout order: a block per copy generator,
 degree by degree. The systems are block matrices of the differentials'
-and the maps' vertex blocks. Hom(X, Y[n]) is computed as chain
-maps R_X -> shift(Y, n) modulo null-homotopic ones, with a canonical
-coordinate system fixed by row reduction; composition lifts through the
-resolution of the middle object. When no copy generator of R_X meets a
-nonzero vertex space of Y[n] in its degree, the chain maps have no
-unknowns and the space is zero; derived_hom answers that case from the
-degrees and dimensions alone, without building the space.
+and the maps' vertex blocks. Hom(X, Y[n]) is computed as chain maps
+R_X -> shift(Y, n) modulo null-homotopic ones, with a canonical
+coordinate system fixed by row reduction. When no copy generator of R_X
+meets a nonzero vertex space of Y[n] in its degree, the space is zero;
+derived_hom answers that case from the dimensions alone.
+
+Classes compose on generator data. solve_lift, the one lift kernel,
+lifts a column through a quasi-isomorphism, and a post-composition is a
+block-diagonal product (_after): composition lifts through the
+resolution of the middle object, and the class of a roof X <- W -> Y[n]
+lifts the augmentation through W -> X. Chain maps are built only where
+a cone or a module map needs one, with no component into a zero term.
 
 Memo policy: each result is kept in the memo of the object it describes
-and nowhere else. A module's memo holds its complex (module_cx); a
-complex's memo holds its resolution, its shifts (the shift
-memo, filled by complexes.shift) and, keyed by (as_cx(y), n), the space
-Hom(x, y[n]). Keys are objects compared by identity, since classes, lifts
-and class_of check endpoints with `is`: only the objects of the first
-request hit. An entry dies with its object.
+and nowhere else. A module's memo holds its complex and its identity; a
+complex's memo holds its resolution, its shifts and, keyed by
+(as_cx(y), n), the space Hom(x, y[n]). Keys are objects compared by
+identity, since classes, lifts and class_of check endpoints with `is`:
+only the objects of the first request hit. An entry dies with its object.
 """
 
 from __future__ import annotations
@@ -112,8 +116,7 @@ def _resolve(x: Cx) -> CxMap:
     w = CxMap(a, bprime, {b: x.diffs[b - 1]} if b - 1 in x.diffs else {})
     ra = resolve(a)
     rb = resolve(bprime)
-    g = ccompose(w, ra)
-    wt, _ = solve_lift(ra.source, g, rb, strict=True)
+    wt = lift_map(ra.source, ccompose(w, ra), rb, strict=True)
     co = cone(wt)
     comps = {}
     for k, s in co.sums.items():
@@ -292,24 +295,19 @@ def _system(r: Cx, t: Cx, layout: _GenLayout, sign: int) -> RatMatrix:
     return block_matrix(grid, heights, layout.sizes)
 
 
-def _vector_to_maps(r: Cx, t: Cx, layout: _GenLayout,
-                    vec: RatMatrix) -> dict[int, RepMap]:
-    """The maps r^k -> t^{k + delta} carried by generator data in the
-    layout, one per nonzero term of r."""
+def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
+                   vec: RatMatrix) -> CxMap:
+    """The chain map r -> t carried by generator data in the layout; no
+    component into a zero term of t is built."""
     comps = {}
     for k in sorted(r.terms):
-        term = r.terms[k]
-        if not term.proj_gens:
+        term, tk = r.terms[k], t.term(k)
+        if not term.proj_gens or not tk.total_dim:
             continue
         i = layout.first[k]
         images = [layout.block(vec, i + c) for c in range(len(term.proj_gens))]
-        comps[k] = map_from_generators(term, t.term(k + layout.delta), images)
-    return comps
-
-
-def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
-                   vec: RatMatrix) -> CxMap:
-    return CxMap(r, t, _vector_to_maps(r, t, layout, vec))
+        comps[k] = map_from_generators(term, tk, images)
+    return CxMap(r, t, comps)
 
 
 def _map_to_vector(u: CxMap, layout: _GenLayout) -> RatMatrix:
@@ -321,42 +319,46 @@ def _map_to_vector(u: CxMap, layout: _GenLayout) -> RatMatrix:
     return block_matrix(grid, layout.sizes, [1])
 
 
-def solve_lift(p: Cx, g: CxMap, r: CxMap, strict: bool = False
-               ) -> tuple[CxMap, dict[int, RepMap]]:
-    """Find u: p -> source(r) with r u = g, strictly or up to a homotopy h
-    (r u - g = d h + h d). p must be tagged; raises LiftError when no lift
-    exists."""
+def _after(f: CxMap, lay: _GenLayout, to: _GenLayout) -> RatMatrix:
+    """Generator data of u in lay to that of f u in to: the vertex block
+    of f at each generator, block-diagonal."""
+    n = len(lay.entries)
+    grid: list[list] = [[None] * n for _ in range(n)]
+    for i, (k, _, v, _) in enumerate(lay.entries):
+        grid[i][i] = _block(f, k, v)
+    return block_matrix(grid, to.sizes, lay.sizes)
+
+
+def solve_lift(p: Cx, g: RatMatrix, r: CxMap,
+               strict: bool = False) -> RatMatrix:
+    """Generator data of u: p -> source(r) with r u = g, strictly or up to
+    homotopy, for g the generator data of a map p -> target(r) and p
+    tagged; raises LiftError when no lift exists."""
+    ulay = _GenLayout(p, r.source, 0)
+    zlay = _GenLayout(p, r.target, 0)
+    # rows: u is a chain map, then r u + (d h + h d) = g; the sign of the
+    # homotopy block does not change u
+    chain = _system(p, r.source, ulay, -1)
+    bnd = (RatMatrix.zeros(zlay.total, 0) if strict
+           else _system(p, r.target, _GenLayout(p, r.target, -1), 1))
+    heights = [chain.rows, zlay.total]
+    system = block_matrix([[chain, None], [_after(r, ulay, zlay), bnd]],
+                          heights, [ulay.total, bnd.cols])
+    sol = solve(system, block_matrix([[None], [g]], heights, [1]))
+    if sol is None:
+        raise LiftError("no lift through the quasi-isomorphism")
+    return sol.take(range(ulay.total), None)
+
+
+def lift_map(p: Cx, g: CxMap, r: CxMap, strict: bool = False) -> CxMap:
+    """The chain map u: p -> source(r) that solve_lift finds for g."""
     if g.source is not p:
         raise LiftError("g must start at the tagged complex")
     if g.target is not r.target:
         raise LiftError("g and r must share their target")
-    w = r.source
-    z = r.target
-    ulay = _GenLayout(p, w, 0)
-    zlay = _GenLayout(p, z, 0)
-    # rows: u is a chain map, then r u - (d h + h d) = g
-    chain = _system(p, w, ulay, -1)
-    n = len(zlay.entries)
-    lift: list[list] = [[None] * n for _ in range(n)]
-    for i, (k, _, v, _) in enumerate(zlay.entries):
-        lift[i][i] = _block(r, k, v)
-    if strict:
-        bnd = RatMatrix.zeros(zlay.total, 0)
-    else:
-        hlay = _GenLayout(p, z, -1)
-        bnd = _system(p, z, hlay, 1)
-    heights = [chain.rows, zlay.total]
-    lift_rows = block_matrix(lift, zlay.sizes, ulay.sizes)
-    system = block_matrix([[chain, None], [lift_rows, -bnd]],
-                          heights, [ulay.total, bnd.cols])
-    rhs = block_matrix([[None], [_map_to_vector(g, zlay)]], heights, [1])
-    sol = solve(system, rhs)
-    if sol is None:
-        raise LiftError("no lift through the quasi-isomorphism")
-    u = _vector_to_map(p, w, ulay, sol.take(range(ulay.total), None))
-    homotopy = ({} if strict else _vector_to_maps(
-        p, z, hlay, sol.take(range(ulay.total, sol.rows), None)))
-    return u, homotopy
+    vec = solve_lift(p, _map_to_vector(g, _GenLayout(p, g.target, 0)), r,
+                     strict)
+    return _vector_to_map(p, r.source, _GenLayout(p, r.source, 0), vec)
 
 
 def _block(f: CxMap, k: int, v: int) -> RatMatrix | None:
@@ -411,6 +413,22 @@ class DHomSpace:
             raise LiftError("vector is not a cycle in this Hom space")
         return DHomClass(self, sol.col(0)[self.boundaries.cols:])
 
+    def roof_class(self, q: CxMap, post: CxMap) -> "DHomClass":
+        """The class of post q^-1 for a quasi-isomorphism q: w -> x and
+        post: w -> t: the augmentation lifted through q, then post."""
+        if (q.target is not self.x or post.target is not self.t
+                or post.source is not q.source):
+            raise LiftError("roof not anchored to this Hom space")
+        aug = _map_to_vector(self.eps, _GenLayout(self.r, self.x, 0))
+        return self._lifted_after(aug, q, post)
+
+    def _lifted_after(self, g: RatMatrix, q: CxMap,
+                      post: CxMap) -> "DHomClass":
+        """The class of post u for u the lift of generator data g by q."""
+        u = solve_lift(self.r, g, q)
+        lay = _GenLayout(self.r, q.source, 0)
+        return self.class_of_vector(_after(post, lay, self.layout) @ u)
+
     def representative(self, cls: "DHomClass") -> CxMap:
         vec = self.picked @ RatMatrix.column(cls.coords)
         return _vector_to_map(self.r, self.t, self.layout, vec)
@@ -460,12 +478,10 @@ def identity_class(x) -> DHomClass:
 def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
     """The composite class in Hom(x, z[n+m]) of c1 in Hom(x, y[n]) and
     c2 in Hom(y, z[m])."""
-    if c1.space.y is not c2.space.x:
+    sp1, sp2 = c1.space, c2.space
+    if sp1.y is not sp2.x:
         raise LiftError("middle objects differ")
-    n, m = c1.space.n, c2.space.n
-    target = dhom_space(c1.space.x, c2.space.y, n + m)
-    u1 = c1.space.representative(c1)
-    eps = shift_map(resolve(c1.space.y), n)
-    lifted, _ = solve_lift(c1.space.r, u1, eps)
-    u2 = c2.space.representative(c2)
-    return target.class_of(ccompose(shift_map(u2, n), lifted))
+    target = dhom_space(sp1.x, sp2.y, sp1.n + sp2.n)
+    g = sp1.picked @ RatMatrix.column(c1.coords)
+    return target._lifted_after(g, shift_map(sp2.eps, sp1.n),
+                                shift_map(sp2.representative(c2), sp1.n))

@@ -28,7 +28,7 @@ from .reps import ID, block_map, simple
 from .complexes import (Cx, CxMap, Cone, Triangle, cohomology_dims,
                         compose as ccompose, cone, cx_direct_sum, is_acyclic,
                         shift, shift_map, truncate_std, zero_cx)
-from .derived import as_cx, derived_hom, dhom_space, minimal_model, solve_lift
+from .derived import as_cx, derived_hom, dhom_space, lift_map, minimal_model
 
 
 class GlueError(ValueError):
@@ -279,24 +279,23 @@ class AddGeneratedAisle(AisleSpec):
     shift; the constructor enforces that.
     """
 
-    def __init__(self, gens, window: int | None = None, check: bool = True):
+    def __init__(self, gens, window: int | None = None):
         objs = tuple(as_cx(g) for g in gens)
         if not objs:
             raise GlueError("an aisle needs at least one generator")
         self.algebra = objs[0].algebra
         self.window = (window if window is not None
                        else default_window(self.algebra, len(objs)))
-        if check:
-            for g in objs:
-                check_exceptional(g, self.window)
-            for a in objs:
-                for b in objs:
-                    if a is b:
-                        continue
-                    for n, d in _homs(a, b):
-                        raise GlueError(
-                            "aisle generators must be orthogonal: found "
-                            f"Hom of dimension {d} at shift {n}")
+        for g in objs:
+            check_exceptional(g, self.window)
+        for a in objs:
+            for b in objs:
+                if a is b:
+                    continue
+                for n, d in _homs(a, b):
+                    raise GlueError(
+                        "aisle generators must be orthogonal: found "
+                        f"Hom of dimension {d} at shift {n}")
         self._gens = objs
 
     def _parts(self, x: Cx) -> list[tuple[Cx, CxMap, int]]:
@@ -403,7 +402,7 @@ class GluedAisle(AisleSpec):
         # lift the shifted left part through r; A1 is tagged (a minimal
         # model or a sum of resolutions), so the lift is solved on its
         # generator data directly
-        lifted, _ = solve_lift(j.source, j, r)
+        lifted = lift_map(j.source, j, r)
         q = ccompose(cone(lifted).incl, ca2.incl)
         # rotate m -> cone(q) back one step: A' = cone(q)[-1] -> m
         f_m = -shift_map(cone(q).proj, -1)

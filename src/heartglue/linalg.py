@@ -27,8 +27,6 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -270,16 +268,6 @@ def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     return _new(tuple(tuple(chain.from_iterable(g[i] for g in grids))
                       for i in range(rows)),
                 den, sum(m.cols for m in mats))
-
-
-def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("vstack column mismatch")
-    den, grids = _common(mats)
-    return _new(tuple(chain.from_iterable(grids)), den, cols)
 
 
 def block_matrix(grid: Sequence[Sequence[RatMatrix | None]],

@@ -176,7 +176,8 @@ def composite_blocks(g: RepMap, f: RepMap) -> list[RatMatrix]:
 
 
 def identity_map(m: Rep) -> RepMap:
-    return RepMap(m, m, tuple(RatMatrix.identity(d) for d in m.dims))
+    return memoised(m, "identity", lambda: RepMap(
+        m, m, tuple(RatMatrix.identity(d) for d in m.dims)))
 
 
 def zero_map(m: Rep, n: Rep) -> RepMap:

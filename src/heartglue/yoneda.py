@@ -9,8 +9,9 @@ sequence to its connecting class in Hom(A, B[n]): the sequence is
 chopped into short exact pieces at the images of its maps and the
 one-step connecting classes are composed.  An independent route,
 `f_map_via_quasi_iso`, rolls the whole sequence into a single complex
-quasi-isomorphic to A and reads the class off a lift of A's
-augmentation; the suite checks the two routes agree exactly.
+quasi-isomorphic to A; the suite checks the two routes agree exactly.
+Both read connecting classes off roofs A <- W -> B[n] (a
+quasi-isomorphism onto A, a map to B[n]) with `DHomSpace.roof_class`.
 
 `splice_from_class` inverts `f_map`: it pushes the projective
 resolution of A out along a chain-map representative of the class and
@@ -34,9 +35,7 @@ from .reps import (ID, Rep, RepError, RepMap, block_map, cokernel,
                    through_epi, through_mono, zero_map, zero_rep)
 from .reps import compose as rcompose
 from .complexes import Cx, CxMap, ses_to_triangle
-from .complexes import compose as ccompose
-from .derived import (DHomClass, as_cx, compose_classes, dhom_space,
-                      solve_lift)
+from .derived import DHomClass, as_cx, compose_classes, dhom_space
 
 
 class YExtError(ValueError):
@@ -128,16 +127,15 @@ def _route_sign(n: int) -> int:
 def _connecting(f: RepMap, g: RepMap) -> DHomClass:
     """Connecting class in Hom(Q, K[1]) of a short exact sequence K -> M -> Q.
 
-    Resolve Q, lift the augmentation through the certified comparison
-    map onto the mapping cone of K -> M, then project onto K[1].  The
-    class is independent of the chosen lift because homotopy classes of
-    maps out of the resolution biject along the comparison map.
+    It is the roof Q <- cone(K -> M) -> K[1] of the certified comparison
+    map and the projection.  The class is independent of the chosen lift
+    because homotopy classes of maps out of the resolution biject along
+    the comparison map.
     """
     tri = ses_to_triangle(f, g)
-    sp = dhom_space(g.target, f.source, 1)
-    # tri.right is as_cx(Q) and the projection lands in as_cx(K)[1] = sp.t
-    u, _ = solve_lift(sp.r, sp.eps, tri.comparison)
-    return sp.class_of(ccompose(tri.cone_of_f.proj, u))
+    # tri.right is as_cx(Q) and the projection lands in as_cx(K)[1]
+    return dhom_space(g.target, f.source, 1).roof_class(
+        tri.comparison, tri.cone_of_f.proj)
 
 
 def f_map(x: YExt) -> DHomClass:
@@ -173,9 +171,7 @@ def f_map_via_quasi_iso(x: YExt) -> DHomClass:
     w = Cx(x.left.algebra, terms, diffs)
     sp = dhom_space(x.right, x.left, n)
     q = CxMap(w, as_cx(x.right), {0: x.maps[n]})
-    pi = CxMap(w, sp.t, {-n: identity_map(x.left)})
-    u, _ = solve_lift(sp.r, sp.eps, q)
-    cls = sp.class_of(ccompose(pi, u))
+    cls = sp.roof_class(q, CxMap(w, sp.t, {-n: identity_map(x.left)}))
     return cls if _route_sign(n) == 1 else cls.scale(-1)
 
 

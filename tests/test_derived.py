@@ -19,23 +19,27 @@ from heartglue.reps import (
     compose as rcompose,
     hom_space,
     identity_map,
+    kernel,
     map_from_generators,
     projective,
+    projective_cover,
     projective_sum,
     simple,
     tagged_basis,
-    zero_map,
 )
 from heartglue.cli import CORPUS_NAMES, corpus_path
 from heartglue.complexes import (
     Cx,
     CxMap,
+    compose as ccompose,
     cone,
     cohomology_dims,
     cx_direct_sum,
     heart_cohomology,
     is_acyclic,
+    ses_to_triangle,
     shift,
+    shift_map,
 )
 from heartglue.derived import (
     DHomClass,
@@ -47,9 +51,9 @@ from heartglue.derived import (
     derived_hom,
     dhom_space,
     identity_class,
+    lift_map,
     minimal_model,
     resolve,
-    solve_lift,
 )
 
 BUNDLED = CORPUS_NAMES + ("branching",)
@@ -154,7 +158,7 @@ def test_generator_data_parses_no_matrix_entries(a3rel, monkeypatch):
     monkeypatch.setattr(RatMatrix, "__init__", counting)
     sp = DHomSpace(x, y, 2)
     assert sp.class_of(u).coords == first.basis()[0].coords
-    solve_lift(eps.source, eps, eps)
+    lift_map(eps.source, eps, eps)
     map_from_generators(p, q, images)
     assert built == []
 
@@ -208,19 +212,74 @@ def test_unknown_free_spaces_are_zero(name):
 @given(data=st.data())
 def test_class_of_a_representative_returns_its_coordinates(kron, a3rel,
                                                            commsquare, data):
-    alg = data.draw(st.sampled_from([kron, a3rel, commsquare]))
+    objs = _objects(data.draw(st.sampled_from([kron, a3rel, commsquare])))
+    x, y = data.draw(st.sampled_from(objs)), data.draw(st.sampled_from(objs))
+    sp = _nonzero_space(data, x, y)
+    c = tuple(Fraction(data.draw(st.integers(-3, 3)),
+                       data.draw(st.integers(1, 3))) for _ in range(sp.dim))
+    assert sp.class_of(sp.representative(DHomClass(sp, c))).coords == c
+
+
+def _objects(alg):
+    """Simples and projectives as complexes, and a two-term complex of
+    projectives at three shifts."""
     n = alg.vertex_count
     two = _two_term(alg)
     objs = [as_cx(simple(alg, i)) for i in range(1, n + 1)]
     objs += [as_cx(projective(alg, i)) for i in range(1, n + 1)]
-    objs += [two, shift(two, 1), shift(two, -1)]
-    x, y = data.draw(st.sampled_from(objs)), data.draw(st.sampled_from(objs))
+    return objs + [two, shift(two, 1), shift(two, -1)]
+
+
+def _nonzero_space(data, x, y) -> DHomSpace:
+    """Hom(x, y[n]) at a drawn shift n where it is nonzero."""
     shifts = [k for k in _scan_range(x, y) if derived_hom(x, y, k)]
     assume(shifts)
-    sp = dhom_space(x, y, data.draw(st.sampled_from(shifts)))
-    c = tuple(Fraction(data.draw(st.integers(-3, 3)),
-                       data.draw(st.integers(1, 3))) for _ in range(sp.dim))
-    assert sp.class_of(sp.representative(DHomClass(sp, c))).coords == c
+    return dhom_space(x, y, data.draw(st.sampled_from(shifts)))
+
+
+def _random_class(data, sp: DHomSpace) -> DHomClass:
+    return DHomClass(sp, tuple(
+        Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        for _ in range(sp.dim)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_compose_classes_matches_the_map_level_route(kron, a3rel,
+                                                     commsquare, data):
+    objs = _objects(data.draw(st.sampled_from([kron, a3rel, commsquare])))
+    x, y, z = (data.draw(st.sampled_from(objs)) for _ in range(3))
+    sp1, sp2 = _nonzero_space(data, x, y), _nonzero_space(data, y, z)
+    c1, c2 = _random_class(data, sp1), _random_class(data, sp2)
+    # representatives as chain maps, the lift as a chain map, the
+    # composite as a chain map, and its class read back
+    n = sp1.n
+    lifted = lift_map(sp1.r, sp1.representative(c1), shift_map(sp2.eps, n))
+    post = shift_map(sp2.representative(c2), n)
+    target = dhom_space(x, z, n + sp2.n)
+    assert compose_classes(c2, c1) == target.class_of(ccompose(post, lifted))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_roof_class_matches_the_map_level_route(kron, a3rel, commsquare,
+                                                data):
+    alg = data.draw(st.sampled_from([kron, a3rel, commsquare]))
+    n = alg.vertex_count
+    mods = [projective(alg, i) for i in range(1, n + 1)]
+    mods += [simple(alg, i) for i in range(1, n + 1)]
+    q = data.draw(st.one_of(st.sampled_from(mods), random_module(alg)))
+    # K -> P -> Q along the projective cover does not split unless Q is
+    # projective; scaling the inclusion scales the class
+    _, pi = projective_cover(q)
+    k, incl = kernel(pi)
+    incl = incl.scale(data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)])))
+    tri = ses_to_triangle(incl, pi)
+    sp = dhom_space(q, k, 1)
+    post = tri.cone_of_f.proj
+    lifted = lift_map(sp.r, sp.eps, tri.comparison)
+    assert (sp.roof_class(tri.comparison, post)
+            == sp.class_of(ccompose(post, lifted)))
 
 
 def test_hom_dimensions_kronecker(kron):
@@ -291,6 +350,31 @@ def test_composition_is_bilinear(a3rel):
     assert compose_classes(zero, e32).is_zero()
 
 
+def test_compose_classes_builds_at_most_one_module_map(a3rel, monkeypatch):
+    s1, s2, s3 = (simple(a3rel, i) for i in (1, 2, 3))
+    e32 = dhom_space(s3, s2, 1).basis()[0]
+    e21 = dhom_space(s2, s1, 1).basis()[0]
+    # a first call builds the spaces and the shifted resolution of S2
+    first = compose_classes(e21, e32)
+    built = []
+    validate = RepMap.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(RepMap, "__post_init__", counting)
+    assert compose_classes(e21, e32) == first
+    assert len(built) <= 1
+
+
+def test_representative_builds_no_component_into_a_zero_term(a3rel):
+    # Hom(S3, S2[1]): S2[1] has its one term in degree -1
+    sp = dhom_space(simple(a3rel, 3), simple(a3rel, 2), 1)
+    u = sp.representative(sp.basis()[0])
+    assert list(u.components) == [-1]
+
+
 def test_composition_associative_across_shifts(a3rel):
     s1, s2, s3 = (simple(a3rel, i) for i in (1, 2, 3))
     e32 = dhom_space(s3, s2, 1).basis()[0]
@@ -338,14 +422,13 @@ def test_solve_lift_through_resolution(kron):
     eps = resolve(s2)
     target = as_cx(s2)
     # lift the augmentation through itself: u with eps u = eps
-    u, h = solve_lift(eps.source, eps, eps)
+    u = lift_map(eps.source, eps, eps)
     assert u.comp(0).block(2).rows == 1
 
 
 def test_solve_lift_up_to_homotopy(kron):
     # g: P2 -> (P2 --id--> P2) is null-homotopic but has no strict lift
-    # through the zero map out of 0; the lift is u = 0 with a homotopy
-    # satisfying r u - g = d h + h d
+    # through the zero map out of 0; up to homotopy the lift is u = 0
     p2 = projective(kron, 2)
     p = as_cx(p2)
     z = Cx(kron, {-1: p2, 0: p2}, {-1: identity_map(p2)})
@@ -353,15 +436,8 @@ def test_solve_lift_up_to_homotopy(kron):
     r = CxMap(Cx(kron, {}, {}), z, {})
     from heartglue.derived import LiftError
     with pytest.raises(LiftError):
-        solve_lift(p, g, r, strict=True)
-    u, h = solve_lift(p, g, r)
-    for k in (-1, 0, 1):
-        hk = h.get(k, zero_map(p.term(k), z.term(k - 1)))
-        hk1 = h.get(k + 1, zero_map(p.term(k + 1), z.term(k)))
-        moved = rcompose(r.comp(k), u.comp(k)) - g.comp(k)
-        assert (moved - rcompose(z.d(k - 1), hk)
-                - rcompose(hk1, p.d(k))).is_zero()
-    assert not h[0].is_zero()
+        lift_map(p, g, r, strict=True)
+    assert lift_map(p, g, r).is_zero()
 
 
 def test_solve_lift_reports_failure(kron):
@@ -374,7 +450,7 @@ def test_solve_lift_reports_failure(kron):
                  {0: RepMap(as_cx(p2).term(0), as_cx(p2).term(0),
                             tuple(RatMatrix.identity(d) for d in p2.dims))})
     with pytest.raises(LiftError):
-        solve_lift(as_cx(p2), idp2, r)
+        lift_map(as_cx(p2), idp2, r)
 
 
 def test_zero_object_has_no_homs(kron):

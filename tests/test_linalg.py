@@ -16,7 +16,6 @@ from heartglue.linalg import (
     rref,
     solve,
     span_membership,
-    vstack,
 )
 
 entries = st.fractions(
@@ -150,7 +149,7 @@ def test_complement_pivots():
 def test_stacking_and_blocks():
     a = RatMatrix([[1, 2]])
     b = RatMatrix([[3, 4]])
-    assert vstack([a, b]) == RatMatrix([[1, 2], [3, 4]])
+    assert block_matrix([[a], [b]], [1, 1], [2]) == RatMatrix([[1, 2], [3, 4]])
     assert hstack([a, b]) == RatMatrix([[1, 2, 3, 4]])
     assert block_matrix([[a, None], [None, b]], [1, 1], [2, 2]) == RatMatrix(
         [[1, 2, 0, 0], [0, 0, 3, 4]])

@@ -132,7 +132,8 @@ def test_stacking(r, widths, data):
     assert agree(lin.block_matrix(diag, [r] * len(news), widths),
                  ref.block_diag(olds))
     flipped = [m.transpose() for m in news]
-    assert agree(lin.vstack(flipped), ref.vstack([m.transpose() for m in olds]))
+    assert agree(lin.block_matrix([[m] for m in flipped], widths, [r]),
+                 ref.vstack([m.transpose() for m in olds]))
 
 
 @settings(max_examples=100, deadline=None)
