@@ -17,15 +17,19 @@ Classes compose on generator data. solve_lift, the one lift kernel,
 lifts a column through a quasi-isomorphism, and a post-composition is a
 block-diagonal product (_after): composition lifts through the
 resolution of the middle object, and the class of a roof X <- W -> Y[n]
-lifts the augmentation through W -> X. Chain maps are built only where
-a cone or a module map needs one, with no component into a zero term.
+lifts the augmentation through W -> X. The class of an exact sequence
+of modules Y -> M_1 -> ... -> M_n -> X is read off the augmentation
+lifted strictly along it, a degree at a time (extension_class). Chain
+maps are built only where a cone or a module map needs one, with no
+component into a zero term.
 
 Memo policy: each result is kept in the memo of the object it describes
 and nowhere else. A module's memo holds its complex and its identity; a
-complex's memo holds its resolution, its shifts and, keyed by
-(as_cx(y), n), the space Hom(x, y[n]). Keys are objects compared by
-identity, since classes, lifts and class_of check endpoints with `is`:
-only the objects of the first request hit. An entry dies with its object.
+complex's memo holds its resolution, shifts and copy generators, the
+space Hom(x, y[n]) keyed by (as_cx(y), n), and the layout of maps into
+t keyed by ("layout", t, delta). Keys are objects compared by identity,
+since classes, lifts and class_of check endpoints with `is`: only the
+objects of the first request hit. An entry dies with its object.
 """
 
 from __future__ import annotations
@@ -224,6 +228,18 @@ def minimal_model(x) -> tuple[Cx, CxMap]:
     return reduced, ccompose(eps, into)
 
 
+def _generators(r: Cx) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+    """(k, c, v, pos) per copy generator of the tagged complex r in degree
+    order, and degree -> its first generator; kept in r.memo."""
+    entries, first = [], {}
+    for k in sorted(r.terms):
+        if r.terms[k].proj_gens is None:
+            raise LiftError("layout needs a tagged complex")
+        first[k] = len(entries)
+        entries += [(k, *g) for g in generator_positions(r.terms[k])]
+    return entries, first
+
+
 class _GenLayout:
     """Generator data for maps out of a tagged complex r into the terms
     t^{k + delta}: one column, a block per copy generator of r in degree
@@ -231,17 +247,10 @@ class _GenLayout:
 
     def __init__(self, r: Cx, t: Cx, delta: int):
         self.delta = delta
-        self.entries: list[tuple[int, int, int, int]] = []  # (k, c, v, pos)
-        self.sizes: list[int] = []
-        self.first: dict[int, int] = {}  # degree -> its first block
-        for k in sorted(r.terms):
-            term = r.terms[k]
-            if term.proj_gens is None:
-                raise LiftError("layout needs a tagged complex")
-            self.first[k] = len(self.entries)
-            for (c, v, pos) in generator_positions(term):
-                self.entries.append((k, c, v, pos))
-                self.sizes.append(t.term(k + delta).dim_at(v))
+        self.entries, self.first = memoised(r, "generators",
+                                            lambda: _generators(r))
+        self.sizes = [t.term(k + delta).dim_at(v)
+                      for (k, _, v, _) in self.entries]
         self.offsets = list(accumulate(self.sizes, initial=0))
         self.total = self.offsets[-1]
 
@@ -250,13 +259,16 @@ class _GenLayout:
         return vec.take(range(self.offsets[i], self.offsets[i + 1]), None)
 
 
+def _layout(r: Cx, t: Cx, delta: int) -> _GenLayout:
+    """The generator layout of maps r^k -> t^{k + delta}, kept in r.memo."""
+    return memoised(r, ("layout", t, delta), lambda: _GenLayout(r, t, delta))
+
+
 def _has_unknowns(r: Cx, y: Cx, n: int) -> bool:
     """Whether _GenLayout(r, shift(y, n), 0) has any columns, read from
     the dimensions of y without building the shift or the layout."""
-    if any(t.proj_gens is None for t in r.terms.values()):
-        raise LiftError("layout needs a tagged complex")
-    return any(y.term(k + n).dims[v - 1]
-               for k, t in r.terms.items() for v in t.proj_gens)
+    entries, _ = memoised(r, "generators", lambda: _generators(r))
+    return any(y.term(k + n).dim_at(v) for (k, _, v, _) in entries)
 
 
 def _next_columns(r: Cx, target: Rep, k: int, v: int,
@@ -334,13 +346,13 @@ def solve_lift(p: Cx, g: RatMatrix, r: CxMap,
     """Generator data of u: p -> source(r) with r u = g, strictly or up to
     homotopy, for g the generator data of a map p -> target(r) and p
     tagged; raises LiftError when no lift exists."""
-    ulay = _GenLayout(p, r.source, 0)
-    zlay = _GenLayout(p, r.target, 0)
+    ulay = _layout(p, r.source, 0)
+    zlay = _layout(p, r.target, 0)
     # rows: u is a chain map, then r u + (d h + h d) = g; the sign of the
     # homotopy block does not change u
     chain = _system(p, r.source, ulay, -1)
     bnd = (RatMatrix.zeros(zlay.total, 0) if strict
-           else _system(p, r.target, _GenLayout(p, r.target, -1), 1))
+           else _system(p, r.target, _layout(p, r.target, -1), 1))
     heights = [chain.rows, zlay.total]
     system = block_matrix([[chain, None], [_after(r, ulay, zlay), bnd]],
                           heights, [ulay.total, bnd.cols])
@@ -356,9 +368,9 @@ def lift_map(p: Cx, g: CxMap, r: CxMap, strict: bool = False) -> CxMap:
         raise LiftError("g must start at the tagged complex")
     if g.target is not r.target:
         raise LiftError("g and r must share their target")
-    vec = solve_lift(p, _map_to_vector(g, _GenLayout(p, g.target, 0)), r,
+    vec = solve_lift(p, _map_to_vector(g, _layout(p, g.target, 0)), r,
                      strict)
-    return _vector_to_map(p, r.source, _GenLayout(p, r.source, 0), vec)
+    return _vector_to_map(p, r.source, _layout(p, r.source, 0), vec)
 
 
 def _block(f: CxMap, k: int, v: int) -> RatMatrix | None:
@@ -380,10 +392,10 @@ class DHomSpace:
         self.eps = resolve(x)
         self.r = self.eps.source
         self.t = shift(y, n)
-        self.layout = _GenLayout(self.r, self.t, 0)
+        self.layout = _layout(self.r, self.t, 0)
         self.cycles = kernel_basis(_system(self.r, self.t, self.layout, -1))
         self.boundaries = _system(self.r, self.t,
-                                  _GenLayout(self.r, self.t, -1), 1)
+                                  _layout(self.r, self.t, -1), 1)
         nb = self.boundaries.cols
         pivots = pivot_columns(hstack([self.boundaries, self.cycles]))
         self.picked = self.cycles.take(None, [p - nb for p in pivots if p >= nb])
@@ -419,14 +431,45 @@ class DHomSpace:
         if (q.target is not self.x or post.target is not self.t
                 or post.source is not q.source):
             raise LiftError("roof not anchored to this Hom space")
-        aug = _map_to_vector(self.eps, _GenLayout(self.r, self.x, 0))
+        aug = _map_to_vector(self.eps, _layout(self.r, self.x, 0))
         return self._lifted_after(aug, q, post)
+
+    def extension_class(self, maps: tuple[RepMap, ...]) -> "DHomClass":
+        """The class of the exact sequence y -> m_1 -> ... -> m_n -> x with
+        maps maps[0] .. maps[n] (comparison theorem, Weibel Thm 2.2.6): the
+        augmentation lifted strictly along it a degree at a time, read in
+        degree -n.  The lift is a chain map into the sequence rolled up
+        over x, so its class is that of the roof through it.  Builds no map."""
+        n, r = self.n, self.r
+        if (len(maps) != n + 1 or maps[0].source is not self.t.term(-n)
+                or maps[n].target is not self.x.term(0)):
+            raise LiftError("sequence not anchored to this Hom space")
+        if self.dim == 0 or -n not in r.terms:
+            return self.zero()
+        prev: list[RatMatrix] = []  # the lift's generator data in degree k + 1
+        for k in range(0, -n - 1, -1):
+            f, cur = maps[n + k], []
+            for (_, v, pos) in generator_positions(r.terms[k]):
+                if k == 0:
+                    rhs = self.eps.comp(0).block(v).col_matrix(pos)
+                else:  # the lift in degree k + 1 at d_r of the generator
+                    us = _next_columns(r, f.target, k, v, pos) or ()
+                    rhs = sum((u @ h for u, h in zip(us, prev)),
+                              RatMatrix.zeros(f.target.dim_at(v), 1))
+                h = solve(f.block(v), rhs)
+                if h is None:
+                    raise LiftError("no lift along the sequence")
+                cur.append(h)
+            prev = cur
+        grid = [[prev[c] if k == -n else None]
+                for (k, c, _, _) in self.layout.entries]
+        return self.class_of_vector(block_matrix(grid, self.layout.sizes, [1]))
 
     def _lifted_after(self, g: RatMatrix, q: CxMap,
                       post: CxMap) -> "DHomClass":
         """The class of post u for u the lift of generator data g by q."""
         u = solve_lift(self.r, g, q)
-        lay = _GenLayout(self.r, q.source, 0)
+        lay = _layout(self.r, q.source, 0)
         return self.class_of_vector(_after(post, lay, self.layout) @ u)
 
     def representative(self, cls: "DHomClass") -> CxMap:

@@ -5,13 +5,12 @@ An n-step extension of a module A by a module B is an exact sequence
     0 -> B -> X_1 -> ... -> X_n -> A -> 0
 
 stored together with its maps xi_0 .. xi_n.  `f_map` sends such a
-sequence to its connecting class in Hom(A, B[n]): the sequence is
-chopped into short exact pieces at the images of its maps and the
-one-step connecting classes are composed.  An independent route,
-`f_map_via_quasi_iso`, rolls the whole sequence into a single complex
-quasi-isomorphic to A; the suite checks the two routes agree exactly.
-Both read connecting classes off roofs A <- W -> B[n] (a
-quasi-isomorphism onto A, a map to B[n]) with `DHomSpace.roof_class`.
+sequence to its class in Hom(A, B[n]), read off one comparison lift:
+the augmentation of A's resolution lifted along the sequence, degree
+by degree (`DHomSpace.extension_class`).  The independent route,
+`f_map_via_quasi_iso`, rolls the whole sequence into a single complex W
+quasi-isomorphic to A and reads the roof A <- W -> B[n] with
+`DHomSpace.roof_class`; the suite checks the two routes agree exactly.
 
 `splice_from_class` inverts `f_map`: it pushes the projective
 resolution of A out along a chain-map representative of the class and
@@ -31,10 +30,10 @@ from dataclasses import dataclass
 
 from .linalg import RatMatrix, rank, span_membership
 from .reps import (ID, Rep, RepError, RepMap, block_map, cokernel,
-                   direct_sum, exact_certificate, identity_map, image, kernel,
+                   direct_sum, exact_certificate, identity_map, kernel,
                    through_epi, through_mono, zero_map, zero_rep)
 from .reps import compose as rcompose
-from .complexes import Cx, CxMap, ses_to_triangle
+from .complexes import Cx, CxMap
 from .derived import DHomClass, as_cx, compose_classes, dhom_space
 
 
@@ -118,50 +117,29 @@ def split_ext(a: Rep, b: Rep, n: int) -> YExt:
 
 
 def _route_sign(n: int) -> int:
-    # The rolled-complex construction and the chopped-connecting
-    # construction of the class of an n-extension differ by this
-    # classical factor; degree pattern + + - - + + - - ...
+    # The raw lift of the augmentation and the canonical class (the
+    # composite of the one-step connecting classes) of an n-extension
+    # differ by this classical factor; degree pattern + + - - + + - - ...
     return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
-def _connecting(f: RepMap, g: RepMap) -> DHomClass:
-    """Connecting class in Hom(Q, K[1]) of a short exact sequence K -> M -> Q.
-
-    It is the roof Q <- cone(K -> M) -> K[1] of the certified comparison
-    map and the projection.  The class is independent of the chosen lift
-    because homotopy classes of maps out of the resolution biject along
-    the comparison map.
-    """
-    tri = ses_to_triangle(f, g)
-    # tri.right is as_cx(Q) and the projection lands in as_cx(K)[1]
-    return dhom_space(g.target, f.source, 1).roof_class(
-        tri.comparison, tri.cone_of_f.proj)
-
-
 def f_map(x: YExt) -> DHomClass:
-    """Canonical class of an extension in Hom(right, left[n])."""
-    if x.n == 1:
-        return _connecting(x.maps[0], x.maps[1])
-    chops = [image(x.maps[i]) for i in range(1, x.n)]
-    cls = None
-    for i in range(x.n, 0, -1):
-        inc = x.maps[0] if i == 1 else chops[i - 2][1]
-        out = x.maps[x.n] if i == x.n else chops[i - 1][2]
-        delta = _connecting(inc, out)
-        cls = delta if cls is None else compose_classes(delta, cls)
-    return cls
+    """Canonical class of an extension in Hom(right, left[n]), read off
+    one comparison lift of the augmentation of right along the sequence
+    (`DHomSpace.extension_class`)."""
+    exact_certificate(*x.maps)
+    cls = dhom_space(x.right, x.left, x.n).extension_class(x.maps)
+    return cls if _route_sign(x.n) == 1 else cls.scale(-1)
 
 
 def f_map_via_quasi_iso(x: YExt) -> DHomClass:
-    """Same class as `f_map`, computed without chopping the sequence.
+    """Same class as `f_map`, computed as a roof through a complex.
 
     View 0 -> left -> middle -> right as a complex W with `left` in
     degree -n whose final map is a quasi-isomorphism onto `right`; lift
-    the augmentation of `right` through it and project onto degree -n.
-    The raw result differs from the chopped-connecting composite by
-    (-1)^(n(n-1)/2), which is applied at the end so both functions
-    produce the same coordinates.  Kept as an independent cross-check
-    of `f_map`.
+    the augmentation of `right` through it up to homotopy and project
+    onto degree -n, then apply the sign of `_route_sign`.  Kept as an
+    independent cross-check of `f_map`.
     """
     n = x.n
     terms = {-n: x.left}

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import strategies as st
 
 from heartglue.algebra import Relation, build_algebra, make_quiver
-from heartglue.complexes import Cx, CxMap
-from heartglue.derived import derived_hom, dhom_space
+from heartglue.complexes import Cx, CxMap, ses_to_triangle
+from heartglue.derived import compose_classes, derived_hom, dhom_space
 from heartglue.glue import _scan_range
 from heartglue.linalg import RatMatrix
 from heartglue.reps import (RepMap, compose as rcompose, generator_positions,
-                            map_from_generators, projective_sum)
+                            image, map_from_generators, projective_sum)
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +64,23 @@ def class_of_module_map(f: RepMap):
                    {i: RepMap(sp.r.term(i), sp.t.term(i), m.blocks)
                     for i, m in comps.items()})
     return sp.class_of(lifted)
+
+
+def chopped_class(x):
+    """The class of an extension by the chopped route, an oracle for
+    `f_map`: cut the sequence into short exact pieces at the images of
+    its maps, read each connecting class in Hom(Q, K[1]) off the roof
+    Q <- cone(K -> M) -> K[1] of its certified triangle, and compose."""
+    chops = [image(x.maps[i]) for i in range(1, x.n)]
+    cls = None
+    for i in range(x.n, 0, -1):
+        inc = x.maps[0] if i == 1 else chops[i - 2][1]
+        out = x.maps[x.n] if i == x.n else chops[i - 1][2]
+        tri = ses_to_triangle(inc, out)
+        delta = dhom_space(out.target, inc.source, 1).roof_class(
+            tri.comparison, tri.cone_of_f.proj)
+        cls = delta if cls is None else compose_classes(delta, cls)
+    return cls
 
 
 def random_sum(data, alg, min_size=0):

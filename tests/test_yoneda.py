@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import class_of_module_map
-from heartglue.complexes import shift
-from heartglue.derived import as_cx, compose_classes, dhom_space
+from conftest import chopped_class, class_of_module_map
+from heartglue.complexes import Cx, shift
+from heartglue.derived import (DHomClass, LiftError, as_cx, compose_classes,
+                               dhom_space)
 from heartglue.linalg import RatMatrix
 from heartglue.reps import (
     RepMap,
@@ -356,3 +357,60 @@ class TestSpliceErrors:
         zero_deg = dhom_space(s2, s2, 0).basis()[0]
         with pytest.raises(YExtError):
             splice_from_class(zero_deg, s2, s2, 0)
+
+
+class TestExtensionClass:
+    """f_map reads the class off one comparison lift of the augmentation."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lift_chopped_and_roof_routes_agree(self, a3rel, a4rel,
+                                                commsquare, kron, data):
+        alg = data.draw(st.sampled_from([a3rel, a4rel, commsquare, kron]))
+        n = data.draw(st.integers(1, 3))
+        objs = spaces_objects(alg)
+        pairs = [(a, b) for a in objs for b in objs
+                 if dhom_space(a, b, n).dim] or [(objs[-1], objs[0])]
+        a, b = data.draw(st.sampled_from(pairs))
+        sp = dhom_space(a, b, n)
+        coords = st.lists(st.integers(-2, 2).map(Fraction),
+                          min_size=sp.dim, max_size=sp.dim).map(tuple)
+        c1 = DHomClass(sp, data.draw(coords))
+        c2 = DHomClass(sp, data.draw(coords))
+        x, y = splice_from_class(c1, a, b, n), splice_from_class(c2, a, b, n)
+        for ext, want in ((x, c1), (baer_sum(x, y), c1 + c2)):
+            got = f_map(ext)
+            assert got == want
+            assert chopped_class(ext).coords == got.coords
+            assert f_map_via_quasi_iso(ext).coords == got.coords
+
+    @pytest.mark.parametrize("fixture, hi, lo, n", [
+        ("a3rel", 2, 1, 1), ("a3rel", 3, 1, 2), ("a4rel", 4, 1, 3)])
+    def test_second_call_builds_no_map_or_complex(self, request, monkeypatch,
+                                                  fixture, hi, lo, n):
+        alg = request.getfixturevalue(fixture)
+        a, b = simple(alg, hi), simple(alg, lo)
+        x = splice_from_class(dhom_space(a, b, n).basis()[0], a, b, n)
+        # a first call builds the space and the resolution of a
+        first = f_map(x)
+        built = []
+        for kind in (RepMap, Cx):
+            def counting(self, validate=kind.__post_init__):
+                built.append(type(self).__name__)
+                validate(self)
+            monkeypatch.setattr(kind, "__post_init__", counting)
+        assert f_map(x) == first
+        assert built == []
+
+    def test_rejects_a_sequence_the_augmentation_does_not_lift_along(self, a2):
+        # YExt rejects both sequences, so only a direct call gets here
+        s1, s2 = simple(a2, 1), simple(a2, 2)
+        sp = dhom_space(s2, s1, 1)
+        x = splice_from_class(sp.basis()[0], s2, s1, 1)
+        (mid,), (xi0, xi1) = x.middle, x.maps
+        with pytest.raises(LiftError):  # the last map is not onto
+            sp.extension_class((xi0, zero_map(mid, s2)))
+        with pytest.raises(LiftError):  # not exact at the middle term
+            sp.extension_class((zero_map(s1, mid), xi1))
+        with pytest.raises(LiftError):  # endpoints of another space
+            dhom_space(s1, s2, 1).extension_class(x.maps)
