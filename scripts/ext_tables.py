@@ -4,9 +4,8 @@ Rows scan every ordered pair of indecomposable projectives and simples;
 only the nonzero spaces are shown.
 """
 
-from heartglue.cli import load_corpus
+from heartglue.cli import default_window, load_corpus
 from heartglue.derived import derived_hom
-from heartglue.glue import default_window
 from heartglue.reps import projective, simple
 
 

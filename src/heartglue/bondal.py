@@ -59,7 +59,6 @@ class EndAlgebra:
 
     objects: tuple[Cx, ...]
     elements: tuple[EndElement, ...]
-    window: int
     memo: dict = memo_field()
 
     def __post_init__(self):
@@ -112,14 +111,13 @@ class EndAlgebra:
         return {k: c for k, c in out.items() if c != 0}
 
 
-def end_algebra(es: ExcSequence, window: int | None = None) -> EndAlgebra:
+def end_algebra(es: ExcSequence) -> EndAlgebra:
     """Basis and products of End of the sum of a strong sequence."""
     if not es.strong:
         raise BondalError(
             "the correspondence needs a strong sequence; this one has "
             "maps at nonzero shifts")
-    objs = tuple(es.object(i) for i in range(1, len(es) + 1))
-    w = window if window is not None else es.window
+    objs = es.objects
     elements = []
     for i in range(1, len(objs) + 1):
         elements.append(EndElement(i, i, identity_class(objs[i - 1])))
@@ -127,7 +125,7 @@ def end_algebra(es: ExcSequence, window: int | None = None) -> EndAlgebra:
             sp = dhom_space(objs[i - 1], objs[j - 1], 0)
             for cls in sp.basis():
                 elements.append(EndElement(i, j, cls))
-    return EndAlgebra(objs, tuple(elements), w)
+    return EndAlgebra(objs, tuple(elements))
 
 
 def verify_end_algebra(end: EndAlgebra) -> tuple[int, int]:
@@ -360,7 +358,6 @@ class FaithfulReport:
     rank of the induced map); a pair passes when all three agree."""
 
     ok: bool
-    window: int
     pairs: int
     mismatches: tuple[tuple[int, int, int, int], ...]
 
@@ -372,8 +369,7 @@ def _flat(f: RepMap) -> list[Fraction]:
     return [c for b in f.blocks for i in range(b.rows) for c in b.row(i)]
 
 
-def faithful_full_check(pres: Presentation, pairs=None,
-                        window: int | None = None) -> FaithfulReport:
+def faithful_full_check(pres: Presentation, pairs=None) -> FaithfulReport:
     """Check the hom-module construction is bijective on sampled homs.
 
     Each sample (x, y) passes when dim Hom(x, y) equals the module hom
@@ -382,7 +378,6 @@ def faithful_full_check(pres: Presentation, pairs=None,
     objects.
     """
     end = pres.end
-    w = window if window is not None else end.window
     if pairs is None:
         pairs = [(a, b) for a in end.objects for b in end.objects]
     images: dict[Cx, Rep] = {}
@@ -407,7 +402,7 @@ def faithful_full_check(pres: Presentation, pairs=None,
         induced = rank(RatMatrix.from_cols(sent, rows=entries))
         if not (sp.dim == module_dim == induced):
             mism.append((count, sp.dim, module_dim, induced))
-    return FaithfulReport(not mism, w, count, tuple(mism))
+    return FaithfulReport(not mism, count, tuple(mism))
 
 
 @dataclass(frozen=True)
@@ -417,7 +412,6 @@ class TableReport:
     (i, j, shift, dim over the objects, dim over the projectives)."""
 
     ok: bool
-    window: int
     pairs: int
     mismatches: tuple[tuple[int, int, int, int, int], ...]
 
@@ -425,11 +419,9 @@ class TableReport:
         return self.ok
 
 
-def hom_table_match(pres: Presentation,
-                    window: int | None = None) -> TableReport:
+def hom_table_match(pres: Presentation) -> TableReport:
     """Compare Hom(E_i, E_j[n]) with Hom(P_i, P_j[n]) at every shift."""
     end = pres.end
-    w = window if window is not None else end.window
     projs = [as_cx(projective(pres.algebra, i))
              for i in range(1, end.positions + 1)]
     mism = []
@@ -444,7 +436,7 @@ def hom_table_match(pres: Presentation,
                 dp = derived_hom(projs[i - 1], projs[j - 1], n)
                 if de != dp:
                     mism.append((i, j, n, de, dp))
-    return TableReport(not mism, w, pairs, tuple(mism))
+    return TableReport(not mism, pairs, tuple(mism))
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,7 +460,7 @@ class BondalReport:
         return self.ok
 
 
-def bondal_check(es: ExcSequence, window: int | None = None) -> BondalReport:
+def bondal_check(es: ExcSequence) -> BondalReport:
     """Run the whole correspondence for one strong sequence.
 
     Builds the endomorphism algebra, verifies its ring axioms, presents
@@ -477,14 +469,14 @@ def bondal_check(es: ExcSequence, window: int | None = None) -> BondalReport:
     projective, and compares hom dimensions between the objects and the
     projectives at every shift.
     """
-    end = end_algebra(es, window)
+    end = end_algebra(es)
     pairs, triples = verify_end_algebra(end)
     pres = quiver_presentation(end)
     eval_pairs = presentation_multiplicative(pres)
     comparisons = tuple(projective_compare(pres, i)
                         for i in range(1, end.positions + 1))
-    faithful = faithful_full_check(pres, window=window)
-    table = hom_table_match(pres, window)
+    faithful = faithful_full_check(pres)
+    table = hom_table_match(pres)
     return BondalReport(faithful.ok and table.ok, end.dim, pres.algebra.dim,
                         len(pres.algebra.quiver.arrows),
                         len(pres.algebra.relations),

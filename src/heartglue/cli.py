@@ -3,9 +3,13 @@
 Every command reads an algebra file (and optionally object list files),
 runs one verification suite, and prints a report.  Text output is for
 reading; JSON output is the machine contract, canonical enough that
-parsing and re-dumping a report reproduces it byte for byte.  Both
-always state the shift window a scan used, so a zero means "vanishes
-everywhere in the window", never "not looked at".
+parsing and re-dumping a report reproduces it byte for byte.
+
+The shift window (--window, or default_window) is a label: the reports
+print it, and no computation reads it.  Each Hom scan covers every shift
+where a Hom can be nonzero (glue._scan_range), so a zero means "vanishes
+at every shift", never "not looked at", whatever the window says.
+yoneda-oracle reports its degree bound as its window instead.
 
 Exit status: 0 when every check in the job passed, 1 when a check
 failed (the report carries the witness), 2 when an input file did not
@@ -24,8 +28,7 @@ import click
 from .complexes import cohomology_dims, shift
 from .derived import as_cx, derived_hom, dhom_space
 from .glue import (AddGeneratedAisle, ExcError, GlueError, _homs,
-                   check_dim_formula, check_sequence, default_window, glue,
-                   glue_sequence)
+                   check_dim_formula, check_sequence, glue, glue_sequence)
 from .jsonio import (SchemaError, algebra_to_dict, dump_json, load_algebra,
                      load_objects)
 from .bondal import BondalError, bondal_check
@@ -73,6 +76,11 @@ def _objects(job: JobSpec, alg):
         return out
     return [(f"projective {i}", projective(alg, i))
             for i in range(1, alg.vertex_count + 1)]
+
+
+def default_window(algebra, count: int = 1) -> int:
+    """Shift window a report quotes for a job on count objects."""
+    return algebra.vertex_count + count + 2
 
 
 def _window(job: JobSpec, alg, count: int) -> int:
@@ -123,7 +131,7 @@ def _run_check_exceptional(job: JobSpec):
             "objects": [label for label, _ in objs]}
     lines = [f"check-exceptional  window={w}"]
     try:
-        es = check_sequence([v for _, v in objs], window=w)
+        es = check_sequence([v for _, v in objs])
     except ExcError as e:
         report = dict(base, exceptional=False, strong=False,
                       failure=_exc_payload(e), shifted_entries=[], ok=False)
@@ -148,8 +156,8 @@ def _run_glue_hearts(job: JobSpec):
             "objects": [label for label, _ in objs]}
     lines = [f"glue-hearts  window={w}"]
     try:
-        es = check_sequence([v for _, v in objs], window=w)
-        _, heart = glue_sequence(es, window=w)
+        es = check_sequence([v for _, v in objs])
+        _, heart = glue_sequence(es)
     except (ExcError, GlueError) as e:
         lines.append(f"failed: {e}")
         return 1, dict(base, ok=False, error=str(e), generators=[]), lines
@@ -180,18 +188,17 @@ def _run_dim_formula(job: JobSpec):
             "objects": [label for label, _ in objs]}
     lines = [f"dim-formula  window={w}"]
     try:
-        es = check_sequence([v for _, v in objs], window=w)
-        glued, heart = glue_sequence(es, window=w)
+        es = check_sequence([v for _, v in objs])
+        glued, heart = glue_sequence(es)
         rep = check_dim_formula(glued.left.heart(), glued.right.heart(),
-                                heart, window=job.window)
+                                heart)
     except (ExcError, GlueError) as e:
         lines.append(f"failed: {e}")
         return 1, dict(base, ok=False, error=str(e)), lines
-    report = dict(base, window=rep.window, pieces=len(es),
+    report = dict(base, pieces=len(es),
                   lhs=rep.lhs, rhs=rep.rhs, dim_left=rep.dim_left,
                   dim_right=rep.dim_right, rel=rep.rel,
                   witness=list(rep.witness), ok=rep.ok)
-    lines[0] = f"dim-formula  window={rep.window}"
     lines.append(f"lhs={rep.lhs} rhs={rep.rhs} "
                  f"{'OK' if rep.ok else 'MISMATCH'}")
     lines.append(f"rhs = max(left={rep.dim_left}, right={rep.dim_right}, "
@@ -254,13 +261,13 @@ def _run_bondal_check(job: JobSpec):
             "objects": [label for label, _ in objs]}
     lines = [f"bondal-check  window={w}"]
     try:
-        es = check_sequence([v for _, v in objs], strong=True, window=w)
-        r = bondal_check(es, window=job.window)
+        es = check_sequence([v for _, v in objs], strong=True)
+        r = bondal_check(es)
     except (ExcError, BondalError) as e:
         lines.append(f"failed: {e}")
         return 1, dict(base, ok=False, error=str(e)), lines
     desc = algebra_to_dict(r.presentation.algebra)
-    report = dict(base, window=r.table.window, end_dim=r.end_dim,
+    report = dict(base, end_dim=r.end_dim,
                   algebra_dim=r.algebra_dim, vertices=desc["vertices"],
                   arrows=desc["arrows"], relations=desc["relations"],
                   products_checked=r.products_checked,
@@ -269,7 +276,6 @@ def _run_bondal_check(job: JobSpec):
                   faithful_pairs=r.faithful.pairs,
                   faithful_ok=r.faithful.ok, table_ok=r.table.ok,
                   comparisons=len(r.comparisons), ok=r.ok)
-    lines[0] = f"bondal-check  window={r.table.window}"
     lines.append(f"endomorphism algebra dim {r.end_dim}; "
                  f"presented path algebra dim {r.algebra_dim}")
     lines += [f"arrow {a['name']}: {a['source']} -> {a['target']}"
@@ -290,12 +296,11 @@ def _run_bondal_check(job: JobSpec):
     return (0 if r.ok else 1), report, lines
 
 
-def _case_shifted_pair(alg, window: int | None) -> dict:
-    w = window if window is not None else default_window(alg, 2)
+def _case_shifted_pair(alg, w: int) -> dict:
     p1, p2 = projective(alg, 1), projective(alg, 2)
-    left = AddGeneratedAisle((shift(as_cx(p1), 1),), window=w)
-    right = AddGeneratedAisle((as_cx(p2),), window=w)
-    _, heart = glue(left, right, window=w)
+    left = AddGeneratedAisle((shift(as_cx(p1), 1),))
+    right = AddGeneratedAisle((as_cx(p2),))
+    _, heart = glue(left, right)
     sp = dhom_space(shift(as_cx(p1), 2), as_cx(p2), 2)
     basis_factor = [factors_through(c, heart.generators)
                     for c in sp.basis()]
@@ -309,11 +314,10 @@ def _case_shifted_pair(alg, window: int | None) -> dict:
             "zero_class_factors": zero_ok, "reproduced": reproduced}
 
 
-def _case_branching(alg, window: int | None) -> dict:
-    w = window if window is not None else default_window(alg, 3)
+def _case_branching(alg, w: int) -> dict:
     ps = [projective(alg, i) for i in (1, 2, 3)]
-    es = check_sequence(ps, strong=True, window=w)
-    _, heart = glue_sequence(es, window=w)
+    es = check_sequence(ps, strong=True)
+    _, heart = glue_sequence(es)
     sp = dhom_space(shift(as_cx(ps[0]), 2), as_cx(ps[2]), 2)
     c = sp.basis()[0]
     factors = factors_through(c, heart.generators)
@@ -330,8 +334,8 @@ def _run_remark_counterexamples(job: JobSpec):
             "remark-counterexamples runs on bundled data and takes no files")
     kron = load_algebra(str(corpus_path("kronecker")))
     branching = load_algebra(str(corpus_path("branching")))
-    cases = [_case_shifted_pair(kron, job.window),
-             _case_branching(branching, job.window)]
+    cases = [_case_shifted_pair(kron, _window(job, kron, 2)),
+             _case_branching(branching, _window(job, branching, 3))]
     ok = all(c["reproduced"] for c in cases)
     report = {"command": "remark-counterexamples",
               "window": {c["name"]: c["window"] for c in cases},
@@ -421,7 +425,8 @@ def _make_command(name: str) -> click.Command:
                  "projectives in vertex order."))
     params += [
         click.Option(["--window"], type=click.IntRange(min=1), default=None,
-                     help="Shift radius for hom scans."),
+                     help="Shift window the report quotes; every scan "
+                          "covers all shifts where a Hom can be nonzero."),
         click.Option(["--format", "output"],
                      type=click.Choice(["text", "json"]), default="text",
                      help="Report format."),

@@ -6,11 +6,12 @@ has term x^{i+k} in degree i and differential scaled by (-1)^k, so
 H^i(shift(x, k)) = H^{i+k}(x). shift(x, 0) returns x itself.
 
 The cone of a chain map f: X -> Y has C^k = X^{k+1} (+) Y^k with X-part
-first and d(x, y) = (-d_X x, f x + d_Y y); the inclusion of Y and the
-projection to shift(X, 1) are both chain maps and are returned with it.
-The layout of a direct sum lives in reps: a Cone and a CxSum carry each
-term as a reps.DirectSum, and their differentials, inclusions and
-projections, like the comparisons built out of a cone, are reps.block_maps.
+first and d(x, y) = (-d_X x, f x + d_Y y).  It is a CxSum with parts
+(shift(X, 1), Y), like a direct sum of complexes; its injection(1) of Y
+and projection(0) to shift(X, 1) are chain maps.  The layout of a direct
+sum lives in reps: a CxSum carries each term as a reps.DirectSum, and its
+differential, injections and projections, like the comparisons built out
+of a cone, are reps.block_maps.
 
 A differential or chain-map component missing from its dict is zero.
 Cx.d and CxMap.comp build that zero map on request; the checks here,
@@ -25,7 +26,6 @@ is one object in the module's memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import PathAlgebraDesc, memo_field, memoised
 from .linalg import RatMatrix, rank
@@ -127,9 +127,7 @@ def shift(x: Cx, k: int) -> Cx:
 
 def _shifted(x: Cx, k: int) -> Cx:
     terms = {i - k: t for i, t in x.terms.items()}
-    sign = Fraction(-1) if k % 2 else Fraction(1)
-    diffs = {i - k: (d if sign == 1 else d.scale(sign))
-             for i, d in x.diffs.items()}
+    diffs = {i - k: -d if k % 2 else d for i, d in x.diffs.items()}
     out = Cx(x.algebra, terms, diffs)
     out.memo["unshifted"] = (x, k)
     return out
@@ -229,91 +227,58 @@ def shift_map(f: CxMap, k: int) -> CxMap:
 
 
 @dataclass(frozen=True, eq=False)
-class Cone:
-    """cone(f) with its terms as direct sums; incl and proj are built on
-    first request."""
-
-    f: CxMap
-    cx: Cx
-    sums: dict[int, DirectSum]
-    shifted: Cx  # shift(f.source, 1), the target of proj
-    memo: dict = memo_field()
-
-    @property
-    def incl(self) -> CxMap:
-        return memoised(self, "incl", lambda: CxMap(
-            self.f.target, self.cx,
-            {k: s.injection(1) for k, s in self.sums.items()}))
-
-    @property
-    def proj(self) -> CxMap:
-        # x.term(k + 1) is shift(x, 1).term(k), padding zeros included, so
-        # the summand projections are already anchored to the shifted complex
-        return memoised(self, "proj", lambda: CxMap(
-            self.cx, self.shifted,
-            {k: s.projection(0) for k, s in self.sums.items()}))
-
-
-def cone(f: CxMap) -> Cone:
-    x, y = f.source, f.target
-    sx = shift(x, 1)
-    degs = sorted(set(sx.terms) | set(y.terms))
-    sums = {k: direct_sum([sx.term(k), y.term(k)]) for k in degs}
-    diffs: dict[int, RepMap] = {}
-    for k in degs:
-        if (k + 1) not in sums:
-            continue
-        grid = [[sx.diffs.get(k), None],
-                [f.components.get(k + 1), y.diffs.get(k)]]
-        if any(g is not None for row in grid for g in row):
-            diffs[k] = block_map(sums[k], sums[k + 1], grid)
-    c = Cx(x.algebra, {k: s.rep for k, s in sums.items()}, diffs)
-    return Cone(f, c, sums, sx)
-
-
-@dataclass(frozen=True, eq=False)
 class CxSum:
-    """The sum of complexes, each term a reps.DirectSum of theirs; the
-    injections and projections are built on first request."""
+    """A sum of complexes, each term a reps.DirectSum of the parts' terms.
+
+    The differential has the parts' differentials on the diagonal; for
+    cone(f), whose parts are (shift(f.source, 1), f.target), it also has
+    f below the diagonal.  A differential is stored whenever any of its
+    blocks is present, even when they are all zero.  injection(i) and
+    projection(i) are built on first request.
+    """
 
     parts: tuple[Cx, ...]
     cx: Cx
     sums: dict[int, DirectSum]
+    f: CxMap | None = None
     memo: dict = memo_field()
 
-    @property
-    def injections(self) -> tuple[CxMap, ...]:
-        return memoised(self, "injections", lambda: tuple(
-            CxMap(p, self.cx,
-                  {k: s.injection(i) for k, s in self.sums.items()})
-            for i, p in enumerate(self.parts)))
+    def injection(self, i: int) -> CxMap:
+        return memoised(self, ("injection", i), lambda: CxMap(
+            self.parts[i], self.cx,
+            {k: s.injection(i) for k, s in self.sums.items()}))
 
-    @property
-    def projections(self) -> tuple[CxMap, ...]:
-        return memoised(self, "projections", lambda: tuple(
-            CxMap(self.cx, p,
-                  {k: s.projection(i) for k, s in self.sums.items()})
-            for i, p in enumerate(self.parts)))
+    def projection(self, i: int) -> CxMap:
+        return memoised(self, ("projection", i), lambda: CxMap(
+            self.cx, self.parts[i],
+            {k: s.projection(i) for k, s in self.sums.items()}))
+
+
+def _sum(parts: tuple[Cx, ...], f: CxMap | None = None) -> CxSum:
+    degs = sorted(set(k for p in parts for k in p.terms))
+    sums = {k: direct_sum([p.term(k) for p in parts]) for k in degs}
+    diffs: dict[int, RepMap] = {}
+    for k in degs:
+        if (k + 1) not in sums:
+            continue
+        grid = [[p.diffs.get(k) if i == j else None
+                 for j in range(len(parts))] for i, p in enumerate(parts)]
+        if f is not None:
+            grid[1][0] = f.components.get(k + 1)
+        if any(g is not None for row in grid for g in row):
+            diffs[k] = block_map(sums[k], sums[k + 1], grid)
+    cx = Cx(parts[0].algebra, {k: s.rep for k, s in sums.items()}, diffs)
+    return CxSum(parts, cx, sums, f)
+
+
+def cone(f: CxMap) -> CxSum:
+    return _sum((shift(f.source, 1), f.target), f)
 
 
 def cx_direct_sum(parts: list[Cx]) -> CxSum:
     if not parts:
         raise CxError("empty direct sum of complexes")
-    degs = sorted(set(i for p in parts for i in p.terms))
-    sums = {k: direct_sum([p.term(k) for p in parts]) for k in degs}
-    diffs = {}
-    for k in degs:
-        if (k + 1) not in sums:
-            continue
-        ds = [p.diffs.get(k) for p in parts]
-        if any(d is not None for d in ds):
-            total = block_map(sums[k], sums[k + 1],
-                              [[d if i == j else None for j in range(len(ds))]
-                               for i, d in enumerate(ds)])
-            if not total.is_zero():
-                diffs[k] = total
-    cx = Cx(parts[0].algebra, {k: s.rep for k, s in sums.items()}, diffs)
-    return CxSum(tuple(parts), cx, sums)
+    return _sum(tuple(parts))
 
 
 def heart_cohomology(x: Cx, i: int) -> Rep:
@@ -358,7 +323,7 @@ class Triangle:
     f: CxMap
     g: CxMap
     comparison: CxMap | None = None
-    cone_of_f: Cone | None = None
+    cone_of_f: CxSum | None = None
 
     def certified(self) -> bool:
         c = self.cone_of_f

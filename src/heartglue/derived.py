@@ -286,11 +286,12 @@ def _next_columns(r: Cx, target: Rep, k: int, v: int,
     return eval_columns(nxt, target, v, dcol)
 
 
-def _system(r: Cx, t: Cx, layout: _GenLayout, sign: int) -> RatMatrix:
-    """d_t s + sign s d_r on generator data s of maps r^k -> t^{k + delta},
-    read in the chain-map layout of r -> t^{k + delta + 1}.  With delta 0
-    and sign -1 its kernel is the chain maps r -> t; with delta -1 and sign
-    1 it sends a homotopy to its boundary.  Block-bidiagonal by degree."""
+def _system(r: Cx, t: Cx, layout: _GenLayout) -> RatMatrix:
+    """d_t s - s d_r (delta 0) or d_t s + s d_r (delta -1) on generator
+    data s of maps r^k -> t^{k + delta}, read in the chain-map layout of
+    r -> t^{k + delta + 1}.  With delta 0 its kernel is the chain maps
+    r -> t; with delta -1 it sends a homotopy to its boundary.
+    Block-bidiagonal by degree."""
     n = len(layout.entries)
     grid: list[list] = [[None] * n for _ in range(n)]
     heights = []
@@ -303,7 +304,8 @@ def _system(r: Cx, t: Cx, layout: _GenLayout, sign: int) -> RatMatrix:
         ev = _next_columns(r, t.term(k0 + 1), k, v, pos)
         if ev is not None:
             j = layout.first[k + 1]
-            grid[i][j:j + len(ev)] = ev if sign > 0 else [-b for b in ev]
+            grid[i][j:j + len(ev)] = (ev if layout.delta
+                                      else [-b for b in ev])
     return block_matrix(grid, heights, layout.sizes)
 
 
@@ -350,9 +352,9 @@ def solve_lift(p: Cx, g: RatMatrix, r: CxMap,
     zlay = _layout(p, r.target, 0)
     # rows: u is a chain map, then r u + (d h + h d) = g; the sign of the
     # homotopy block does not change u
-    chain = _system(p, r.source, ulay, -1)
+    chain = _system(p, r.source, ulay)
     bnd = (RatMatrix.zeros(zlay.total, 0) if strict
-           else _system(p, r.target, _layout(p, r.target, -1), 1))
+           else _system(p, r.target, _layout(p, r.target, -1)))
     heights = [chain.rows, zlay.total]
     system = block_matrix([[chain, None], [_after(r, ulay, zlay), bnd]],
                           heights, [ulay.total, bnd.cols])
@@ -393,9 +395,8 @@ class DHomSpace:
         self.r = self.eps.source
         self.t = shift(y, n)
         self.layout = _layout(self.r, self.t, 0)
-        self.cycles = kernel_basis(_system(self.r, self.t, self.layout, -1))
-        self.boundaries = _system(self.r, self.t,
-                                  _layout(self.r, self.t, -1), 1)
+        self.cycles = kernel_basis(_system(self.r, self.t, self.layout))
+        self.boundaries = _system(self.r, self.t, _layout(self.r, self.t, -1))
         nb = self.boundaries.cols
         pivots = pivot_columns(hstack([self.boundaries, self.cycles]))
         self.picked = self.cycles.take(None, [p - nb for p in pivots if p >= nb])

@@ -25,7 +25,7 @@ are 1-based, matching the vertex convention.
 from dataclasses import dataclass
 
 from .reps import ID, block_map, simple
-from .complexes import (Cx, CxMap, Cone, Triangle, cohomology_dims,
+from .complexes import (Cx, CxMap, CxSum, Triangle, cohomology_dims,
                         compose as ccompose, cone, cx_direct_sum, is_acyclic,
                         shift, shift_map, truncate_std, zero_cx)
 from .derived import as_cx, derived_hom, dhom_space, lift_map, minimal_model
@@ -50,19 +50,14 @@ class ExcError(GlueError):
         self.dim = dim
 
 
-def default_window(algebra, count: int = 1) -> int:
-    """Shift radius the reports quote for a check involving count objects."""
-    return algebra.vertex_count + count + 2
-
-
 def _scan_range(e: Cx, x: Cx) -> range:
     """Every shift n where Hom(e, x[n]) can be nonzero.
 
     Projective resolutions over an admissible quotient of an acyclic
     quiver have length below the vertex count, so chain maps out of the
     resolution of e vanish once the degree supports no longer overlap.
-    Reports still quote their window, but no shift outside this range is
-    computed: every Hom there is zero, however wide the window.
+    Every check scans this range and no other shift, so a Hom it does
+    not report vanishes at every shift.
     """
     if e.is_zero_object() or x.is_zero_object():
         return range(0)
@@ -83,24 +78,15 @@ def _homs(a: Cx, b: Cx, top: int | None = None):
             yield n, d
 
 
-@dataclass(frozen=True, eq=False)
-class ExcObject:
-    """An object verified exceptional over the recorded shift window."""
-
-    object: Cx
-    window: int
-    endo_dim: int = 1
-
-
-def check_exceptional(obj, window: int | None = None) -> ExcObject:
-    """Verify scalar endomorphisms and vanishing self-extensions.
+def check_exceptional(obj) -> Cx:
+    """Verify scalar endomorphisms and vanishing self-extensions, and
+    return the object as a complex.
 
     Raises ExcError carrying the first violating (shift, dim) pair.
     """
     cx = as_cx(obj)
     if cx.is_zero_object():
         raise ExcError("the zero object is not exceptional", shift=0, dim=0)
-    w = window if window is not None else default_window(cx.algebra)
     for n in _scan_range(cx, cx):
         d = derived_hom(cx, cx, n)
         want = 1 if n == 0 else 0
@@ -108,7 +94,7 @@ def check_exceptional(obj, window: int | None = None) -> ExcObject:
             raise ExcError(
                 f"Hom(E, E[{n}]) has dimension {d}, expected {want}",
                 shift=n, dim=d)
-    return ExcObject(cx, w)
+    return cx
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,23 +106,21 @@ class ExcSequence:
     0, regardless of what the check was asked to enforce.
     """
 
-    objects: tuple[ExcObject, ...]
+    objects: tuple[Cx, ...]
     strong: bool
-    window: int
     hom_table: dict[tuple[int, int, int], int]
 
     def __len__(self) -> int:
         return len(self.objects)
 
     def object(self, i: int) -> Cx:
-        return self.objects[i - 1].object
+        return self.objects[i - 1]
 
     def hom_dim(self, i: int, j: int, n: int) -> int:
         return self.hom_table.get((i, j, n), 0)
 
 
-def check_sequence(objs, strong: bool = False,
-                   window: int | None = None) -> ExcSequence:
+def check_sequence(objs, strong: bool = False) -> ExcSequence:
     """Verify an exceptional sequence, optionally requiring strongness.
 
     Raises ExcError localizing the first violation: a non-exceptional
@@ -146,12 +130,10 @@ def check_sequence(objs, strong: bool = False,
     items = [as_cx(o) for o in objs]
     if not items:
         raise GlueError("a sequence needs at least one object")
-    alg = items[0].algebra
-    w = window if window is not None else default_window(alg, len(items))
     verified = []
     for i, o in enumerate(items, 1):
         try:
-            verified.append(check_exceptional(o, w))
+            verified.append(check_exceptional(o))
         except ExcError as err:
             raise ExcError(f"position {i}: {err}", position=i,
                            shift=err.shift, dim=err.dim) from None
@@ -162,7 +144,7 @@ def check_sequence(objs, strong: bool = False,
             if i == j:
                 table[(i, j, 0)] = 1
                 continue
-            for n, d in _homs(a.object, b.object):
+            for n, d in _homs(a, b):
                 table[(i, j, n)] = d
                 if i > j:
                     raise ExcError(
@@ -176,7 +158,7 @@ def check_sequence(objs, strong: bool = False,
                             f"Hom(E_{i}, E_{j}[{n}]) has dimension {d}; a "
                             "strong sequence allows shift 0 only",
                             position=(i, j), shift=n, dim=d)
-    return ExcSequence(tuple(verified), is_strong, w, table)
+    return ExcSequence(tuple(verified), is_strong, table)
 
 
 def _hom_parts(e: Cx, x: Cx) -> list[tuple[Cx, CxMap, int]]:
@@ -214,7 +196,6 @@ class AisleSpec:
     """
 
     algebra = None
-    window = 0
 
     def member(self, x: Cx) -> bool:
         raise NotImplementedError
@@ -238,8 +219,7 @@ class AisleSpec:
     def heart(self) -> "HeartDesc":
         """The heart generated by heart_gens, validated on construction."""
         return HeartDesc(self.heart_gens(),
-                         provenance=f"heart of {self.describe()}",
-                         window=self.window)
+                         provenance=f"heart of {self.describe()}")
 
 
 class StandardAisle(AisleSpec):
@@ -248,7 +228,6 @@ class StandardAisle(AisleSpec):
     def __init__(self, algebra, cut: int = 0):
         self.algebra = algebra
         self.cut = cut
-        self.window = default_window(algebra)
         self._hearts = tuple(
             shift(as_cx(simple(algebra, i)), -cut)
             for i in range(1, algebra.vertex_count + 1))
@@ -279,15 +258,13 @@ class AddGeneratedAisle(AisleSpec):
     shift; the constructor enforces that.
     """
 
-    def __init__(self, gens, window: int | None = None):
+    def __init__(self, gens):
         objs = tuple(as_cx(g) for g in gens)
         if not objs:
             raise GlueError("an aisle needs at least one generator")
         self.algebra = objs[0].algebra
-        self.window = (window if window is not None
-                       else default_window(self.algebra, len(objs)))
         for g in objs:
-            check_exceptional(g, self.window)
+            check_exceptional(g)
         for a in objs:
             for b in objs:
                 if a is b:
@@ -318,7 +295,7 @@ class AddGeneratedAisle(AisleSpec):
             raise GlueError("object is not generated by the aisle objects")
         a, f = _assemble(x, [t for t in every if t[2] <= 0])
         c = cone(f)
-        return a, c.cx, Triangle(a, x, c.cx, f, c.incl, cone_of_f=c)
+        return a, c.cx, Triangle(a, x, c.cx, f, c.injection(1), cone_of_f=c)
 
     def heart_gens(self) -> tuple[Cx, ...]:
         return self._gens
@@ -333,7 +310,7 @@ class AddGeneratedAisle(AisleSpec):
         return f"add({len(self._gens)})"
 
 
-def _cone_functorial(ca: Cone, cb: Cone, m: CxMap) -> CxMap:
+def _cone_functorial(ca: CxSum, cb: CxSum, m: CxMap) -> CxMap:
     """cone(f) -> cone(g) induced by m: src(f) -> src(g) over the
     identity of the shared target, for strictly commuting squares."""
     return CxMap(ca.cx, cb.cx, {
@@ -358,13 +335,12 @@ class GluedAisle(AisleSpec):
         self.right = right
         self.algebra = left.algebra
         self._sod = left.sod_gens() + right.sod_gens()
-        self.window = default_window(self.algebra, len(self._sod))
         self._aisle = right.aisle_gens() + tuple(
             shift(g, 1) for g in left.aisle_gens())
         self._hearts = right.heart_gens() + tuple(
             shift(g, 1) for g in left.heart_gens())
 
-    def _project(self, x: Cx) -> tuple[Cx, CxMap, Cone]:
+    def _project(self, x: Cx) -> tuple[Cx, CxMap, CxSum]:
         # component of x along the right piece, with its evaluation map;
         # the cone is the left remainder
         parts = []
@@ -403,13 +379,14 @@ class GluedAisle(AisleSpec):
         # model or a sum of resolutions), so the lift is solved on its
         # generator data directly
         lifted = lift_map(j.source, j, r)
-        q = ccompose(cone(lifted).incl, ca2.incl)
+        q = ccompose(cone(lifted).injection(1), ca2.injection(1))
         # rotate m -> cone(q) back one step: A' = cone(q)[-1] -> m
-        f_m = -shift_map(cone(q).proj, -1)
+        f_m = -shift_map(cone(q).projection(0), -1)
         small, q_a = minimal_model(f_m.source)
         f = ccompose(q_x, ccompose(f_m, q_a))
         c = cone(f)
-        return small, c.cx, Triangle(small, x, c.cx, f, c.incl, cone_of_f=c)
+        return small, c.cx, Triangle(small, x, c.cx, f, c.injection(1),
+                                     cone_of_f=c)
 
     def heart_gens(self) -> tuple[Cx, ...]:
         return self._hearts
@@ -459,7 +436,6 @@ class CompatReport:
     """
 
     ok: bool
-    window: int
     violations: tuple[tuple[str, int, int, int, int], ...]
 
     def __bool__(self) -> bool:
@@ -480,8 +456,7 @@ def _violations(g1s, g2s,
     return viol
 
 
-def compatible(a1: AisleSpec, a2: AisleSpec,
-               window: int | None = None) -> CompatReport:
+def compatible(a1: AisleSpec, a2: AisleSpec) -> CompatReport:
     """Check that gluing a1 (left piece) with a2 (right piece) is sound.
 
     Two things can fail.  The pieces only decompose the category when
@@ -491,16 +466,13 @@ def compatible(a1: AisleSpec, a2: AisleSpec,
     on the right, which at the generator level means Hom(G1, G2[n]) = 0
     for every n <= -1.
     """
-    g1s, g2s = a1.aisle_gens(), a2.aisle_gens()
-    w = (window if window is not None
-         else default_window(a1.algebra, len(g1s) + len(g2s)))
-    viol = _violations(g1s, g2s, -1)
-    return CompatReport(not viol, w, tuple(viol))
+    viol = _violations(a1.aisle_gens(), a2.aisle_gens(), -1)
+    return CompatReport(not viol, tuple(viol))
 
 
 @dataclass(frozen=True, eq=False)
 class HeartDesc:
-    """Additive generators of a heart, with provenance and shift window.
+    """Additive generators of a heart, with provenance.
 
     Construction verifies the axiom that generators admit no maps into
     negative shifts of each other.
@@ -508,7 +480,6 @@ class HeartDesc:
 
     generators: tuple[Cx, ...]
     provenance: str
-    window: int
 
     def __post_init__(self):
         for a in self.generators:
@@ -519,8 +490,7 @@ class HeartDesc:
                         f"shift (dimension {d} at {n})")
 
 
-def glue(a1: AisleSpec, a2: AisleSpec,
-         window: int | None = None) -> tuple[GluedAisle, HeartDesc]:
+def glue(a1: AisleSpec, a2: AisleSpec) -> tuple[GluedAisle, HeartDesc]:
     """Glue compatible aisles across the decomposition ordering a1 before
     a2, returning the glued aisle and its heart.
 
@@ -528,7 +498,7 @@ def glue(a1: AisleSpec, a2: AisleSpec,
     heart shifted up one step.  Raises GlueError when the compatibility
     check fails.
     """
-    rep = compatible(a1, a2, window)
+    rep = compatible(a1, a2)
     if not rep.ok:
         raise GlueError("aisles are not compatible; first violations: "
                         f"{rep.violations[:3]}")
@@ -536,8 +506,7 @@ def glue(a1: AisleSpec, a2: AisleSpec,
     return aisle, aisle.heart()
 
 
-def glue_sequence(es: ExcSequence,
-                  window: int | None = None) -> tuple[AisleSpec, HeartDesc]:
+def glue_sequence(es: ExcSequence) -> tuple[AisleSpec, HeartDesc]:
     """Iterate pairwise gluing left to right over a full sequence.
 
     Each object carries its own one-generator aisle; the result glues
@@ -545,16 +514,14 @@ def glue_sequence(es: ExcSequence,
     E_1[m-1].  With two or more objects the last step's pieces are the
     glued aisle's left and right.
     """
-    w = window if window is not None else es.window
-    aisle: AisleSpec = AddGeneratedAisle((es.object(1),), window=w)
+    aisle: AisleSpec = AddGeneratedAisle((es.object(1),))
     heart = aisle.heart()
     for i in range(2, len(es) + 1):
-        nxt = AddGeneratedAisle((es.object(i),), window=w)
-        aisle, heart = glue(aisle, nxt, window=w)
+        aisle, heart = glue(aisle, AddGeneratedAisle((es.object(i),)))
     return aisle, heart
 
 
-def nfold_compatible(aisles, window: int | None = None) -> CompatReport:
+def nfold_compatible(aisles) -> CompatReport:
     """Check that an ordered family of aisles glues in one go.
 
     For pieces i < k nothing may map backward from piece k to piece i,
@@ -568,16 +535,13 @@ def nfold_compatible(aisles, window: int | None = None) -> CompatReport:
     aisles = list(aisles)
     if not aisles:
         raise GlueError("nothing to check")
-    total = sum(len(a.aisle_gens()) for a in aisles)
-    w = (window if window is not None
-         else default_window(aisles[0].algebra, total))
     viol = []
     for i in range(1, len(aisles) + 1):
         for k in range(i + 1, len(aisles) + 1):
             viol += [(kind, i, k, n, d) for kind, _, _, n, d in _violations(
                 aisles[i - 1].aisle_gens(), aisles[k - 1].aisle_gens(),
                 i - k)]
-    return CompatReport(not viol, w, tuple(viol))
+    return CompatReport(not viol, tuple(viol))
 
 
 def _top_shift(gs1, gs2) -> tuple[int, int, int] | None:
@@ -625,15 +589,14 @@ class DimFormulaReport:
     rel: int
     rhs: int
     ok: bool
-    window: int
     witness: tuple[int, int, int] | None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def check_dim_formula(h1: HeartDesc, h2: HeartDesc, glued: HeartDesc,
-                      window: int | None = None) -> DimFormulaReport:
+def check_dim_formula(h1: HeartDesc, h2: HeartDesc,
+                      glued: HeartDesc) -> DimFormulaReport:
     """Compare the glued heart dimension against the piecewise formula."""
     d1 = heart_dim(h1)
     d2 = heart_dim(h2)
@@ -645,7 +608,6 @@ def check_dim_formula(h1: HeartDesc, h2: HeartDesc, glued: HeartDesc,
     if wit is None:
         raise GlueError("the glued heart is zero")
     lhs = wit[2]
-    w = window if window is not None else glued.window
     return DimFormulaReport(lhs, d1 if d1 is not None else -1,
                             d2 if d2 is not None else -1, r, rhs,
-                            lhs == rhs, w, wit)
+                            lhs == rhs, wit)

@@ -541,10 +541,8 @@ def top_generators(m: Rep) -> list[tuple[int, RatMatrix]]:
             radical = hstack(incoming)
         else:
             radical = RatMatrix.zeros(m.dim_at(v), 0)
-        for j in complement_pivots(radical):
-            col = [0] * m.dim_at(v)
-            col[j] = 1
-            out.append((v, RatMatrix.column(col)))
+        unit = RatMatrix.identity(m.dim_at(v))
+        out += [(v, unit.col_matrix(j)) for j in complement_pivots(radical)]
     return out
 
 

@@ -153,6 +153,16 @@ def f_map_via_quasi_iso(x: YExt) -> DHomClass:
     return cls if _route_sign(n) == 1 else cls.scale(-1)
 
 
+def _pushout(g: RepMap, f: RepMap,
+             nxt: RepMap) -> tuple[Rep, RepMap, RepMap]:
+    """The pushout X of g: L -> C and f: L -> M, with its map C -> X and
+    the map X -> N induced by nxt: M -> N, where nxt f = 0."""
+    ds = direct_sum([g.target, f.target])
+    x, pr = cokernel(block_map(f.source, ds, [[g], [-f]]))
+    return (x, rcompose(pr, ds.injection(0)),
+            through_epi(pr, block_map(ds, nxt.target, [[None, nxt]])))
+
+
 def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:
     """Exact sequence whose canonical class is c, for c in Hom(a, b[n]).
 
@@ -174,12 +184,9 @@ def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:
     r = sp.r
     tw = c if _route_sign(n) == 1 else c.scale(-1)
     u0 = sp.representative(tw).comp(-n)
-    ds = direct_sum([b, r.term(-n + 1)])
-    x1, pr = cokernel(block_map(r.term(-n), ds, [[u0], [-r.d(-n)]]))
-    xi0 = rcompose(pr, ds.injection(0))
     eps0 = sp.eps.comp(0)
     nxt = eps0 if n == 1 else r.d(-n + 1)
-    xi1 = through_epi(pr, block_map(ds, nxt.target, [[None, nxt]]))
+    x1, xi0, xi1 = _pushout(u0, r.d(-n), nxt)
     if n == 1:
         return YExt(b, a, (x1,), (xi0, xi1))
     middle = (x1,) + tuple(r.term(k) for k in range(-n + 2, 1))
@@ -191,10 +198,7 @@ def pushout_action(g: RepMap, x: YExt) -> YExt:
     """Replace the left end along g: left -> C; the class pushes forward."""
     if g.source is not x.left:
         raise YExtError("pushout map must start at the left end")
-    ds = direct_sum([g.target, x.middle[0]])
-    x1, pr = cokernel(block_map(x.left, ds, [[g], [-x.maps[0]]]))
-    xi0 = rcompose(pr, ds.injection(0))
-    xi1 = through_epi(pr, block_map(ds, x.maps[1].target, [[None, x.maps[1]]]))
+    x1, xi0, xi1 = _pushout(g, x.maps[0], x.maps[1])
     return YExt(g.target, x.right, (x1,) + x.middle[1:],
                 (xi0, xi1) + x.maps[2:])
 

@@ -78,7 +78,7 @@ def chopped_class(x):
         out = x.maps[x.n] if i == x.n else chops[i - 1][2]
         tri = ses_to_triangle(inc, out)
         delta = dhom_space(out.target, inc.source, 1).roof_class(
-            tri.comparison, tri.cone_of_f.proj)
+            tri.comparison, tri.cone_of_f.projection(0))
         cls = delta if cls is None else compose_classes(delta, cls)
     return cls
 

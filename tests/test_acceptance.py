@@ -131,8 +131,8 @@ def test_criterion_2_dimension_formula(corpus):
         es = check_sequence([projective(kron, 1), projective(kron, 2)],
                             strong=True)
         _, heart = glue_sequence(es)
-        h1 = HeartDesc((es.object(1),), provenance="left", window=6)
-        h2 = HeartDesc((es.object(2),), provenance="right", window=6)
+        h1 = HeartDesc((es.object(1),), provenance="left")
+        h2 = HeartDesc((es.object(2),), provenance="right")
         rep = check_dim_formula(h1, h2, heart)
         print(f"  kronecker pair: lhs={rep.lhs} rhs=max(left={rep.dim_left},"
               f" right={rep.dim_right}, rel+1={rep.rel + 1})={rep.rhs}")
@@ -144,8 +144,8 @@ def test_criterion_2_dimension_formula(corpus):
         one = AddGeneratedAisle((simple(ortho, 1),))
         two = AddGeneratedAisle((simple(ortho, 2),))
         _, heart = glue(one, two)
-        h1 = HeartDesc(one.heart_gens(), provenance="left", window=5)
-        h2 = HeartDesc(two.heart_gens(), provenance="right", window=5)
+        h1 = HeartDesc(one.heart_gens(), provenance="left")
+        h2 = HeartDesc(two.heart_gens(), provenance="right")
         rep = check_dim_formula(h1, h2, heart)
         print(f"  orthogonal pair: lhs={rep.lhs} rhs=max(left="
               f"{rep.dim_left}, right={rep.dim_right}, "
@@ -159,7 +159,7 @@ def test_criterion_2_dimension_formula(corpus):
                   for i in (1, 2, 3)]
         acc, h12 = glue(pieces[0], pieces[1])
         _, h123 = glue(acc, pieces[2])
-        h3 = HeartDesc(pieces[2].heart_gens(), provenance="right", window=8)
+        h3 = HeartDesc(pieces[2].heart_gens(), provenance="right")
         rep = check_dim_formula(h12, h3, h123)
         print(f"  iterated three-term: lhs={rep.lhs} rhs=max(left="
               f"{rep.dim_left}, right={rep.dim_right}, "
@@ -271,9 +271,9 @@ def test_criterion_5_shifted_pair_factorization_gap(corpus):
         kron = corpus["kronecker"]
         rng = random.Random(20571)
         p1, p2 = projective(kron, 1), projective(kron, 2)
-        left = AddGeneratedAisle((shift(as_cx(p1), 1),), window=6)
-        right = AddGeneratedAisle((as_cx(p2),), window=6)
-        _, heart = glue(left, right, window=6)
+        left = AddGeneratedAisle((shift(as_cx(p1), 1),))
+        right = AddGeneratedAisle((as_cx(p2),))
+        _, heart = glue(left, right)
         gens = heart.generators
         assert [cohomology_dims(g) for g in gens] \
             == [{0: (2, 1)}, {-2: (1, 0)}]

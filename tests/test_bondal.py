@@ -243,14 +243,14 @@ class TestFullCheck:
         report = hom_table_match(pres)
         assert bool(report)
         assert report.mismatches == ()
-        assert (report.pairs, report.window) == (4, 6)
+        assert report.pairs == 4
 
     def test_generator_pairs_are_faithful(self, kron_pres):
         _, _, pres = kron_pres
         report = faithful_full_check(pres)
         assert bool(report)
         assert report.mismatches == ()
-        assert (report.pairs, report.window) == (4, 6)
+        assert report.pairs == 4
 
     def test_module_samples_are_faithful(self, kron_pres, kron):
         _, _, pres = kron_pres
@@ -283,5 +283,4 @@ class TestFullCheck:
         assert (r.products_checked, r.triples_checked) == (81, 729)
         assert r.eval_pairs_checked == 16
         assert (r.faithful.ok, r.table.ok) == (True, True)
-        assert r.table.window == 10
         assert r.comparisons[3].target.dims == (1, 1, 1, 1)

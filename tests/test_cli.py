@@ -11,10 +11,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from heartglue.cli import (CORPUS_NAMES, JobSpec, corpus_path, load_corpus,
-                           main, run)
+from heartglue.cli import (CORPUS_NAMES, JobSpec, corpus_path, default_window,
+                           load_corpus, main, run)
 from heartglue.glue import check_sequence
-from heartglue.jsonio import dump_json
+from heartglue.jsonio import dump_json, load_algebra
 from heartglue.reps import projective
 
 
@@ -258,6 +258,69 @@ class TestBoundedScans:
         assert rep["strong"] is False
         assert rep["shifted_entries"] == [
             {"source": 1, "target": 2, "shift": 1 - self.BIG, "dim": 1}]
+
+
+class TestWindowIsALabel:
+    """The window only labels a report: every scan covers each shift
+    where a Hom can be nonzero, whatever window the report quotes."""
+
+    COMMANDS = ("ext-table", "check-exceptional", "glue-hearts",
+                "dim-formula", "bondal-check")
+    # the projectives (the default), the bundled s1s2 list, and the
+    # simples in vertex order, which have Homs at shift 2 on a3rel
+    OBJECTS = (None, "s1s2", "simples")
+
+    @staticmethod
+    def _json(command, window, alg=None, objects=()):
+        code, rendered = run(JobSpec(
+            command=command, algebra_path=alg and corpus(alg),
+            object_paths=objects, window=window, output="json"))
+        return code, json.loads(rendered)
+
+    @staticmethod
+    def _objects(tmp_path, alg, name):
+        if name is None:
+            return ()
+        if name == "s1s2":
+            return (corpus(name),)
+        n = load_algebra(corpus(alg)).vertex_count
+        return (objects_file(tmp_path, [{"type": "simple", "vertex": i}
+                                        for i in range(1, n + 1)]),)
+
+    @pytest.mark.parametrize("objects", OBJECTS)
+    @pytest.mark.parametrize("alg", ["a3rel", "kronecker"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_the_window_differs(self, tmp_path, command, alg, objects):
+        paths = self._objects(tmp_path, alg, objects)
+        (c1, narrow), (c40, wide) = (self._json(command, w, alg, paths)
+                                     for w in (1, 40))
+        assert (narrow.pop("window"), wide.pop("window")) == (1, 40)
+        assert (c1, narrow) == (c40, wide)
+
+    @pytest.mark.parametrize("objects", OBJECTS)
+    @pytest.mark.parametrize("alg", ["a3rel", "kronecker"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_window(self, tmp_path, command, alg, objects):
+        paths = self._objects(tmp_path, alg, objects)
+        _, rep = self._json(command, None, alg, paths)
+        want = default_window(load_algebra(corpus(alg)), len(rep["objects"]))
+        assert rep["window"] == want
+
+    def test_remark_counterexamples(self):
+        reports = {w: self._json("remark-counterexamples", w)
+                   for w in (None, 1, 40)}
+        kron, branching = (load_algebra(corpus(name))
+                           for name in ("kronecker", "branching"))
+        assert reports[None][1]["window"] == {
+            "kronecker-shifted-pair": default_window(kron, 2),
+            "branching-three-term": default_window(branching, 3)}
+        for w in (1, 40):
+            assert set(reports[w][1]["window"].values()) == {w}
+        for _, rep in reports.values():
+            del rep["window"]
+            for case in rep["cases"]:
+                del case["window"]
+        assert reports[None] == reports[1] == reports[40]
 
 
 class TestGlueHearts:

@@ -276,7 +276,7 @@ def test_roof_class_matches_the_map_level_route(kron, a3rel, commsquare,
     incl = incl.scale(data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)])))
     tri = ses_to_triangle(incl, pi)
     sp = dhom_space(q, k, 1)
-    post = tri.cone_of_f.proj
+    post = tri.cone_of_f.projection(0)
     lifted = lift_map(sp.r, sp.eps, tri.comparison)
     assert (sp.roof_class(tri.comparison, post)
             == sp.class_of(ccompose(post, lifted)))

@@ -25,7 +25,6 @@ from heartglue.glue import (
     check_exceptional,
     check_sequence,
     compatible,
-    default_window,
     glue,
     glue_sequence,
     heart_dim,
@@ -88,13 +87,12 @@ class TestExceptionalObjects:
     def test_projectives_are_exceptional(self, a2, kron, a3rel):
         for alg in (a2, kron, a3rel):
             for i in range(1, alg.vertex_count + 1):
-                rec = check_exceptional(projective(alg, i))
-                assert rec.endo_dim == 1
-                assert rec.window == default_window(alg)
+                p = projective(alg, i)
+                assert check_exceptional(p) is as_cx(p)
 
     def test_shifts_stay_exceptional(self, a2):
-        rec = check_exceptional(shift(as_cx(projective(a2, 1)), 3))
-        assert rec.endo_dim == 1
+        x = shift(as_cx(projective(a2, 1)), 3)
+        assert check_exceptional(x) is x
 
     def test_decomposable_object_rejected(self, kron):
         s1 = as_cx(simple(kron, 1))
@@ -116,13 +114,13 @@ class TestExceptionalObjects:
 
 class TestExceptionalSequences:
     def test_projectives_in_order_are_strong(self, kron):
-        es = check_sequence([projective(kron, 1), projective(kron, 2)],
-                            strong=True)
+        ps = [projective(kron, 1), projective(kron, 2)]
+        es = check_sequence(ps, strong=True)
         assert len(es) == 2
         assert es.strong
         assert es.hom_table == {(1, 1, 0): 1, (1, 2, 0): 2, (2, 2, 0): 1}
         assert es.hom_dim(2, 1, 0) == 0
-        assert es.window == default_window(kron, 2)
+        assert all(es.object(i) is as_cx(p) for i, p in enumerate(ps, 1))
 
     def test_projectives_with_relation(self, a3rel):
         es = check_sequence([projective(a3rel, i) for i in (1, 2, 3)],
@@ -217,7 +215,6 @@ class TestCompatibility:
                          AddGeneratedAisle((projective(kron, 2),)))
         assert rep.ok and bool(rep)
         assert rep.violations == ()
-        assert rep.window == default_window(kron, 2)
 
     def test_backward_failure_reported(self, a2):
         rep = compatible(AddGeneratedAisle((simple(a2, 1),)),
@@ -257,7 +254,6 @@ class TestGluedHearts:
         assert heart.generators[0] is es.object(2)
         assert cohomology_dims(heart.generators[1]) == {-1: (1, 0)}
         assert heart.provenance == "heart of glue(add(1), add(1))"
-        assert heart.window == aisle.window == 6
 
     def test_three_term_iterated_heart(self, a3rel_glued):
         es, aisle, heart = a3rel_glued
@@ -289,7 +285,7 @@ class TestGluedHearts:
         p1 = as_cx(projective(kron, 1))
         p2 = as_cx(projective(kron, 2))
         with pytest.raises(GlueError, match="not a heart"):
-            HeartDesc((p1, shift(p2, 1)), provenance="manual", window=6)
+            HeartDesc((p1, shift(p2, 1)), provenance="manual")
 
 
 class TestNfoldCompatibility:
@@ -517,8 +513,8 @@ class TestStandardAisle:
 class TestDimensionFormula:
     def test_strong_pair_gives_dimension_one(self, kron, kron_glued):
         es, _, heart = kron_glued
-        h1 = HeartDesc((es.object(1),), provenance="left", window=6)
-        h2 = HeartDesc((es.object(2),), provenance="right", window=6)
+        h1 = HeartDesc((es.object(1),), provenance="left")
+        h2 = HeartDesc((es.object(2),), provenance="right")
         rep = check_dim_formula(h1, h2, heart)
         assert rep.ok and bool(rep)
         assert (rep.lhs, rep.rhs) == (1, 1)
@@ -529,8 +525,8 @@ class TestDimensionFormula:
         one = AddGeneratedAisle((simple(discrete2, 1),))
         two = AddGeneratedAisle((simple(discrete2, 2),))
         _, heart = glue(one, two)
-        h1 = HeartDesc(one.heart_gens(), provenance="left", window=5)
-        h2 = HeartDesc(two.heart_gens(), provenance="right", window=5)
+        h1 = HeartDesc(one.heart_gens(), provenance="left")
+        h2 = HeartDesc(two.heart_gens(), provenance="right")
         rep = check_dim_formula(h1, h2, heart)
         assert rep.ok
         assert (rep.lhs, rep.dim_left, rep.dim_right, rep.rel) == (0, 0, 0, -1)
@@ -539,7 +535,7 @@ class TestDimensionFormula:
         p = [AddGeneratedAisle((projective(a3rel, i),)) for i in (1, 2, 3)]
         acc, h12 = glue(p[0], p[1])
         _, h123 = glue(acc, p[2])
-        h3 = HeartDesc(p[2].heart_gens(), provenance="right", window=8)
+        h3 = HeartDesc(p[2].heart_gens(), provenance="right")
         rep = check_dim_formula(h12, h3, h123)
         assert rep.ok
         assert (rep.lhs, rep.dim_left, rep.dim_right, rep.rel) == (1, 1, 0, 0)
@@ -547,41 +543,28 @@ class TestDimensionFormula:
     def test_nonstrong_pair_exceeds_dimension_one(self, a2):
         es = check_sequence([simple(a2, 2), simple(a2, 1)])
         _, heart = glue_sequence(es)
-        h1 = HeartDesc((es.object(1),), provenance="left", window=6)
-        h2 = HeartDesc((es.object(2),), provenance="right", window=6)
+        h1 = HeartDesc((es.object(1),), provenance="left")
+        h2 = HeartDesc((es.object(2),), provenance="right")
         rep = check_dim_formula(h1, h2, heart)
         assert rep.ok
         assert (rep.lhs, rep.dim_left, rep.dim_right, rep.rel) == (2, 0, 0, 1)
 
     def test_heart_dim_and_rdim_basics(self, kron, discrete2):
-        point = HeartDesc((as_cx(simple(kron, 2)),), provenance="pt",
-                          window=5)
+        point = HeartDesc((as_cx(simple(kron, 2)),), provenance="pt")
         assert heart_dim(point) == 0
-        left = HeartDesc((as_cx(projective(kron, 1)),), provenance="l",
-                         window=5)
-        right = HeartDesc((as_cx(projective(kron, 2)),), provenance="r",
-                          window=5)
+        left = HeartDesc((as_cx(projective(kron, 1)),), provenance="l")
+        right = HeartDesc((as_cx(projective(kron, 2)),), provenance="r")
         assert rdim(left, right) == 0
-        s1 = HeartDesc((as_cx(simple(discrete2, 1)),), provenance="s1",
-                       window=5)
-        s2 = HeartDesc((as_cx(simple(discrete2, 2)),), provenance="s2",
-                       window=5)
+        s1 = HeartDesc((as_cx(simple(discrete2, 1)),), provenance="s1")
+        s2 = HeartDesc((as_cx(simple(discrete2, 2)),), provenance="s2")
         assert rdim(s1, s2) == -1
-        assert heart_dim(HeartDesc((), provenance="none", window=5)) is None
-
-    def test_window_is_recorded(self, kron, kron_glued):
-        es, _, heart = kron_glued
-        h1 = HeartDesc((es.object(1),), provenance="left", window=6)
-        h2 = HeartDesc((es.object(2),), provenance="right", window=6)
-        rep = check_dim_formula(h1, h2, heart, window=9)
-        assert rep.window == 9
-        assert rep.ok
+        assert heart_dim(HeartDesc((), provenance="none")) is None
 
     def test_zero_hearts_rejected(self, kron, kron_glued):
         _, _, heart = kron_glued
-        empty = HeartDesc((), provenance="none", window=5)
+        empty = HeartDesc((), provenance="none")
         with pytest.raises(GlueError, match="zero"):
             check_dim_formula(empty, empty, heart)
-        h = HeartDesc((as_cx(simple(kron, 2)),), provenance="pt", window=5)
+        h = HeartDesc((as_cx(simple(kron, 2)),), provenance="pt")
         with pytest.raises(GlueError, match="zero"):
             check_dim_formula(h, h, empty)
