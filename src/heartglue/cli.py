@@ -9,7 +9,8 @@ The shift window (--window, or default_window) is a label: the reports
 print it, and no computation reads it.  Each Hom scan covers every shift
 where a Hom can be nonzero (glue._scan_range), so a zero means "vanishes
 at every shift", never "not looked at", whatever the window says.
-yoneda-oracle reports its degree bound as its window instead.
+yoneda-oracle has a degree bound, not a shift window: it refuses
+--window (exit 2) and reports its degree bound as its window.
 
 Exit status: 0 when every check in the job passed, 1 when a check
 failed (the report carries the witness), 2 when an input file did not
@@ -210,6 +211,10 @@ def _run_dim_formula(job: JobSpec):
 
 
 def _run_yoneda_oracle(job: JobSpec):
+    max_degree = 3
+    if job.window is not None:
+        raise SchemaError(f"yoneda-oracle has a degree bound (1..{max_degree}),"
+                          " not a shift window; drop --window")
     alg = load_algebra(job.algebra_path)
     if job.object_paths:
         objs = _objects(job, alg)
@@ -222,7 +227,6 @@ def _run_yoneda_oracle(job: JobSpec):
                 for i in range(1, alg.vertex_count + 1)]
         objs += [(f"projective {i}", projective(alg, i))
                  for i in range(1, alg.vertex_count + 1)]
-    max_degree = 3
     entries = []
     checked = 0
     ok = True

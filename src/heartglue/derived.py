@@ -26,10 +26,14 @@ component into a zero term.
 Memo policy: each result is kept in the memo of the object it describes
 and nowhere else. A module's memo holds its complex and its identity; a
 complex's memo holds its resolution, shifts and copy generators, the
-space Hom(x, y[n]) keyed by (as_cx(y), n), and the layout of maps into
-t keyed by ("layout", t, delta). Keys are objects compared by identity,
-since classes, lifts and class_of check endpoints with `is`: only the
-objects of the first request hit. An entry dies with its object.
+space Hom(x, y[n]) keyed by (as_cx(y), n), the layout of maps into t
+keyed by ("layout", t, delta), the boundary and lift systems of maps
+into t keyed by ("system", t, delta) (not the delta-0 system of a Hom
+space, which is read once, for its kernel), and the splitting of its
+differential d^k keyed by ("splitting", k), which yoneda pushes
+resolutions out along. Keys are objects compared by identity, since
+classes, lifts and class_of check endpoints with `is`: only the objects
+of the first request hit. An entry dies with its object.
 """
 
 from __future__ import annotations
@@ -309,6 +313,12 @@ def _system(r: Cx, t: Cx, layout: _GenLayout) -> RatMatrix:
     return block_matrix(grid, heights, layout.sizes)
 
 
+def _hom_system(r: Cx, t: Cx, delta: int) -> RatMatrix:
+    """_system on the layout (r, t, delta), kept in r.memo."""
+    return memoised(r, ("system", t, delta),
+                    lambda: _system(r, t, _layout(r, t, delta)))
+
+
 def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
                    vec: RatMatrix) -> CxMap:
     """The chain map r -> t carried by generator data in the layout; no
@@ -352,9 +362,9 @@ def solve_lift(p: Cx, g: RatMatrix, r: CxMap,
     zlay = _layout(p, r.target, 0)
     # rows: u is a chain map, then r u + (d h + h d) = g; the sign of the
     # homotopy block does not change u
-    chain = _system(p, r.source, ulay)
+    chain = _hom_system(p, r.source, 0)
     bnd = (RatMatrix.zeros(zlay.total, 0) if strict
-           else _system(p, r.target, _layout(p, r.target, -1)))
+           else _hom_system(p, r.target, -1))
     heights = [chain.rows, zlay.total]
     system = block_matrix([[chain, None], [_after(r, ulay, zlay), bnd]],
                           heights, [ulay.total, bnd.cols])
@@ -396,7 +406,7 @@ class DHomSpace:
         self.t = shift(y, n)
         self.layout = _layout(self.r, self.t, 0)
         self.cycles = kernel_basis(_system(self.r, self.t, self.layout))
-        self.boundaries = _system(self.r, self.t, _layout(self.r, self.t, -1))
+        self.boundaries = _hom_system(self.r, self.t, -1)
         nb = self.boundaries.cols
         pivots = pivot_columns(hstack([self.boundaries, self.cycles]))
         self.picked = self.cycles.take(None, [p - nb for p in pivots if p >= nb])

@@ -14,24 +14,28 @@ quasi-isomorphic to A and reads the roof A <- W -> B[n] with
 
 `splice_from_class` inverts `f_map`: it pushes the projective
 resolution of A out along a chain-map representative of the class and
-splices the cokernel back into the resolution tail.  Two extensions
+splices the pushout back into the resolution tail.  Two extensions
 are considered equivalent iff their canonical coordinates under
 `f_map` coincide, which is what `YClass` equality tests.
 
 Pushout, pullback, splice product and Baer sum act on explicit
 sequences; exactness is re-certified by the YExt constructor on every
-build.  Pushouts and pullbacks are cokernels/kernels of two-block
-maps, so their exactness certificates come from the module layer.
+build.  A pushout along f is written down from a splitting of f (one
+elimination per vertex, kept in the resolution's memo when f is one of
+its differentials), so each class costs block products only; a
+pullback is the kernel of a two-block map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import RatMatrix, rank, span_membership
-from .reps import (ID, Rep, RepError, RepMap, block_map, cokernel,
-                   direct_sum, exact_certificate, identity_map, kernel,
-                   through_epi, through_mono, zero_map, zero_rep)
+from .algebra import memoised
+from .linalg import (RatMatrix, block_matrix, hstack, pivot_columns, rank,
+                     solve, span_membership)
+from .reps import (ID, Rep, RepError, RepMap, block_map, direct_sum,
+                   exact_certificate, identity_map, kernel, through_mono,
+                   zero_map, zero_rep)
 from .reps import compose as rcompose
 from .complexes import Cx, CxMap
 from .derived import DHomClass, as_cx, compose_classes, dhom_space
@@ -153,14 +157,85 @@ def f_map_via_quasi_iso(x: YExt) -> DHomClass:
     return cls if _route_sign(n) == 1 else cls.scale(-1)
 
 
-def _pushout(g: RepMap, f: RepMap,
+@dataclass(frozen=True, eq=False)
+class _Splitting:
+    """A splitting of f: L -> M, vertex by vertex and arrow by arrow.
+
+    At vertex v, M_v = im f_v + span of the unit columns C_v; S_v: M_v ->
+    L_v has f S f = f, and E_v: M_v -> k^{C_v} has E f = 0 and
+    E I[:, C] = I.  proj[v] is S_v f_v.  For an arrow a: s -> t acting by
+    L_a and M_a, act[a] = E_s M_a[:, C_t] is the action on the
+    complement, and mix[a] = S_s M_a[:, C_t] is how far S fails to be
+    natural there: (S_s M_a - L_a S_t)[:, C_t], as S I[:, C] = 0."""
+
+    f: RepMap
+    cols: tuple[tuple[int, ...], ...]
+    proj: tuple[RatMatrix, ...]
+    act: dict[str, RatMatrix]
+    mix: dict[str, RatMatrix]
+
+
+def _splitting(f: RepMap) -> _Splitting:
+    """One elimination of [f_v | I] per vertex gives the pivot columns J
+    of f_v and the completing unit columns C; Q, the inverse of
+    [f_v[:, J] | I[:, C]], gives S_v = I_L[:, J] Q[:|J|] and
+    E_v = Q[|J|:]."""
+    sects, ends, cols = [], [], []
+    for fv in f.blocks:
+        m, l = fv.shape
+        unit = RatMatrix.identity(m)
+        piv = pivot_columns(hstack([fv, unit]))
+        js = [p for p in piv if p < l]
+        cs = tuple(p - l for p in piv if p >= l)
+        q = solve(hstack([fv.take(None, js), unit.take(None, cs)]), unit)
+        sects.append(RatMatrix.identity(l).take(None, js)
+                     @ q.take(range(len(js)), None))
+        ends.append(q.take(range(len(js), m), None))
+        cols.append(cs)
+    act, mix = {}, {}
+    for a in f.source.algebra.quiver.arrows:
+        s, t = a.source - 1, a.target - 1
+        ma = f.target.act_arrow(a.name).take(None, cols[t])
+        act[a.name] = ends[s] @ ma
+        mix[a.name] = sects[s] @ ma
+    return _Splitting(f, tuple(cols),
+                      tuple(s @ fv for s, fv in zip(sects, f.blocks)),
+                      act, mix)
+
+
+def _pushout(g: RepMap, split: _Splitting,
              nxt: RepMap) -> tuple[Rep, RepMap, RepMap]:
-    """The pushout X of g: L -> C and f: L -> M, with its map C -> X and
-    the map X -> N induced by nxt: M -> N, where nxt f = 0."""
-    ds = direct_sum([g.target, f.target])
-    x, pr = cokernel(block_map(f.source, ds, [[g], [-f]]))
-    return (x, rcompose(pr, ds.injection(0)),
-            through_epi(pr, block_map(ds, nxt.target, [[None, nxt]])))
+    """The pushout X of g: L -> B and f: L -> M, with its map B -> X and
+    the map X -> N induced by nxt: M -> N, where nxt f = 0; f is the
+    split map, and g must vanish on ker f (checked as g S f = g).
+
+    With the splitting (S, E, C) of f, X_v = B_v + k^{C_v} and the
+    quotient B + M -> X is (b, m) -> (b + g S m, E m).  An arrow a acts
+    on X by [[B_a, g_s N_a], [0, F_a]] with F = split.act and
+    N = split.mix; B -> X is [I; 0] and X -> N is [0, nxt_v[:, C_v]]."""
+    f = split.f
+    if g.source is not f.source or nxt.source is not f.target:
+        raise RepError("pushout maps are not anchored to the split map")
+    b = g.target
+    for v, (gv, pv) in enumerate(zip(g.blocks, split.proj), 1):
+        if gv @ pv != gv:
+            raise RepError(f"map does not vanish on the kernel at vertex {v}")
+    widths = [len(c) for c in split.cols]
+    act = {}
+    for a in b.algebra.quiver.arrows:
+        s, t = a.source, a.target
+        act[a.name] = block_matrix(
+            [[b.act_arrow(a.name), g.block(s) @ split.mix[a.name]],
+             [None, split.act[a.name]]],
+            [b.dim_at(s), widths[s - 1]], [b.dim_at(t), widths[t - 1]])
+    x = Rep(b.algebra, tuple(map(sum, zip(b.dims, widths))), act)
+    xi0 = RepMap(b, x, tuple(
+        block_matrix([[RatMatrix.identity(d)], [None]], [d, w], [d])
+        for d, w in zip(b.dims, widths)))
+    xi1 = RepMap(x, nxt.target, tuple(
+        block_matrix([[None, nb.take(None, c)]], [nb.rows], [d, len(c)])
+        for nb, c, d in zip(nxt.blocks, split.cols, b.dims)))
+    return x, xi0, xi1
 
 
 def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:
@@ -168,9 +243,10 @@ def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:
 
     Built from the projective resolution R of a: push R^{-n} out along
     the degree -n component of a representative of c, then continue
-    with the resolution tail and the augmentation.  The representative
-    is pre-twisted by (-1)^(n(n-1)/2) so that the round trip through
-    `f_map` is the identity on coordinates.
+    with the resolution tail and the augmentation.  The splitting of
+    d^{-n} is kept in R's memo, so later classes reuse it.  The
+    representative is pre-twisted by (-1)^(n(n-1)/2) so that the round
+    trip through `f_map` is the identity on coordinates.
     """
     sp = c.space
     if n < 1:
@@ -186,7 +262,8 @@ def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:
     u0 = sp.representative(tw).comp(-n)
     eps0 = sp.eps.comp(0)
     nxt = eps0 if n == 1 else r.d(-n + 1)
-    x1, xi0, xi1 = _pushout(u0, r.d(-n), nxt)
+    split = memoised(r, ("splitting", -n), lambda: _splitting(r.d(-n)))
+    x1, xi0, xi1 = _pushout(u0, split, nxt)
     if n == 1:
         return YExt(b, a, (x1,), (xi0, xi1))
     middle = (x1,) + tuple(r.term(k) for k in range(-n + 2, 1))
@@ -198,7 +275,7 @@ def pushout_action(g: RepMap, x: YExt) -> YExt:
     """Replace the left end along g: left -> C; the class pushes forward."""
     if g.source is not x.left:
         raise YExtError("pushout map must start at the left end")
-    x1, xi0, xi1 = _pushout(g, x.maps[0], x.maps[1])
+    x1, xi0, xi1 = _pushout(g, _splitting(x.maps[0]), x.maps[1])
     return YExt(g.target, x.right, (x1,) + x.middle[1:],
                 (xi0, xi1) + x.maps[2:])
 

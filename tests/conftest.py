@@ -10,8 +10,9 @@ from heartglue.complexes import Cx, CxMap, ses_to_triangle
 from heartglue.derived import compose_classes, derived_hom, dhom_space
 from heartglue.glue import _scan_range
 from heartglue.linalg import RatMatrix
-from heartglue.reps import (RepMap, compose as rcompose, generator_positions,
-                            image, map_from_generators, projective_sum)
+from heartglue.reps import (RepMap, block_map, cokernel, compose as rcompose,
+                            direct_sum, generator_positions, image,
+                            map_from_generators, projective_sum, through_epi)
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +43,15 @@ def a4rel():
     q = make_quiver(4, [("a", 1, 2), ("b", 2, 3), ("c", 3, 4)])
     return build_algebra(q, [Relation.of([(1, ("a", "b"))]),
                              Relation.of([(1, ("b", "c"))])])
+
+
+@pytest.fixture(scope="session")
+def a5rad2():
+    # linear A5 with every length-two path killed
+    names = "abcd"
+    q = make_quiver(5, [(x, i, i + 1) for i, x in enumerate(names, 1)])
+    return build_algebra(q, [Relation.of([(1, (x, y))])
+                             for x, y in zip(names, names[1:])])
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +91,16 @@ def chopped_class(x):
             tri.comparison, tri.cone_of_f.projection(0))
         cls = delta if cls is None else compose_classes(delta, cls)
     return cls
+
+
+def cokernel_pushout(g: RepMap, f: RepMap, nxt: RepMap):
+    """The pushout X of g: L -> B and f: L -> M as the cokernel of
+    (g, -f): L -> B + M, an oracle for `yoneda._pushout`; returns X with
+    its map B -> X and the map X -> N induced by nxt: M -> N."""
+    ds = direct_sum([g.target, f.target])
+    x, pr = cokernel(block_map(f.source, ds, [[g], [-f]]))
+    return (x, rcompose(pr, ds.injection(0)),
+            through_epi(pr, block_map(ds, nxt.target, [[None, nxt]])))
 
 
 def random_sum(data, alg, min_size=0):

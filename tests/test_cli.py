@@ -387,6 +387,18 @@ class TestYonedaOracle:
         assert r.exit_code == 2
         assert "plain modules" in r.output
 
+    def test_refuses_a_window(self, runner):
+        # the degree bound is not a shift window, so --window is an error
+        r = runner.invoke(main, ["yoneda-oracle", corpus("a2"),
+                                 "--window", "3", "--format", "json"])
+        assert r.exit_code == 2
+        rep = json.loads(r.output)
+        assert rep["ok"] is False
+        assert "degree bound" in rep["error"]
+        code, _ = run(JobSpec(command="yoneda-oracle",
+                              algebra_path=corpus("a2"), window=7))
+        assert code == 2
+
 
 class TestBondalCheck:
     def test_kronecker(self, runner):

@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chopped_class, class_of_module_map
+from conftest import chopped_class, class_of_module_map, cokernel_pushout
+from heartglue.cli import corpus_path
 from heartglue.complexes import Cx, shift
 from heartglue.derived import (DHomClass, LiftError, as_cx, compose_classes,
                                dhom_space)
+from heartglue.jsonio import load_algebra
 from heartglue.linalg import RatMatrix
 from heartglue.reps import (
+    RepError,
     RepMap,
     identity_map,
     kernel,
@@ -22,6 +25,9 @@ from heartglue.reps import (
 from heartglue.yoneda import (
     YExt,
     YExtError,
+    _pushout,
+    _route_sign,
+    _splitting,
     baer_sum,
     f_map,
     f_map_via_quasi_iso,
@@ -414,3 +420,61 @@ class TestExtensionClass:
             sp.extension_class((zero_map(s1, mid), xi1))
         with pytest.raises(LiftError):  # endpoints of another space
             dhom_space(s1, s2, 1).extension_class(x.maps)
+
+
+class TestSplitPushout:
+    """The pushout along a splitting of the differential against the
+    cokernel pushout it replaced."""
+
+    CORPUS = ("a2", "a3", "a3rel", "branching", "commsquare", "kronecker")
+
+    @staticmethod
+    def _cokernel_splice(c, x):
+        """The splice of c with its pushout taken by the cokernel oracle,
+        on the resolution tail of x = splice_from_class(c, ...)."""
+        sp, n = c.space, c.space.n
+        tw = c if _route_sign(n) == 1 else c.scale(-1)
+        u0 = sp.representative(tw).comp(-n)
+        nxt = sp.eps.comp(0) if n == 1 else sp.r.d(-n + 1)
+        x1, xi0, xi1 = cokernel_pushout(u0, sp.r.d(-n), nxt)
+        return YExt(x.left, x.right, (x1,) + x.middle[1:],
+                    (xi0, xi1) + x.maps[2:])
+
+    @pytest.mark.parametrize("name", CORPUS + ("A5-rad2",))
+    def test_agrees_with_the_cokernel_pushout(self, request, rng, name):
+        alg = (request.getfixturevalue("a5rad2") if name == "A5-rad2"
+               else load_algebra(str(corpus_path(name))))
+        objs = spaces_objects(alg)
+        spliced = 0
+        for a in objs:
+            for b in objs:
+                for n in (1, 2, 3):
+                    sp = dhom_space(a, b, n)
+                    if not sp.dim:
+                        continue
+                    # never zero and never a basis vector
+                    coords = [rng.randint(-3, 3) for _ in range(sp.dim)]
+                    coords[0] = rng.choice((-3, -2, 2, 3))
+                    c = DHomClass(sp, tuple(map(Fraction, coords)))
+                    x = splice_from_class(c, a, b, n)
+                    assert f_map(x) == c
+                    oracle = self._cokernel_splice(c, x)
+                    assert oracle.middle[0].dims == x.middle[0].dims
+                    assert f_map(oracle).coords == c.coords
+                    spliced += 1
+        assert spliced
+
+    def test_rejects_a_map_that_is_not_a_cocycle(self, a3rel):
+        # S3 has projective dimension 2, so d^{-1} of its resolution has
+        # a kernel, the image of d^{-2}, on which the identity is nonzero
+        s1, s3 = simple(a3rel, 1), simple(a3rel, 3)
+        sp = dhom_space(s3, s1, 1)
+        r, eps0 = sp.r, sp.eps.comp(0)
+        split = _splitting(r.d(-1))
+        with pytest.raises(RepError, match="vanish on the kernel"):
+            _pushout(identity_map(r.term(-1)), split, eps0)
+        # a cocycle out of R^{-1} pushes out
+        c = dhom_space(s3, simple(a3rel, 2), 1).basis()[0]
+        u0 = c.space.representative(c).comp(-1)
+        x1, _, _ = _pushout(u0, split, eps0)
+        assert x1.total_dim == 2
