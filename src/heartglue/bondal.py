@@ -9,6 +9,10 @@ kernel of path evaluation.  Evaluating paths back to maps identifies the
 vertex-i projective with the hom module of the i-th object, and the
 functions below produce that identification as explicit invertible maps
 rather than a dimension count.
+
+bondal keeps no cache of its own: each product, path evaluation and
+induced map is a composite kept by derived.compose_classes, and each
+hom module is kept in the memo of its object (module_functor).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (PathAlgebraDesc, Relation, build_algebra, make_quiver,
-                      memo_field, memoised)
+                      memoised)
 from .complexes import Cx
 from .derived import (
     DHomClass,
@@ -53,19 +57,13 @@ class EndAlgebra:
     The basis is grouped by (source, target) position: one identity per
     diagonal and the canonical degree-zero classes off the diagonal.
     Products follow the path-algebra convention x*y = "y first, then x".
-    memo keeps each basis product once computed, keyed by (a, b), and,
-    under "pairs", the basis indices of each (source, target) pair.
+    pairs holds the basis indices of each (source, target) pair.  No
+    product is cached here: compose_classes keeps each composite.
     """
 
     objects: tuple[Cx, ...]
     elements: tuple[EndElement, ...]
-    memo: dict = memo_field()
-
-    def __post_init__(self):
-        pairs: dict[tuple[int, int], list[int]] = {}
-        for k, e in enumerate(self.elements):
-            pairs.setdefault((e.i, e.j), []).append(k)
-        self.memo["pairs"] = {p: tuple(v) for p, v in pairs.items()}
+    pairs: dict[tuple[int, int], tuple[int, ...]]
 
     @property
     def dim(self) -> int:
@@ -76,7 +74,7 @@ class EndAlgebra:
         return len(self.objects)
 
     def pair(self, i: int, j: int) -> tuple[int, ...]:
-        return self.memo["pairs"].get((i, j), ())
+        return self.pairs.get((i, j), ())
 
     def unit_index(self, i: int) -> int:
         return self.pair(i, i)[0]
@@ -92,14 +90,10 @@ class EndAlgebra:
 
     def product(self, a: int, b: int) -> dict[int, Fraction]:
         """Coefficients of element a times element b (b composes first)."""
-        return dict(memoised(self, (a, b), lambda: self._product(a, b)))
-
-    def _product(self, a: int, b: int) -> dict[int, Fraction]:
         ea, eb = self.elements[a], self.elements[b]
         if eb.j != ea.i:
             return {}
-        z = compose_classes(ea.cls, eb.cls)
-        return self.coords_over(eb.i, ea.j, z)
+        return self.coords_over(eb.i, ea.j, compose_classes(ea.cls, eb.cls))
 
     def multiply(self, u: dict[int, Fraction],
                  v: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -123,33 +117,30 @@ def end_algebra(es: ExcSequence) -> EndAlgebra:
         elements.append(EndElement(i, i, identity_class(objs[i - 1])))
         for j in range(i + 1, len(objs) + 1):
             sp = dhom_space(objs[i - 1], objs[j - 1], 0)
-            for cls in sp.basis():
-                elements.append(EndElement(i, j, cls))
-    return EndAlgebra(objs, tuple(elements))
+            elements += [EndElement(i, j, cls) for cls in sp.basis()]
+    pairs: dict[tuple[int, int], tuple[int, ...]] = {}
+    for k, e in enumerate(elements):
+        pairs[e.i, e.j] = pairs.get((e.i, e.j), ()) + (k,)
+    return EndAlgebra(objs, tuple(elements), pairs)
 
 
 def verify_end_algebra(end: EndAlgebra) -> tuple[int, int]:
     """Exhaustive unit and associativity check over the basis.
 
-    Returns the number of (pairs, triples) inspected; raises BondalError
-    on any failure.
+    Returns the number of (pairs, triples) inspected: every product of
+    two basis elements is computed by the triple loop.  Raises
+    BondalError on any failure.
     """
-    units = [end.unit_index(i) for i in range(1, end.positions + 1)]
-    one = {u: Fraction(1) for u in units}
-    pairs = 0
+    one = {end.unit_index(i): Fraction(1) for i in range(1, end.positions + 1)}
     for a in range(end.dim):
         if (end.multiply(one, {a: Fraction(1)}) != {a: Fraction(1)}
                 or end.multiply({a: Fraction(1)}, one) != {a: Fraction(1)}):
             raise BondalError(f"element {a} is not fixed by the unit")
-        for b in range(end.dim):
-            end.product(a, b)
-            pairs += 1
     triples = 0
     for a in range(end.dim):
         ua = {a: Fraction(1)}
         for b in range(end.dim):
             ab = end.product(a, b)
-            ub = {b: Fraction(1)}
             for c in range(end.dim):
                 lhs = end.multiply(ab, {c: Fraction(1)})
                 rhs = end.multiply(ua, end.product(b, c))
@@ -157,7 +148,7 @@ def verify_end_algebra(end: EndAlgebra) -> tuple[int, int]:
                     raise BondalError(
                         f"associativity fails on basis triple {(a, b, c)}")
                 triples += 1
-    return pairs, triples
+    return end.dim ** 2, triples
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +179,7 @@ class Presentation:
                    combo: dict[int, Fraction]) -> DHomClass:
         sp = dhom_space(self.end.objects[source - 1],
                         self.end.objects[target - 1], 0)
-        out = DHomClass(sp, (Fraction(0),) * sp.dim)
+        out = sp.zero()
         for bidx, c in combo.items():
             p = self.algebra.basis[bidx]
             out = out + self.eval_path(p.source, p.arrows).scale(c)
@@ -277,7 +268,7 @@ def presentation_multiplicative(pres: Presentation) -> int:
 
 
 def module_functor(pres: Presentation, x) -> Rep:
-    """Hom module of x over the presented algebra.
+    """Hom module of x over the presented algebra, kept in as_cx(x).memo.
 
     The vertex-v component is Hom(E_v, x) in canonical coordinates, and
     an arrow acts by precomposition with its class.  Objects with maps
@@ -285,6 +276,10 @@ def module_functor(pres: Presentation, x) -> Rep:
     rejected, since the module below would forget those maps.
     """
     cx = as_cx(x)
+    return memoised(cx, ("hom module", pres), lambda: _hom_module(pres, cx))
+
+
+def _hom_module(pres: Presentation, cx: Cx) -> Rep:
     end = pres.end
     for i, e in enumerate(end.objects, 1):
         for n, d in _homs(e, cx):
@@ -304,20 +299,17 @@ def module_functor(pres: Presentation, x) -> Rep:
     return Rep(pres.algebra, dims, maps)
 
 
-def map_functor(pres: Presentation, cls: DHomClass,
-                phi_source: Rep | None = None,
-                phi_target: Rep | None = None) -> RepMap:
+def map_functor(pres: Presentation, cls: DHomClass) -> RepMap:
     """Hom-module map induced by a degree-zero class, by postcomposition.
 
-    Pass the already-built hom modules to keep several induced maps
-    composable with each other.
+    Its endpoints are the hom modules that module_functor keeps, so
+    induced maps compose with each other; no map is cached here.
     """
     end = pres.end
     x, y = cls.space.x, cls.space.y
     if cls.space.n != 0:
         raise BondalError("only degree-zero classes induce module maps")
-    phix = phi_source if phi_source is not None else module_functor(pres, x)
-    phiy = phi_target if phi_target is not None else module_functor(pres, y)
+    phix, phiy = module_functor(pres, x), module_functor(pres, y)
     blocks = []
     for v, e in enumerate(end.objects, 1):
         cols = [compose_classes(cls, g).coords
@@ -380,23 +372,14 @@ def faithful_full_check(pres: Presentation, pairs=None) -> FaithfulReport:
     end = pres.end
     if pairs is None:
         pairs = [(a, b) for a in end.objects for b in end.objects]
-    images: dict[Cx, Rep] = {}
-
-    def image(obj) -> Rep:
-        key = as_cx(obj)
-        if key not in images:
-            images[key] = module_functor(pres, obj)
-        return images[key]
-
     mism = []
     count = 0
     for x, y in pairs:
         count += 1
-        phix, phiy = image(x), image(y)
+        phix, phiy = module_functor(pres, x), module_functor(pres, y)
         sp = dhom_space(x, y, 0)
         module_dim = len(hom_space(phix, phiy))
-        sent = [_flat(map_functor(pres, cls, phix, phiy))
-                for cls in sp.basis()]
+        sent = [_flat(map_functor(pres, cls)) for cls in sp.basis()]
         entries = sum(phiy.dim_at(v) * phix.dim_at(v)
                       for v in range(1, end.positions + 1))
         induced = rank(RatMatrix.from_cols(sent, rows=entries))

@@ -31,7 +31,9 @@ keyed by ("layout", t, delta), the boundary and lift systems of maps
 into t keyed by ("system", t, delta) (not the delta-0 system of a Hom
 space, which is read once, for its kernel), and the splitting of its
 differential d^k keyed by ("splitting", k), which yoneda pushes
-resolutions out along. Keys are objects compared by identity, since
+resolutions out along; x's memo holds the composite of c1 out of x and
+c2 keyed by ("compose", c2, c1), as long as x lives. Keys compare by
+identity (a class by its space's identity and its coordinates), since
 classes, lifts and class_of check endpoints with `is`: only the objects
 of the first request hit. An entry dies with its object.
 """
@@ -417,12 +419,8 @@ class DHomSpace:
         return DHomClass(self, (Fraction(0),) * self.dim)
 
     def basis(self) -> list["DHomClass"]:
-        out = []
-        for i in range(self.dim):
-            coords = tuple(Fraction(1 if j == i else 0)
-                           for j in range(self.dim))
-            out.append(DHomClass(self, coords))
-        return out
+        eye = RatMatrix.identity(self.dim)
+        return [DHomClass(self, eye.col(i)) for i in range(self.dim)]
 
     def class_of(self, u: CxMap) -> "DHomClass":
         if u.source is not self.r or u.target is not self.t:
@@ -531,11 +529,13 @@ def identity_class(x) -> DHomClass:
 
 def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
     """The composite class in Hom(x, z[n+m]) of c1 in Hom(x, y[n]) and
-    c2 in Hom(y, z[m])."""
-    sp1, sp2 = c1.space, c2.space
+    c2 in Hom(y, z[m]), kept in the memo of x."""
+    sp1, sp2, n = c1.space, c2.space, c1.space.n
     if sp1.y is not sp2.x:
         raise LiftError("middle objects differ")
-    target = dhom_space(sp1.x, sp2.y, sp1.n + sp2.n)
-    g = sp1.picked @ RatMatrix.column(c1.coords)
-    return target._lifted_after(g, shift_map(sp2.eps, sp1.n),
-                                shift_map(sp2.representative(c2), sp1.n))
+
+    def build() -> DHomClass:
+        g = sp1.picked @ RatMatrix.column(c1.coords)
+        return dhom_space(sp1.x, sp2.y, n + sp2.n)._lifted_after(
+            g, shift_map(sp2.eps, n), shift_map(sp2.representative(c2), n))
+    return memoised(sp1.x, ("compose", c2, c1), build)

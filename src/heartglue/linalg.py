@@ -142,6 +142,14 @@ class RatMatrix:
         return _new(tuple(tuple([r[j] for j in cols]) for r in num),
                     self.den, len(cols))
 
+    def reshape(self, rows: int, cols: int) -> "RatMatrix":
+        """The entries read row by row into a rows x cols matrix."""
+        flat = tuple(chain.from_iterable(self.num))
+        if len(flat) != rows * cols:
+            raise ValueError(f"cannot reshape {self.shape} to {(rows, cols)}")
+        return _new(tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)),
+                    self.den, cols)
+
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
@@ -256,6 +264,13 @@ def _common(mats: Sequence[RatMatrix]) -> tuple[int, list[tuple]]:
         grids.append(m.num if f == 1
                      else tuple(tuple([f * x for x in r]) for r in m.num))
     return den, grids
+
+
+def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The Kronecker product: block (i, j) is a[i, j] * b."""
+    return _new(tuple(tuple([x * y for x in ra for y in rb])
+                      for ra in a.num for rb in b.num),
+                a.den * b.den, a.cols * b.cols)
 
 
 def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:

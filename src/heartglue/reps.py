@@ -23,6 +23,7 @@ data of derived all go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .algebra import (AlgebraError, BasisPath, PathAlgebraDesc, memo_field,
@@ -33,6 +34,7 @@ from .linalg import (
     complement_pivots,
     hstack,
     kernel_basis,
+    kron,
     pivot_columns,
     rank,
     solve,
@@ -295,51 +297,32 @@ def eval_columns(t: Rep, n: Rep, j: int, m: RatMatrix) -> list[RatMatrix]:
 
 
 def hom_space(m: Rep, n: Rep) -> list[RepMap]:
-    """A basis of the intertwiner space Hom_A(m, n)."""
+    """A basis of the intertwiner space Hom_A(m, n).
+
+    The unknowns are the vertex blocks X_v, each read row by row.  An
+    arrow a: s -> t asks X_s m_a = n_a X_t, one block row of the system:
+    kron(I, m_a^T) in column block s and -kron(n_a, I) in column block t.
+    """
     if m.algebra is not n.algebra:
         raise RepError("Hom across different algebras")
-    nv = m.algebra.vertex_count
-    sizes = [n.dims[v] * m.dims[v] for v in range(nv)]
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    total = offsets[-1]
-
-    def entry(v: int, r: int, c: int) -> int:
-        # row-major inside the vertex block
-        return offsets[v] + r * m.dims[v] + c
-
-    rows = []
-    for a in m.algebra.quiver.arrows:
+    shapes = list(zip(n.dims, m.dims))
+    sizes = [r * c for r, c in shapes]
+    offsets = list(accumulate(sizes, initial=0))
+    arrows = m.algebra.quiver.arrows
+    grid = []
+    for a in arrows:
         s, t = a.source - 1, a.target - 1
-        am = m.act_arrow(a.name)
-        an = n.act_arrow(a.name)
-        # each equation is scaled by am.den * an.den, which keeps it
-        # integral and leaves the kernel (and its rref basis) unchanged
-        am_num, an_num = am.num, an.num
-        for r in range(n.dims[s]):
-            an_row = an_num[r]
-            for c in range(m.dims[t]):
-                row = [0] * total
-                for k in range(m.dims[s]):
-                    if am_num[k][c]:
-                        row[entry(s, r, k)] += am_num[k][c] * an.den
-                for k in range(n.dims[t]):
-                    if an_row[k]:
-                        row[entry(t, k, c)] -= an_row[k] * am.den
-                rows.append(row)
-    system = RatMatrix(rows, cols=total) if rows else RatMatrix.zeros(0, total)
-    basis = kernel_basis(system)
-    out = []
-    for j in range(basis.cols):
-        vec = basis.col(j)
-        blocks = []
-        for v in range(nv):
-            block = [[vec[entry(v, r, c)] for c in range(m.dims[v])]
-                     for r in range(n.dims[v])]
-            blocks.append(RatMatrix(block, cols=m.dims[v]))
-        out.append(RepMap(m, n, tuple(blocks)))
-    return out
+        row: list[RatMatrix | None] = [None] * len(sizes)
+        row[s] = kron(RatMatrix.identity(n.dims[s]),
+                      m.act_arrow(a.name).transpose())
+        row[t] = -kron(n.act_arrow(a.name), RatMatrix.identity(m.dims[t]))
+        grid.append(row)
+    heights = [n.dims[a.source - 1] * m.dims[a.target - 1] for a in arrows]
+    basis = kernel_basis(block_matrix(grid, heights, sizes))
+    return [RepMap(m, n, tuple(
+                basis.take(range(o, o + size), [j]).reshape(*shape)
+                for o, size, shape in zip(offsets, sizes, shapes)))
+            for j in range(basis.cols)]
 
 
 def _span(m: Rep, cols: Sequence[RatMatrix]) -> tuple[Rep, RepMap]:

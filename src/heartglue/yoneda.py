@@ -130,8 +130,7 @@ def _route_sign(n: int) -> int:
 def f_map(x: YExt) -> DHomClass:
     """Canonical class of an extension in Hom(right, left[n]), read off
     one comparison lift of the augmentation of right along the sequence
-    (`DHomSpace.extension_class`)."""
-    exact_certificate(*x.maps)
+    (`DHomSpace.extension_class`); YExt has certified its exactness."""
     cls = dhom_space(x.right, x.left, x.n).extension_class(x.maps)
     return cls if _route_sign(x.n) == 1 else cls.scale(-1)
 
@@ -323,7 +322,9 @@ def baer_sum(x: YExt, y: YExt) -> YExt:
     return pullback_action(halved, diag)
 
 
-def _factor_columns(sp, gens) -> list[tuple]:
+def _factor_columns(sp, gens) -> RatMatrix | None:
+    """The coordinates of the composites A -> G[1] -> B[n] as columns;
+    None when there are none."""
     if sp.n < 2:
         raise YExtError("factorization test needs degree at least 2")
     cols = []
@@ -333,7 +334,7 @@ def _factor_columns(sp, gens) -> list[tuple]:
         for h in hs.basis():
             for g in gs.basis():
                 cols.append(compose_classes(g, h).coords)
-    return cols
+    return RatMatrix.from_cols(cols, rows=sp.dim) if cols else None
 
 
 def factors_through(c: DHomClass, gens) -> bool:
@@ -344,21 +345,15 @@ def factors_through(c: DHomClass, gens) -> bool:
     the composites equals the set of classes factoring through finite
     direct sums of shifted generators, so membership is exact.
     """
-    sp = c.space
-    cols = _factor_columns(sp, gens)
-    if not cols:
+    span = _factor_columns(c.space, gens)
+    if span is None:
         return c.is_zero()
-    span = RatMatrix.from_cols([list(col) for col in cols], rows=sp.dim)
-    return span_membership(RatMatrix.column(list(c.coords)), span)
+    return span_membership(RatMatrix.column(c.coords), span)
 
 
 def factor_image_dim(x, y, n: int, gens) -> int:
     """Dimension of the subspace of Hom(x, y[n]) that factors through
     shifted generators; the gap against the full space counts classes
     the generators cannot reach."""
-    sp = dhom_space(x, y, n)
-    cols = _factor_columns(sp, gens)
-    if not cols:
-        return 0
-    return rank(RatMatrix.from_cols([list(col) for col in cols],
-                                    rows=sp.dim))
+    span = _factor_columns(dhom_space(x, y, n), gens)
+    return 0 if span is None else rank(span)

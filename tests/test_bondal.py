@@ -18,7 +18,7 @@ from heartglue.bondal import (
     verify_end_algebra,
 )
 from heartglue.complexes import cx_direct_sum, shift
-from heartglue.derived import as_cx, compose_classes, dhom_space
+from heartglue.derived import DHomSpace, as_cx, compose_classes, dhom_space
 from heartglue.glue import check_sequence
 from heartglue.linalg import RatMatrix, rank
 from heartglue.reps import Rep, compose, projective, simple
@@ -228,13 +228,17 @@ class TestHomModules:
         _, _, pres = kron_pres
         p1, p2 = projective(kron, 1), projective(kron, 2)
         reg = regular_kron_module(kron)
-        phi = {m: module_functor(pres, m) for m in (p1, p2, reg)}
         f = dhom_space(p1, p2, 0).basis()[0]
         g = dhom_space(p2, reg, 0).basis()[0]
-        whole = map_functor(pres, compose_classes(g, f), phi[p1], phi[reg])
-        steps = compose(map_functor(pres, g, phi[p2], phi[reg]),
-                        map_functor(pres, f, phi[p1], phi[p2]))
+        whole = map_functor(pres, compose_classes(g, f))
+        steps = compose(map_functor(pres, g), map_functor(pres, f))
         assert whole.same_blocks(steps)
+
+    def test_hom_module_is_kept_with_its_object(self, kron_pres, kron):
+        _, _, pres = kron_pres
+        reg = regular_kron_module(kron)
+        assert module_functor(pres, reg) is module_functor(pres, reg)
+        assert module_functor(pres, reg) is module_functor(pres, as_cx(reg))
 
 
 class TestFullCheck:
@@ -273,6 +277,19 @@ class TestFullCheck:
         assert r.eval_pairs_checked == 6
         assert (r.faithful.pairs, r.table.pairs) == (4, 4)
         assert len(r.comparisons) == 2
+
+    def test_second_check_composes_nothing(self, a3rel, monkeypatch):
+        es = projective_sequence(a3rel)
+        first = bondal_check(es)
+        lifts = []
+        monkeypatch.setattr(DHomSpace, "_lifted_after",
+                            lambda *args: lifts.append(args))
+        second = bondal_check(es)
+        assert lifts == []
+        assert (second.products_checked, second.triples_checked,
+                second.eval_pairs_checked) == (
+            first.products_checked, first.triples_checked,
+            first.eval_pairs_checked) == (25, 125, 8)
 
     def test_full_report_on_commuting_square(self, commsquare_pres):
         es, _, _ = commsquare_pres

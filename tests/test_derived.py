@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import is_minimal, random_map, random_sum
+from heartglue import derived
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.glue import _scan_range
 from heartglue.jsonio import load_algebra
@@ -354,9 +355,10 @@ def test_compose_classes_builds_at_most_one_module_map(a3rel, monkeypatch):
     s1, s2, s3 = (simple(a3rel, i) for i in (1, 2, 3))
     e32 = dhom_space(s3, s2, 1).basis()[0]
     e21 = dhom_space(s2, s1, 1).basis()[0]
-    # a first call builds the spaces and the shifted resolution of S2
+    # a first call builds the spaces and the shifted resolution of S2, and
+    # keeps the composite in the memo of S3
     first = compose_classes(e21, e32)
-    built = []
+    built, lifts = [], []
     validate = RepMap.__post_init__
 
     def counting(self):
@@ -364,8 +366,33 @@ def test_compose_classes_builds_at_most_one_module_map(a3rel, monkeypatch):
         validate(self)
 
     monkeypatch.setattr(RepMap, "__post_init__", counting)
-    assert compose_classes(e21, e32) == first
-    assert len(built) <= 1
+    monkeypatch.setattr(derived, "solve_lift", lambda *a: lifts.append(a))
+    # equal classes of the same spaces hit: a class compares by the
+    # identity of its space and by its coordinates
+    again = DHomClass(e21.space, e21.coords), DHomClass(e32.space, e32.coords)
+    assert compose_classes(e21, e32) is first
+    assert compose_classes(*again) is first
+    assert built == [] and lifts == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_composites_of_copies_stay_in_the_copies_spaces(kron, a3rel,
+                                                        commsquare, data):
+    alg = data.draw(st.sampled_from([kron, a3rel, commsquare]))
+    objs, copies = _objects(alg), _objects(alg)
+    i, j, k = (data.draw(st.integers(0, len(objs) - 1)) for _ in range(3))
+    sp1 = _nonzero_space(data, objs[i], objs[j])
+    sp2 = _nonzero_space(data, objs[j], objs[k])
+    c1, c2 = _random_class(data, sp1), _random_class(data, sp2)
+    first = compose_classes(c2, c1)
+    d1 = DHomClass(dhom_space(copies[i], copies[j], sp1.n), c1.coords)
+    d2 = DHomClass(dhom_space(copies[j], copies[k], sp2.n), c2.coords)
+    again = compose_classes(d2, d1)
+    assert again.coords == first.coords
+    assert first.space is dhom_space(objs[i], objs[k], sp1.n + sp2.n)
+    assert again.space is dhom_space(copies[i], copies[k], sp1.n + sp2.n)
+    assert again.space is not first.space
 
 
 def test_representative_builds_no_component_into_a_zero_term(a3rel):

@@ -12,6 +12,7 @@ from heartglue.linalg import (
     complement_pivots,
     hstack,
     kernel_basis,
+    kron,
     rank,
     rref,
     solve,
@@ -164,6 +165,27 @@ def test_stacking_and_blocks():
     assert m.take(None, [1]) == RatMatrix([[2], [5]])
     assert m.take([0], None) == RatMatrix([[Fraction(1, 2), 2, 3]])
     assert m.take([], [0]).shape == (0, 1)
+
+
+def test_kron_and_reshape():
+    a = RatMatrix([[1, Fraction(1, 2)]])
+    b = RatMatrix([[1, 2], [3, 4]])
+    assert kron(a, b) == RatMatrix([[1, 2, Fraction(1, 2), 1],
+                                    [3, 4, Fraction(3, 2), 2]])
+    assert kron(RatMatrix.identity(2), a) == RatMatrix(
+        [[1, Fraction(1, 2), 0, 0], [0, 0, 1, Fraction(1, 2)]])
+    assert kron(RatMatrix.zeros(0, 2), b).shape == (0, 4)
+    # vec(x m) = kron(I, m^T) vec(x) with x read row by row
+    x = RatMatrix([[1, 2, 3], [4, 5, Fraction(1, 3)]])
+    vec = x.reshape(6, 1)
+    assert vec.reshape(2, 3) == x
+    assert x.reshape(3, 2) == RatMatrix([[1, 2], [3, 4], [5, Fraction(1, 3)]])
+    m = RatMatrix([[1, 0], [2, -1], [0, 3]])
+    assert (kron(RatMatrix.identity(2), m.transpose()) @ vec
+            == (x @ m).reshape(4, 1))
+    assert RatMatrix.zeros(0, 3).reshape(3, 0).shape == (3, 0)
+    with pytest.raises(ValueError):
+        x.reshape(4, 2)
 
 
 def test_immutability():

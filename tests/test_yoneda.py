@@ -12,6 +12,7 @@ from heartglue.derived import (DHomClass, LiftError, as_cx, compose_classes,
                                dhom_space)
 from heartglue.jsonio import load_algebra
 from heartglue.linalg import RatMatrix
+from heartglue import yoneda
 from heartglue.reps import (
     RepError,
     RepMap,
@@ -407,6 +408,16 @@ class TestExtensionClass:
             monkeypatch.setattr(kind, "__post_init__", counting)
         assert f_map(x) == first
         assert built == []
+
+    def test_f_map_does_not_certify_again(self, a3rel, monkeypatch):
+        # the YExt constructor certified these immutable maps already
+        a, b = simple(a3rel, 3), simple(a3rel, 1)
+        x = splice_from_class(dhom_space(a, b, 2).basis()[0], a, b, 2)
+        calls = []
+        monkeypatch.setattr(yoneda, "exact_certificate",
+                            lambda *maps: calls.append(maps))
+        assert not f_map(x).is_zero()
+        assert calls == []
 
     def test_rejects_a_sequence_the_augmentation_does_not_lift_along(self, a2):
         # YExt rejects both sequences, so only a direct call gets here
