@@ -15,13 +15,13 @@ derived_hom answers that case from the dimensions alone.
 
 Classes compose on generator data. solve_lift, the one lift kernel,
 lifts a column through a quasi-isomorphism, and a post-composition is a
-block-diagonal product (_after): composition lifts through the
-resolution of the middle object, and the class of a roof X <- W -> Y[n]
-lifts the augmentation through W -> X. The class of an exact sequence
-of modules Y -> M_1 -> ... -> M_n -> X is read off the augmentation
-lifted strictly along it, a degree at a time (extension_class). Chain
-maps are built only where a cone or a module map needs one, with no
-component into a zero term.
+block-diagonal product (_after): composition lifts through the shifted
+resolution of the middle object, then applies the second class's blocks
+read off its generator data; a roof X <- W -> Y[n] lifts through W -> X.
+The class of an exact sequence of modules Y -> M_1 -> ... -> M_n -> X
+is read off the augmentation lifted strictly along it, a degree at a
+time (extension_class). Chain maps are built only where a cone or a
+module map needs one, with no component into a zero term.
 
 Memo policy: each result is kept in the memo of the object it describes
 and nowhere else. A module's memo holds its complex and its identity; a
@@ -32,16 +32,19 @@ into t keyed by ("system", t, delta) (not the delta-0 system of a Hom
 space, which is read once, for its kernel), and the splitting of its
 differential d^k keyed by ("splitting", k), which yoneda pushes
 resolutions out along; x's memo holds the composite of c1 out of x and
-c2 keyed by ("compose", c2, c1), as long as x lives. Keys compare by
-identity (a class by its space's identity and its coordinates), since
-classes, lifts and class_of check endpoints with `is`: only the objects
-of the first request hit. An entry dies with its object.
+c2 keyed by ("compose", c2, c1); a Hom space's memo holds the factors
+of its coordinates (span_coordinates) keyed by "coordinates", built by
+its first class_of_vector. Keys compare by identity (a class by its
+space and coordinates), since classes, lifts and class_of check
+endpoints with `is`: only the objects of the first request hit. An
+entry dies with its object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import accumulate
 
 from .algebra import memoised
@@ -53,22 +56,23 @@ from .complexes import (
     identity_chain_map,
     module_cx,
     shift,
-    shift_map,
 )
 from .complexes import compose as ccompose
 from .linalg import (RatMatrix, block_matrix, hstack, kernel_basis,
-                     pivot_columns, solve)
+                     pivot_columns, solve, span_coordinates)
 from .reps import (
     Rep,
     RepMap,
     block_map,
     copy_rows,
     eval_columns,
+    generator_block,
     generator_positions,
     kernel,
     map_from_generators,
     projective_cover,
     projective_sum,
+    zero_map,
 )
 from .reps import compose as rcompose
 
@@ -321,54 +325,62 @@ def _hom_system(r: Cx, t: Cx, delta: int) -> RatMatrix:
                     lambda: _system(r, t, _layout(r, t, delta)))
 
 
+def _images(r: Cx, t: Cx, layout: _GenLayout, vec: RatMatrix,
+            k: int) -> list[RatMatrix] | None:
+    """The degree-k generator blocks of vec, the data of maps r -> t (one
+    per column); None where r^k or t^k is zero."""
+    term = r.terms.get(k)
+    if term is None or not term.proj_gens or not t.term(k).total_dim:
+        return None
+    i = layout.first[k]
+    return [layout.block(vec, i + c) for c in range(len(term.proj_gens))]
+
+
 def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
                    vec: RatMatrix) -> CxMap:
     """The chain map r -> t carried by generator data in the layout; no
     component into a zero term of t is built."""
     comps = {}
     for k in sorted(r.terms):
-        term, tk = r.terms[k], t.term(k)
-        if not term.proj_gens or not tk.total_dim:
-            continue
-        i = layout.first[k]
-        images = [layout.block(vec, i + c) for c in range(len(term.proj_gens))]
-        comps[k] = map_from_generators(term, tk, images)
+        images = _images(r, t, layout, vec, k)
+        if images is not None:
+            comps[k] = map_from_generators(r.terms[k], t.term(k), images)
     return CxMap(r, t, comps)
 
 
 def _map_to_vector(u: CxMap, layout: _GenLayout) -> RatMatrix:
     """The generator data of u, a map out of a tagged complex."""
-    grid = []
-    for (k, c, v, pos) in layout.entries:
-        b = _block(u, k, v)
-        grid.append([None if b is None else b.col_matrix(pos)])
+    grid = [[None if (b := _block(u, k, v)) is None else b.col_matrix(pos)]
+            for (k, _, v, pos) in layout.entries]
     return block_matrix(grid, layout.sizes, [1])
 
 
-def _after(f: CxMap, lay: _GenLayout, to: _GenLayout) -> RatMatrix:
-    """Generator data of u in lay to that of f u in to: the vertex block
-    of f at each generator, block-diagonal."""
+def _after(blocks, lay: _GenLayout, to: _GenLayout) -> RatMatrix:
+    """Generator data of u in lay to that of f u in to, for blocks(k, v)
+    the vertex-v block of f in degree k (None for zero): block-diagonal."""
     n = len(lay.entries)
     grid: list[list] = [[None] * n for _ in range(n)]
     for i, (k, _, v, _) in enumerate(lay.entries):
-        grid[i][i] = _block(f, k, v)
+        grid[i][i] = blocks(k, v)
     return block_matrix(grid, to.sizes, lay.sizes)
 
 
-def solve_lift(p: Cx, g: RatMatrix, r: CxMap,
+def solve_lift(p: Cx, g: RatMatrix, r: CxMap, n: int = 0,
                strict: bool = False) -> RatMatrix:
-    """Generator data of u: p -> source(r) with r u = g, strictly or up to
-    homotopy, for g the generator data of a map p -> target(r) and p
-    tagged; raises LiftError when no lift exists."""
-    ulay = _layout(p, r.source, 0)
-    zlay = _layout(p, r.target, 0)
+    """Generator data of u: p -> source(r)[n] with r[n] u = g, strictly or
+    up to homotopy, for g the data of a map p -> target(r)[n], p tagged;
+    raises LiftError when no lift exists.  r[n] is read off r's blocks."""
+    src, tgt = shift(r.source, n), shift(r.target, n)
+    ulay = _layout(p, src, 0)
+    zlay = _layout(p, tgt, 0)
     # rows: u is a chain map, then r u + (d h + h d) = g; the sign of the
     # homotopy block does not change u
-    chain = _hom_system(p, r.source, 0)
+    chain = _hom_system(p, src, 0)
     bnd = (RatMatrix.zeros(zlay.total, 0) if strict
-           else _hom_system(p, r.target, -1))
+           else _hom_system(p, tgt, -1))
     heights = [chain.rows, zlay.total]
-    system = block_matrix([[chain, None], [_after(r, ulay, zlay), bnd]],
+    after = _after(lambda k, v: _block(r, k + n, v), ulay, zlay)
+    system = block_matrix([[chain, None], [after, bnd]],
                           heights, [ulay.total, bnd.cols])
     sol = solve(system, block_matrix([[None], [g]], heights, [1]))
     if sol is None:
@@ -383,7 +395,7 @@ def lift_map(p: Cx, g: CxMap, r: CxMap, strict: bool = False) -> CxMap:
     if g.target is not r.target:
         raise LiftError("g and r must share their target")
     vec = solve_lift(p, _map_to_vector(g, _layout(p, g.target, 0)), r,
-                     strict)
+                     strict=strict)
     return _vector_to_map(p, r.source, _layout(p, r.source, 0), vec)
 
 
@@ -400,9 +412,7 @@ class DHomSpace:
     are chain maps r -> t modulo null-homotopic ones."""
 
     def __init__(self, x: Cx, y: Cx, n: int):
-        self.x = x
-        self.y = y
-        self.n = n
+        self.x, self.y, self.n = x, y, n
         self.eps = resolve(x)
         self.r = self.eps.source
         self.t = shift(y, n)
@@ -413,7 +423,7 @@ class DHomSpace:
         pivots = pivot_columns(hstack([self.boundaries, self.cycles]))
         self.picked = self.cycles.take(None, [p - nb for p in pivots if p >= nb])
         self.dim = self.picked.cols
-        self._solver = hstack([self.boundaries, self.picked])
+        self.memo: dict = {}
 
     def zero(self) -> "DHomClass":
         return DHomClass(self, (Fraction(0),) * self.dim)
@@ -428,11 +438,13 @@ class DHomSpace:
         return self.class_of_vector(_map_to_vector(u, self.layout))
 
     def class_of_vector(self, vec: RatMatrix) -> "DHomClass":
-        """The class of generator data vec, a column in the layout."""
-        sol = solve(self._solver, vec)
-        if sol is None:
+        """The class of generator data vec, a column in the layout: the picked
+        part of solve([boundaries | picked], vec), by the factors in memo."""
+        coords, check = memoised(self, "coordinates", lambda: span_coordinates(
+            hstack([self.boundaries, self.picked]), self.dim))
+        if not (check @ vec).is_zero():
             raise LiftError("vector is not a cycle in this Hom space")
-        return DHomClass(self, sol.col(0)[self.boundaries.cols:])
+        return DHomClass(self, (coords @ vec).col(0))
 
     def roof_class(self, q: CxMap, post: CxMap) -> "DHomClass":
         """The class of post q^-1 for a quasi-isomorphism q: w -> x and
@@ -441,7 +453,7 @@ class DHomSpace:
                 or post.source is not q.source):
             raise LiftError("roof not anchored to this Hom space")
         aug = _map_to_vector(self.eps, _layout(self.r, self.x, 0))
-        return self._lifted_after(aug, q, post)
+        return self._lifted_after(aug, q, 0, partial(_block, post))
 
     def extension_class(self, maps: tuple[RepMap, ...]) -> "DHomClass":
         """The class of the exact sequence y -> m_1 -> ... -> m_n -> x with
@@ -474,16 +486,26 @@ class DHomSpace:
                 for (k, c, _, _) in self.layout.entries]
         return self.class_of_vector(block_matrix(grid, self.layout.sizes, [1]))
 
-    def _lifted_after(self, g: RatMatrix, q: CxMap,
-                      post: CxMap) -> "DHomClass":
-        """The class of post u for u the lift of generator data g by q."""
-        u = solve_lift(self.r, g, q)
-        lay = _layout(self.r, q.source, 0)
+    def _lifted_after(self, g: RatMatrix, q: CxMap, n: int,
+                      post) -> "DHomClass":
+        """The class of post u for u the lift of generator data g by q[n],
+        for post(k, v) the blocks of a map out of source(q)[n]."""
+        u = solve_lift(self.r, g, q, n)
+        lay = _layout(self.r, shift(q.source, n), 0)
         return self.class_of_vector(_after(post, lay, self.layout) @ u)
 
     def representative(self, cls: "DHomClass") -> CxMap:
         vec = self.picked @ RatMatrix.column(cls.coords)
         return _vector_to_map(self.r, self.t, self.layout, vec)
+
+    def component(self, cls: "DHomClass", k: int) -> RepMap:
+        """The degree-k component of the representative of cls, read from
+        generator data alone (zero where it is absent)."""
+        src, tgt = self.r.term(k), self.t.term(k)
+        rows = _images(self.r, self.t, self.layout, self.picked, k)
+        col = RatMatrix.column(cls.coords)  # only degree k is multiplied
+        return (zero_map(src, tgt) if rows is None
+                else map_from_generators(src, tgt, [b @ col for b in rows]))
 
 
 @dataclass(frozen=True)
@@ -535,7 +557,13 @@ def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
         raise LiftError("middle objects differ")
 
     def build() -> DHomClass:
-        g = sp1.picked @ RatMatrix.column(c1.coords)
+        r, t, vec = sp2.r, sp2.t, sp2.picked @ RatMatrix.column(c2.coords)
+
+        @cache  # the blocks of c2's representative, shifted by n
+        def post(k: int, v: int) -> RatMatrix | None:
+            images = _images(r, t, sp2.layout, vec, k + n)
+            return images and generator_block(r.terms[k + n], t.term(k + n),
+                                              images, v)
         return dhom_space(sp1.x, sp2.y, n + sp2.n)._lifted_after(
-            g, shift_map(sp2.eps, n), shift_map(sp2.representative(c2), n))
+            sp1.picked @ RatMatrix.column(c1.coords), sp2.eps, n, post)
     return memoised(sp1.x, ("compose", c2, c1), build)

@@ -427,6 +427,21 @@ def solve(m: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     return _new(tuple(grid), d, b.cols)
 
 
+def span_coordinates(m: RatMatrix, k: int) -> tuple[RatMatrix, RatMatrix]:
+    """(C, K) with K v == 0 iff v is in the column span of m, and then C v
+    the last k entries of solve(m, v), for m whose last k columns are
+    independent modulo the rest.  For [m | I] reduced to [R | E], C is the
+    rows of E at those pivots (the last ones) and K the rows below rank."""
+    nr, nc = m.rows, m.cols
+    rows, pivots = _echelon(hstack([m, RatMatrix.identity(nr)]).num, nc + nr)
+    rk = sum(p < nc for p in pivots)
+    if rk < k or pivots[rk - k:rk] != list(range(nc - k, nc)):
+        raise ValueError("the last columns are not independent modulo the rest")
+    d, red = _back(rows[rk - k:rk], pivots[rk - k:rk], range(nc, nc + nr))
+    check = tuple(tuple(r[nc:]) for r in rows[rk:])
+    return _new(tuple(map(tuple, red)), d, nr), _new(check, 1, nr)
+
+
 def span_membership(v: RatMatrix, s: RatMatrix) -> bool:
     """True iff the column v lies in the column span of s."""
     return solve(s, v) is not None

@@ -273,11 +273,16 @@ def map_from_generators(t: Rep, n: Rep, images: Sequence[RatMatrix]) -> RepMap:
         raise RepError("one image column per generator required")
     if any(x.shape != (n.dim_at(v), 1) for x, v in zip(images, t.proj_gens)):
         raise RepError("generator image has wrong shape")
-    blocks = []
-    for j in range(1, t.algebra.vertex_count + 1):
-        cols = [n.act_basis_path(p) @ images[c] for c, p in tagged_basis(t, j)]
-        blocks.append(hstack(cols) if cols else RatMatrix.zeros(n.dim_at(j), 0))
-    return RepMap(t, n, tuple(blocks))
+    return RepMap(t, n, tuple(generator_block(t, n, images, j)
+                              for j in range(1, t.algebra.vertex_count + 1)))
+
+
+def generator_block(t: Rep, n: Rep, images: Sequence[RatMatrix],
+                    j: int) -> RatMatrix:
+    """The vertex-j block of map_from_generators(t, n, images), read
+    without building or checking the map."""
+    cols = [n.act_basis_path(p) @ images[c] for c, p in tagged_basis(t, j)]
+    return hstack(cols) if cols else RatMatrix.zeros(n.dim_at(j), 0)
 
 
 def eval_columns(t: Rep, n: Rep, j: int, m: RatMatrix) -> list[RatMatrix]:

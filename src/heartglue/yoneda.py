@@ -12,11 +12,11 @@ by degree (`DHomSpace.extension_class`).  The independent route,
 quasi-isomorphic to A and reads the roof A <- W -> B[n] with
 `DHomSpace.roof_class`; the suite checks the two routes agree exactly.
 
-`splice_from_class` inverts `f_map`: it pushes the projective
-resolution of A out along a chain-map representative of the class and
-splices the pushout back into the resolution tail.  Two extensions
-are considered equivalent iff their canonical coordinates under
-`f_map` coincide, which is what `YClass` equality tests.
+`splice_from_class` inverts `f_map`: it pushes the resolution of A out
+along the degree -n component of the class, read from generator data,
+not a chain-map representative, and splices.  Two extensions are
+equivalent iff their canonical coordinates under `f_map` coincide,
+which is what `YClass` equality tests.
 
 Pushout, pullback, splice product and Baer sum act on explicit
 sequences; exactness is re-certified by the YExt constructor on every
@@ -145,9 +145,7 @@ def f_map_via_quasi_iso(x: YExt) -> DHomClass:
     independent cross-check of `f_map`.
     """
     n = x.n
-    terms = {-n: x.left}
-    for i, m in enumerate(x.middle):
-        terms[-n + 1 + i] = m
+    terms = {-n + i: m for i, m in enumerate((x.left,) + x.middle)}
     diffs = {-n + i: x.maps[i] for i in range(n)}
     w = Cx(x.left.algebra, terms, diffs)
     sp = dhom_space(x.right, x.left, n)
@@ -241,11 +239,11 @@ def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:
     """Exact sequence whose canonical class is c, for c in Hom(a, b[n]).
 
     Built from the projective resolution R of a: push R^{-n} out along
-    the degree -n component of a representative of c, then continue
-    with the resolution tail and the augmentation.  The splitting of
-    d^{-n} is kept in R's memo, so later classes reuse it.  The
-    representative is pre-twisted by (-1)^(n(n-1)/2) so that the round
-    trip through `f_map` is the identity on coordinates.
+    the degree -n component of c, one module map read from generator
+    data (`DHomSpace.component`), then continue with the resolution tail
+    and the augmentation.  The splitting of d^{-n} is kept in R's memo.
+    c is pre-twisted by (-1)^(n(n-1)/2) so that the round trip through
+    `f_map` is the identity on coordinates.
     """
     sp = c.space
     if n < 1:
@@ -258,7 +256,7 @@ def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:
         raise YExtError("class endpoints do not match the given modules")
     r = sp.r
     tw = c if _route_sign(n) == 1 else c.scale(-1)
-    u0 = sp.representative(tw).comp(-n)
+    u0 = sp.component(tw, -n)
     eps0 = sp.eps.comp(0)
     nxt = eps0 if n == 1 else r.d(-n + 1)
     split = memoised(r, ("splitting", -n), lambda: _splitting(r.d(-n)))

@@ -6,6 +6,7 @@ import pytest
 
 from heartglue.bondal import (
     BondalError,
+    EndAlgebra,
     bondal_check,
     end_algebra,
     faithful_full_check,
@@ -76,6 +77,54 @@ class TestEndAlgebra:
         _, end_r, _ = a3rel_pres
         assert verify_end_algebra(end_k) == (16, 64)
         assert verify_end_algebra(end_r) == (25, 125)
+
+    @staticmethod
+    def _perturbed(monkeypatch, at):
+        """EndAlgebra.product with the one product at = (a, b) off by
+        one more copy of a."""
+        product = EndAlgebra.product
+
+        def perturbed(self, a, b):
+            got = product(self, a, b)
+            if (a, b) == at:
+                got = {**got, a: got.get(a, Fraction(0)) + 1}
+            return got
+        monkeypatch.setattr(EndAlgebra, "product", perturbed)
+
+    @pytest.mark.parametrize("pres", ["kron_pres", "a3rel_pres"])
+    def test_composable_walk_catches_a_bad_product(self, request, pres):
+        _, end, _ = request.getfixturevalue(pres)
+        caught = 0
+        for a, ea in enumerate(end.elements):
+            for b, eb in enumerate(end.elements):
+                if eb.j != ea.i:
+                    continue
+                with pytest.MonkeyPatch.context() as mp:
+                    self._perturbed(mp, (a, b))
+                    with pytest.raises(BondalError):
+                        verify_end_algebra(end)
+                caught += 1
+        assert caught > end.positions
+        assert verify_end_algebra(end) == (end.dim ** 2, end.dim ** 3)
+
+    def test_associativity_catches_a_bad_radical_product(self, a3rel_pres,
+                                                         monkeypatch):
+        # x: 1 -> 2 and y: 2 -> 3 compose to 0 by the relation; the unit
+        # check never computes that product
+        _, end, _ = a3rel_pres
+        [x], [y] = end.pair(1, 2), end.pair(2, 3)
+        assert end.product(y, x) == {}
+        self._perturbed(monkeypatch, (y, x))
+        with pytest.raises(BondalError, match="associativity"):
+            verify_end_algebra(end)
+
+    def test_unit_check_catches_a_bad_unit_product(self, kron_pres,
+                                                   monkeypatch):
+        _, end, _ = kron_pres
+        u1 = end.unit_index(1)
+        self._perturbed(monkeypatch, (u1, u1))
+        with pytest.raises(BondalError, match="not fixed by the unit"):
+            verify_end_algebra(end)
 
     def test_products_follow_path_concatenation(self, kron_pres):
         _, end, _ = kron_pres

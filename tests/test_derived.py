@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import is_minimal, random_map, random_sum
-from heartglue import derived
+from heartglue import derived, linalg
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.glue import _scan_range
 from heartglue.jsonio import load_algebra
-from heartglue.linalg import RatMatrix, solve
+from heartglue.linalg import RatMatrix, hstack, solve
 from heartglue.reps import (
     Rep,
     RepError,
@@ -221,6 +221,77 @@ def test_class_of_a_representative_returns_its_coordinates(kron, a3rel,
     assert sp.class_of(sp.representative(DHomClass(sp, c))).coords == c
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_factored_coordinates_match_solve(kron, a3rel, commsquare, data):
+    # a random cycle: picked columns plus boundaries, both with random
+    # coefficients; the factored coordinates are solve's picked part
+    objs = _objects(data.draw(st.sampled_from([kron, a3rel, commsquare])))
+    x, y = data.draw(st.sampled_from(objs)), data.draw(st.sampled_from(objs))
+    sp = _nonzero_space(data, x, y)
+    nb = sp.boundaries.cols
+    coef = RatMatrix.column([Fraction(data.draw(st.integers(-3, 3)),
+                                      data.draw(st.integers(1, 3)))
+                             for _ in range(nb + sp.dim)])
+    both = hstack([sp.boundaries, sp.picked])
+    vec = both @ coef
+    want = solve(both, vec).col(0)[nb:]
+    assert sp.class_of_vector(vec).coords == want
+    assert sp.class_of_vector(vec).coords == want  # from the kept factors
+
+
+def _non_cycle(sp: DHomSpace) -> RatMatrix | None:
+    """A unit column of the layout outside the cycles, if there is one."""
+    eye = RatMatrix.identity(sp.layout.total)
+    for i in range(sp.layout.total):
+        if solve(sp.cycles, eye.col_matrix(i)) is None:
+            return eye.col_matrix(i)
+    return None
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_non_cycle_still_raises(name):
+    alg = load_algebra(str(corpus_path(name)))
+    checked = 0
+    for x in _objects(alg):
+        for y in _objects(alg):
+            for n in _scan_range(x, y):
+                sp = dhom_space(x, y, n)
+                bad = _non_cycle(sp)
+                if bad is None:
+                    continue
+                # before and after the factorization is built
+                with pytest.raises(LiftError, match="not a cycle"):
+                    sp.class_of_vector(bad)
+                assert sp.class_of_vector(sp.picked @ RatMatrix.column(
+                    [1] * sp.dim)).coords == (1,) * sp.dim
+                with pytest.raises(LiftError, match="not a cycle"):
+                    sp.class_of_vector(bad + sp.picked @ RatMatrix.column(
+                        [1] * sp.dim))
+                checked += 1
+    assert checked
+
+
+def test_second_class_of_vector_eliminates_nothing(a3rel, monkeypatch):
+    sp = dhom_space(simple(a3rel, 3), simple(a3rel, 1), 2)
+    assert sp.dim == 1
+    runs = []
+    echelon = linalg._echelon
+
+    def counting(*args):
+        runs.append(args)
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    vec = sp.picked.scale(3)
+    assert sp.class_of_vector(vec).coords == (3,)
+    assert len(runs) == 1
+    runs.clear()
+    assert sp.class_of_vector(vec + vec).coords == (6,)
+    assert sp.class_of(sp.representative(sp.basis()[0])).coords == (1,)
+    assert runs == []
+
+
 def _objects(alg):
     """Simples and projectives as complexes, and a two-term complex of
     projectives at three shifts."""
@@ -373,6 +444,37 @@ def test_compose_classes_builds_at_most_one_module_map(a3rel, monkeypatch):
     assert compose_classes(e21, e32) is first
     assert compose_classes(*again) is first
     assert built == [] and lifts == []
+
+
+def test_compose_classes_builds_no_representative(a3rel, monkeypatch):
+    # Ext^1(S2, S1) after Ext^1(S3, S2): the shift by 1 only relabels
+    # degrees, so no shifted augmentation or representative is built
+    s1, s2, s3 = (simple(a3rel, i) for i in (1, 2, 3))
+    e32 = dhom_space(s3, s2, 1).basis()[0]
+    e21 = dhom_space(s2, s1, 1).basis()[0]
+    target = dhom_space(s3, s1, 2)
+    reps, chain_maps, module_maps = [], [], []
+    validate_cx, validate_rep = CxMap.__post_init__, RepMap.__post_init__
+
+    def counting_cx(self):
+        chain_maps.append(self)
+        validate_cx(self)
+
+    def counting_rep(self):
+        module_maps.append(self)
+        validate_rep(self)
+
+    monkeypatch.setattr(DHomSpace, "representative",
+                        lambda *a: reps.append(a))
+    monkeypatch.setattr(CxMap, "__post_init__", counting_cx)
+    first = compose_classes(e21, e32)
+    assert first.space is target and not first.is_zero()
+    assert reps == [] and chain_maps == []
+    # a second build on the same spaces, with new coordinates, builds
+    # no module map either
+    monkeypatch.setattr(RepMap, "__post_init__", counting_rep)
+    assert compose_classes(e21.scale(2), e32) == first.scale(2)
+    assert reps == [] and chain_maps == [] and module_maps == []
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ int-backed result must be in canonical form.
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +166,48 @@ def test_solve(g, nb, data):
             assert agree(got, want)
         if b.cols == 1:
             assert lin.span_membership(nbm, new) == ref.span_membership(b, old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_grid, st.integers(0, 4), st.data())
+def test_span_coordinates(g, k, data):
+    # m = [a | p] with p's columns unit vectors outside span(a) plus
+    # elements of span(a): independent modulo a, so each is a pivot
+    a, olda = pair(g)
+    r, c, _ = g
+    units = ref.complement_pivots(olda)[:k]
+    k = len(units)
+    mix = ref.RatMatrix(data.draw(grids(c, k, c, k))[2], cols=k)
+    eye = ref.RatMatrix.identity(r)
+    p = ref.hstack([ref.RatMatrix.column(eye.col(u)) for u in units]
+                   or [ref.RatMatrix.zeros(r, 0)]) + olda @ mix
+    old = ref.hstack([olda, p])
+    new = lin.RatMatrix([old.row(i) for i in range(r)], cols=c + k)
+    coords, check = lin.span_coordinates(new, k)
+    assert canonical(coords) and canonical(check)
+    assert coords.shape == (k, r) and check.shape == (r - ref.rank(old), r)
+    x0 = data.draw(grids(c + k, 2, c + k, 2))
+    inside = old @ ref.RatMatrix(x0[2], cols=2)
+    probe = ref.RatMatrix(data.draw(grids(r, 2, r, 2))[2], cols=2)
+    for b in (inside, probe):
+        nbm = lin.RatMatrix([b.row(i) for i in range(r)], cols=2)
+        want = ref.solve(old, b)
+        assert (want is None) == (not (check @ nbm).is_zero())
+        if want is not None:
+            assert agree(coords @ nbm,
+                         ref.RatMatrix([want.row(i) for i in range(c, c + k)],
+                                       cols=2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_grid)
+def test_span_coordinates_refuses_dependent_columns(g):
+    # a repeated column is not independent modulo the others
+    new, old = pair(g)
+    r, c, _ = g
+    if not (c and any(any(x for x in row) for row in g[2])):
+        return
+    j = next(j for j in range(c) if any(old.col(j)))
+    twice = lin.hstack([new, new.take(None, [j])])
+    with pytest.raises(ValueError, match="not independent"):
+        lin.span_coordinates(twice, 1)

@@ -1,13 +1,14 @@
 """Extension calculus: round trips, product and sum laws, factorization."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chopped_class, class_of_module_map, cokernel_pushout
 from heartglue.cli import corpus_path
-from heartglue.complexes import Cx, shift
+from heartglue.complexes import Cx, CxMap, shift
 from heartglue.derived import (DHomClass, LiftError, as_cx, compose_classes,
                                dhom_space)
 from heartglue.jsonio import load_algebra
@@ -41,6 +42,11 @@ from heartglue.yoneda import (
     yclass,
     yoneda_product,
 )
+
+
+@lru_cache(maxsize=None)
+def _corpus(name):
+    return load_algebra(str(corpus_path(name)))
 
 
 def spaces_objects(alg, simples_only=False):
@@ -474,6 +480,45 @@ class TestSplitPushout:
                     assert f_map(oracle).coords == c.coords
                     spliced += 1
         assert spliced
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pushes_out_along_the_representative_component(self, a5rad2,
+                                                            data):
+        # the degree -n map is read from generator data as one module
+        # map, with the blocks of the representative's component, zero
+        # where that component is absent; no chain map is built
+        name = data.draw(st.sampled_from(self.CORPUS + ("A5-rad2",)))
+        alg = a5rad2 if name == "A5-rad2" else _corpus(name)
+        objs = spaces_objects(alg)
+        a, b = data.draw(st.sampled_from(objs)), data.draw(st.sampled_from(objs))
+        n = data.draw(st.integers(1, 3))
+        sp = dhom_space(a, b, n)
+        c = DHomClass(sp, tuple(Fraction(data.draw(st.integers(-3, 3)))
+                                for _ in range(sp.dim)))
+        tw = c if _route_sign(n) == 1 else c.scale(-1)
+        want = sp.representative(tw).comp(-n)
+        along, chain_maps = [], []
+        pushout, validate = yoneda._pushout, CxMap.__post_init__
+
+        def spy(g, split, nxt):
+            along.append(g)
+            return pushout(g, split, nxt)
+
+        def counting(self):
+            chain_maps.append(self)
+            validate(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(yoneda, "_pushout", spy)
+            mp.setattr(CxMap, "__post_init__", counting)
+            x = splice_from_class(c, a, b, n)
+        assert chain_maps == []
+        [g] = along
+        assert (g.source, g.target) == (want.source, want.target)
+        assert g.blocks == want.blocks
+        assert g.is_zero() == c.is_zero()
+        assert f_map(x) == c
 
     def test_rejects_a_map_that_is_not_a_cocycle(self, a3rel):
         # S3 has projective dimension 2, so d^{-1} of its resolution has
