@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import accumulate
 
 from .algebra import memoised
@@ -512,6 +512,11 @@ class DHomSpace:
 class DHomClass:
     space: DHomSpace
     coords: tuple[Fraction, ...]
+
+    def __hash__(self) -> int:  # memo keys hash a class often: hash it once
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((self.space, self.coords)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -289,16 +289,23 @@ def block_matrix(grid: Sequence[Sequence[RatMatrix | None]],
                  heights: Sequence[int], widths: Sequence[int]) -> RatMatrix:
     """The matrix with grid[i][j] as its block in block row i and block
     column j, of shape heights[i] x widths[j]; a None block is zero.
-    Each row is joined once from the blocks' int grids."""
+    Each row is joined once from the blocks' int grids.  An empty vertex
+    piece costs nothing: a grid with no entries or no filled block is the
+    shared zero, and a 1x1 grid is its block."""
     slots = [(m, h, w) for row, h in zip(grid, heights, strict=True)
              for m, w in zip(row, widths, strict=True)]
     if any(m is not None and m.shape != (h, w) for m, h, w in slots):
         raise ValueError("a block does not fit its slot")
-    den, grids = _common([m for m, _, _ in slots if m is not None])
-    filled = iter(grids)
+    filled = [m for m, _, _ in slots if m is not None]
+    if len(slots) == 1 and filled:
+        return filled[0]
+    if not (filled and sum(heights) and sum(widths)):
+        return RatMatrix.zeros(sum(heights), sum(widths))
+    den, grids = _common(filled)
+    joined = iter(grids)
     out = []
     for row, h in zip(grid, heights):
-        blocks = [[(0,) * w] * h if m is None else next(filled)
+        blocks = [[(0,) * w] * h if m is None else next(joined)
                   for m, w in zip(row, widths)]
         out.extend(tuple(chain.from_iterable(b[r] for b in blocks))
                    for r in range(h))

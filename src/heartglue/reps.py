@@ -12,7 +12,9 @@ parts follow each other in order. A DirectSum keeps its parts, and
 block_map builds any map between two sums from its grid of components,
 one block matrix per vertex; injections, projections, cone differentials
 and the maps of the extension calculus are all block_maps. When one part
-alone is nonzero, that part is the sum.
+alone is nonzero, that part is the sum. An empty vertex piece costs
+nothing: block_map joins no grid there, and naturality skips an arrow
+whose equation has no entries.
 
 A tagged projective sum is the same layout with one copy of P_v per
 generator: copy_rows is the one reader of where each copy's basis sits
@@ -129,6 +131,8 @@ class RepMap:
             if self.blocks[v - 1].shape != want:
                 raise RepError(f"block at vertex {v}: {self.blocks[v-1].shape} != {want}")
         for a in self.source.algebra.quiver.arrows:
+            if not self.target.dim_at(a.source) * self.source.dim_at(a.target):
+                continue  # both sides are the one empty matrix of a shape
             lhs = self.block(a.source) @ self.source.act_arrow(a.name)
             rhs = self.target.act_arrow(a.name) @ self.block(a.target)
             if lhs != rhs:
@@ -474,6 +478,10 @@ def block_map(src: DirectSum | Rep, tgt: DirectSum | Rep,
                 raise RepError("block is not anchored to its parts")
     blocks = []
     for v in range(srep.algebra.vertex_count):
+        shape = (trep.dims[v], srep.dims[v])
+        if not shape[0] * shape[1]:
+            blocks.append(RatMatrix.zeros(*shape))
+            continue
         ws = [p.dims[v] for p in sparts]
         blocks.append(block_matrix(
             [[g if g is None else RatMatrix.identity(w) if g is ID

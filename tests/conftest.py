@@ -136,3 +136,14 @@ def in_coaisle(aisle, b: Cx) -> bool:
     return all(derived_hom(g, b, n) == 0
                for g in aisle.aisle_gens()
                for n in _scan_range(g, b) if n <= 0)
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Patch owner.name to record the arguments of every call."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls

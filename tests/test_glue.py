@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import in_coaisle, is_minimal
-from heartglue.algebra import build_algebra, make_quiver
+from conftest import count_calls, in_coaisle, is_minimal
+from heartglue import linalg
+from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import (
     cohomology_dims,
     cx_direct_sum,
@@ -568,3 +569,30 @@ class TestDimensionFormula:
         h = HeartDesc((as_cx(simple(kron, 2)),), provenance="pt")
         with pytest.raises(GlueError, match="zero"):
             check_dim_formula(h, h, empty)
+
+
+# Products and block joins of one glued truncation, (P1 + S4[1])[1] on
+# A4 with both length-two paths zero, with 10% headroom over the counts
+# measured when empty vertex pieces became free (1,920 and 331; 3,492 and
+# 821 before).  Work on empty blocks coming back fails here.
+TRUNCATE_MATMUL_BOUND = 2112
+TRUNCATE_COMMON_BOUND = 364
+
+
+def test_glued_truncation_does_no_empty_block_work(monkeypatch):
+    # a fresh algebra, so that no cache of another test is warm
+    q = make_quiver(4, [("a", 1, 2), ("b", 2, 3), ("c", 3, 4)])
+    alg = build_algebra(q, [Relation.of([(1, ("a", "b"))]),
+                            Relation.of([(1, ("b", "c"))])])
+    es = check_sequence([projective(alg, i) for i in range(1, 5)],
+                        strong=True)
+    aisle, _ = glue_sequence(es)
+    x = shift(cx_direct_sum([as_cx(projective(alg, 1)),
+                             shift(as_cx(simple(alg, 4)), 1)]).cx, 1)
+    products = count_calls(monkeypatch, RatMatrix, "__matmul__")
+    joins = count_calls(monkeypatch, linalg, "_common")
+    _, _, tri = aisle.truncate(x)
+    monkeypatch.undo()
+    assert tri.certified()
+    assert len(products) <= TRUNCATE_MATMUL_BOUND
+    assert len(joins) <= TRUNCATE_COMMON_BOUND

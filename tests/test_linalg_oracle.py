@@ -211,3 +211,46 @@ def test_span_coordinates_refuses_dependent_columns(g):
     twice = lin.hstack([new, new.take(None, [j])])
     with pytest.raises(ValueError, match="not independent"):
         lin.span_coordinates(twice, 1)
+
+
+@st.composite
+def block_grids(draw):
+    """Slot sizes and a grid of Fraction blocks (None for zero): 1x1
+    grids, grids with no filled block, grids of total height or width 0,
+    and ordinary grids."""
+    kind = draw(st.sampled_from(["1x1", "unfilled", "flat", "ordinary"]))
+    sizes = st.lists(st.integers(0, 4), min_size=1, max_size=3)
+    heights, widths = draw(sizes), draw(sizes)
+    if kind == "1x1":
+        heights, widths = heights[:1], widths[:1]
+    if kind == "flat":
+        if draw(st.booleans()):
+            heights = [0] * len(heights)
+        else:
+            widths = [0] * len(widths)
+    grid = [[None if kind == "unfilled" or draw(st.booleans())
+             else draw(grids(h, w, h, w)) for w in widths] for h in heights]
+    return heights, widths, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_grids())
+def test_block_matrix_fast_paths_join_as_values(case):
+    heights, widths, grid = case
+    new = [[None if g is None else pair(g)[0] for g in row] for row in grid]
+    old = ref.vstack([
+        ref.hstack([ref.RatMatrix.zeros(h, w) if g is None else pair(g)[1]
+                    for g, w in zip(row, widths)])
+        for row, h in zip(grid, heights)])
+    assert agree(lin.block_matrix(new, heights, widths), old)
+
+
+@pytest.mark.parametrize("grid, heights, widths", [
+    ([[lin.RatMatrix.zeros(2, 3)]], [2], [2]),          # 1x1
+    ([[lin.RatMatrix.zeros(0, 3)]], [0], [2]),          # 1x1 and empty
+    ([[None, lin.RatMatrix.zeros(1, 2)]], [0], [3, 2]),  # total height 0
+    ([[None], [lin.RatMatrix.zeros(2, 1)]], [1, 2], [0]),  # total width 0
+], ids=["1x1", "1x1-empty", "no-height", "no-width"])
+def test_block_matrix_fast_paths_refuse_a_misfit(grid, heights, widths):
+    with pytest.raises(ValueError, match="a block does not fit its slot"):
+        lin.block_matrix(grid, heights, widths)

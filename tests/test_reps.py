@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_calls
+from heartglue import reps
 from heartglue.algebra import build_algebra, make_quiver, Relation
 from heartglue.linalg import RatMatrix, rank
 from heartglue.reps import (
@@ -305,6 +307,43 @@ def test_naturality_violation_rejected(a2):
     bad = (RatMatrix([[Fraction(1)]], cols=1), RatMatrix([[Fraction(0)]], cols=1))
     with pytest.raises(RepError):
         RepMap(p2, p2, bad)
+
+
+def _one_arrow_module(a3):
+    """dims (1, 1, 0): arrow a acts by 1, arrow b has no entries."""
+    return Rep(a3, (1, 1, 0), {"a": RatMatrix([[1]]),
+                               "b": RatMatrix.zeros(1, 0)})
+
+
+def test_naturality_checked_on_the_one_nonempty_equation(a3):
+    # arrow b: 2 -> 3 has an empty equation (target dim 1 x source dim 0)
+    m = _one_arrow_module(a3)
+    bad = (RatMatrix([[1]]), RatMatrix([[2]]), RatMatrix.zeros(0, 0))
+    with pytest.raises(RepError, match="naturality fails at arrow a"):
+        RepMap(m, m, bad)
+
+
+def test_empty_equation_runs_no_product(a3, monkeypatch):
+    m = _one_arrow_module(a3)
+    s1, s3 = simple(a3, 1), simple(a3, 3)
+    products = count_calls(monkeypatch, RatMatrix, "__matmul__")
+    # every equation of S1 -> S3 is empty: S3 is 0 at 1 and 2, S1 at 2, 3
+    RepMap(s1, s3, (RatMatrix.zeros(0, 1), RatMatrix.zeros(0, 0),
+                    RatMatrix.zeros(1, 0)))
+    assert products == []
+    RepMap(m, m, (RatMatrix.identity(1),) * 2 + (RatMatrix.zeros(0, 0),))
+    assert len(products) == 2  # the two sides of arrow a alone
+
+
+def test_block_map_builds_no_grid_where_a_sum_is_zero(a3, monkeypatch):
+    s1, s2 = simple(a3, 1), simple(a3, 2)
+    src = direct_sum([s1, s2])          # dims (1, 1, 0)
+    tgt = direct_sum([s1, s1])          # dims (2, 0, 0)
+    joins = count_calls(monkeypatch, reps, "block_matrix")
+    f = block_map(src, tgt, [[ID, None], [ID, None]])
+    assert [(sum(h), sum(w)) for _, h, w in joins] == [(2, 1)]  # vertex 1
+    assert [b.shape for b in f.blocks] == [(2, 1), (0, 1), (0, 0)]
+    assert f.block(1) == RatMatrix([[1], [1]])
 
 
 @st.composite
