@@ -207,9 +207,27 @@ def _parallel(f: CxMap, g: CxMap) -> None:
         raise CxError("chain maps are not parallel")
 
 
+def _identity_on(e: CxMap, degs) -> bool:
+    """Whether e is an endomorphism whose component in each degree of degs
+    is the memoised identity of its term (reps.identity_map)."""
+    if e.source is not e.target:
+        return False
+    for i in degs:
+        c = e.components.get(i)
+        if c is None or c is not c.source.memo.get("identity"):
+            return False
+    return True
+
+
 def compose(g: CxMap, f: CxMap) -> CxMap:
+    """g after f; a factor that is the identity on every degree of the
+    other returns the other."""
     if f.target is not g.source:
         raise CxError("chain map composition endpoint mismatch")
+    if _identity_on(g, f.components):
+        return f
+    if _identity_on(f, g.components):
+        return g
     comps = {i: rcompose(g.components[i], c)
              for i, c in f.components.items() if i in g.components}
     return CxMap(f.source, g.target, comps)

@@ -12,9 +12,13 @@ parts follow each other in order. A DirectSum keeps its parts, and
 block_map builds any map between two sums from its grid of components,
 one block matrix per vertex; injections, projections, cone differentials
 and the maps of the extension calculus are all block_maps. When one part
-alone is nonzero, that part is the sum. An empty vertex piece costs
-nothing: block_map joins no grid there, and naturality skips an arrow
-whose equation has no entries.
+alone is nonzero, that part is the sum, and a one-part sum is its part:
+its injection and projection are the part's identity, and a block_map
+whose grid holds one map between the two ends is that map.  Identities
+compose away: compose returns the other factor.  An empty vertex piece
+costs nothing: block_map joins no grid there, composite_blocks multiplies
+no empty product, and naturality skips an arrow whose equation has no
+entries.
 
 A tagged projective sum is the same layout with one copy of P_v per
 generator: copy_rows is the one reader of where each copy's basis sits
@@ -119,6 +123,7 @@ class RepMap:
     source: Rep
     target: Rep
     blocks: tuple[RatMatrix, ...]
+    memo: dict = memo_field()
 
     def __post_init__(self):
         if self.source.algebra is not self.target.algebra:
@@ -158,7 +163,10 @@ class RepMap:
                       tuple(a - b for a, b in zip(self.blocks, other.blocks)))
 
     def __neg__(self) -> "RepMap":
-        return RepMap(self.source, self.target, tuple(-b for b in self.blocks))
+        """-self, kept in self.memo: a map negated again, such as a
+        differential shared by several odd shifts, is negated once."""
+        return memoised(self, "neg", lambda: RepMap(
+            self.source, self.target, tuple(-b for b in self.blocks)))
 
     def scale(self, c) -> "RepMap":
         return RepMap(self.source, self.target, tuple(b.scale(c) for b in self.blocks))
@@ -170,15 +178,22 @@ def _require_parallel(f: RepMap, g: RepMap) -> None:
 
 
 def compose(g: RepMap, f: RepMap) -> RepMap:
-    """g after f."""
+    """g after f; an identity factor (identity_map) returns the other."""
     if f.target is not g.source:
         raise RepError("composition endpoint mismatch")
+    if g is g.source.memo.get("identity"):
+        return f
+    if f is f.source.memo.get("identity"):
+        return g
     return RepMap(f.source, g.target, tuple(composite_blocks(g, f)))
 
 
 def composite_blocks(g: RepMap, f: RepMap) -> list[RatMatrix]:
-    """The per-vertex blocks of g after f, without building the map."""
-    return [gb @ fb for gb, fb in zip(g.blocks, f.blocks)]
+    """The per-vertex blocks of g after f, without building the map; an
+    empty product is the shared zero of its shape."""
+    return [gb @ fb if gb.rows * fb.cols
+            else RatMatrix.zeros(gb.rows, fb.cols)
+            for gb, fb in zip(g.blocks, f.blocks)]
 
 
 def identity_map(m: Rep) -> RepMap:
@@ -407,7 +422,8 @@ ID = object()  # a block_map entry: the identity of a part of both sums
 class DirectSum:
     """rep is the sum of parts, laid out part by part at every vertex.
 
-    The injection and projection of part i are built on first request.
+    The injection and projection of part i are built on first request;
+    when the sum is part i itself, they are its identity.
     """
 
     rep: Rep
@@ -418,10 +434,14 @@ class DirectSum:
         return [ID if k == i else None for k in range(len(self.parts))]
 
     def injection(self, i: int) -> RepMap:
+        if self.rep is self.parts[i]:
+            return identity_map(self.rep)
         return memoised(self, ("inj", i), lambda: block_map(
             self.parts[i], self, [[e] for e in self._unit(i)]))
 
     def projection(self, i: int) -> RepMap:
+        if self.rep is self.parts[i]:
+            return identity_map(self.rep)
         return memoised(self, ("proj", i), lambda: block_map(
             self, self.parts[i], [self._unit(i)]))
 
@@ -464,6 +484,8 @@ def block_map(src: DirectSum | Rep, tgt: DirectSum | Rep,
     to target part i is grid[i][j]: a RepMap, ID, or None for zero.
 
     A plain Rep is a sum of one part.  No zero block is built as a map.
+    When the grid holds one map and it runs from the source sum to the
+    target sum, each of which is then that one part, the map is returned.
     """
     sparts, srep = ((src.parts, src.rep) if isinstance(src, DirectSum)
                     else ((src,), src))
@@ -476,6 +498,11 @@ def block_map(src: DirectSum | Rep, tgt: DirectSum | Rep,
             ends = (tp, tp) if g is ID else (g.source, g.target)
             if ends[0] is not sp or ends[1] is not tp:
                 raise RepError("block is not anchored to its parts")
+    entries = [g for row in grid for g in row if g is not None]
+    if len(entries) == 1:
+        (g,) = entries
+        if g is not ID and g.source is srep and g.target is trep:
+            return g
     blocks = []
     for v in range(srep.algebra.vertex_count):
         shape = (trep.dims[v], srep.dims[v])

@@ -446,3 +446,71 @@ def test_triangle_on_its_cone_is_certified_without_a_comparison(a2):
                         cone_of_f=other).certified()
     assert not Triangle(f.source, f.target, c.cx, f,
                         c.injection(1)).certified()
+
+
+def test_identity_chain_maps_compose_away(a2):
+    p1, p2 = projective(a2, 1), projective(a2, 2)
+    f = CxMap(module_cx(p1), module_cx(p2), {0: hom_space(p1, p2)[0]})
+    c = cone(f)
+    h = c.injection(1)
+    assert compose(identity_chain_map(c.cx), h) is h
+    assert compose(identity_chain_map(f.target), f) is f
+    assert compose(f, identity_chain_map(f.source)) is f
+    # an endomorphism with the identity's blocks is not the identity
+    twin = CxMap(c.cx, c.cx, {i: RepMap(t, t, identity_map(t).blocks)
+                              for i, t in c.cx.terms.items()})
+    got = compose(twin, h)
+    assert got is not h
+    assert got.components.keys() == h.components.keys()
+    assert all(got.components[i].same_blocks(m)
+               for i, m in h.components.items())
+
+
+def test_identity_on_some_degrees_only_composes_in_full(a2):
+    # zero differentials: the identity at degree 0 alone is a chain map
+    p1, p2 = projective(a2, 1), projective(a2, 2)
+    s = cx_direct_sum([module_cx(p1), shift(module_cx(p2), -1)])
+    x = s.cx
+    assert x.term(0) is p1 and x.term(1) is p2
+    g = CxMap(x, x, {0: identity_map(p1)})
+    f0 = CxMap(module_cx(p1), x, {0: identity_map(p1)})
+    f1 = CxMap(shift(module_cx(p2), -1), x, {1: identity_map(p2)})
+    assert compose(g, f0) is f0   # the identity on every degree f0 uses
+    got = compose(g, f1)          # not on degree 1, which f1 uses
+    assert got is not f1 and got.components == {}
+
+
+def test_shifts_negate_a_shared_differential_once(a2):
+    p1, p2 = projective(a2, 1), projective(a2, 2)
+    d = hom_space(p1, p2)[0]
+    x = two_term(a2, d)
+    neg = shift(x, 1).diffs[-2]
+    assert shift(x, 3).diffs[-4] is neg and shift(x, -1).diffs[0] is neg
+    assert neg is -d and neg.same_blocks(d.scale(-1))
+    assert shift(x, 2).diffs[-3] is d
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_identity_shortcut_matches_the_products(data):
+    alg = build_algebra(make_quiver(2, [("a", 1, 2), ("b", 1, 2)]))
+    f = data.draw(random_module_map(alg))
+    fc = CxMap(module_cx(f.source), module_cx(f.target), {0: f})
+    c = cone(fc)
+    for h in (fc, c.injection(1), c.projection(0)):
+        for ident, left in ((identity_chain_map(h.target), True),
+                            (identity_chain_map(h.source), False)):
+            got = compose(ident, h) if left else compose(h, ident)
+            # the shortcut is taken exactly when the identity covers
+            # every degree h uses, and agrees with the products
+            assert (got is h) == (ident.components.keys()
+                                  >= h.components.keys())
+            want = {}
+            for i, m in h.components.items():
+                e = ident.components.get(i)
+                if e is not None:
+                    pairs = zip(e.blocks, m.blocks) if left else zip(
+                        m.blocks, e.blocks)
+                    want[i] = [a @ b for a, b in pairs]
+            assert {i: list(m.blocks)
+                    for i, m in got.components.items()} == want

@@ -9,6 +9,7 @@ from conftest import count_calls, in_coaisle, is_minimal
 from heartglue import linalg
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import (
+    Triangle,
     cohomology_dims,
     cx_direct_sum,
     is_acyclic,
@@ -34,7 +35,7 @@ from heartglue.glue import (
     sod_project,
 )
 from heartglue.linalg import RatMatrix
-from heartglue.reps import Rep, projective, simple
+from heartglue.reps import Rep, RepMap, projective, simple
 
 
 @pytest.fixture(scope="module")
@@ -571,12 +572,16 @@ class TestDimensionFormula:
             check_dim_formula(h, h, empty)
 
 
-# Products and block joins of one glued truncation, (P1 + S4[1])[1] on
-# A4 with both length-two paths zero, with 10% headroom over the counts
-# measured when empty vertex pieces became free (1,920 and 331; 3,492 and
-# 821 before).  Work on empty blocks coming back fails here.
-TRUNCATE_MATMUL_BOUND = 2112
-TRUNCATE_COMMON_BOUND = 364
+# Products, block joins and module maps of one glued truncation,
+# (P1 + S4[1])[1] on A4 with both length-two paths zero, with 10% headroom
+# over the counts measured once nested truncations built no triangle of
+# their own and identities and one-part sums composed away (674, 230 and
+# 204; 1,920, 331 and 312 before; 3,492 and 821 products and joins before
+# empty vertex pieces became free).  Work on empty blocks or maps built
+# twice coming back fails here.
+TRUNCATE_MATMUL_BOUND = 741
+TRUNCATE_COMMON_BOUND = 253
+TRUNCATE_REPMAP_BOUND = 224
 
 
 def test_glued_truncation_does_no_empty_block_work(monkeypatch):
@@ -591,8 +596,19 @@ def test_glued_truncation_does_no_empty_block_work(monkeypatch):
                              shift(as_cx(simple(alg, 4)), 1)]).cx, 1)
     products = count_calls(monkeypatch, RatMatrix, "__matmul__")
     joins = count_calls(monkeypatch, linalg, "_common")
+    maps = count_calls(monkeypatch, RepMap, "__post_init__")
+    triangles = []
+    real_init = Triangle.__init__
+
+    def counted_init(self, *args, **kwargs):
+        triangles.append(self)
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(Triangle, "__init__", counted_init)
     _, _, tri = aisle.truncate(x)
     monkeypatch.undo()
     assert tri.certified()
     assert len(products) <= TRUNCATE_MATMUL_BOUND
     assert len(joins) <= TRUNCATE_COMMON_BOUND
+    assert len(maps) <= TRUNCATE_REPMAP_BOUND
+    # the nested levels cut without a triangle: one per public truncate
+    assert triangles == [tri]

@@ -473,3 +473,107 @@ def test_block_map_is_the_sum_of_its_components(case, plain_src, plain_tgt):
         assert src.injection(i).same_blocks(
             _ref_injection(sparts, src.rep, i))
         assert src.projection(i) is src.projections[i]
+
+
+def test_block_map_between_one_part_sums_is_its_entry(a3):
+    z = zero_rep(a3)
+    p2, p3 = projective(a3, 2), projective(a3, 3)
+    g = hom_space(p2, p3)[0]
+    src, tgt = direct_sum([z, p2]), direct_sum([p3, z])
+    assert src.rep is p2 and tgt.rep is p3
+    assert block_map(src, tgt, [[None, g], [None, None]]) is g
+    assert block_map(p2, p3, [[g]]) is g
+    assert block_map(src, p3, [[None, g]]) is g
+    # a one-part sum's injection and projection are the part's identity
+    assert src.injection(1) is identity_map(p2)
+    assert tgt.projection(0) is identity_map(p3)
+
+
+def test_misanchored_single_entry_still_raises(a3):
+    z = zero_rep(a3)
+    p2, p3 = projective(a3, 2), projective(a3, 3)
+    g = hom_space(p2, p3)[0]
+    src, tgt = direct_sum([z, p2]), direct_sum([p3, z])
+    with pytest.raises(RepError, match="anchored"):
+        block_map(src, tgt, [[g, None], [None, None]])
+    with pytest.raises(RepError, match="anchored"):
+        block_map(src, tgt, [[None, None], [None, g]])
+    # an equal module is not the part
+    twin = projective(a3, 2)
+    with pytest.raises(RepError, match="anchored"):
+        block_map(twin, p3, [[g]])
+
+
+def test_empty_products_are_not_multiplied(a3, monkeypatch):
+    s1, s2, s3 = simple(a3, 1), simple(a3, 2), simple(a3, 3)
+    f = zero_map(s1, s2)
+    g = zero_map(s2, s3)
+    m = _one_arrow_module(a3)
+    idm = identity_map(m)
+    products = count_calls(monkeypatch, RatMatrix, "__matmul__")
+    blocks = reps.composite_blocks(g, f)
+    assert products == []
+    assert blocks == [RatMatrix.zeros(0, 1), RatMatrix.zeros(0, 0),
+                      RatMatrix.zeros(1, 0)]
+    # the products with entries are still multiplied: vertices 1 and 2
+    assert reps.composite_blocks(idm, idm) == list(idm.blocks)
+    assert len(products) == 2
+
+
+def test_identity_factors_compose_away(a3):
+    p2, p3 = projective(a3, 2), projective(a3, 3)
+    g = hom_space(p2, p3)[0]
+    assert compose(identity_map(p3), g) is g
+    assert compose(g, identity_map(p2)) is g
+    # a map with the identity's blocks is not the identity object
+    twin = RepMap(p3, p3, identity_map(p3).blocks)
+    got = compose(twin, g)
+    assert got is not g and got.same_blocks(g)
+    twin = RepMap(p2, p2, identity_map(p2).blocks)
+    got = compose(g, twin)
+    assert got is not g and got.same_blocks(g)
+
+
+@st.composite
+def _one_part_sums(draw):
+    """A part of _POOL placed among zero modules, as the list of parts and
+    the index of the part."""
+    part = draw(st.integers(1, len(_POOL) - 1))
+    zeros = draw(st.integers(0, 2))
+    at = draw(st.integers(0, zeros))
+    parts = [_POOL[0]] * zeros
+    parts.insert(at, _POOL[part])
+    return part, parts, at
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_part_sums(), _one_part_sums(), st.data())
+def test_shortcuts_match_the_general_path(src_case, tgt_case, data):
+    s, sparts, i = src_case
+    t, tparts, j = tgt_case
+    m, n = _POOL[s], _POOL[t]
+    src, tgt = direct_sum(sparts), direct_sum(tparts)
+    assert src.rep is m and tgt.rep is n
+    # injection and projection: the identity, with the offset blocks
+    assert src.injection(i).same_blocks(_ref_injection(sparts, m, i))
+    assert src.projection(i).same_blocks(_ref_projection(sparts, m, i))
+    g = zero_map(m, n)
+    for h in _HOMS[(s, t)]:
+        g = g + h.scale(data.draw(st.integers(-2, 2)))
+    # a one-entry grid: the entry, equal to inclusion after g after
+    # projection through the offset maps
+    grid = [[g if (r, c) == (j, i) else None for c in range(len(sparts))]
+            for r in range(len(tparts))]
+    got = block_map(src, tgt, grid)
+    assert got is g
+    want = compose(_ref_injection(tparts, n, j),
+                   compose(g, _ref_projection(sparts, m, i)))
+    assert got.same_blocks(want)
+    # identity factors: the other map, equal to the per-vertex products
+    for ident, other, left in ((identity_map(n), g, True),
+                               (identity_map(m), g, False)):
+        got = compose(ident, other) if left else compose(other, ident)
+        assert got is g
+        pairs = (zip(ident.blocks, other.blocks) if left
+                 else zip(other.blocks, ident.blocks))
+        assert list(got.blocks) == [a @ b for a, b in pairs]
