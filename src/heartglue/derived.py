@@ -495,17 +495,18 @@ class DHomSpace:
         return self.class_of_vector(_after(post, lay, self.layout) @ u)
 
     def representative(self, cls: "DHomClass") -> CxMap:
-        vec = self.picked @ RatMatrix.column(cls.coords)
+        vec = self.picked @ cls.column
         return _vector_to_map(self.r, self.t, self.layout, vec)
 
     def component(self, cls: "DHomClass", k: int) -> RepMap:
         """The degree-k component of the representative of cls, read from
         generator data alone (zero where it is absent)."""
         src, tgt = self.r.term(k), self.t.term(k)
+        # only degree k is multiplied
         rows = _images(self.r, self.t, self.layout, self.picked, k)
-        col = RatMatrix.column(cls.coords)  # only degree k is multiplied
         return (zero_map(src, tgt) if rows is None
-                else map_from_generators(src, tgt, [b @ col for b in rows]))
+                else map_from_generators(src, tgt,
+                                         [b @ cls.column for b in rows]))
 
 
 @dataclass(frozen=True)
@@ -517,6 +518,8 @@ class DHomClass:
         return self._hash
 
     _hash = cached_property(lambda self: hash((self.space, self.coords)))
+    # the coordinates as a RatMatrix column, parsed once per class
+    column = cached_property(lambda self: RatMatrix.column(self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -562,7 +565,7 @@ def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
         raise LiftError("middle objects differ")
 
     def build() -> DHomClass:
-        r, t, vec = sp2.r, sp2.t, sp2.picked @ RatMatrix.column(c2.coords)
+        r, t, vec = sp2.r, sp2.t, sp2.picked @ c2.column
 
         @cache  # the blocks of c2's representative, shifted by n
         def post(k: int, v: int) -> RatMatrix | None:
@@ -570,5 +573,5 @@ def compose_classes(c2: DHomClass, c1: DHomClass) -> DHomClass:
             return images and generator_block(r.terms[k + n], t.term(k + n),
                                               images, v)
         return dhom_space(sp1.x, sp2.y, n + sp2.n)._lifted_after(
-            sp1.picked @ RatMatrix.column(c1.coords), sp2.eps, n, post)
+            sp1.picked @ c1.column, sp2.eps, n, post)
     return memoised(sp1.x, ("compose", c2, c1), build)

@@ -1,31 +1,48 @@
 """Exact rational matrices and the row-reduction kernel everything else calls.
 
-A matrix is stored as one grid of Python ints, ``num``, and one positive
-int denominator, ``den``: entry (i, j) is ``num[i][j] / den``.  The pair is
-kept canonical, ``gcd(den, every entry) == 1`` and a zero matrix has
-``den == 1``, so equal rational matrices have equal grids and hashing and
-equality never build a ``Fraction``.  There is no floating point anywhere;
-``Fraction`` appears only at the API boundary (entries, rows and columns
-read back out, and coefficients passed in).
+A matrix is stored as sparse rows, ``nz``, over one positive int
+denominator, ``den``: ``nz[i]`` is a dict from column to a nonzero int, and
+entry (i, j) is ``nz[i].get(j, 0) / den``.  The pair is kept canonical: no
+row stores a zero, ``gcd(den, every entry) == 1``, and a zero matrix has
+``den == 1``, so equal rational matrices have equal rows, and hashing and
+equality never build a ``Fraction``.  Matrices share row dicts (a zero
+row, the rows a product by a unit picks, the rows ``take`` keeps), so a
+dict is never mutated once a matrix holds it.  Products, sums, joins and
+eliminations visit nonzeros only; there is no dense path.  There is no
+floating point anywhere; ``Fraction`` appears only at the API boundary
+(entries, rows and columns read back out, and coefficients passed in).
 
-Row reduction runs Bareiss's fraction-free elimination (Bareiss 1968) on
-the int grid.  After each step every entry below the pivot rows is a minor
-of the input, so the division by the previous pivot is exact and ``//``
-never rounds.  Back substitution works on ``d * rref`` with d the last
-pivot, which is the determinant of the pivot minor up to sign; by Cramer's
-rule that is an int matrix as well, so its divisions are exact too.
-``pivot_columns``, ``rank`` and ``complement_pivots`` need the forward
-pass only.
+Row reduction runs Bareiss's fraction-free elimination (Bareiss 1968) with
+row swaps only.  Each step pivots in the leftmost column where a remaining
+row is nonzero, on the row there with the fewest nonzeros, which keeps
+fill-in low.  After each step every remaining row is a row of minors of
+the reordered input, so the division by the previous pivot is exact and
+``//`` never rounds.  A row that a step does not eliminate would only be
+rescaled by p / prev; those factors telescope, so the row is brought up to
+date with one exact multiply and division when it is next used.  Back
+substitution works on ``d * rref`` with d the last pivot, which is the
+determinant of the pivot minor up to sign; by Cramer's rule that is an int
+matrix as well, so its divisions are exact too.  ``pivot_columns``,
+``rank`` and ``complement_pivots`` need the forward pass only.
+
+Row order cannot change a result.  The pivot columns and the rref of a
+matrix are unique, ``kernel_basis`` reads its basis off the rref, and
+``solve`` returns the solution whose free variables are all zero, which
+the rref determines.  Only the scale of the intermediate rows depends on
+the order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import eq
 from typing import Iterable, Sequence
+
+_NO: dict = {}  # the shared empty row
+_ZERO = Fraction(0)
 
 
 def as_fraction(x) -> Fraction:
@@ -37,15 +54,12 @@ def as_fraction(x) -> Fraction:
 
 
 class RatMatrix:
-    """Immutable dense matrix over the rationals, as ``num / den``.
+    """Immutable matrix over the rationals: a tuple ``nz`` of sparse int
+    rows over one denominator ``den``, in the canonical form the module
+    docstring gives.  The public constructor takes dense rows of ints,
+    Fractions and strings; results of arithmetic are built by ``_new``."""
 
-    ``num`` is a tuple of int row tuples and ``den`` a positive int with
-    ``gcd(den, all entries of num) == 1``; a zero matrix has ``den == 1``.
-    The public constructor accepts ints, Fractions and strings and brings
-    them to that form; results of arithmetic are built by ``_new``.
-    """
-
-    __slots__ = ("rows", "cols", "num", "den")
+    __slots__ = ("rows", "cols", "nz", "den")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         den = 1
@@ -68,11 +82,12 @@ class RatMatrix:
         elif cols is None:
             raise ValueError("cols is required for a matrix with no rows")
         if not exact:
-            rows = [tuple(_scaled(x, den) for x in r) for r in rows]
+            rows = [[_scaled(x, den) for x in r] for r in rows]
+        nz = tuple({j: x for j, x in enumerate(r) if x} for r in rows)
         # den is the lcm of reduced denominators, so the pair is canonical
-        _set_rows(self, len(rows))
+        _set_rows(self, len(nz))
         _set_cols(self, cols)
-        _set_num(self, tuple(rows))
+        _set_nz(self, nz)
         _set_den(self, den)
 
     def __setattr__(self, name, value):
@@ -83,17 +98,19 @@ class RatMatrix:
     @staticmethod
     @lru_cache(maxsize=1024)  # immutable values: one per shape is shared
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return _new(((0,) * cols,) * rows, 1, cols)
+        return _raw((_NO,) * rows, 1, cols)
 
     @staticmethod
     @lru_cache(maxsize=1024)
     def identity(n: int) -> "RatMatrix":
-        return _new(tuple(tuple(1 if i == j else 0 for j in range(n))
-                          for i in range(n)), 1, n)
+        return _raw(tuple({i: 1} for i in range(n)), 1, n)
 
     @staticmethod
     def column(entries: Sequence) -> "RatMatrix":
-        return RatMatrix([[e] for e in entries], cols=1)
+        fracs = [as_fraction(e) for e in entries]
+        den = lcm(*(f.denominator for f in fracs))
+        return _raw(tuple({0: f.numerator * (den // f.denominator)} if f else _NO
+                          for f in fracs), den, 1)
 
     @staticmethod
     def from_cols(columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
@@ -106,7 +123,7 @@ class RatMatrix:
             rows = height
         elif rows is None:
             raise ValueError("rows is required with no columns")
-        return RatMatrix([[columns[j][i] for j in range(len(columns))] for i in range(rows)],
+        return RatMatrix(zip(*columns) if columns else [()] * rows,
                          cols=len(columns))
 
     # basic queries
@@ -117,54 +134,75 @@ class RatMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return Fraction(self.num[i][j], self.den)
+        x = self.nz[i].get(self._index(j))
+        return Fraction(x, self.den) if x else _ZERO
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        d = self.den
-        return tuple(Fraction(x, d) for x in self.num[i])
+        out = [_ZERO] * self.cols
+        for j, x in self.nz[i].items():
+            out[j] = Fraction(x, self.den)
+        return tuple(out)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        d = self.den
-        return tuple(Fraction(r[j], d) for r in self.num)
+        d, j = self.den, self._index(j)
+        return tuple(Fraction(x, d) if (x := r.get(j)) else _ZERO
+                     for r in self.nz)
 
     def col_matrix(self, j: int) -> "RatMatrix":
-        return _new(tuple((r[j],) for r in self.num), self.den, 1)
+        j = self._index(j)
+        return _new(tuple({0: x} if (x := r.get(j)) else _NO for r in self.nz),
+                    self.den, 1)
+
+    def _index(self, j: int) -> int:
+        """j, checked against range(cols): a row dict has no key to miss."""
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range({self.cols})")
+        return j
 
     def take(self, rows: Sequence[int] | None,
              cols: Sequence[int] | None) -> "RatMatrix":
         """The submatrix on the given row and column indices, in order;
-        None keeps them all."""
-        num = self.num
-        if rows is not None:
-            num = tuple(num[i] for i in rows)
-        if cols is None:
-            return _new(num, self.den, self.cols)
-        return _new(tuple(tuple([r[j] for j in cols]) for r in num),
-                    self.den, len(cols))
+        None keeps them all.  Columns may not repeat."""
+        nz = self.nz if rows is None else tuple(self.nz[i] for i in rows)
+        if cols is None or (len(cols) == self.cols
+                            and all(map(eq, cols, range(self.cols)))):
+            return self if rows is None else _new(nz, self.den, self.cols)
+        pos = {c: t for t, c in enumerate(cols)}
+        if len(pos) != len(cols):
+            raise ValueError("take: a column repeats")
+        if pos and not (0 <= min(pos) and max(pos) < self.cols):
+            raise IndexError(f"take: a column is out of range({self.cols})")
+        return _new(tuple({pos[j]: x for j, x in r.items() if j in pos}
+                          if r else r for r in nz), self.den, len(cols))
 
     def reshape(self, rows: int, cols: int) -> "RatMatrix":
         """The entries read row by row into a rows x cols matrix."""
-        flat = tuple(chain.from_iterable(self.num))
-        if len(flat) != rows * cols:
+        if rows * cols != self.rows * self.cols:
             raise ValueError(f"cannot reshape {self.shape} to {(rows, cols)}")
-        return _new(tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)),
-                    self.den, cols)
+        out: list[dict] = [{} for _ in range(rows)]
+        width = self.cols
+        for i, r in enumerate(self.nz):
+            for j, x in r.items():
+                q, s = divmod(i * width + j, cols)
+                out[q][s] = x
+        return _raw(tuple(out), self.den, cols)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.num))
+        return not any(self.nz)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
         return (self.cols == other.cols and self.den == other.den
-                and self.num == other.num)
+                and self.nz == other.nz)
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.den, self.num))
+        return hash((self.cols, self.den,
+                     tuple(frozenset(r.items()) for r in self.nz)))
 
     def __repr__(self) -> str:
-        d = self.den
-        body = "; ".join(" ".join(str(Fraction(x, d)) for x in r) for r in self.num)
+        body = "; ".join(" ".join(map(str, self.row(i)))
+                         for i in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
     # arithmetic
@@ -172,13 +210,26 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        n = other.cols
-        if not (self.cols and n and any(map(any, self.num))):
-            return RatMatrix.zeros(self.rows, n)
-        ocols = tuple(zip(*other.num))
-        return _new(tuple(tuple([sum(map(mul, r, c)) for c in ocols])
-                          for r in self.num),
-                    self.den * other.den, n)
+        onz = other.nz
+        if not (any(self.nz) and any(onz)):
+            return RatMatrix.zeros(self.rows, other.cols)
+        out = []
+        for r in self.nz:
+            if not r:
+                out.append(r)
+            elif len(r) == 1:  # a multiple of one row of other, often itself
+                (k, a), = r.items()
+                out.append(onz[k] if a == 1
+                           else {j: a * y for j, y in onz[k].items()})
+            else:
+                acc: dict = {}
+                for k, a in r.items():
+                    for j, y in onz[k].items():
+                        acc[j] = acc.get(j, 0) + a * y
+                if 0 in acc.values():
+                    acc = {j: x for j, x in acc.items() if x}
+                out.append(acc)
+        return _new(tuple(out), self.den * other.den, other.cols)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
@@ -191,22 +242,24 @@ class RatMatrix:
         return _combine(self, other, -1)
 
     def __neg__(self) -> "RatMatrix":
-        return _new(tuple(tuple([-x for x in r]) for r in self.num), self.den,
-                    self.cols)
+        return _raw(_times(self.nz, -1), self.den, self.cols)
 
     def scale(self, c) -> "RatMatrix":
         c = as_fraction(c)
-        a = c.numerator
-        return _new(tuple(tuple([a * x for x in r]) for r in self.num),
-                    self.den * c.denominator, self.cols)
+        if not c:
+            return RatMatrix.zeros(self.rows, self.cols)
+        return _new(_times(self.nz, c.numerator), self.den * c.denominator,
+                    self.cols)
 
     def __rmul__(self, c) -> "RatMatrix":
         return self.scale(c)
 
     def transpose(self) -> "RatMatrix":
-        if not self.rows:
-            return RatMatrix.zeros(self.cols, 0)
-        return _new(tuple(zip(*self.num)), self.den, self.rows)
+        out: list[dict] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nz):
+            for j, x in r.items():
+                out[j][i] = x
+        return _raw(tuple(out), self.den, self.rows)
 
 
 def _scaled(x, den: int) -> int:
@@ -219,58 +272,95 @@ def _scaled(x, den: int) -> int:
 
 _set_rows = RatMatrix.rows.__set__
 _set_cols = RatMatrix.cols.__set__
-_set_num = RatMatrix.num.__set__
+_set_nz = RatMatrix.nz.__set__
 _set_den = RatMatrix.den.__set__
 _alloc = object.__new__
 
 
-def _new(num: tuple, den: int, cols: int) -> RatMatrix:
-    """Matrix num / den from an int grid (a tuple of int tuples) that
-    arithmetic produced: only brings the pair to canonical form."""
-    if den != 1:
-        if den < 0:
-            num = tuple(tuple([-x for x in r]) for r in num)
-            den = -den
-        g = gcd(den, *chain.from_iterable(num))
-        if g != 1:
-            num = tuple(tuple([x // g for x in r]) for r in num)
-            den //= g
+def _raw(nz: tuple, den: int, cols: int) -> RatMatrix:
+    """Matrix nz / den from rows already in canonical form."""
     m = _alloc(RatMatrix)
-    _set_rows(m, len(num))
+    _set_rows(m, len(nz))
     _set_cols(m, cols)
-    _set_num(m, num)
+    _set_nz(m, nz)
     _set_den(m, den)
     return m
 
 
+def _new(nz: tuple, den: int, cols: int) -> RatMatrix:
+    """Matrix nz / den from sparse int rows (no stored zeros) that
+    arithmetic produced: only brings the pair to canonical form."""
+    if den != 1:
+        if den < 0:
+            nz, den = _times(nz, -1), -den
+        g = gcd(den, *chain.from_iterable(map(dict.values, nz)))
+        if g != 1:
+            nz = tuple({j: x // g for j, x in r.items()} if r else r for r in nz)
+            den //= g
+    return _raw(nz, den, cols)
+
+
+def _times(nz: Sequence[dict], f: int) -> tuple:
+    """Every entry multiplied by the nonzero int f (new rows unless f is 1)."""
+    if f == 1:
+        return tuple(nz)
+    return tuple({j: f * x for j, x in r.items()} if r else r for r in nz)
+
+
 def _combine(a: RatMatrix, b: RatMatrix, sign: int) -> RatMatrix:
     """a + sign * b over the lcm of the two denominators."""
-    if a.den == b.den:
-        op = add if sign > 0 else sub
-        return _new(tuple(tuple(map(op, r, s)) for r, s in zip(a.num, b.num)),
-                    a.den, a.cols)
     den = lcm(a.den, b.den)
     fa, fb = den // a.den, sign * (den // b.den)
-    return _new(tuple(tuple([fa * x + fb * y for x, y in zip(r, s)])
-                      for r, s in zip(a.num, b.num)), den, a.cols)
+    out = []
+    for r, s in zip(a.nz, b.nz):
+        if not s:
+            out.append(r if fa == 1 else {j: fa * x for j, x in r.items()})
+            continue
+        if not r:
+            out.append({j: fb * y for j, y in s.items()})
+            continue
+        row = {j: fa * x for j, x in r.items()}
+        for j, y in s.items():
+            v = row.get(j, 0) + fb * y
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        out.append(row)
+    return _new(tuple(out), den, a.cols)
 
 
 def _common(mats: Sequence[RatMatrix]) -> tuple[int, list[tuple]]:
-    """The lcm of the denominators and each matrix's grid over it."""
+    """The lcm of the denominators and each matrix's rows over it.  Rows
+    of canonical matrices joined over that lcm are canonical again."""
     den = lcm(*(m.den for m in mats))
-    grids = []
-    for m in mats:
-        f = den // m.den
-        grids.append(m.num if f == 1
-                     else tuple(tuple([f * x for x in r]) for r in m.num))
-    return den, grids
+    return den, [m.nz if m.den == den else _times(m.nz, den // m.den)
+                 for m in mats]
+
+
+def _place(out: list[dict], top: int, left: int, rows: Sequence[dict]) -> None:
+    """Write a block's rows into out from row top, column left; a row of
+    out that is still the shared empty row gets a dict of its own."""
+    for i, r in enumerate(rows, top):
+        if not r:
+            continue
+        o = out[i]
+        if o is _NO:
+            out[i] = o = {}
+        if left:
+            for j, x in r.items():
+                o[left + j] = x
+        else:
+            o.update(r)
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """The Kronecker product: block (i, j) is a[i, j] * b."""
-    return _new(tuple(tuple([x * y for x in ra for y in rb])
-                      for ra in a.num for rb in b.num),
-                a.den * b.den, a.cols * b.cols)
+    w = b.cols
+    return _new(tuple({ja * w + jb: x * y for ja, x in ra.items()
+                       for jb, y in rb.items()}
+                      for ra in a.nz for rb in b.nz),
+                a.den * b.den, a.cols * w)
 
 
 def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
@@ -280,16 +370,19 @@ def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack row mismatch")
     den, grids = _common(mats)
-    return _new(tuple(tuple(chain.from_iterable(g[i] for g in grids))
-                      for i in range(rows)),
-                den, sum(m.cols for m in mats))
+    out: list[dict] = [_NO] * rows
+    off = 0
+    for m, g in zip(mats, grids):
+        _place(out, 0, off, g)
+        off += m.cols
+    return _raw(tuple(out), den, off)
 
 
 def block_matrix(grid: Sequence[Sequence[RatMatrix | None]],
                  heights: Sequence[int], widths: Sequence[int]) -> RatMatrix:
     """The matrix with grid[i][j] as its block in block row i and block
     column j, of shape heights[i] x widths[j]; a None block is zero.
-    Each row is joined once from the blocks' int grids.  An empty vertex
+    Each block's rows are written once into the joined rows.  An empty vertex
     piece costs nothing: a grid with no entries or no filled block is the
     shared zero, and a 1x1 grid is its block."""
     slots = [(m, h, w) for row, h in zip(grid, heights, strict=True)
@@ -303,93 +396,114 @@ def block_matrix(grid: Sequence[Sequence[RatMatrix | None]],
         return RatMatrix.zeros(sum(heights), sum(widths))
     den, grids = _common(filled)
     joined = iter(grids)
-    out = []
+    lefts = [0, *accumulate(widths)]
+    out: list[dict] = [_NO] * sum(heights)
+    top = 0
     for row, h in zip(grid, heights):
-        blocks = [[(0,) * w] * h if m is None else next(joined)
-                  for m, w in zip(row, widths)]
-        out.extend(tuple(chain.from_iterable(b[r] for b in blocks))
-                   for r in range(h))
-    return _new(tuple(out), den, sum(widths))
+        for m, left in zip(row, lefts):
+            if m is not None:
+                _place(out, top, left, next(joined))
+        top += h
+    return _raw(tuple(out), den, lefts[-1])
 
 
-def _echelon(num: Sequence[Sequence[int]], nc: int) -> tuple[list[list[int]], list[int]]:
-    """Bareiss forward elimination of an int grid with nc columns.
+def _echelon(nz: Sequence[dict]) -> tuple[list[dict], list[int]]:
+    """Bareiss forward elimination of sparse int rows.
 
-    Returns the echelon rows, pivot rows first, and the pivot columns.  The
-    pivot of row k is the (k+1)-st leading minor on the pivot columns, so
-    every update divides exactly, including rows with 0 in the pivot
-    column, which are rescaled by p / prev like the others.
+    Returns the pivot rows, in order, and their pivot columns; rows that
+    eliminate to zero are dropped.  The remaining rows wait in buckets by
+    leading column, each with the number of steps applied to it.  The
+    rescaling by p / prev that a step owes a row it does not eliminate is
+    paid when the row is next used, as one factor pivs[k] / pivs[steps]:
+    pivs[k] is the pivot of step k - 1 (pivs[0] = 1) and the factors
+    telescope.
     """
-    rows = [list(r) for r in num if any(r)]
-    nr = len(rows)
+    waiting: dict[int, list[tuple[dict, int]]] = {}
+    for r in nz:
+        if r:
+            waiting.setdefault(min(r), []).append((r, 0))
+    rows: list[dict] = []
     pivots: list[int] = []
-    prev = 1
-    h = 0
-    for col in range(nc):
-        if h == nr:
-            break
-        sel = h
-        while sel < nr and not rows[sel][col]:
-            sel += 1
-        if sel == nr:
-            continue
-        if sel != h:
-            rows[h], rows[sel] = rows[sel], rows[h]
-        rh = rows[h]
+    pivs = [1]
+    while waiting:
+        col = min(waiting)
+        hit = waiting.pop(col)
+        k = len(pivots)
+        prev = pivs[k]
+        h = 0
+        if len(hit) > 1:
+            sizes = [len(r) for r, _ in hit]
+            h = sizes.index(min(sizes))
+        rh, done = hit[h]
+        if done != k:
+            rh = {j: x * prev // pivs[done] for j, x in rh.items()}
         p = rh[col]
-        for i in range(h + 1, nr):
-            ri = rows[i]
+        for i, (ri, done) in enumerate(hit):
+            if i == h:
+                continue
+            if done != k:
+                ri = {j: x * prev // pivs[done] for j, x in ri.items()}
             q = ri[col]
-            if q:
-                rows[i] = [(p * a - q * b) // prev for a, b in zip(ri, rh)]
-            elif p != prev:
-                rows[i] = [p * a // prev for a in ri]
+            new = {j: p * x for j, x in ri.items()}
+            for j, y in rh.items():
+                v = new.get(j, 0) - q * y
+                if v:
+                    new[j] = v
+                else:
+                    del new[j]
+            if new:
+                if prev != 1:
+                    new = {j: x // prev for j, x in new.items()}
+                waiting.setdefault(min(new), []).append((new, k + 1))
+        rows.append(rh)
         pivots.append(col)
-        prev = p
-        h += 1
+        pivs.append(p)
     return rows, pivots
 
 
-def _back(rows: list[list[int]], pivots: list[int],
-          cols: Sequence[int]) -> tuple[int, list[list[int]]]:
+def _back(rows: list[dict], pivots: list[int],
+          lo: int) -> tuple[int, list[dict]]:
     """Fraction-free back substitution on the pivot rows of _echelon.
 
     Returns (d, red) with d the last pivot and red[k] = d * (row k of the
-    rref) restricted to cols.  d * rref is an int matrix by Cramer's rule,
-    so each division by a row's own pivot is exact.
+    rref) on the columns c >= lo, keyed by c - lo.  d * rref is an int
+    matrix by Cramer's rule, so each division by a row's own pivot is
+    exact.
     """
     r = len(pivots)
     if not r:
         return 1, []
     d = rows[r - 1][pivots[r - 1]]
-    red: list[list[int]] = [[]] * r
+    later: dict[int, int] = {}  # the pivot columns of the rows below k
+    red: list[dict] = [_NO] * r
     for k in range(r - 1, -1, -1):
         ek = rows[k]
-        acc = [d * ek[c] for c in cols]
-        for j in range(k + 1, r):
-            q = ek[pivots[j]]
-            if q:
-                acc = [a - q * b for a, b in zip(acc, red[j])]
+        acc = {c - lo: d * x for c, x in ek.items() if c >= lo}
+        for c in ek.keys() & later.keys():
+            q = ek[c]
+            for t, y in red[later[c]].items():
+                v = acc.get(t, 0) - q * y
+                if v:
+                    acc[t] = v
+                else:
+                    del acc[t]
         p = ek[pivots[k]]
-        if p != 1:
-            acc = [a // p for a in acc]
-        red[k] = acc
+        red[k] = acc if p == 1 else {t: x // p for t, x in acc.items()}
+        later[pivots[k]] = k
     return d, red
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form of m, plus the strictly increasing pivot columns."""
-    nc = m.cols
-    rows, pivots = _echelon(m.num, nc)
-    d, red = _back(rows, pivots, range(nc))
-    zero = (0,) * nc
-    grid = tuple(map(tuple, red)) + (zero,) * (m.rows - len(red))
-    return _new(grid, d, nc), tuple(pivots)
+    rows, pivots = _echelon(m.nz)
+    d, red = _back(rows, pivots, 0)
+    return (_new(tuple(red) + (_NO,) * (m.rows - len(red)), d, m.cols),
+            tuple(pivots))
 
 
 def pivot_columns(m: RatMatrix) -> tuple[int, ...]:
     """The pivot columns of rref(m), from the forward pass alone."""
-    return tuple(_echelon(m.num, m.cols)[1])
+    return tuple(_echelon(m.nz)[1])
 
 
 def rank(m: RatMatrix) -> int:
@@ -402,16 +516,17 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     The basis vector for free column j has v[j] = 1 and v[pc] = -rref[k][j]
     on the pivot columns pc, so it is the same rational basis rref gives.
     """
-    rows, pivots = _echelon(m.num, m.cols)
+    rows, pivots = _echelon(m.nz)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    d, red = _back(rows, pivots, free)
-    grid = [[0] * len(free) for _ in range(m.cols)]
-    for t, j in enumerate(free):
-        grid[j][t] = d
-    for k, pc in enumerate(pivots):
-        grid[pc] = [-x for x in red[k]]
-    return _new(tuple(map(tuple, grid)), d, len(free))
+    free = {j: t for t, j in enumerate(j for j in range(m.cols)
+                                       if j not in pivot_set)}
+    d, red = _back(rows, pivots, 0)
+    grid: list[dict] = [_NO] * m.cols
+    for j, t in free.items():
+        grid[j] = {t: d}
+    for k, pc in enumerate(pivots):  # red[k] is 0 on the other pivots
+        grid[pc] = {free[c]: -x for c, x in red[k].items() if c != pc}
+    return _new(tuple(grid), d, len(free))
 
 
 def solve(m: RatMatrix, b: RatMatrix) -> RatMatrix | None:
@@ -424,13 +539,13 @@ def solve(m: RatMatrix, b: RatMatrix) -> RatMatrix | None:
         raise ValueError(f"solve: rows(b)={b.rows} != rows(m)={m.rows}")
     nc = m.cols
     aug = hstack([m, b])
-    rows, pivots = _echelon(aug.num, aug.cols)
+    rows, pivots = _echelon(aug.nz)
     if pivots and pivots[-1] >= nc:
         return None
-    d, red = _back(rows, pivots, range(nc, aug.cols))
-    grid = [(0,) * b.cols] * nc
+    d, red = _back(rows, pivots, nc)
+    grid: list[dict] = [_NO] * nc
     for k, pc in enumerate(pivots):
-        grid[pc] = tuple(red[k])
+        grid[pc] = red[k]
     return _new(tuple(grid), d, b.cols)
 
 
@@ -440,13 +555,13 @@ def span_coordinates(m: RatMatrix, k: int) -> tuple[RatMatrix, RatMatrix]:
     independent modulo the rest.  For [m | I] reduced to [R | E], C is the
     rows of E at those pivots (the last ones) and K the rows below rank."""
     nr, nc = m.rows, m.cols
-    rows, pivots = _echelon(hstack([m, RatMatrix.identity(nr)]).num, nc + nr)
+    rows, pivots = _echelon(hstack([m, RatMatrix.identity(nr)]).nz)
     rk = sum(p < nc for p in pivots)
     if rk < k or pivots[rk - k:rk] != list(range(nc - k, nc)):
         raise ValueError("the last columns are not independent modulo the rest")
-    d, red = _back(rows[rk - k:rk], pivots[rk - k:rk], range(nc, nc + nr))
-    check = tuple(tuple(r[nc:]) for r in rows[rk:])
-    return _new(tuple(map(tuple, red)), d, nr), _new(check, 1, nr)
+    d, red = _back(rows[rk - k:rk], pivots[rk - k:rk], nc)
+    check = tuple({j - nc: x for j, x in r.items()} for r in rows[rk:])
+    return _new(tuple(red), d, nr), _new(check, 1, nr)
 
 
 def span_membership(v: RatMatrix, s: RatMatrix) -> bool:

@@ -314,9 +314,9 @@ def eval_columns(t: Rep, n: Rep, j: int, m: RatMatrix) -> list[RatMatrix]:
     if t.proj_gens is None:
         raise RepError("source is not tagged")
     out = [RatMatrix.zeros(n.dim_at(j), n.dim_at(v)) for v in t.proj_gens]
-    for k, (c, p) in enumerate(tagged_basis(t, j)):
-        if m.num[k][0]:
-            out[c] = out[c] + n.act_basis_path(p).scale(m[k, 0])
+    for (c, p), x in zip(tagged_basis(t, j), m.col(0)):
+        if x:
+            out[c] = out[c] + n.act_basis_path(p).scale(x)
     return out
 
 

@@ -346,7 +346,7 @@ def factors_through(c: DHomClass, gens) -> bool:
     span = _factor_columns(c.space, gens)
     if span is None:
         return c.is_zero()
-    return span_membership(RatMatrix.column(c.coords), span)
+    return span_membership(c.column, span)
 
 
 def factor_image_dim(x, y, n: int, gens) -> int:

@@ -70,7 +70,9 @@ def test_canonical_form():
     scaled = RatMatrix([[1, 2]]).scale(Fraction(1, 2))
     assert half == scaled
     assert hash(half) == hash(scaled)
-    assert (half.num, half.den) == (((1, 2),), 2)
+    assert (half.nz, half.den) == (({0: 1, 1: 2},), 2)
+    # no stored zero, and a row of zeros is an empty row
+    assert RatMatrix([[0, Fraction(2, 3)], [0, 0]]).nz == ({1: 2}, {})
     zero = half - scaled
     assert zero.is_zero() and zero.den == 1
     assert zero == RatMatrix.zeros(1, 2)
@@ -252,3 +254,14 @@ def test_rref_pivot_columns_are_unit_vectors(m):
         col = r.col(pc)
         assert col[k] == 1
         assert all(x == 0 for i, x in enumerate(col) if i != k)
+
+
+def test_columns_out_of_range_raise():
+    # a sparse row has no entry to miss, so the range is checked
+    m = RatMatrix([[1, 0], [0, 2]])
+    for read in (lambda: m[0, 2], lambda: m.col(2), lambda: m.col_matrix(-1),
+                 lambda: m.take(None, [0, 2])):
+        with pytest.raises(IndexError):
+            read()
+    with pytest.raises(ValueError, match="repeats"):
+        m.take(None, [1, 1])

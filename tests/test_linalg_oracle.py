@@ -47,7 +47,33 @@ def _product(g1, g2):
     return (r, c, [list(m.row(i)) for i in range(r)])
 
 
-any_grid = st.one_of(grids(), low_rank())
+nonzero = entries.filter(bool)
+
+
+@st.composite
+def sparse_grids(draw, max_rows=12, max_cols=14, min_rows=0, min_cols=0):
+    """Fraction grids with at least 85% zeros, one whole zero row and one
+    whole zero column; rows or cols may be 0."""
+    r = draw(st.integers(min_rows, max_rows))
+    c = draw(st.integers(min_cols, max_cols))
+    g = [[Fraction(0)] * c for _ in range(r)]
+    if r and c:
+        zr, zc = draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
+        spots = draw(st.lists(st.tuples(st.integers(0, r - 1),
+                                        st.integers(0, c - 1)),
+                              max_size=r * c * 15 // 100))
+        for i, j in spots:
+            if i != zr and j != zc:
+                g[i][j] = draw(nonzero)
+    return (r, c, g)
+
+
+def shaped(r, c):
+    """Dense or sparse grids of exactly r x c."""
+    return st.one_of(grids(r, c, r, c), sparse_grids(r, c, r, c))
+
+
+any_grid = st.one_of(grids(), low_rank(), sparse_grids())
 
 
 def pair(g):
@@ -56,12 +82,20 @@ def pair(g):
 
 
 def canonical(m: lin.RatMatrix) -> bool:
-    flat = [x for r in m.num for x in r]
-    if not all(type(x) is int for x in flat) or len(m.num) != m.rows:
+    """Sparse rows with no stored zero and every column in range, the gcd
+    of den and the entries 1, and den 1 for a zero matrix."""
+    if type(m.nz) is not tuple or len(m.nz) != m.rows:
         return False
-    if any(len(r) != m.cols for r in m.num):
-        return False
-    if not any(flat):
+    flat = []
+    for r in m.nz:
+        if type(r) is not dict:
+            return False
+        for j, x in r.items():
+            if not (type(j) is int and 0 <= j < m.cols
+                    and type(x) is int and x):
+                return False
+            flat.append(x)
+    if not flat:
         return m.den == 1
     return m.den > 0 and gcd(m.den, *flat) == 1
 
@@ -102,20 +136,23 @@ def test_scale_and_canonical_equality(g, c):
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12),
        st.data())
 def test_matmul(r, k, c, data):
-    a = data.draw(grids(r, k, r, k))
-    b = data.draw(grids(k, c, k, c))
+    a = data.draw(shaped(r, k))
+    b = data.draw(shaped(k, c))
     na, oa = pair(a)
     nb, ob = pair(b)
     assert agree(na @ nb, oa @ ob)
+    # products share rows with their operands and never write to them
+    assert agree(na, oa) and agree(nb, ob)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 12), st.integers(0, 14), st.data())
 def test_add_sub(r, c, data):
-    na, oa = pair(data.draw(grids(r, c, r, c)))
-    nb, ob = pair(data.draw(grids(r, c, r, c)))
+    na, oa = pair(data.draw(shaped(r, c)))
+    nb, ob = pair(data.draw(shaped(r, c)))
     assert agree(na + nb, oa + ob)
     assert agree(na - nb, oa - ob)
+    assert agree(na, oa) and agree(nb, ob)
     assert (na - na).is_zero() and (na - na).den == 1
     assert na + nb == nb + na
 
@@ -124,7 +161,7 @@ def test_add_sub(r, c, data):
 @given(st.integers(0, 6), st.lists(st.integers(0, 5), min_size=1, max_size=3),
        st.data())
 def test_stacking(r, widths, data):
-    parts = [pair(data.draw(grids(r, w, r, w))) for w in widths]
+    parts = [pair(data.draw(shaped(r, w))) for w in widths]
     news = [p[0] for p in parts]
     olds = [p[1] for p in parts]
     assert agree(lin.hstack(news), ref.hstack(olds))
@@ -148,6 +185,40 @@ def test_rref_rank_kernel(g):
     assert lin.rank(new) == ref.rank(old)
     assert agree(lin.kernel_basis(new), ref.kernel_basis(old))
     assert lin.complement_pivots(new) == ref.complement_pivots(old)
+    assert agree(new, old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_grid, st.data())
+def test_row_order_changes_no_result(g, data):
+    # the pivot choice depends on the order of the rows; no result may
+    r, c, rows = g
+    perm = data.draw(st.permutations(range(r)))
+    m = lin.RatMatrix(rows, cols=c)
+    pm = lin.RatMatrix([rows[i] for i in perm], cols=c)
+    assert lin.rref(pm) == lin.rref(m)
+    assert lin.pivot_columns(pm) == lin.pivot_columns(m)
+    assert lin.kernel_basis(pm) == lin.kernel_basis(m)
+    x0 = lin.RatMatrix(data.draw(shaped(c, 2))[2], cols=2)
+    probe = lin.RatMatrix(data.draw(shaped(r, 2))[2], cols=2)
+    for b in (m @ x0, probe):
+        assert lin.solve(pm, b.take(perm, None)) == lin.solve(m, b)
+    # [m | p] with p = m @ x0 + a unit vector outside span(m)
+    units = lin.complement_pivots(m)
+    if not units:
+        return
+    p = m @ x0.take(None, [0]) + lin.RatMatrix.identity(r).col_matrix(units[0])
+    full = lin.hstack([m, p])
+    coords, check = lin.span_coordinates(full, 1)
+    pcoords, pcheck = lin.span_coordinates(full.take(perm, None), 1)
+    # the coordinates read off any vector of the span, the columns of
+    # [m | p] among them, are the same; so is the membership test
+    for b in (full, full @ lin.RatMatrix(data.draw(shaped(c + 1, 2))[2],
+                                         cols=2)):
+        assert pcoords @ b.take(perm, None) == coords @ b
+        assert (pcheck @ b.take(perm, None)).is_zero()
+    assert (pcheck @ probe.take(perm, None)).is_zero() == \
+        (check @ probe).is_zero()
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,9 +226,9 @@ def test_rref_rank_kernel(g):
 def test_solve(g, nb, data):
     new, old = pair(g)
     r, c, _ = g
-    x0 = data.draw(grids(c, nb, c, nb))
+    x0 = data.draw(shaped(c, nb))
     inside = old @ ref.RatMatrix(x0[2], cols=nb)
-    probe = data.draw(grids(r, nb, r, nb))
+    probe = data.draw(shaped(r, nb))
     for b in (inside, ref.RatMatrix(probe[2], cols=nb)):
         nbm = lin.RatMatrix([b.row(i) for i in range(b.rows)], cols=b.cols)
         got, want = lin.solve(new, nbm), ref.solve(old, b)
