@@ -7,11 +7,15 @@ out of R are free on the copy generators, so chain maps, homotopies, and
 lifts all reduce to finite linear systems over the generator data, which
 is one RatMatrix column in _GenLayout order: a block per copy generator,
 degree by degree. The systems are block matrices of the differentials'
-and the maps' vertex blocks. Hom(X, Y[n]) is computed as chain maps
-R_X -> shift(Y, n) modulo null-homotopic ones, with a canonical
-coordinate system fixed by row reduction. When no copy generator of R_X
-meets a nonzero vertex space of Y[n] in its degree, the space is zero;
-derived_hom answers that case from the dimensions alone.
+and the maps' vertex blocks. Hom(X, Y[n]) is H^n of the Hom complex
+Hom(R_X, Y): its n-cochains are the generator data of maps
+R_X -> shift(Y, n), and its differential delta^n is s -> d s - s d. The
+boundary map h -> d h + h d is -delta^{n-1}, as shift(Y, n-1) is
+shift(Y, n)[-1], so each delta is built once, for the cycles of one shift
+and the boundaries of the next. derived_hom reads dim H^n off two ranks; a
+DHomSpace fixes a canonical coordinate system by row reduction. When no
+copy generator of R_X meets a nonzero vertex space of Y[n] in its degree,
+the n-cochains are zero, and derived_hom answers from the dimensions alone.
 
 Classes compose on generator data. solve_lift, the one lift kernel,
 lifts a column through a quasi-isomorphism, and a post-composition is a
@@ -27,9 +31,11 @@ Memo policy: each result is kept in the memo of the object it describes
 and nowhere else. A module's memo holds its complex and its identity; a
 complex's memo holds its resolution, shifts and copy generators, the
 space Hom(x, y[n]) keyed by (as_cx(y), n), the layout of maps into t
-keyed by ("layout", t, delta), the boundary and lift systems of maps
-into t keyed by ("system", t, delta) (not the delta-0 system of a Hom
-space, which is read once, for its kernel), and the splitting of its
+keyed by ("layout", t), the Hom-complex differential on maps into t
+(every cycle, boundary and lift system) keyed by ("system", t), its
+forward elimination, which gives its rank and kernel, keyed by
+("echelon", t), the shifts n where maps into y[n] have generator data
+keyed by ("support", y), and the splitting of its
 differential d^k keyed by ("splitting", k), which yoneda pushes
 resolutions out along; x's memo holds the composite of c1 out of x and
 c2 keyed by ("compose", c2, c1); a Hom space's memo holds the factors
@@ -58,8 +64,8 @@ from .complexes import (
     shift,
 )
 from .complexes import compose as ccompose
-from .linalg import (RatMatrix, block_matrix, hstack, kernel_basis,
-                     pivot_columns, solve, span_coordinates)
+from .linalg import (Echelon, RatMatrix, block_matrix, echelon, hstack,
+                     kernel_basis, pivot_columns, solve, span_coordinates)
 from .reps import (
     Rep,
     RepMap,
@@ -252,15 +258,15 @@ def _generators(r: Cx) -> tuple[list[tuple[int, ...]], dict[int, int]]:
 
 class _GenLayout:
     """Generator data for maps out of a tagged complex r into the terms
-    t^{k + delta}: one column, a block per copy generator of r in degree
-    order, of the dimension of t^{k + delta} at the generator's vertex."""
+    t^k: one column, a block per copy generator of r in degree order, of
+    the dimension of t^k at the generator's vertex.  For t = y[n] this is
+    the space of n-cochains of the Hom complex Hom(r, y); on t[-1] it holds
+    the homotopies, whose boundary map is -delta^{n-1}."""
 
-    def __init__(self, r: Cx, t: Cx, delta: int):
-        self.delta = delta
+    def __init__(self, r: Cx, t: Cx):
         self.entries, self.first = memoised(r, "generators",
                                             lambda: _generators(r))
-        self.sizes = [t.term(k + delta).dim_at(v)
-                      for (k, _, v, _) in self.entries]
+        self.sizes = [t.term(k).dim_at(v) for (k, _, v, _) in self.entries]
         self.offsets = list(accumulate(self.sizes, initial=0))
         self.total = self.offsets[-1]
 
@@ -269,16 +275,23 @@ class _GenLayout:
         return vec.take(range(self.offsets[i], self.offsets[i + 1]), None)
 
 
-def _layout(r: Cx, t: Cx, delta: int) -> _GenLayout:
-    """The generator layout of maps r^k -> t^{k + delta}, kept in r.memo."""
-    return memoised(r, ("layout", t, delta), lambda: _GenLayout(r, t, delta))
+def _layout(r: Cx, t: Cx) -> _GenLayout:
+    """The generator layout of maps r^k -> t^k, kept in r.memo."""
+    return memoised(r, ("layout", t), lambda: _GenLayout(r, t))
 
 
 def _has_unknowns(r: Cx, y: Cx, n: int) -> bool:
-    """Whether _GenLayout(r, shift(y, n), 0) has any columns, read from
-    the dimensions of y without building the shift or the layout."""
-    entries, _ = memoised(r, "generators", lambda: _generators(r))
-    return any(y.term(k + n).dim_at(v) for (k, _, v, _) in entries)
+    """Whether the Hom complex Hom(r, y) has nonzero n-cochains, i.e.
+    _GenLayout(r, shift(y, n)) has columns; without them delta^n (the
+    cycles) and -delta^{n-1} (the boundaries) are empty.  A lookup in the
+    shifts where it does, read from the dimensions of y and kept in r.memo
+    as a tuple (a set is several times its size)."""
+    def support():
+        entries, _ = memoised(r, "generators", lambda: _generators(r))
+        spots = {(k, v) for (k, _, v, _) in entries}
+        return tuple({j - k for (k, v) in spots
+                      for j, m in y.terms.items() if m.dim_at(v)})
+    return n in memoised(r, ("support", y), support)
 
 
 def _next_columns(r: Cx, target: Rep, k: int, v: int,
@@ -297,32 +310,35 @@ def _next_columns(r: Cx, target: Rep, k: int, v: int,
 
 
 def _system(r: Cx, t: Cx, layout: _GenLayout) -> RatMatrix:
-    """d_t s - s d_r (delta 0) or d_t s + s d_r (delta -1) on generator
-    data s of maps r^k -> t^{k + delta}, read in the chain-map layout of
-    r -> t^{k + delta + 1}.  With delta 0 its kernel is the chain maps
-    r -> t; with delta -1 it sends a homotopy to its boundary.
-    Block-bidiagonal by degree."""
+    """The Hom-complex differential s -> d_t s - s d_r on generator data s
+    of maps r^k -> t^k, read in the layout of r -> t[1]: delta^n for
+    t = y[n], whose kernel is the chain maps r -> t.  On t[-1], with terms
+    t^{k-1} and differential -d_t, it is -(d_t h + h d_r), minus the
+    boundary map of homotopies.  Block-bidiagonal by degree."""
     n = len(layout.entries)
     grid: list[list] = [[None] * n for _ in range(n)]
     heights = []
     for i, (k, c, v, pos) in enumerate(layout.entries):
-        k0 = k + layout.delta
-        heights.append(t.term(k0 + 1).dim_at(v))
-        dt = t.diffs.get(k0)
+        heights.append(t.term(k + 1).dim_at(v))
+        dt = t.diffs.get(k)
         if dt is not None:
             grid[i][i] = dt.block(v)
-        ev = _next_columns(r, t.term(k0 + 1), k, v, pos)
+        ev = _next_columns(r, t.term(k + 1), k, v, pos)
         if ev is not None:
             j = layout.first[k + 1]
-            grid[i][j:j + len(ev)] = (ev if layout.delta
-                                      else [-b for b in ev])
+            grid[i][j:j + len(ev)] = [-b for b in ev]
     return block_matrix(grid, heights, layout.sizes)
 
 
-def _hom_system(r: Cx, t: Cx, delta: int) -> RatMatrix:
-    """_system on the layout (r, t, delta), kept in r.memo."""
-    return memoised(r, ("system", t, delta),
-                    lambda: _system(r, t, _layout(r, t, delta)))
+def _hom_system(r: Cx, t: Cx) -> RatMatrix:
+    """_system on the layout (r, t), kept in r.memo."""
+    return memoised(r, ("system", t), lambda: _system(r, t, _layout(r, t)))
+
+
+def _echelon_of(r: Cx, t: Cx) -> Echelon:
+    """The forward pass of _hom_system(r, t), kept in r.memo: the rank a
+    dimension reads and the kernel a Hom space reads share it."""
+    return memoised(r, ("echelon", t), lambda: echelon(_hom_system(r, t)))
 
 
 def _images(r: Cx, t: Cx, layout: _GenLayout, vec: RatMatrix,
@@ -371,13 +387,13 @@ def solve_lift(p: Cx, g: RatMatrix, r: CxMap, n: int = 0,
     up to homotopy, for g the data of a map p -> target(r)[n], p tagged;
     raises LiftError when no lift exists.  r[n] is read off r's blocks."""
     src, tgt = shift(r.source, n), shift(r.target, n)
-    ulay = _layout(p, src, 0)
-    zlay = _layout(p, tgt, 0)
-    # rows: u is a chain map, then r u + (d h + h d) = g; the sign of the
+    ulay = _layout(p, src)
+    zlay = _layout(p, tgt)
+    # rows: u is a chain map, then r u - (d h + h d) = g; the sign of the
     # homotopy block does not change u
-    chain = _hom_system(p, src, 0)
+    chain = _hom_system(p, src)
     bnd = (RatMatrix.zeros(zlay.total, 0) if strict
-           else _hom_system(p, tgt, -1))
+           else _hom_system(p, shift(tgt, -1)))
     heights = [chain.rows, zlay.total]
     after = _after(lambda k, v: _block(r, k + n, v), ulay, zlay)
     system = block_matrix([[chain, None], [after, bnd]],
@@ -394,9 +410,9 @@ def lift_map(p: Cx, g: CxMap, r: CxMap, strict: bool = False) -> CxMap:
         raise LiftError("g must start at the tagged complex")
     if g.target is not r.target:
         raise LiftError("g and r must share their target")
-    vec = solve_lift(p, _map_to_vector(g, _layout(p, g.target, 0)), r,
+    vec = solve_lift(p, _map_to_vector(g, _layout(p, g.target)), r,
                      strict=strict)
-    return _vector_to_map(p, r.source, _layout(p, r.source, 0), vec)
+    return _vector_to_map(p, r.source, _layout(p, r.source), vec)
 
 
 def _block(f: CxMap, k: int, v: int) -> RatMatrix | None:
@@ -409,16 +425,21 @@ class DHomSpace:
     """Hom(x, y[n]) in the derived category, with a fixed coordinate basis.
 
     eps is the resolution of x, r its tagged complex and t = y[n]; classes
-    are chain maps r -> t modulo null-homotopic ones."""
+    are chain maps r -> t modulo null-homotopic ones: the kernel of
+    delta^n = _hom_system(r, t) modulo the columns of _hom_system(r, t[-1])
+    = -(d h + h d).  Both come from r.memo, with delta^n's forward pass, so
+    a space built after derived_hom eliminates delta^n no second time."""
 
     def __init__(self, x: Cx, y: Cx, n: int):
         self.x, self.y, self.n = x, y, n
         self.eps = resolve(x)
         self.r = self.eps.source
         self.t = shift(y, n)
-        self.layout = _layout(self.r, self.t, 0)
-        self.cycles = kernel_basis(_system(self.r, self.t, self.layout))
-        self.boundaries = _hom_system(self.r, self.t, -1)
+        self.layout = _layout(self.r, self.t)
+        self.cycles = kernel_basis(_echelon_of(self.r, self.t))
+        self.boundaries = (_hom_system(self.r, shift(self.t, -1))
+                           if _has_unknowns(self.r, y, n - 1)
+                           else RatMatrix.zeros(self.layout.total, 0))
         nb = self.boundaries.cols
         pivots = pivot_columns(hstack([self.boundaries, self.cycles]))
         self.picked = self.cycles.take(None, [p - nb for p in pivots if p >= nb])
@@ -452,7 +473,7 @@ class DHomSpace:
         if (q.target is not self.x or post.target is not self.t
                 or post.source is not q.source):
             raise LiftError("roof not anchored to this Hom space")
-        aug = _map_to_vector(self.eps, _layout(self.r, self.x, 0))
+        aug = _map_to_vector(self.eps, _layout(self.r, self.x))
         return self._lifted_after(aug, q, 0, partial(_block, post))
 
     def extension_class(self, maps: tuple[RepMap, ...]) -> "DHomClass":
@@ -491,7 +512,7 @@ class DHomSpace:
         """The class of post u for u the lift of generator data g by q[n],
         for post(k, v) the blocks of a map out of source(q)[n]."""
         u = solve_lift(self.r, g, q, n)
-        lay = _layout(self.r, shift(q.source, n), 0)
+        lay = _layout(self.r, shift(q.source, n))
         return self.class_of_vector(_after(post, lay, self.layout) @ u)
 
     def representative(self, cls: "DHomClass") -> CxMap:
@@ -544,12 +565,25 @@ def dhom_space(x, y, n: int) -> DHomSpace:
 
 
 def derived_hom(x, y, n: int) -> int:
-    """dim Hom(x, y[n]); 0 without building the space when its chain maps
-    have no unknowns."""
+    """dim Hom(x, y[n]) = dim H^n of Hom(r, y), r the resolution of x:
+    nullity of delta^n less rank of delta^{n-1}, whose negation is the
+    boundary map; exact because the boundaries lie in the cycles
+    (delta^n delta^{n-1} = 0 by d^2 = 0).  Ranks come from the forward
+    passes kept in r.memo, so a scan over n builds and eliminates each
+    delta once.  Builds no Hom space; one already built answers with its
+    dim."""
     cx, cy = as_cx(x), as_cx(y)
-    if not _has_unknowns(resolve(cx).source, cy, n):
+    sp = cx.memo.get((cy, n))
+    if sp is not None:
+        return sp.dim
+    r = resolve(cx).source
+    if not _has_unknowns(r, cy, n):
         return 0
-    return dhom_space(cx, cy, n).dim
+    ech = _echelon_of(r, shift(cy, n))
+    dim = ech.cols - len(ech.pivots)
+    if dim and _has_unknowns(r, cy, n - 1):
+        dim -= len(_echelon_of(r, shift(cy, n - 1)).pivots)
+    return dim
 
 
 def identity_class(x) -> DHomClass:

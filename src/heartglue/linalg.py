@@ -23,13 +23,15 @@ date with one exact multiply and division when it is next used.  Back
 substitution works on ``d * rref`` with d the last pivot, which is the
 determinant of the pivot minor up to sign; by Cramer's rule that is an int
 matrix as well, so its divisions are exact too.  ``pivot_columns``,
-``rank`` and ``complement_pivots`` need the forward pass only.
+``rank`` and ``complement_pivots`` need the forward pass only; an
+``Echelon`` keeps one, for a rank read now and a kernel read later.
 
 Row order cannot change a result.  The pivot columns and the rref of a
 matrix are unique, ``kernel_basis`` reads its basis off the rref, and
 ``solve`` returns the solution whose free variables are all zero, which
-the rref determines.  Only the scale of the intermediate rows depends on
-the order.
+the rref determines (with b = 0 it is 0, and with m = 0 and b != 0 there
+is none, both read off without an elimination).  Only the scale of the
+intermediate rows depends on the order.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import eq
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 _NO: dict = {}  # the shared empty row
 _ZERO = Fraction(0)
@@ -510,18 +512,32 @@ def rank(m: RatMatrix) -> int:
     return len(pivot_columns(m))
 
 
-def kernel_basis(m: RatMatrix) -> RatMatrix:
-    """Matrix whose columns are a basis of ker m (column count = nullity).
+class Echelon(NamedTuple):
+    """The forward pass of a matrix with cols columns: its pivot rows and
+    pivot columns, kept so that a rank read now and a kernel read later
+    share one elimination."""
+    cols: int
+    rows: list[dict]
+    pivots: list[int]
+
+
+def echelon(m: RatMatrix) -> Echelon:
+    return Echelon(m.cols, *_echelon(m.nz))
+
+
+def kernel_basis(m: RatMatrix | Echelon) -> RatMatrix:
+    """Matrix whose columns are a basis of ker m (column count = nullity);
+    m may be a matrix or its kept forward pass.
 
     The basis vector for free column j has v[j] = 1 and v[pc] = -rref[k][j]
     on the pivot columns pc, so it is the same rational basis rref gives.
     """
-    rows, pivots = _echelon(m.nz)
+    cols, rows, pivots = m if isinstance(m, Echelon) else echelon(m)
     pivot_set = set(pivots)
-    free = {j: t for t, j in enumerate(j for j in range(m.cols)
+    free = {j: t for t, j in enumerate(j for j in range(cols)
                                        if j not in pivot_set)}
     d, red = _back(rows, pivots, 0)
-    grid: list[dict] = [_NO] * m.cols
+    grid: list[dict] = [_NO] * cols
     for j, t in free.items():
         grid[j] = {t: d}
     for k, pc in enumerate(pivots):  # red[k] is 0 on the other pivots
@@ -538,6 +554,10 @@ def solve(m: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     if b.rows != m.rows:
         raise ValueError(f"solve: rows(b)={b.rows} != rows(m)={m.rows}")
     nc = m.cols
+    if not any(b.nz):  # every variable zero, free or not
+        return RatMatrix.zeros(nc, b.cols)
+    if not any(m.nz):  # a nonzero b outside the span of 0
+        return None
     aug = hstack([m, b])
     rows, pivots = _echelon(aug.nz)
     if pivots and pivots[-1] >= nc:

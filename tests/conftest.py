@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import Cx, CxMap, ses_to_triangle
-from heartglue.derived import compose_classes, derived_hom, dhom_space
+from heartglue.derived import (_generators, _next_columns, compose_classes,
+                               derived_hom, dhom_space)
 from heartglue.glue import _scan_range
-from heartglue.linalg import RatMatrix
+from heartglue.linalg import RatMatrix, block_matrix
 from heartglue.reps import (RepMap, block_map, cokernel, compose as rcompose,
                             direct_sum, generator_positions, image,
                             map_from_generators, projective_sum, through_epi)
@@ -91,6 +92,26 @@ def chopped_class(x):
             tri.comparison, tri.cone_of_f.projection(0))
         cls = delta if cls is None else compose_classes(delta, cls)
     return cls
+
+
+def homotopy_boundary_system(r: Cx, t: Cx) -> RatMatrix:
+    """The boundary map h -> d_t h + h d_r of homotopies h: r^k -> t^{k-1},
+    on generator data in degree order, read in the generator data of maps
+    r^k -> t^k: the system Hom spaces solved for their boundaries before
+    it was read as minus the Hom-complex differential into t[-1]; an
+    oracle for that identity."""
+    entries, first = _generators(r)
+    grid: list[list] = [[None] * len(entries) for _ in entries]
+    for i, (k, _, v, pos) in enumerate(entries):
+        dt = t.diffs.get(k - 1)
+        if dt is not None:
+            grid[i][i] = dt.block(v)
+        ev = _next_columns(r, t.term(k), k, v, pos)
+        if ev is not None:
+            j = first[k + 1]
+            grid[i][j:j + len(ev)] = ev
+    return block_matrix(grid, [t.term(k).dim_at(v) for k, _, v, _ in entries],
+                        [t.term(k - 1).dim_at(v) for k, _, v, _ in entries])
 
 
 def cokernel_pushout(g: RepMap, f: RepMap, nxt: RepMap):

@@ -1,5 +1,6 @@
 """Command line front end: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -523,6 +524,52 @@ class TestPlumbing:
         code, rendered = run(JobSpec(command="ext-table",
                                      algebra_path=corpus("a2"), window=0))
         assert code == 2
+
+
+class TestScaledReportsArePinned:
+    """ext-table reports on scaled families, simples then projectives,
+    pinned by the sha-256 of their JSON rendering: a change to how Hom
+    dimensions are computed must leave every byte as it was."""
+
+    PINNED = {
+        "K32":
+            "8984be0349731e0168fb7ccdd4991806417e73670ea9f91c0989ef04ee850d4b",
+        "A20":
+            "0c342fd3cf4bbbac44056151a0c4f9b2a1b82780fc401af557b3871badee6991",
+        "A12-rad2":
+            "d16dec0c2c3eaa327869ddb94d837e49c0106e569a297981b450fa3c78f1a4de",
+    }
+
+    @staticmethod
+    def _algebra(name):
+        """K<m>: two vertices, m arrows; A<n>[-rad2]: the linear quiver,
+        with every length-two path zero under -rad2."""
+        if name.startswith("K"):
+            return {"vertices": 2, "relations": [],
+                    "arrows": [{"name": f"x{i}", "source": 1, "target": 2}
+                               for i in range(1, int(name[1:]) + 1)]}
+        n = int(name[1:].removesuffix("-rad2"))
+        rels = ([[{"coef": "1", "path": [f"a{i}", f"a{i + 1}"]}]
+                 for i in range(1, n - 1)] if name.endswith("-rad2") else [])
+        return {"vertices": n, "relations": rels,
+                "arrows": [{"name": f"a{i}", "source": i, "target": i + 1}
+                           for i in range(1, n)]}
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_ext_table_report_is_pinned(self, tmp_path, name):
+        alg = self._algebra(name)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(alg), encoding="utf-8")
+        n = alg["vertices"]
+        objs = objects_file(tmp_path, [
+            {"type": kind, "vertex": i}
+            for kind in ("simple", "projective") for i in range(1, n + 1)])
+        code, rendered = run(JobSpec(command="ext-table",
+                                     algebra_path=str(path),
+                                     object_paths=(objs,), output="json"))
+        assert code == 0
+        digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+        assert digest == self.PINNED[name]
 
 
 class TestCorpus:

@@ -1,13 +1,15 @@
 """Resolutions and derived Hom: dimensions, composition, dual-route oracles."""
 
 import gc
+import json
 import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import is_minimal, random_map, random_sum
+from conftest import (homotopy_boundary_system, is_minimal, random_map,
+                      random_sum)
 from heartglue import derived, linalg
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.glue import _scan_range
@@ -28,7 +30,7 @@ from heartglue.reps import (
     simple,
     tagged_basis,
 )
-from heartglue.cli import CORPUS_NAMES, corpus_path
+from heartglue.cli import CORPUS_NAMES, JobSpec, corpus_path, run
 from heartglue.complexes import (
     Cx,
     CxMap,
@@ -58,6 +60,27 @@ from heartglue.derived import (
 )
 
 BUNDLED = CORPUS_NAMES + ("branching",)
+# linear A5 with every length-two path zero, and the Kronecker quiver with
+# five arrows, as algebra descriptions
+SCALED = {
+    "A5-rad2": {"vertices": 5,
+                "arrows": [{"name": f"a{i}", "source": i, "target": i + 1}
+                           for i in range(1, 5)],
+                "relations": [[{"coef": "1", "path": [f"a{i}", f"a{i + 1}"]}]
+                              for i in range(1, 4)]},
+    "K5": {"vertices": 2, "relations": [],
+           "arrows": [{"name": f"x{i}", "source": 1, "target": 2}
+                      for i in range(1, 6)]},
+}
+
+
+def _algebra_path(name, tmp_path) -> str:
+    """The file of a bundled algebra, or one of SCALED written to tmp_path."""
+    if name not in SCALED:
+        return str(corpus_path(name))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SCALED[name]), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -193,9 +216,9 @@ def _two_term(alg):
     raise AssertionError("no map between distinct projectives")
 
 
-@pytest.mark.parametrize("name", BUNDLED)
-def test_unknown_free_spaces_are_zero(name):
-    alg = load_algebra(str(corpus_path(name)))
+@pytest.mark.parametrize("name", BUNDLED + tuple(SCALED))
+def test_unknown_free_spaces_are_zero(name, tmp_path):
+    alg = load_algebra(_algebra_path(name, tmp_path))
     n = alg.vertex_count
     objs = [as_cx(simple(alg, i)) for i in range(1, n + 1)]
     objs += [as_cx(projective(alg, i)) for i in range(1, n + 1)]
@@ -207,6 +230,97 @@ def test_unknown_free_spaces_are_zero(name):
                 full = DHomSpace(x, y, k)
                 assert derived_hom(x, y, k) == full.dim
                 assert _has_unknowns(r, y, k) == (full.layout.total > 0)
+
+
+def _check_hom_complex(x, y):
+    """delta^n delta^{n-1} = 0 on the Hom complex Hom(r, y), r the
+    resolution of x, and its boundary system is minus the oracle's
+    d h + h d, at every shift of the scan range; returns the shifts
+    where delta^{n-1} has a nonzero entry."""
+    r = resolve(x).source
+    nonzero = 0
+    for n in _scan_range(x, y):
+        t = shift(y, n)
+        delta, before = derived._hom_system(r, t), derived._hom_system(
+            r, shift(t, -1))
+        assert (delta @ before).is_zero()
+        assert before == -homotopy_boundary_system(r, t)
+        nonzero += not before.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("name", BUNDLED + tuple(SCALED))
+def test_hom_complex_differential_squares_to_zero(name, tmp_path):
+    alg = load_algebra(_algebra_path(name, tmp_path))
+    objs = _objects(alg)
+    assert sum(_check_hom_complex(x, y) for x in objs for y in objs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hom_complex_identity_on_random_objects(kron, a3rel, commsquare,
+                                                data):
+    alg = data.draw(st.sampled_from([kron, a3rel, commsquare]))
+    m, n = data.draw(random_module(alg)), data.draw(random_module(alg))
+    homs = hom_space(m, n)
+    f = data.draw(st.sampled_from(homs)) if homs else None
+    x = Cx(alg, {-1: m, 0: n}, {-1: f} if f is not None else {})
+    y = data.draw(st.sampled_from(_objects(alg) + [x]))
+    _check_hom_complex(x, y)
+    _check_hom_complex(y, x)
+
+
+def _counting(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call of owner.name."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["kronecker", "A5-rad2"])
+def test_ext_table_builds_each_differential_once(name, tmp_path,
+                                                 monkeypatch):
+    # a dimension-only job reads ranks: no Hom space, and one system per
+    # (r, t) however many shifts read it
+    n = SCALED[name]["vertices"] if name in SCALED else 2
+    objs = tmp_path / "objs.json"
+    objs.write_text(json.dumps({"objects": [
+        {"type": kind, "vertex": i}
+        for kind in ("simple", "projective") for i in range(1, n + 1)]}),
+        encoding="utf-8")
+    spaces = _counting(monkeypatch, DHomSpace, "__init__")
+    systems = _counting(monkeypatch, derived, "_system")
+    code, _ = run(JobSpec(command="ext-table",
+                          algebra_path=_algebra_path(name, tmp_path),
+                          object_paths=(str(objs),), output="json"))
+    assert code == 0
+    assert spaces == []
+    pairs = [(id(r), id(t)) for r, t, _ in systems]  # calls keeps them alive
+    assert pairs and len(set(pairs)) == len(pairs)
+
+
+def test_a_space_built_after_its_dimension_builds_no_system(kron,
+                                                            monkeypatch):
+    # Ext^1(S2, P2) on the Kronecker quiver: delta^1 and delta^0 both have
+    # columns and delta^0 is nonzero, so both ranks are read first
+    x, y = as_cx(simple(kron, 2)), as_cx(projective(kron, 2))
+    r = resolve(x).source
+    assert _has_unknowns(r, y, 0) and _has_unknowns(r, y, 1)
+    assert derived_hom(x, y, 1) == 3
+    systems = _counting(monkeypatch, derived, "_system")
+    runs = _counting(monkeypatch, linalg, "_echelon")
+    sp = dhom_space(x, y, 1)
+    assert sp.dim == 3 and derived_hom(x, y, 1) == 3
+    assert systems == []
+    # delta^1's forward pass is the kept one: the only elimination picks
+    # the cycles independent modulo the boundaries
+    assert not sp.boundaries.is_zero() and len(runs) == 1
 
 
 @settings(max_examples=25, deadline=None)

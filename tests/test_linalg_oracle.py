@@ -240,6 +240,25 @@ def test_solve(g, nb, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(any_grid, st.integers(0, 3), st.integers(0, 4))
+def test_solve_with_a_zero_side(g, nb, k):
+    # b = 0 is solved by 0, the free-variables-zero solution, and m = 0
+    # solves only b = 0; shapes with 0 rows or 0 columns included
+    new, old = pair(g)
+    r, c, _ = g
+    zero = lin.solve(new, lin.RatMatrix.zeros(r, nb))
+    assert agree(zero, ref.solve(old, ref.RatMatrix.zeros(r, nb)))
+    assert zero == lin.RatMatrix.zeros(c, nb)
+    got = lin.solve(lin.RatMatrix.zeros(r, k), new)
+    want = ref.solve(ref.RatMatrix.zeros(r, k), old)
+    assert (got is None) == (want is None) == (not new.is_zero())
+    if want is not None:
+        assert agree(got, want)
+    with pytest.raises(ValueError, match="rows"):
+        lin.solve(lin.RatMatrix.zeros(r + 1, k), new)
+
+
+@settings(max_examples=100, deadline=None)
 @given(any_grid, st.integers(0, 4), st.data())
 def test_span_coordinates(g, k, data):
     # m = [a | p] with p's columns unit vectors outside span(a) plus
