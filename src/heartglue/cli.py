@@ -237,7 +237,7 @@ def _run_yoneda_oracle(job: JobSpec):
                     continue
                 sp = dhom_space(a, b, n)
                 good = all(
-                    f_map(splice_from_class(c, a, b, n)).coords == c.coords
+                    f_map(splice_from_class(c, a, b, n)) == c
                     for c in sp.basis())
                 ok = ok and good
                 checked += sp.dim

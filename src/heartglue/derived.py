@@ -23,9 +23,14 @@ block-diagonal product (_after): composition lifts through the shifted
 resolution of the middle object, then applies the second class's blocks
 read off its generator data; a roof X <- W -> Y[n] lifts through W -> X.
 The class of an exact sequence of modules Y -> M_1 -> ... -> M_n -> X
-is read off the augmentation lifted strictly along it, a degree at a
-time (extension_class). Chain maps are built only where a cone or a
-module map needs one, with no component into a zero term.
+is read off the augmentation lifted strictly along it (extension_class),
+a degree and a vertex at a time: the lifts of every generator of R^k at
+v solve one system f_v h = rhs, where rhs is the augmentation's columns
+at k = 0 and below it the vertex-v block of the lift in degree k + 1
+times the columns of d^k at those generators. A class carries its
+coordinate column; its Fraction coordinates are read off only on
+request. Chain maps are built only where a cone or a module map needs
+one, with no component into a zero term.
 
 Memo policy: each result is kept in the memo of the object it describes
 and nowhere else. A module's memo holds its complex and its identity; a
@@ -37,21 +42,22 @@ forward elimination, which gives its rank and kernel, keyed by
 ("echelon", t), the shifts n where maps into y[n] have generator data
 keyed by ("support", y), and the splitting of its
 differential d^k keyed by ("splitting", k), which yoneda pushes
-resolutions out along; x's memo holds the composite of c1 out of x and
-c2 keyed by ("compose", c2, c1); a Hom space's memo holds the factors
-of its coordinates (span_coordinates) keyed by "coordinates", built by
-its first class_of_vector. Keys compare by identity (a class by its
-space and coordinates), since classes, lifts and class_of check
+resolutions out along; a splitting's memo holds the blocks of the
+pushouts along it that no class changes, keyed by (B, nxt); x's memo
+holds the composite of c1 out of x and c2 keyed by ("compose", c2, c1);
+a Hom space's memo holds the factors of its coordinates
+(span_coordinates, stacked as one matrix) keyed by "coordinates", built
+by its first class_of_vector. Keys compare by identity (a class by its
+space and coordinate column), since classes, lifts and class_of check
 endpoints with `is`: only the objects of the first request hit. An
 entry dies with its object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import accumulate
+from typing import Sequence
 
 from .algebra import memoised
 from .complexes import (
@@ -270,9 +276,15 @@ class _GenLayout:
         self.offsets = list(accumulate(self.sizes, initial=0))
         self.total = self.offsets[-1]
 
-    def block(self, vec: RatMatrix, i: int) -> RatMatrix:
-        """Block i of the column vec."""
-        return vec.take(range(self.offsets[i], self.offsets[i + 1]), None)
+    def rows(self, gens: range) -> range:
+        """The rows of the blocks of the generators gens."""
+        return range(self.offsets[gens.start], self.offsets[gens.stop])
+
+    def blocks(self, part: RatMatrix, gens: range) -> list[RatMatrix]:
+        """The blocks of part, the rows self.rows(gens) of a column."""
+        lo, off = self.offsets[gens.start], self.offsets
+        return [part.take(range(off[i] - lo, off[i + 1] - lo), None)
+                for i in gens]
 
 
 def _layout(r: Cx, t: Cx) -> _GenLayout:
@@ -341,15 +353,22 @@ def _echelon_of(r: Cx, t: Cx) -> Echelon:
     return memoised(r, ("echelon", t), lambda: echelon(_hom_system(r, t)))
 
 
+def _degree(r: Cx, t: Cx, layout: _GenLayout, k: int) -> range | None:
+    """The generators of r^k, as indices into layout.entries; None where
+    r^k or t^k is zero."""
+    term = r.terms.get(k)
+    if term is None or not term.proj_gens or not t.term(k).total_dim:
+        return None
+    return range(layout.first[k], layout.first[k] + len(term.proj_gens))
+
+
 def _images(r: Cx, t: Cx, layout: _GenLayout, vec: RatMatrix,
             k: int) -> list[RatMatrix] | None:
     """The degree-k generator blocks of vec, the data of maps r -> t (one
     per column); None where r^k or t^k is zero."""
-    term = r.terms.get(k)
-    if term is None or not term.proj_gens or not t.term(k).total_dim:
-        return None
-    i = layout.first[k]
-    return [layout.block(vec, i + c) for c in range(len(term.proj_gens))]
+    gens = _degree(r, t, layout, k)
+    return (None if gens is None
+            else layout.blocks(vec.take(layout.rows(gens), None), gens))
 
 
 def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
@@ -447,11 +466,11 @@ class DHomSpace:
         self.memo: dict = {}
 
     def zero(self) -> "DHomClass":
-        return DHomClass(self, (Fraction(0),) * self.dim)
+        return DHomClass(self, RatMatrix.zeros(self.dim, 1))
 
     def basis(self) -> list["DHomClass"]:
-        eye = RatMatrix.identity(self.dim)
-        return [DHomClass(self, eye.col(i)) for i in range(self.dim)]
+        return [DHomClass(self, e)
+                for e in RatMatrix.identity(self.dim).columns()]
 
     def class_of(self, u: CxMap) -> "DHomClass":
         if u.source is not self.r or u.target is not self.t:
@@ -461,11 +480,17 @@ class DHomSpace:
     def class_of_vector(self, vec: RatMatrix) -> "DHomClass":
         """The class of generator data vec, a column in the layout: the picked
         part of solve([boundaries | picked], vec), by the factors in memo."""
-        coords, check = memoised(self, "coordinates", lambda: span_coordinates(
-            hstack([self.boundaries, self.picked]), self.dim))
-        if not (check @ vec).is_zero():
+        both = memoised(self, "coordinates", self._factors) @ vec
+        if not both.take(range(self.dim, both.rows), None).is_zero():
             raise LiftError("vector is not a cycle in this Hom space")
-        return DHomClass(self, (coords @ vec).col(0))
+        return DHomClass(self, both.take(range(self.dim), None))
+
+    def _factors(self) -> RatMatrix:
+        """span_coordinates of [boundaries | picked] stacked as [C; K]: one
+        product gives a vector's coordinates, then its cycle check."""
+        c, k = span_coordinates(hstack([self.boundaries, self.picked]),
+                                self.dim)
+        return block_matrix([[c], [k]], [c.rows, k.rows], [c.cols])
 
     def roof_class(self, q: CxMap, post: CxMap) -> "DHomClass":
         """The class of post q^-1 for a quasi-isomorphism q: w -> x and
@@ -479,33 +504,42 @@ class DHomSpace:
     def extension_class(self, maps: tuple[RepMap, ...]) -> "DHomClass":
         """The class of the exact sequence y -> m_1 -> ... -> m_n -> x with
         maps maps[0] .. maps[n] (comparison theorem, Weibel Thm 2.2.6): the
-        augmentation lifted strictly along it a degree at a time, read in
-        degree -n.  The lift is a chain map into the sequence rolled up
-        over x, so its class is that of the roof through it.  Builds no map."""
+        augmentation lifted strictly along it, read in degree -n, with one
+        solve per degree and vertex for all the generators there.  The
+        lift is a chain map into the sequence rolled up over x, so its
+        class is that of the roof through it.  Builds no map."""
         n, r = self.n, self.r
         if (len(maps) != n + 1 or maps[0].source is not self.t.term(-n)
                 or maps[n].target is not self.x.term(0)):
             raise LiftError("sequence not anchored to this Hom space")
         if self.dim == 0 or -n not in r.terms:
             return self.zero()
+        lay = self.layout
         prev: list[RatMatrix] = []  # the lift's generator data in degree k + 1
         for k in range(0, -n - 1, -1):
-            f, cur = maps[n + k], []
-            for (_, v, pos) in generator_positions(r.terms[k]):
+            f, i, ngens = maps[n + k], lay.first[k], len(r.terms[k].proj_gens)
+            at: dict[int, list[tuple[int, int]]] = {}  # v: (copy, position)
+            for (_, c, v, pos) in lay.entries[i:i + ngens]:
+                at.setdefault(v, []).append((c, pos))
+            cur: list = [None] * ngens
+            for v, here in at.items():
+                cols = [pos for _, pos in here]
                 if k == 0:
-                    rhs = self.eps.comp(0).block(v).col_matrix(pos)
-                else:  # the lift in degree k + 1 at d_r of the generator
-                    us = _next_columns(r, f.target, k, v, pos) or ()
-                    rhs = sum((u @ h for u, h in zip(us, prev)),
-                              RatMatrix.zeros(f.target.dim_at(v), 1))
+                    rhs = self.eps.comp(0).block(v).take(None, cols)
+                elif (dr := r.diffs.get(k)) is None:
+                    rhs = RatMatrix.zeros(f.target.dim_at(v), len(cols))
+                else:  # the lift in degree k + 1 at d_r of the generators
+                    rhs = (generator_block(r.terms[k + 1], f.target, prev, v)
+                           @ dr.block(v).take(None, cols))
                 h = solve(f.block(v), rhs)
                 if h is None:
                     raise LiftError("no lift along the sequence")
-                cur.append(h)
+                for (c, _), col in zip(here, h.columns()):
+                    cur[c] = col
             prev = cur
         grid = [[prev[c] if k == -n else None]
-                for (k, c, _, _) in self.layout.entries]
-        return self.class_of_vector(block_matrix(grid, self.layout.sizes, [1]))
+                for (k, c, _, _) in lay.entries]
+        return self.class_of_vector(block_matrix(grid, lay.sizes, [1]))
 
     def _lifted_after(self, g: RatMatrix, q: CxMap, n: int,
                       post) -> "DHomClass":
@@ -521,42 +555,61 @@ class DHomSpace:
 
     def component(self, cls: "DHomClass", k: int) -> RepMap:
         """The degree-k component of the representative of cls, read from
-        generator data alone (zero where it is absent)."""
+        generator data alone (zero where it is absent): one product of the
+        degree-k rows of picked with the class column."""
         src, tgt = self.r.term(k), self.t.term(k)
-        # only degree k is multiplied
-        rows = _images(self.r, self.t, self.layout, self.picked, k)
-        return (zero_map(src, tgt) if rows is None
-                else map_from_generators(src, tgt,
-                                         [b @ cls.column for b in rows]))
+        gens = _degree(self.r, self.t, self.layout, k)
+        if gens is None:
+            return zero_map(src, tgt)
+        part = self.picked.take(self.layout.rows(gens), None) @ cls.column
+        return map_from_generators(src, tgt, self.layout.blocks(part, gens))
 
 
-@dataclass(frozen=True)
 class DHomClass:
-    space: DHomSpace
-    coords: tuple[Fraction, ...]
+    """A class in a Hom space, held as its coordinate column (dim x 1).
 
-    def __hash__(self) -> int:  # memo keys hash a class often: hash it once
+    coords, the same entries as Fractions, is read off the column when a
+    report or a caller asks; arithmetic, products and equality use the
+    column, so a class built by the space never makes a Fraction.
+    Equality and hashing are by space and value; a class is never
+    changed once built."""
+
+    def __init__(self, space: DHomSpace, coords: RatMatrix | Sequence):
+        """coords: the coordinates, as a column or a sequence of rationals."""
+        col = (coords if isinstance(coords, RatMatrix)
+               else RatMatrix.column(coords))
+        if col.shape != (space.dim, 1):
+            raise LiftError("coordinates do not fit the Hom space")
+        self.space, self.column = space, col
+
+    def __repr__(self) -> str:
+        return f"DHomClass({self.coords})"
+
+    coords = cached_property(lambda self: self.column.col(0))
+    # memo keys hash a class often: hash it once
+    _hash = cached_property(lambda self: hash((self.space, self.column)))
+
+    def __hash__(self) -> int:
         return self._hash
 
-    _hash = cached_property(lambda self: hash((self.space, self.coords)))
-    # the coordinates as a RatMatrix column, parsed once per class
-    column = cached_property(lambda self: RatMatrix.column(self.coords))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DHomClass):
+            return NotImplemented
+        return self.space is other.space and self.column == other.column
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self.column.is_zero()
 
     def __add__(self, other: "DHomClass") -> "DHomClass":
         if other.space is not self.space:
             raise LiftError("classes live in different Hom spaces")
-        return DHomClass(self.space,
-                         tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return DHomClass(self.space, self.column + other.column)
 
     def __sub__(self, other: "DHomClass") -> "DHomClass":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, a) -> "DHomClass":
-        a = Fraction(a)
-        return DHomClass(self.space, tuple(a * c for c in self.coords))
+        return DHomClass(self.space, self.column.scale(a))
 
 
 def dhom_space(x, y, n: int) -> DHomSpace:

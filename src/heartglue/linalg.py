@@ -155,6 +155,14 @@ class RatMatrix:
         return _new(tuple({0: x} if (x := r.get(j)) else _NO for r in self.nz),
                     self.den, 1)
 
+    def columns(self) -> list["RatMatrix"]:
+        """Every column as a rows x 1 matrix, in one pass over the nonzeros."""
+        out = [[_NO] * self.rows for _ in range(self.cols)]
+        for i, r in enumerate(self.nz):
+            for j, x in r.items():
+                out[j][i] = {0: x}
+        return [_new(tuple(c), self.den, 1) for c in out]
+
     def _index(self, j: int) -> int:
         """j, checked against range(cols): a row dict has no key to miss."""
         if not 0 <= j < self.cols:
@@ -386,13 +394,16 @@ def block_matrix(grid: Sequence[Sequence[RatMatrix | None]],
     column j, of shape heights[i] x widths[j]; a None block is zero.
     Each block's rows are written once into the joined rows.  An empty vertex
     piece costs nothing: a grid with no entries or no filled block is the
-    shared zero, and a 1x1 grid is its block."""
-    slots = [(m, h, w) for row, h in zip(grid, heights, strict=True)
-             for m, w in zip(row, widths, strict=True)]
-    if any(m is not None and m.shape != (h, w) for m, h, w in slots):
-        raise ValueError("a block does not fit its slot")
-    filled = [m for m, _, _ in slots if m is not None]
-    if len(slots) == 1 and filled:
+    shared zero, and a 1x1 grid is its block.  A grid one block wide
+    shares its blocks' rows."""
+    filled = []
+    for row, h in zip(grid, heights, strict=True):
+        for m, w in zip(row, widths, strict=True):
+            if m is not None:
+                if m.rows != h or m.cols != w:
+                    raise ValueError("a block does not fit its slot")
+                filled.append(m)
+    if len(heights) == len(widths) == 1 and filled:
         return filled[0]
     if not (filled and sum(heights) and sum(widths)):
         return RatMatrix.zeros(sum(heights), sum(widths))
@@ -403,7 +414,11 @@ def block_matrix(grid: Sequence[Sequence[RatMatrix | None]],
     top = 0
     for row, h in zip(grid, heights):
         for m, left in zip(row, lefts):
-            if m is not None:
+            if m is None:
+                continue
+            if len(widths) == 1:
+                out[top:top + h] = next(joined)
+            else:
                 _place(out, top, left, next(joined))
         top += h
     return _raw(tuple(out), den, lefts[-1])
@@ -504,7 +519,10 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
 
 def pivot_columns(m: RatMatrix) -> tuple[int, ...]:
-    """The pivot columns of rref(m), from the forward pass alone."""
+    """The pivot columns of rref(m), from the forward pass alone; none,
+    without an elimination, when m is zero."""
+    if not any(m.nz):
+        return ()
     return tuple(_echelon(m.nz)[1])
 
 

@@ -300,7 +300,8 @@ def generator_block(t: Rep, n: Rep, images: Sequence[RatMatrix],
                     j: int) -> RatMatrix:
     """The vertex-j block of map_from_generators(t, n, images), read
     without building or checking the map."""
-    cols = [n.act_basis_path(p) @ images[c] for c, p in tagged_basis(t, j)]
+    cols = [n.act_path_word(p.arrows) @ images[c] if p.arrows else images[c]
+            for c, p in tagged_basis(t, j)]  # e_v acts by the identity
     return hstack(cols) if cols else RatMatrix.zeros(n.dim_at(j), 0)
 
 

@@ -22,15 +22,24 @@ Pushout, pullback, splice product and Baer sum act on explicit
 sequences; exactness is re-certified by the YExt constructor on every
 build.  A pushout along f is written down from a splitting of f (one
 elimination per vertex, kept in the resolution's memo when f is one of
-its differentials), so each class costs block products only; a
-pullback is the kernel of a two-block map.
+its differentials); a pullback is the kernel of a two-block map.
+
+Each class costs block products and the checks.  Splicing it takes one
+product of the degree -n rows of the space's basis with its coordinate
+column, the module map with those generator images, and per arrow one
+product and one join for the pushout's action; the pushout's two maps
+reuse blocks kept with the splitting.  Reading it back takes one solve
+and one product per (degree, vertex) that has generators, and one
+product with the space's coordinate factors.  Every module, map and
+YExt built is validated in full, and no Fraction is made unless a
+caller reads `coords`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import memoised
+from .algebra import memo_field, memoised
 from .linalg import (RatMatrix, block_matrix, hstack, pivot_columns, rank,
                      solve, span_membership)
 from .reps import (ID, Rep, RepError, RepMap, block_map, direct_sum,
@@ -92,11 +101,10 @@ class YClass:
     def __eq__(self, other) -> bool:
         if not isinstance(other, YClass):
             return NotImplemented
-        return (self.canonical.space is other.canonical.space
-                and self.canonical.coords == other.canonical.coords)
+        return self.canonical == other.canonical
 
     def __hash__(self) -> int:
-        return hash((self.canonical.space, self.canonical.coords))
+        return hash(self.canonical)
 
 
 def yclass(witness: YExt) -> YClass:
@@ -163,13 +171,16 @@ class _Splitting:
     E I[:, C] = I.  proj[v] is S_v f_v.  For an arrow a: s -> t acting by
     L_a and M_a, act[a] = E_s M_a[:, C_t] is the action on the
     complement, and mix[a] = S_s M_a[:, C_t] is how far S fails to be
-    natural there: (S_s M_a - L_a S_t)[:, C_t], as S I[:, C] = 0."""
+    natural there: (S_s M_a - L_a S_t)[:, C_t], as S I[:, C] = 0.  memo
+    keeps the blocks of the pushouts along it that do not depend on the
+    map pushed out along, keyed by (B, nxt)."""
 
     f: RepMap
     cols: tuple[tuple[int, ...], ...]
     proj: tuple[RatMatrix, ...]
     act: dict[str, RatMatrix]
     mix: dict[str, RatMatrix]
+    memo: dict = memo_field()
 
 
 def _splitting(f: RepMap) -> _Splitting:
@@ -200,6 +211,18 @@ def _splitting(f: RepMap) -> _Splitting:
                       act, mix)
 
 
+def _frame(split: _Splitting, b: Rep, nxt: RepMap):
+    """The blocks of a pushout along split into b that no map fixes: per
+    vertex [I; 0] of B -> X and [0, nxt_v[:, C_v]] of X -> N."""
+    widths = [len(c) for c in split.cols]
+    into = tuple(block_matrix([[RatMatrix.identity(d)], [None]], [d, w], [d])
+                 for d, w in zip(b.dims, widths))
+    onto = tuple(block_matrix([[None, nb.take(None, c)]], [nb.rows],
+                              [d, len(c)])
+                 for nb, c, d in zip(nxt.blocks, split.cols, b.dims))
+    return widths, into, onto
+
+
 def _pushout(g: RepMap, split: _Splitting,
              nxt: RepMap) -> tuple[Rep, RepMap, RepMap]:
     """The pushout X of g: L -> B and f: L -> M, with its map B -> X and
@@ -209,7 +232,10 @@ def _pushout(g: RepMap, split: _Splitting,
     With the splitting (S, E, C) of f, X_v = B_v + k^{C_v} and the
     quotient B + M -> X is (b, m) -> (b + g S m, E m).  An arrow a acts
     on X by [[B_a, g_s N_a], [0, F_a]] with F = split.act and
-    N = split.mix; B -> X is [I; 0] and X -> N is [0, nxt_v[:, C_v]]."""
+    N = split.mix; B -> X is [I; 0] and X -> N is [0, nxt_v[:, C_v]].
+    Those two maps' blocks depend on (B, nxt) alone and are kept in
+    split.memo; an arrow's action is one join of four blocks, as joining
+    a kept lower row to the upper one costs a second join."""
     f = split.f
     if g.source is not f.source or nxt.source is not f.target:
         raise RepError("pushout maps are not anchored to the split map")
@@ -217,7 +243,8 @@ def _pushout(g: RepMap, split: _Splitting,
     for v, (gv, pv) in enumerate(zip(g.blocks, split.proj), 1):
         if gv @ pv != gv:
             raise RepError(f"map does not vanish on the kernel at vertex {v}")
-    widths = [len(c) for c in split.cols]
+    widths, into, onto = memoised(split, (b, nxt),
+                                  lambda: _frame(split, b, nxt))
     act = {}
     for a in b.algebra.quiver.arrows:
         s, t = a.source, a.target
@@ -226,13 +253,7 @@ def _pushout(g: RepMap, split: _Splitting,
              [None, split.act[a.name]]],
             [b.dim_at(s), widths[s - 1]], [b.dim_at(t), widths[t - 1]])
     x = Rep(b.algebra, tuple(map(sum, zip(b.dims, widths))), act)
-    xi0 = RepMap(b, x, tuple(
-        block_matrix([[RatMatrix.identity(d)], [None]], [d, w], [d])
-        for d, w in zip(b.dims, widths)))
-    xi1 = RepMap(x, nxt.target, tuple(
-        block_matrix([[None, nb.take(None, c)]], [nb.rows], [d, len(c)])
-        for nb, c, d in zip(nxt.blocks, split.cols, b.dims)))
-    return x, xi0, xi1
+    return x, RepMap(b, x, into), RepMap(x, nxt.target, onto)
 
 
 def splice_from_class(c: DHomClass, a: Rep, b: Rep, n: int) -> YExt:

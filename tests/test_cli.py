@@ -571,6 +571,34 @@ class TestScaledReportsArePinned:
         digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
         assert digest == self.PINNED[name]
 
+    # yoneda-oracle on simples then projectives: every class of Ext^1..3
+    # spliced and read back; a change to the Yoneda calculus must leave
+    # every byte as it was
+    YONEDA_PINNED = {
+        "K12":
+            "c9c9e12b49542f6df9c5bf06ed08e1c77abe7be66b203e277842423eebcf9dc0",
+        "K32":
+            "14a2594b913cccc25c8c067eaea6df24ddfd8cf66f66097be6905a021881bae9",
+        "A6":
+            "27d046ab79bb39d20eabc01e2001673217d018f8727bca37e2c0eb14d22ac4c7",
+    }
+
+    @pytest.mark.parametrize("name", sorted(YONEDA_PINNED))
+    def test_yoneda_oracle_report_is_pinned(self, tmp_path, name):
+        alg = self._algebra(name)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(alg), encoding="utf-8")
+        n = alg["vertices"]
+        objs = objects_file(tmp_path, [
+            {"type": kind, "vertex": i}
+            for kind in ("simple", "projective") for i in range(1, n + 1)])
+        code, rendered = run(JobSpec(command="yoneda-oracle",
+                                     algebra_path=str(path),
+                                     object_paths=(objs,), output="json"))
+        assert code == 0
+        digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+        assert digest == self.YONEDA_PINNED[name]
+
 
 class TestCorpus:
     def test_exactly_five_algebras(self):

@@ -258,6 +258,22 @@ def test_solve_with_a_zero_side(g, nb, k):
         lin.solve(lin.RatMatrix.zeros(r + 1, k), new)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3))
+def test_pivots_and_rank_of_a_matrix_with_no_nonzero_row(r, c, k):
+    # no pivot and rank 0, read off without an elimination, as solve does;
+    # a zero block joined to a zero block is zero too
+    zero = lin.hstack([lin.RatMatrix.zeros(r, c), lin.RatMatrix.zeros(r, k)])
+    old = ref.RatMatrix.zeros(r, c + k)
+    eliminated = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lin, "_echelon",
+                   lambda nz: eliminated.append(nz) or ([], []))
+        assert lin.pivot_columns(zero) == ref.rref(old)[1] == ()
+        assert lin.rank(zero) == ref.rank(old) == 0
+    assert eliminated == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(any_grid, st.integers(0, 4), st.data())
 def test_span_coordinates(g, k, data):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chopped_class, class_of_module_map, cokernel_pushout
+from heartglue import derived
+from heartglue.algebra import build_algebra, make_quiver
 from heartglue.cli import corpus_path
 from heartglue.complexes import Cx, CxMap, shift
 from heartglue.derived import (DHomClass, LiftError, as_cx, compose_classes,
@@ -534,3 +536,89 @@ class TestSplitPushout:
         u0 = c.space.representative(c).comp(-1)
         x1, _, _ = _pushout(u0, split, eps0)
         assert x1.total_dim == 2
+
+
+class TestRoundTripCost:
+    """The round trip costs block products: one lift solve per (degree,
+    vertex), and classes that carry their coordinate column."""
+
+    @staticmethod
+    def _kronecker(m):
+        return build_algebra(make_quiver(
+            2, [(f"x{i}", 1, 2) for i in range(1, m + 1)]))
+
+    @staticmethod
+    def _solves_of_f_map(monkeypatch, x):
+        calls = []
+
+        def counting(m, b, solve=derived.solve):
+            calls.append(b.cols)
+            return solve(m, b)
+        monkeypatch.setattr(derived, "solve", counting)
+        cls = f_map(x)
+        monkeypatch.undo()
+        return cls, calls
+
+    @pytest.mark.parametrize("case", ["A5-rad2 degree 2", "K4 degree 1"])
+    def test_f_map_solves_once_per_degree_and_vertex(self, request,
+                                                     monkeypatch, case):
+        if case.startswith("K4"):
+            alg, n = self._kronecker(4), 1
+        else:
+            alg, n = request.getfixturevalue("a5rad2"), 2
+        objs = spaces_objects(alg)
+        a, b = next((a, b) for a in objs for b in objs
+                    if dhom_space(a, b, n).dim)
+        sp = dhom_space(a, b, n)
+        c = sp.basis()[-1]
+        x = splice_from_class(c, a, b, n)
+        spots = [(k, v) for k in range(0, -n - 1, -1)
+                 for v in set(sp.r.term(k).proj_gens or ())]
+        gens = sum(len(sp.r.term(k).proj_gens or ())
+                   for k in range(0, -n - 1, -1))
+        cls, calls = self._solves_of_f_map(monkeypatch, x)
+        assert cls == c
+        assert 0 < len(calls) <= len(spots)
+        if case.startswith("K4"):  # four generators of P_1^4 at one vertex
+            assert len(spots) < gens and max(calls) == 4
+
+    def test_basis_of_a_large_space_parses_no_coordinates(self,
+                                                          monkeypatch):
+        alg = self._kronecker(12)
+        objs = spaces_objects(alg)
+        sp = max((dhom_space(a, b, n) for a in objs for b in objs
+                  for n in (1, 2, 3)), key=lambda s: s.dim)
+        assert sp.dim == 143
+        calls = []
+        column = RatMatrix.column
+        monkeypatch.setattr(RatMatrix, "column", staticmethod(
+            lambda entries: calls.append(entries) or column(entries)))
+        basis = sp.basis()
+        assert calls == []
+        assert all("coords" not in vars(c) for c in basis)
+        assert basis[5].coords == tuple(Fraction(int(i == 5))
+                                        for i in range(sp.dim))
+        assert basis[5] == DHomClass(sp, basis[5].coords)
+        assert hash(basis[5]) == hash(DHomClass(sp, basis[5].coords))
+
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_random_coordinates_roundtrip_through_both_routes(
+            self, a5rad2, commsquare, data):
+        spliced = 0
+        for alg in (a5rad2, commsquare):
+            objs = spaces_objects(alg)
+            for a in objs:
+                for b in objs:
+                    for n in (1, 2, 3):
+                        sp = dhom_space(a, b, n)
+                        if not sp.dim:
+                            continue
+                        coords = tuple(Fraction(data.draw(st.integers(-3, 3)))
+                                       for _ in range(sp.dim))
+                        c = DHomClass(sp, coords)
+                        x = splice_from_class(c, a, b, n)
+                        assert f_map(x).coords == coords
+                        assert f_map_via_quasi_iso(x).coords == coords
+                        spliced += 1
+        assert spliced
