@@ -21,11 +21,20 @@ module. A missing term is the algebra's one zero module (reps.zero_rep).
 A shift is one object, kept in the unshifted complex's memo, so
 shift(shift(x, a), b) is shift(x, a + b); a module's complex, module_cx,
 is one object in the module's memo.
+
+Validation policy: Cx checks anchoring and d^2 = 0, CxMap anchoring and
+d f = f d, except when a builder passes the module-private _BUILT as _by
+because its output holds by construction: module_cx, shifts (every sign
+flips together), sums, negatives, multiples and composites of chain maps,
+identity_chain_map, and sums and cones with their injections and
+projections (d^2 = 0 on cone(f) is d f = f d).  Input, solves and
+eliminations stay checked (truncate_std, derived, glue, yoneda), and so
+does every certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .algebra import PathAlgebraDesc, memo_field, memoised
 from .linalg import RatMatrix, rank
@@ -47,6 +56,8 @@ from .reps import (
 )
 from .reps import compose as rcompose
 
+_BUILT = object()  # the _by of a build that holds by construction
+
 
 class CxError(ValueError):
     pass
@@ -58,8 +69,11 @@ class Cx:
     terms: dict[int, Rep]
     diffs: dict[int, RepMap]
     memo: dict = memo_field()
+    _by: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _by):
+        if _by is _BUILT:
+            return
         for i, t in self.terms.items():
             if t.algebra is not self.algebra:
                 raise CxError(f"term at {i} lives over a different algebra")
@@ -103,13 +117,10 @@ class Cx:
     def is_tagged(self) -> bool:
         return all(t.proj_gens is not None for t in self.terms.values())
 
-    def dims_table(self) -> dict[int, tuple[int, ...]]:
-        return {i: self.terms[i].dims for i in self.degrees()}
-
 
 def module_cx(m: Rep) -> Cx:
     """m in degree 0; one complex per module, kept in its memo."""
-    return memoised(m, "cx", lambda: Cx(m.algebra, {0: m}, {}))
+    return memoised(m, "cx", lambda: Cx(m.algebra, {0: m}, {}, _by=_BUILT))
 
 
 def zero_cx(alg: PathAlgebraDesc) -> Cx:
@@ -128,7 +139,7 @@ def shift(x: Cx, k: int) -> Cx:
 def _shifted(x: Cx, k: int) -> Cx:
     terms = {i - k: t for i, t in x.terms.items()}
     diffs = {i - k: -d if k % 2 else d for i, d in x.diffs.items()}
-    out = Cx(x.algebra, terms, diffs)
+    out = Cx(x.algebra, terms, diffs, _by=_BUILT)
     out.memo["unshifted"] = (x, k)
     return out
 
@@ -145,8 +156,11 @@ class CxMap:
     source: Cx
     target: Cx
     components: dict[int, RepMap]
+    _by: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _by):
+        if _by is _BUILT:
+            return
         if self.source.algebra is not self.target.algebra:
             raise CxError("chain map across algebras")
         for i, c in self.components.items():
@@ -175,19 +189,19 @@ class CxMap:
     def __add__(self, other: "CxMap") -> "CxMap":
         _parallel(self, other)
         degs = set(self.components) | set(other.components)
-        return CxMap(self.source, self.target,
-                     {i: self.comp(i) + other.comp(i) for i in degs})
+        return CxMap(self.source, self.target, {
+            i: self.comp(i) + other.comp(i) for i in degs}, _by=_BUILT)
 
     def __sub__(self, other: "CxMap") -> "CxMap":
         return self + (-other)
 
     def __neg__(self) -> "CxMap":
         return CxMap(self.source, self.target,
-                     {i: -c for i, c in self.components.items()})
+                     {i: -c for i, c in self.components.items()}, _by=_BUILT)
 
     def scale(self, a) -> "CxMap":
-        return CxMap(self.source, self.target,
-                     {i: c.scale(a) for i, c in self.components.items()})
+        return CxMap(self.source, self.target, {
+            i: c.scale(a) for i, c in self.components.items()}, _by=_BUILT)
 
 
 def _product(g: RepMap | None, f: RepMap | None) -> list[RatMatrix] | None:
@@ -230,18 +244,19 @@ def compose(g: CxMap, f: CxMap) -> CxMap:
         return g
     comps = {i: rcompose(g.components[i], c)
              for i, c in f.components.items() if i in g.components}
-    return CxMap(f.source, g.target, comps)
+    return CxMap(f.source, g.target, comps, _by=_BUILT)
 
 
 def identity_chain_map(x: Cx) -> CxMap:
-    return CxMap(x, x, {i: identity_map(t) for i, t in x.terms.items()})
+    return CxMap(x, x, {i: identity_map(t) for i, t in x.terms.items()},
+                 _by=_BUILT)
 
 
 def shift_map(f: CxMap, k: int) -> CxMap:
     if k == 0:
         return f
     return CxMap(shift(f.source, k), shift(f.target, k),
-                 {i - k: c for i, c in f.components.items()})
+                 {i - k: c for i, c in f.components.items()}, _by=_BUILT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,12 +279,12 @@ class CxSum:
     def injection(self, i: int) -> CxMap:
         return memoised(self, ("injection", i), lambda: CxMap(
             self.parts[i], self.cx,
-            {k: s.injection(i) for k, s in self.sums.items()}))
+            {k: s.injection(i) for k, s in self.sums.items()}, _by=_BUILT))
 
     def projection(self, i: int) -> CxMap:
         return memoised(self, ("projection", i), lambda: CxMap(
             self.cx, self.parts[i],
-            {k: s.projection(i) for k, s in self.sums.items()}))
+            {k: s.projection(i) for k, s in self.sums.items()}, _by=_BUILT))
 
 
 def _sum(parts: tuple[Cx, ...], f: CxMap | None = None) -> CxSum:
@@ -285,7 +300,8 @@ def _sum(parts: tuple[Cx, ...], f: CxMap | None = None) -> CxSum:
             grid[1][0] = f.components.get(k + 1)
         if any(g is not None for row in grid for g in row):
             diffs[k] = block_map(sums[k], sums[k + 1], grid)
-    cx = Cx(parts[0].algebra, {k: s.rep for k, s in sums.items()}, diffs)
+    cx = Cx(parts[0].algebra, {k: s.rep for k, s in sums.items()}, diffs,
+            _by=_BUILT)
     return CxSum(parts, cx, sums, f)
 
 

@@ -24,11 +24,19 @@ A tagged projective sum is the same layout with one copy of P_v per
 generator: copy_rows is the one reader of where each copy's basis sits
 at a vertex, and generator_positions, minimal models and the generator
 data of derived all go through it.
+
+Validation policy: Rep checks shapes and relations, RepMap shapes and
+naturality, except when a builder passes the module-private _BUILT as _by
+because its output holds by construction: sums, differences, negatives,
+multiples and composites of maps, identity_map, map_from_generators (free
+on generator images), and direct_sum's Rep and block_map (block-diagonal
+layouts of valid parts).  Input, solves and eliminations stay checked
+(jsonio, kernel, cokernel, hom_space, derived, yoneda).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -67,8 +75,11 @@ class Rep:
     arrow_maps: dict[str, RatMatrix]
     proj_gens: tuple[int, ...] | None = None
     memo: dict = memo_field()
+    _by: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _by):
+        if _by is _BUILT:
+            return
         n = self.algebra.vertex_count
         if len(self.dims) != n:
             raise RepError(f"dims length {len(self.dims)} != vertex count {n}")
@@ -124,8 +135,11 @@ class RepMap:
     target: Rep
     blocks: tuple[RatMatrix, ...]
     memo: dict = memo_field()
+    _by: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _by):
+        if _by is _BUILT:
+            return
         if self.source.algebra is not self.target.algebra:
             raise RepError("module map across different algebras")
         n = self.source.algebra.vertex_count
@@ -149,27 +163,26 @@ class RepMap:
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks)
 
-    def same_blocks(self, other: "RepMap") -> bool:
-        return self.blocks == other.blocks
-
     def __add__(self, other: "RepMap") -> "RepMap":
         _require_parallel(self, other)
-        return RepMap(self.source, self.target,
-                      tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return RepMap(self.source, self.target, tuple(
+            a + b for a, b in zip(self.blocks, other.blocks)), _by=_BUILT)
 
     def __sub__(self, other: "RepMap") -> "RepMap":
         _require_parallel(self, other)
-        return RepMap(self.source, self.target,
-                      tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return RepMap(self.source, self.target, tuple(
+            a - b for a, b in zip(self.blocks, other.blocks)), _by=_BUILT)
 
     def __neg__(self) -> "RepMap":
         """-self, kept in self.memo: a map negated again, such as a
         differential shared by several odd shifts, is negated once."""
         return memoised(self, "neg", lambda: RepMap(
-            self.source, self.target, tuple(-b for b in self.blocks)))
+            self.source, self.target, tuple(-b for b in self.blocks),
+            _by=_BUILT))
 
     def scale(self, c) -> "RepMap":
-        return RepMap(self.source, self.target, tuple(b.scale(c) for b in self.blocks))
+        return RepMap(self.source, self.target,
+                      tuple(b.scale(c) for b in self.blocks), _by=_BUILT)
 
 
 def _require_parallel(f: RepMap, g: RepMap) -> None:
@@ -185,7 +198,8 @@ def compose(g: RepMap, f: RepMap) -> RepMap:
         return f
     if f is f.source.memo.get("identity"):
         return g
-    return RepMap(f.source, g.target, tuple(composite_blocks(g, f)))
+    return RepMap(f.source, g.target, tuple(composite_blocks(g, f)),
+                  _by=_BUILT)
 
 
 def composite_blocks(g: RepMap, f: RepMap) -> list[RatMatrix]:
@@ -198,7 +212,7 @@ def composite_blocks(g: RepMap, f: RepMap) -> list[RatMatrix]:
 
 def identity_map(m: Rep) -> RepMap:
     return memoised(m, "identity", lambda: RepMap(
-        m, m, tuple(RatMatrix.identity(d) for d in m.dims)))
+        m, m, tuple(RatMatrix.identity(d) for d in m.dims), _by=_BUILT))
 
 
 def zero_map(m: Rep, n: Rep) -> RepMap:
@@ -293,7 +307,8 @@ def map_from_generators(t: Rep, n: Rep, images: Sequence[RatMatrix]) -> RepMap:
     if any(x.shape != (n.dim_at(v), 1) for x, v in zip(images, t.proj_gens)):
         raise RepError("generator image has wrong shape")
     return RepMap(t, n, tuple(generator_block(t, n, images, j)
-                              for j in range(1, t.algebra.vertex_count + 1)))
+                              for j in range(1, t.algebra.vertex_count + 1)),
+                  _by=_BUILT)
 
 
 def generator_block(t: Rep, n: Rep, images: Sequence[RatMatrix],
@@ -417,6 +432,7 @@ def through_epi(pr: RepMap, f: RepMap) -> RepMap:
 
 
 ID = object()  # a block_map entry: the identity of a part of both sums
+_BUILT = object()  # the _by of a build that holds by construction
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,7 +492,7 @@ def direct_sum(parts: Sequence[Rep]) -> DirectSum:
         [p.dims[a.target - 1] for p in parts]) for a in alg.quiver.arrows}
     # the copy-major tagged layout agrees with the block layout
     tags = tuple(v for p in parts for v in p.proj_gens) if tagged else None
-    return DirectSum(Rep(alg, dims, maps, proj_gens=tags), parts)
+    return DirectSum(Rep(alg, dims, maps, tags, _by=_BUILT), parts)
 
 
 def block_map(src: DirectSum | Rep, tgt: DirectSum | Rep,
@@ -515,7 +531,7 @@ def block_map(src: DirectSum | Rep, tgt: DirectSum | Rep,
             [[g if g is None else RatMatrix.identity(w) if g is ID
               else g.blocks[v] for g, w in zip(row, ws)] for row in grid],
             [p.dims[v] for p in tparts], ws))
-    return RepMap(srep, trep, tuple(blocks))
+    return RepMap(srep, trep, tuple(blocks), _by=_BUILT)
 
 
 def filtration_step(v: Rep, k: int) -> tuple[Rep, RepMap]:

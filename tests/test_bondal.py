@@ -281,7 +281,7 @@ class TestHomModules:
         g = dhom_space(p2, reg, 0).basis()[0]
         whole = map_functor(pres, compose_classes(g, f))
         steps = compose(map_functor(pres, g), map_functor(pres, f))
-        assert whole.same_blocks(steps)
+        assert whole.blocks == steps.blocks
 
     def test_hom_module_is_kept_with_its_object(self, kron_pres, kron):
         _, _, pres = kron_pres

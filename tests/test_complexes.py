@@ -93,7 +93,7 @@ def test_shift_roundtrip_preserves_terms(a2):
     for i in x.terms:
         assert y.terms[i] is x.terms[i]
     for i in x.diffs:
-        assert y.diffs[i].same_blocks(x.diffs[i])
+        assert y.diffs[i].blocks == x.diffs[i].blocks
 
 
 def test_shift_sign_convention(a2):
@@ -101,8 +101,8 @@ def test_shift_sign_convention(a2):
     f = hom_space(p1, p2)[0]
     x = two_term(a2, f)
     s = shift(x, 1)
-    assert s.diffs[-2].same_blocks(f.scale(-1))
-    assert shift(x, 2).diffs[-3].same_blocks(f)
+    assert s.diffs[-2].blocks == f.scale(-1).blocks
+    assert shift(x, 2).diffs[-3].blocks == f.blocks
 
 
 def test_d_squared_rejected(a2):
@@ -167,7 +167,8 @@ def test_cx_direct_sum_biproduct(a2):
         inj = ds.injection(i)
         comp = compose(ds.projection(i), inj)
         for k in inj.source.terms:
-            assert comp.comp(k).same_blocks(identity_map(inj.source.term(k)))
+            assert (comp.comp(k).blocks
+                    == identity_map(inj.source.term(k)).blocks)
     assert ds.injection(0) is ds.injection(0)
     assert compose(ds.projection(1), ds.injection(0)).is_zero()
     # cohomology is additive
@@ -233,8 +234,8 @@ def test_ses_to_triangle_and_back(a2):
     back = triangle_to_ses(tri)
     assert back is not None
     f0, g0 = back
-    assert f0.same_blocks(incl)
-    assert g0.same_blocks(q)
+    assert f0.blocks == incl.blocks
+    assert g0.blocks == q.blocks
 
 
 def test_triangle_to_ses_refuses_shifted(a2):
@@ -257,7 +258,7 @@ def test_shift_map_stays_chain_map(a2):
     s = shift_map(idm, 3)
     assert s.source.terms == shift(x, 3).terms
     for i, c in s.components.items():
-        assert c.same_blocks(identity_map(s.source.term(i)))
+        assert c.blocks == identity_map(s.source.term(i)).blocks
 
 
 def test_zero_chain_map_composes(a2):
@@ -462,7 +463,7 @@ def test_identity_chain_maps_compose_away(a2):
     got = compose(twin, h)
     assert got is not h
     assert got.components.keys() == h.components.keys()
-    assert all(got.components[i].same_blocks(m)
+    assert all(got.components[i].blocks == m.blocks
                for i, m in h.components.items())
 
 
@@ -486,7 +487,7 @@ def test_shifts_negate_a_shared_differential_once(a2):
     x = two_term(a2, d)
     neg = shift(x, 1).diffs[-2]
     assert shift(x, 3).diffs[-4] is neg and shift(x, -1).diffs[0] is neg
-    assert neg is -d and neg.same_blocks(d.scale(-1))
+    assert neg is -d and neg.blocks == d.scale(-1).blocks
     assert shift(x, 2).diffs[-3] is d
 
 

@@ -60,6 +60,13 @@ from heartglue.derived import (
 )
 
 BUNDLED = CORPUS_NAMES + ("branching",)
+
+
+def dims_table(x: Cx) -> dict[int, tuple[int, ...]]:
+    """The vertex dimensions of each nonzero term of x."""
+    return {i: x.terms[i].dims for i in x.degrees()}
+
+
 # linear A5 with every length-two path zero, and the Kronecker quiver with
 # five arrows, as algebra descriptions
 SCALED = {
@@ -764,7 +771,7 @@ def test_minimal_model_keeps_a_cover_resolution(kron):
     # covers are minimal already, so nothing cancels
     s = simple(kron, 2)
     small, q = minimal_model(s)
-    assert small.dims_table() == resolve(s).source.dims_table()
+    assert dims_table(small) == dims_table(resolve(s).source)
     assert is_acyclic(cone(q).cx)
     assert cohomology_dims(small) == {0: (0, 1)}
 
@@ -787,7 +794,7 @@ def test_minimal_model_strips_a_padded_summand(kron):
     pad = Cx(kron, {-1: one, 0: other}, {-1: f})
     x = cx_direct_sum([base, pad]).cx
     small, q = minimal_model(x)
-    assert small.dims_table() == base.dims_table()
+    assert dims_table(small) == dims_table(base)
     assert cohomology_dims(small) == {0: (0, 1)}
     assert is_acyclic(cone(q).cx)
 
@@ -795,7 +802,7 @@ def test_minimal_model_strips_a_padded_summand(kron):
 def test_minimal_model_of_a_shifted_simple_is_its_shifted_resolution(a3rel):
     x = shift(as_cx(simple(a3rel, 3)), 2)
     small, q = minimal_model(x)
-    assert small.dims_table() == {-4: (1, 0, 0), -3: (1, 1, 0), -2: (0, 1, 1)}
+    assert dims_table(small) == {-4: (1, 0, 0), -3: (1, 1, 0), -2: (0, 1, 1)}
     assert cohomology_dims(small) == {-2: (0, 0, 1)}
     assert is_acyclic(cone(q).cx)
 
@@ -815,7 +822,7 @@ def test_minimal_model_on_random_two_term_complexes(data):
     assert small.total_dim <= resolve(x).source.total_dim
     # reduced output has no cancellable component left
     again, _ = minimal_model(small)
-    assert again.dims_table() == small.dims_table()
+    assert dims_table(again) == dims_table(small)
 
 
 def _random_automorphism(data, t):
@@ -862,7 +869,7 @@ def test_minimal_model_on_random_tagged_complexes(kron, a3rel, commsquare,
     assert is_minimal(small)
     assert small.total_dim <= x.total_dim
     again, _ = minimal_model(small)
-    assert again.dims_table() == small.dims_table()
+    assert dims_table(again) == dims_table(small)
 
 
 def test_memo_entries_are_freed_with_their_complex(kron):
