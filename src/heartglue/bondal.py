@@ -27,11 +27,10 @@ from .derived import (
     DHomClass,
     as_cx,
     compose_classes,
-    derived_hom,
     dhom_space,
     identity_class,
 )
-from .glue import ExcSequence, _homs, _scan_range
+from .glue import ExcSequence, _homs
 from .linalg import RatMatrix, complement_pivots, kernel_basis, rank
 from .reps import Rep, RepMap, hom_space, projective
 
@@ -407,13 +406,11 @@ def hom_table_match(pres: Presentation) -> TableReport:
     for i, ei in enumerate(end.objects, 1):
         for j, ej in enumerate(end.objects, 1):
             pairs += 1
-            shifts = set(_scan_range(ei, ej))
-            shifts.update(_scan_range(projs[i - 1], projs[j - 1]))
-            for n in sorted(shifts):
-                de = derived_hom(ei, ej, n)
-                dp = derived_hom(projs[i - 1], projs[j - 1], n)
-                if de != dp:
-                    mism.append((i, j, n, de, dp))
+            de = dict(_homs(ei, ej))
+            dp = dict(_homs(projs[i - 1], projs[j - 1]))
+            mism += [(i, j, n, de.get(n, 0), dp.get(n, 0))
+                     for n in sorted(de.keys() | dp.keys())
+                     if de.get(n, 0) != dp.get(n, 0)]
     return TableReport(not mism, pairs, tuple(mism))
 
 

@@ -6,9 +6,10 @@ reading; JSON output is the machine contract, canonical enough that
 parsing and re-dumping a report reproduces it byte for byte.
 
 The shift window (--window, or default_window) is a label: the reports
-print it, and no computation reads it.  Each Hom scan covers every shift
-where a Hom can be nonzero (glue._scan_range), so a zero means "vanishes
-at every shift", never "not looked at", whatever the window says.
+print it, and no computation reads it.  Each Hom scan walks the support
+of the Hom complex, every shift where a Hom can be nonzero, so a zero
+means "vanishes at every shift", never "not looked at", whatever the
+window says.
 yoneda-oracle has a degree bound, not a shift window: it refuses
 --window (exit 2) and reports its degree bound as its window.
 

@@ -127,9 +127,14 @@ def zero_cx(alg: PathAlgebraDesc) -> Cx:
     return Cx(alg, {}, {})
 
 
+def unshifted(x: Cx) -> tuple[Cx, int]:
+    """(y, a) with x = shift(y, a) and y no shift; (x, 0) for such an x."""
+    return x.memo.get("unshifted", (x, 0))
+
+
 def shift(x: Cx, k: int) -> Cx:
     """x[k], kept in the memo of the unshifted complex it records."""
-    base, j = x.memo.get("unshifted", (x, 0))
+    base, j = unshifted(x)
     k += j
     if k == 0:
         return base

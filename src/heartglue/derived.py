@@ -8,14 +8,14 @@ lifts all reduce to finite linear systems over the generator data, which
 is one RatMatrix column in _GenLayout order: a block per copy generator,
 degree by degree. The systems are block matrices of the differentials'
 and the maps' vertex blocks. Hom(X, Y[n]) is H^n of the Hom complex
-Hom(R_X, Y): its n-cochains are the generator data of maps
-R_X -> shift(Y, n), and its differential delta^n is s -> d s - s d. The
-boundary map h -> d h + h d is -delta^{n-1}, as shift(Y, n-1) is
-shift(Y, n)[-1], so each delta is built once, for the cycles of one shift
-and the boundaries of the next. derived_hom reads dim H^n off two ranks; a
-DHomSpace fixes a canonical coordinate system by row reduction. When no
-copy generator of R_X meets a nonzero vertex space of Y[n] in its degree,
-the n-cochains are zero, and derived_hom answers from the dimensions alone.
+Hom(R_X, Y), a HomCx: its n-cochains are the generator data of maps
+R_X -> Y[n], its differential delta^n is s -> d s - s d, and the
+boundary map h -> d h + h d is -delta^{n-1}, so each delta is built
+once, for the cycles of one degree and the boundaries of the next.
+derived_hom reads dim H^n off two ranks; a DHomSpace fixes a canonical
+coordinate system by row reduction. The n-cochains are zero outside the
+support, the n where a copy generator of R_X meets a nonzero vertex
+space of Y[n], and Hom scans walk the support alone.
 
 Classes compose on generator data. solve_lift, the one lift kernel,
 lifts a column through a quasi-isomorphism, and a post-composition is a
@@ -34,23 +34,18 @@ one, with no component into a zero term.
 
 Memo policy: each result is kept in the memo of the object it describes
 and nowhere else. A module's memo holds its complex and its identity; a
-complex's memo holds its resolution, shifts and copy generators, the
-space Hom(x, y[n]) keyed by (as_cx(y), n), the layout of maps into t
-keyed by ("layout", t), the Hom-complex differential on maps into t
-(every cycle, boundary and lift system) keyed by ("system", t), its
-forward elimination, which gives its rank and kernel, keyed by
-("echelon", t), the shifts n where maps into y[n] have generator data
-keyed by ("support", y), and the splitting of its
-differential d^k keyed by ("splitting", k), which yoneda pushes
-resolutions out along; a splitting's memo holds the blocks of the
-pushouts along it that no class changes, keyed by (B, nxt); x's memo
-holds the composite of c1 out of x and c2 keyed by ("compose", c2, c1);
-a Hom space's memo holds the factors of its coordinates
-(span_coordinates, stacked as one matrix) keyed by "coordinates", built
-by its first class_of_vector. Keys compare by identity (a class by its
-space and coordinate column), since classes, lifts and class_of check
-endpoints with `is`: only the objects of the first request hit. An
-entry dies with its object.
+complex's memo holds its "resolution", shifts and copy "generators", the
+space Hom(x, y[n]) keyed by (as_cx(y), n), the Hom complex Hom(r, y)
+keyed by ("hom", y) for y no shift (shifts of y read it), and the
+splitting of its differential d^k keyed by ("splitting", k), which
+yoneda pushes resolutions out along; a splitting's memo holds the
+blocks of the pushouts along it that no class changes, keyed by
+(B, nxt); x's memo holds the composite of c1 out of x and c2 keyed by
+("compose", c2, c1); a Hom space's memo holds the factors of its
+coordinates keyed by "coordinates", built by its first class_of_vector.
+Keys compare by identity (a class by its space and coordinate column),
+since classes, lifts and class_of check endpoints with `is`: only the
+objects of the first request hit. An entry dies with its object.
 """
 
 from __future__ import annotations
@@ -68,6 +63,7 @@ from .complexes import (
     identity_chain_map,
     module_cx,
     shift,
+    unshifted,
 )
 from .complexes import compose as ccompose
 from .linalg import (Echelon, RatMatrix, block_matrix, echelon, hstack,
@@ -263,18 +259,18 @@ def _generators(r: Cx) -> tuple[list[tuple[int, ...]], dict[int, int]]:
 
 
 class _GenLayout:
-    """Generator data for maps out of a tagged complex r into the terms
-    t^k: one column, a block per copy generator of r in degree order, of
-    the dimension of t^k at the generator's vertex.  For t = y[n] this is
-    the space of n-cochains of the Hom complex Hom(r, y); on t[-1] it holds
-    the homotopies, whose boundary map is -delta^{n-1}."""
+    """Degree n of a HomCx Hom(r, y): generator data of maps r -> y[n], a
+    block per copy generator of r^k, of the size of y^{k+n} at its vertex."""
 
-    def __init__(self, r: Cx, t: Cx):
-        self.entries, self.first = memoised(r, "generators",
-                                            lambda: _generators(r))
-        self.sizes = [t.term(k).dim_at(v) for (k, _, v, _) in self.entries]
+    __slots__ = ("entries", "first", "sizes", "offsets", "total", "delta",
+                 "echelon")
+
+    def __init__(self, h: "HomCx", n: int):
+        self.entries, self.first = h.entries, h.first
+        self.sizes = [h.y.term(k + n).dim_at(v) for (k, _, v, _) in h.entries]
         self.offsets = list(accumulate(self.sizes, initial=0))
         self.total = self.offsets[-1]
+        self.delta = self.echelon = None
 
     def rows(self, gens: range) -> range:
         """The rows of the blocks of the generators gens."""
@@ -287,70 +283,87 @@ class _GenLayout:
                 for i in gens]
 
 
-def _layout(r: Cx, t: Cx) -> _GenLayout:
-    """The generator layout of maps r^k -> t^k, kept in r.memo."""
-    return memoised(r, ("layout", t), lambda: _GenLayout(r, t))
+class HomCx:
+    """The Hom complex Hom(r, y) of a tagged r and a y that is no shift.
+
+    support: the degrees n, increasing, with nonzero n-cochains, where a
+    copy generator of r^k meets a nonzero vertex space of y^{k+n}.  A
+    degree is built on request from y at k + n, never from a shift of y."""
+
+    __slots__ = ("r", "y", "entries", "first", "support", "_layouts")
+
+    def __init__(self, r: Cx, y: Cx):
+        self.r, self.y, self._layouts = r, y, None
+        self.entries, self.first = memoised(r, "generators",
+                                            lambda: _generators(r))
+        spots = {(k, v) for (k, _, v, _) in self.entries}
+        self.support = tuple(sorted({j - k for (k, v) in spots
+                                     for j, m in y.terms.items()
+                                     if m.dim_at(v)}))
+
+    def layout(self, n: int) -> _GenLayout:
+        self._layouts = self._layouts or {}  # none until a degree is built
+        got = self._layouts.get(n)
+        return got or self._layouts.setdefault(n, _GenLayout(self, n))
+
+    def delta(self, n: int) -> RatMatrix:
+        """delta^n, read in the layout of degree n + 1: its kernel is the
+        chain maps r -> y[n]; -delta^{n-1} is h -> d h + h d."""
+        if n not in self.support:
+            return RatMatrix.zeros(self.layout(n + 1).total, 0)
+        lay = self.layout(n)
+        if lay.delta is None:
+            lay.delta = self._system(n, lay)
+        return lay.delta
+
+    def echelon(self, n: int) -> Echelon:
+        """delta^n's forward pass, for its rank and its kernel."""
+        lay = self.layout(n)
+        if lay.echelon is None:
+            lay.echelon = echelon(self.delta(n))
+        return lay.echelon
+
+    def dim(self, n: int) -> int:
+        """dim H^n: nullity of delta^n less rank of delta^{n-1}, exact as
+        delta^n delta^{n-1} = 0 by d^2 = 0."""
+        if n not in self.support:
+            return 0
+        ech = self.echelon(n)
+        dim = ech.cols - len(ech.pivots)
+        if dim and n - 1 in self.support:
+            dim -= len(self.echelon(n - 1).pivots)
+        return dim
+
+    def _system(self, n: int, lay: _GenLayout) -> RatMatrix:
+        """delta^n, block-bidiagonal by degree: d_y^{k+n} with the sign of
+        y[n], less d_r^k of each generator (reps.eval_columns); a missing
+        differential is zero and is never built."""
+        grid: list[list] = [[None] * len(lay.entries) for _ in lay.entries]
+        heights = []
+        for i, (k, c, v, pos) in enumerate(lay.entries):
+            nxt = self.y.term(k + n + 1)
+            heights.append(nxt.dim_at(v))
+            if (dy := self.y.diffs.get(k + n)) is not None:
+                grid[i][i] = (-dy if n % 2 else dy).block(v)
+            dr = self.r.diffs.get(k)
+            if dr is None or not (up := self.r.terms[k + 1]).total_dim:
+                continue
+            if not (col := dr.block(v).col_matrix(pos)).is_zero():
+                j = lay.first[k + 1]
+                grid[i][j:j + len(up.proj_gens)] = [
+                    -b for b in eval_columns(up, nxt, v, col)]
+        return block_matrix(grid, heights, lay.sizes)
 
 
-def _has_unknowns(r: Cx, y: Cx, n: int) -> bool:
-    """Whether the Hom complex Hom(r, y) has nonzero n-cochains, i.e.
-    _GenLayout(r, shift(y, n)) has columns; without them delta^n (the
-    cycles) and -delta^{n-1} (the boundaries) are empty.  A lookup in the
-    shifts where it does, read from the dimensions of y and kept in r.memo
-    as a tuple (a set is several times its size)."""
-    def support():
-        entries, _ = memoised(r, "generators", lambda: _generators(r))
-        spots = {(k, v) for (k, _, v, _) in entries}
-        return tuple({j - k for (k, v) in spots
-                      for j, m in y.terms.items() if m.dim_at(v)})
-    return n in memoised(r, ("support", y), support)
+def hom(r: Cx, y: Cx) -> HomCx:
+    """Hom(r, y) for a tagged r, kept in r.memo: hom(r, shift(y, a)) is
+    hom(r, y), and _at(r, shift(y, a), n) reads it at degree n + a."""
+    base = unshifted(y)[0]
+    return memoised(r, ("hom", base), lambda: HomCx(r, base))
 
 
-def _next_columns(r: Cx, target: Rep, k: int, v: int,
-                  pos: int) -> list[RatMatrix] | None:
-    """Per copy of r^{k+1}, the blocks taking its generator data in
-    target to d_r^k of the generator at (v, pos) of r^k; None when that
-    image is zero.  A missing differential is zero and is never built."""
-    dr = r.diffs.get(k)
-    if dr is None:
-        return None
-    dcol = dr.block(v).col_matrix(pos)
-    nxt = r.terms[k + 1]
-    if nxt.total_dim == 0 or nxt.proj_gens is None or dcol.is_zero():
-        return None
-    return eval_columns(nxt, target, v, dcol)
-
-
-def _system(r: Cx, t: Cx, layout: _GenLayout) -> RatMatrix:
-    """The Hom-complex differential s -> d_t s - s d_r on generator data s
-    of maps r^k -> t^k, read in the layout of r -> t[1]: delta^n for
-    t = y[n], whose kernel is the chain maps r -> t.  On t[-1], with terms
-    t^{k-1} and differential -d_t, it is -(d_t h + h d_r), minus the
-    boundary map of homotopies.  Block-bidiagonal by degree."""
-    n = len(layout.entries)
-    grid: list[list] = [[None] * n for _ in range(n)]
-    heights = []
-    for i, (k, c, v, pos) in enumerate(layout.entries):
-        heights.append(t.term(k + 1).dim_at(v))
-        dt = t.diffs.get(k)
-        if dt is not None:
-            grid[i][i] = dt.block(v)
-        ev = _next_columns(r, t.term(k + 1), k, v, pos)
-        if ev is not None:
-            j = layout.first[k + 1]
-            grid[i][j:j + len(ev)] = [-b for b in ev]
-    return block_matrix(grid, heights, layout.sizes)
-
-
-def _hom_system(r: Cx, t: Cx) -> RatMatrix:
-    """_system on the layout (r, t), kept in r.memo."""
-    return memoised(r, ("system", t), lambda: _system(r, t, _layout(r, t)))
-
-
-def _echelon_of(r: Cx, t: Cx) -> Echelon:
-    """The forward pass of _hom_system(r, t), kept in r.memo: the rank a
-    dimension reads and the kernel a Hom space reads share it."""
-    return memoised(r, ("echelon", t), lambda: echelon(_hom_system(r, t)))
+def _at(r: Cx, t: Cx, n: int = 0) -> tuple[HomCx, int]:
+    return hom(r, t), n + unshifted(t)[1]
 
 
 def _degree(r: Cx, t: Cx, layout: _GenLayout, k: int) -> range | None:
@@ -405,14 +418,12 @@ def solve_lift(p: Cx, g: RatMatrix, r: CxMap, n: int = 0,
     """Generator data of u: p -> source(r)[n] with r[n] u = g, strictly or
     up to homotopy, for g the data of a map p -> target(r)[n], p tagged;
     raises LiftError when no lift exists.  r[n] is read off r's blocks."""
-    src, tgt = shift(r.source, n), shift(r.target, n)
-    ulay = _layout(p, src)
-    zlay = _layout(p, tgt)
+    (hs, ns), (ht, nt) = _at(p, r.source, n), _at(p, r.target, n)
+    ulay, zlay = hs.layout(ns), ht.layout(nt)
     # rows: u is a chain map, then r u - (d h + h d) = g; the sign of the
     # homotopy block does not change u
-    chain = _hom_system(p, src)
-    bnd = (RatMatrix.zeros(zlay.total, 0) if strict
-           else _hom_system(p, shift(tgt, -1)))
+    chain = hs.delta(ns)
+    bnd = RatMatrix.zeros(zlay.total, 0) if strict else ht.delta(nt - 1)
     heights = [chain.rows, zlay.total]
     after = _after(lambda k, v: _block(r, k + n, v), ulay, zlay)
     system = block_matrix([[chain, None], [after, bnd]],
@@ -429,9 +440,9 @@ def lift_map(p: Cx, g: CxMap, r: CxMap, strict: bool = False) -> CxMap:
         raise LiftError("g must start at the tagged complex")
     if g.target is not r.target:
         raise LiftError("g and r must share their target")
-    vec = solve_lift(p, _map_to_vector(g, _layout(p, g.target)), r,
-                     strict=strict)
-    return _vector_to_map(p, r.source, _layout(p, r.source), vec)
+    (ht, nt), (hs, ns) = _at(p, r.target), _at(p, r.source)
+    vec = solve_lift(p, _map_to_vector(g, ht.layout(nt)), r, strict=strict)
+    return _vector_to_map(p, r.source, hs.layout(ns), vec)
 
 
 def _block(f: CxMap, k: int, v: int) -> RatMatrix | None:
@@ -445,20 +456,18 @@ class DHomSpace:
 
     eps is the resolution of x, r its tagged complex and t = y[n]; classes
     are chain maps r -> t modulo null-homotopic ones: the kernel of
-    delta^n = _hom_system(r, t) modulo the columns of _hom_system(r, t[-1])
-    = -(d h + h d).  Both come from r.memo, with delta^n's forward pass, so
-    a space built after derived_hom eliminates delta^n no second time."""
+    delta^n modulo the columns of delta^{n-1} = -(d h + h d), both read
+    from hom(r, y), whose kept forward pass of delta^n gives the kernel."""
 
     def __init__(self, x: Cx, y: Cx, n: int):
         self.x, self.y, self.n = x, y, n
         self.eps = resolve(x)
         self.r = self.eps.source
         self.t = shift(y, n)
-        self.layout = _layout(self.r, self.t)
-        self.cycles = kernel_basis(_echelon_of(self.r, self.t))
-        self.boundaries = (_hom_system(self.r, shift(self.t, -1))
-                           if _has_unknowns(self.r, y, n - 1)
-                           else RatMatrix.zeros(self.layout.total, 0))
+        h, m = _at(self.r, y, n)
+        self.layout = h.layout(m)
+        self.cycles = kernel_basis(h.echelon(m))
+        self.boundaries = h.delta(m - 1)
         nb = self.boundaries.cols
         pivots = pivot_columns(hstack([self.boundaries, self.cycles]))
         self.picked = self.cycles.take(None, [p - nb for p in pivots if p >= nb])
@@ -498,7 +507,8 @@ class DHomSpace:
         if (q.target is not self.x or post.target is not self.t
                 or post.source is not q.source):
             raise LiftError("roof not anchored to this Hom space")
-        aug = _map_to_vector(self.eps, _layout(self.r, self.x))
+        h, m = _at(self.r, self.x)
+        aug = _map_to_vector(self.eps, h.layout(m))
         return self._lifted_after(aug, q, 0, partial(_block, post))
 
     def extension_class(self, maps: tuple[RepMap, ...]) -> "DHomClass":
@@ -546,8 +556,8 @@ class DHomSpace:
         """The class of post u for u the lift of generator data g by q[n],
         for post(k, v) the blocks of a map out of source(q)[n]."""
         u = solve_lift(self.r, g, q, n)
-        lay = _layout(self.r, shift(q.source, n))
-        return self.class_of_vector(_after(post, lay, self.layout) @ u)
+        h, m = _at(self.r, q.source, n)
+        return self.class_of_vector(_after(post, h.layout(m), self.layout) @ u)
 
     def representative(self, cls: "DHomClass") -> CxMap:
         vec = self.picked @ cls.column
@@ -618,25 +628,14 @@ def dhom_space(x, y, n: int) -> DHomSpace:
 
 
 def derived_hom(x, y, n: int) -> int:
-    """dim Hom(x, y[n]) = dim H^n of Hom(r, y), r the resolution of x:
-    nullity of delta^n less rank of delta^{n-1}, whose negation is the
-    boundary map; exact because the boundaries lie in the cycles
-    (delta^n delta^{n-1} = 0 by d^2 = 0).  Ranks come from the forward
-    passes kept in r.memo, so a scan over n builds and eliminates each
-    delta once.  Builds no Hom space; one already built answers with its
-    dim."""
+    """dim Hom(x, y[n]), read off two ranks (HomCx.dim); builds no Hom
+    space, and one already built answers with its dim."""
     cx, cy = as_cx(x), as_cx(y)
     sp = cx.memo.get((cy, n))
     if sp is not None:
         return sp.dim
-    r = resolve(cx).source
-    if not _has_unknowns(r, cy, n):
-        return 0
-    ech = _echelon_of(r, shift(cy, n))
-    dim = ech.cols - len(ech.pivots)
-    if dim and _has_unknowns(r, cy, n - 1):
-        dim -= len(_echelon_of(r, shift(cy, n - 1)).pivots)
-    return dim
+    h, m = _at(resolve(cx).source, cy, n)
+    return h.dim(m)
 
 
 def identity_class(x) -> DHomClass:

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from .reps import ID, block_map, simple
 from .complexes import (Cx, CxMap, CxSum, Triangle, cohomology_dims,
                         compose as ccompose, cone, cx_direct_sum, is_acyclic,
-                        shift, shift_map, truncate_std, zero_cx)
-from .derived import as_cx, derived_hom, dhom_space, lift_map, minimal_model
+                        shift, shift_map, truncate_std, unshifted, zero_cx)
+from .derived import (as_cx, derived_hom, dhom_space, hom, lift_map,
+                      minimal_model, resolve)
 
 
 class GlueError(ValueError):
@@ -56,8 +57,8 @@ def _scan_range(e: Cx, x: Cx) -> range:
     Projective resolutions over an admissible quotient of an acyclic
     quiver have length below the vertex count, so chain maps out of the
     resolution of e vanish once the degree supports no longer overlap.
-    Every check scans this range and no other shift, so a Hom it does
-    not report vanishes at every shift.
+    No check asks for a shift outside this range, so a Hom it does not
+    report vanishes at every shift.
     """
     if e.is_zero_object() or x.is_zero_object():
         return range(0)
@@ -69,12 +70,16 @@ def _scan_range(e: Cx, x: Cx) -> range:
 
 def _homs(a: Cx, b: Cx, top: int | None = None):
     """Yield (n, dim Hom(a, b[n])) for every nonzero Hom in the scan range,
-    in increasing n; with top set, no shift above top is computed."""
-    for n in _scan_range(a, b):
-        if top is not None and n > top:
-            return
-        d = derived_hom(a, b, n)
-        if d:
+    in increasing n, walking the support of the Hom complex; with top set,
+    no shift above top is computed."""
+    scan = _scan_range(a, b)
+    if top is not None:
+        scan = range(scan.start, min(scan.stop, top + 1))
+    if not scan:
+        return
+    c = unshifted(b)[1]  # hom(r, b) reads b[n] at degree n + c
+    for n in (m - c for m in hom(resolve(a).source, b).support):
+        if n in scan and (d := derived_hom(a, b, n)):
             yield n, d
 
 

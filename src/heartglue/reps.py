@@ -25,13 +25,17 @@ generator: copy_rows is the one reader of where each copy's basis sits
 at a vertex, and generator_positions, minimal models and the generator
 data of derived all go through it.
 
-Validation policy: Rep checks shapes and relations, RepMap shapes and
-naturality, except when a builder passes the module-private _BUILT as _by
-because its output holds by construction: sums, differences, negatives,
-multiples and composites of maps, identity_map, map_from_generators (free
-on generator images), and direct_sum's Rep and block_map (block-diagonal
-layouts of valid parts).  Input, solves and eliminations stay checked
-(jsonio, kernel, cokernel, hom_space, derived, yoneda).
+Validation policy: Rep checks shapes and relations, and that a tagged
+module is the projective_sum on its generators; RepMap checks shapes and
+naturality.  A builder skips the checks by passing the module-private
+_BUILT as _by where its output holds by construction: projective_sum
+(the definition of a tagged module; its relations hold when
+algebra.reduce_path is right, which a test checks), zero_rep, sums,
+differences, negatives, multiples and composites of maps, identity_map,
+map_from_generators (free on generator images), and direct_sum's Rep and
+block_map (block-diagonal layouts of valid parts).  Input, solves and
+eliminations stay checked (jsonio, kernel, cokernel, hom_space, derived,
+yoneda).
 """
 
 from __future__ import annotations
@@ -93,6 +97,17 @@ class Rep:
             if m.shape != want:
                 raise RepError(
                     f"arrow {a.name}: matrix shape {m.shape}, expected {want}")
+        if self.proj_gens is not None:
+            # the projective sum on its generators, whose relations hold
+            if not all(1 <= v <= n for v in self.proj_gens):
+                raise RepError(f"generator out of range in {self.proj_gens}")
+            want = projective_sum(self.algebra, self.proj_gens)
+            if want.dims != self.dims or any(
+                    self.arrow_maps[a.name] != want.arrow_maps[a.name]
+                    for a in self.algebra.quiver.arrows):
+                raise RepError("tagged module is not the projective sum on "
+                               f"its generators {self.proj_gens}")
+            return
         for rel in self.algebra.relations:
             acc = None
             for c, p in rel.terms:
@@ -223,8 +238,8 @@ def zero_rep(alg: PathAlgebraDesc) -> Rep:
     """The zero module of the algebra: one object, built once."""
     return memoised(alg, "zero_rep", lambda: Rep(
         alg, (0,) * alg.vertex_count,
-        {a.name: RatMatrix.zeros(0, 0) for a in alg.quiver.arrows},
-        proj_gens=()))
+        {a.name: RatMatrix.zeros(0, 0) for a in alg.quiver.arrows}, (),
+        _by=_BUILT))
 
 
 def simple(alg: PathAlgebraDesc, i: int) -> Rep:
@@ -266,7 +281,7 @@ def projective_sum(alg: PathAlgebraDesc, vertices: Sequence[int]) -> Rep:
                 col[index[s][(c, bp)]] = coef
             cols.append(col)
         maps[a.name] = RatMatrix.from_cols(cols, rows=dims[s - 1])
-    return Rep(alg, dims, maps, proj_gens=vertices)
+    return Rep(alg, dims, maps, vertices, _by=_BUILT)
 
 
 def tagged_basis(m: Rep, j: int) -> list[tuple[int, BasisPath]]:

@@ -15,8 +15,8 @@ quasi-isomorphic to A and reads the roof A <- W -> B[n] with
 `splice_from_class` inverts `f_map`: it pushes the resolution of A out
 along the degree -n component of the class, read from generator data,
 not a chain-map representative, and splices.  Two extensions are
-equivalent iff their canonical coordinates under `f_map` coincide,
-which is what `YClass` equality tests.
+equivalent iff their classes under `f_map` are equal (`DHomClass`
+equality compares the space and the coordinate column).
 
 Pushout, pullback, splice product and Baer sum act on explicit
 sequences; exactness is re-certified by the YExt constructor on every
@@ -85,30 +85,6 @@ class YExt:
     @property
     def n(self) -> int:
         return len(self.middle)
-
-
-@dataclass(frozen=True, eq=False)
-class YClass:
-    """An extension together with its canonical coordinates.
-
-    Equality compares canonical coordinates in the same Hom space, so
-    equivalent sequences with different middles compare equal.
-    """
-
-    witness: YExt
-    canonical: DHomClass
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, YClass):
-            return NotImplemented
-        return self.canonical == other.canonical
-
-    def __hash__(self) -> int:
-        return hash(self.canonical)
-
-
-def yclass(witness: YExt) -> YClass:
-    return YClass(witness, f_map(witness))
 
 
 def split_ext(a: Rep, b: Rep, n: int) -> YExt:

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import Cx, CxMap, ses_to_triangle
-from heartglue.derived import (_generators, _next_columns, compose_classes,
-                               derived_hom, dhom_space)
+from heartglue.derived import (_generators, compose_classes, derived_hom,
+                               dhom_space)
 from heartglue.glue import _scan_range
 from heartglue.linalg import RatMatrix, block_matrix
 from heartglue.reps import (RepMap, block_map, cokernel, compose as rcompose,
-                            direct_sum, generator_positions, image,
-                            map_from_generators, projective_sum, through_epi)
+                            direct_sum, eval_columns, generator_positions,
+                            image, map_from_generators, projective_sum,
+                            through_epi)
 
 
 @pytest.fixture(scope="session")
@@ -106,10 +107,12 @@ def homotopy_boundary_system(r: Cx, t: Cx) -> RatMatrix:
         dt = t.diffs.get(k - 1)
         if dt is not None:
             grid[i][i] = dt.block(v)
-        ev = _next_columns(r, t.term(k), k, v, pos)
-        if ev is not None:
+        dr = r.diffs.get(k)
+        if dr is not None:
+            up = r.terms[k + 1]
             j = first[k + 1]
-            grid[i][j:j + len(ev)] = ev
+            grid[i][j:j + len(up.proj_gens)] = eval_columns(
+                up, t.term(k), v, dr.block(v).col_matrix(pos))
     return block_matrix(grid, [t.term(k).dim_at(v) for k, _, v, _ in entries],
                         [t.term(k - 1).dim_at(v) for k, _, v, _ in entries])
 

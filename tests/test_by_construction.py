@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_map, random_sum
+from heartglue.algebra import Relation, build_algebra, make_quiver
+from heartglue.cli import CORPUS_NAMES, corpus_path
 from heartglue.complexes import (
     Cx,
     CxError,
@@ -30,6 +32,7 @@ from heartglue.complexes import (
     shift_map,
 )
 from heartglue.glue import _cone_functorial
+from heartglue.jsonio import load_algebra
 from heartglue.reps import (
     ID,
     Rep,
@@ -39,6 +42,8 @@ from heartglue.reps import (
     hom_space,
     identity_map,
     projective,
+    projective_sum,
+    zero_rep,
 )
 from heartglue.reps import compose as rcompose
 
@@ -52,7 +57,7 @@ BY_CONSTRUCTION = {
         "<module>", "Rep.__post_init__", "RepMap.__post_init__",
         "identity_map", "RepMap.__neg__", "RepMap.__add__", "RepMap.__sub__",
         "RepMap.scale", "compose", "block_map", "map_from_generators",
-        "direct_sum",
+        "direct_sum", "projective_sum", "zero_rep",
     },
     "complexes.py": {
         "<module>", "Cx.__post_init__", "CxMap.__post_init__",
@@ -117,6 +122,10 @@ def test_sentinel_only_at_by_construction_sites(path):
 def rebuilt_rep(m: Rep) -> None:
     got = Rep(m.algebra, m.dims, m.arrow_maps, m.proj_gens)
     assert got.arrow_maps == m.arrow_maps
+    if m.proj_gens is not None:
+        # the tagged check compares with projective_sum; the relations are
+        # what projective_sum itself skips
+        Rep(m.algebra, m.dims, m.arrow_maps)
 
 
 def rebuilt_map(f: RepMap) -> None:
@@ -155,7 +164,8 @@ def test_by_construction_outputs_pass_full_validation(
     h = random_map(data, q, r)
     c = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
     ds = direct_sum([p, q])
-    rebuilt_rep(ds.rep)
+    for m in (p, q, r, ds.rep, zero_rep(alg)):
+        rebuilt_rep(m)
     for m in (f, identity_map(p), -f, f + g, f - g, f.scale(c),
               rcompose(h, f), ds.injection(0), ds.projection(1),
               block_map(ds, r, [[rcompose(h, f), h]]),
@@ -176,6 +186,41 @@ def test_by_construction_outputs_pass_full_validation(
               cf.injection(1), cf.projection(0), sm.injection(0),
               sm.injection(1), sm.projection(0), sm.projection(1)):
         rebuilt_cx_map(m)
+
+
+def _kronecker(m):
+    return build_algebra(make_quiver(2, [(f"x{i}", 1, 2)
+                                         for i in range(1, m + 1)]))
+
+
+def _linear_rad2(n):
+    names = [f"a{i}" for i in range(1, n)]
+    q = make_quiver(n, [(a, i, i + 1) for i, a in enumerate(names, 1)])
+    return build_algebra(q, [Relation.of([(1, (a, b))])
+                             for a, b in zip(names, names[1:])])
+
+
+GUARDED = {**{name: (lambda name=name: load_algebra(str(corpus_path(name))))
+              for name in CORPUS_NAMES + ("branching",)},
+           "K3": lambda: _kronecker(3), "K5": lambda: _kronecker(5),
+           "A5-rad2": lambda: _linear_rad2(5),
+           "A7-rad2": lambda: _linear_rad2(7)}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_projective_sums_satisfy_the_relations(name, data):
+    # projective_sum skips the relation check, which guards the path
+    # reduction (algebra.reduce_path) its action is read from
+    alg = GUARDED[name]()
+    n = alg.vertex_count
+    sums = [(v,) for v in range(1, n + 1)]
+    sums.append(tuple(data.draw(st.lists(st.integers(1, n), min_size=1,
+                                         max_size=4))))
+    for gens in sums:
+        p = projective_sum(alg, gens)
+        assert Rep(alg, p.dims, p.arrow_maps).dims == p.dims
 
 
 def test_cone_functorial_rejects_a_square_that_does_not_commute(kron):

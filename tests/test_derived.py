@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (homotopy_boundary_system, is_minimal, random_map,
                       random_sum)
-from heartglue import derived, linalg
+from heartglue import (algebra, bondal, complexes, derived, glue, linalg,
+                       reps, yoneda)
 from heartglue.algebra import Relation, build_algebra, make_quiver
-from heartglue.glue import _scan_range
+from heartglue.glue import _homs, _scan_range
 from heartglue.jsonio import load_algebra
 from heartglue.linalg import RatMatrix, hstack, solve
 from heartglue.reps import (
@@ -48,7 +49,6 @@ from heartglue.derived import (
     DHomClass,
     DHomSpace,
     LiftError,
-    _has_unknowns,
     as_cx,
     compose_classes,
     derived_hom,
@@ -236,22 +236,23 @@ def test_unknown_free_spaces_are_zero(name, tmp_path):
             for k in _scan_range(x, y):
                 full = DHomSpace(x, y, k)
                 assert derived_hom(x, y, k) == full.dim
-                assert _has_unknowns(r, y, k) == (full.layout.total > 0)
+                h, m = derived._at(r, y, k)
+                assert (m in h.support) == (full.layout.total > 0)
 
 
 def _check_hom_complex(x, y):
     """delta^n delta^{n-1} = 0 on the Hom complex Hom(r, y), r the
     resolution of x, and its boundary system is minus the oracle's
-    d h + h d, at every shift of the scan range; returns the shifts
-    where delta^{n-1} has a nonzero entry."""
+    d h + h d, at every shift of the scan range, which holds the support;
+    returns the shifts where delta^{n-1} has a nonzero entry."""
     r = resolve(x).source
+    h, a = derived._at(r, y)
+    assert {m - a for m in h.support} <= set(_scan_range(x, y))
     nonzero = 0
     for n in _scan_range(x, y):
-        t = shift(y, n)
-        delta, before = derived._hom_system(r, t), derived._hom_system(
-            r, shift(t, -1))
+        delta, before = h.delta(n + a), h.delta(n + a - 1)
         assert (delta @ before).is_zero()
-        assert before == -homotopy_boundary_system(r, t)
+        assert before == -homotopy_boundary_system(r, shift(y, n))
         nonzero += not before.is_zero()
     return nonzero
 
@@ -293,8 +294,8 @@ def _counting(monkeypatch, owner, name) -> list:
 @pytest.mark.parametrize("name", ["kronecker", "A5-rad2"])
 def test_ext_table_builds_each_differential_once(name, tmp_path,
                                                  monkeypatch):
-    # a dimension-only job reads ranks: no Hom space, and one system per
-    # (r, t) however many shifts read it
+    # a dimension-only job reads ranks: no Hom space, and one delta^n per
+    # Hom complex and degree however many scans read it
     n = SCALED[name]["vertices"] if name in SCALED else 2
     objs = tmp_path / "objs.json"
     objs.write_text(json.dumps({"objects": [
@@ -302,14 +303,73 @@ def test_ext_table_builds_each_differential_once(name, tmp_path,
         for kind in ("simple", "projective") for i in range(1, n + 1)]}),
         encoding="utf-8")
     spaces = _counting(monkeypatch, DHomSpace, "__init__")
-    systems = _counting(monkeypatch, derived, "_system")
+    systems = _counting(monkeypatch, derived.HomCx, "_system")
     code, _ = run(JobSpec(command="ext-table",
                           algebra_path=_algebra_path(name, tmp_path),
                           object_paths=(str(objs),), output="json"))
     assert code == 0
     assert spaces == []
-    pairs = [(id(r), id(t)) for r, t, _ in systems]  # calls keeps them alive
+    pairs = [(id(h), deg) for h, deg, _ in systems]  # calls keeps them alive
     assert pairs and len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("name", BUNDLED + tuple(SCALED))
+def test_hom_scans_walk_the_support(name, tmp_path):
+    # the scan over the support yields what the scan over every shift of
+    # the range finds nonzero, with and without a top
+    alg = load_algebra(_algebra_path(name, tmp_path))
+    objs = _objects(alg)
+    for x in objs:
+        for y in objs:
+            full = [(n, d) for n in _scan_range(x, y)
+                    if (d := derived_hom(x, y, n))]
+            assert list(_homs(x, y)) == full
+            for top in (-2, 0, 1):
+                assert list(_homs(x, y, top)) == [(n, d) for n, d in full
+                                                  if n <= top]
+
+
+def test_a_shift_reads_the_hom_complex_of_its_base(kron):
+    x, y = as_cx(simple(kron, 2)), _two_term(kron)
+    r = resolve(x).source
+    h = derived.hom(r, y)
+    for a in (-3, -1, 1, 2):
+        assert derived.hom(r, shift(y, a)) is h
+        for n in range(-3, 4):
+            assert derived_hom(x, shift(y, a), n) == derived_hom(x, y, n + a)
+    assert derived.hom(r, shift(shift(y, 2), -2)) is h
+
+
+RETIRED = {"layout", "system", "echelon", "support"}
+
+
+def test_no_memo_holds_a_retired_hom_complex_kind(monkeypatch):
+    # the Hom complex lives in one ("hom", y) entry: no memo written by a
+    # job, nor any memo alive after it, has a key of the four kinds it
+    # replaced
+    keys = []
+    for mod in (algebra, reps, complexes, derived, glue, yoneda, bondal):
+        if hasattr(mod, "memoised"):
+            def recording(obj, key, build, real=mod.memoised):
+                keys.append(key)
+                return real(obj, key, build)
+            monkeypatch.setattr(mod, "memoised", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        for command in ("ext-table", "check-exceptional", "glue-hearts",
+                        "yoneda-oracle", "bondal-check"):
+            run(JobSpec(command=command,
+                        algebra_path=str(corpus_path("a3rel")),
+                        output="json"))
+        alive = [o.__dict__["memo"] for o in gc.get_objects()
+                 if isinstance(getattr(o, "__dict__", None), dict)
+                 and isinstance(o.__dict__.get("memo"), dict)]
+    finally:
+        gc.enable()
+    keys += [k for memo in alive for k in memo]
+    heads = {k[0] if isinstance(k, tuple) else k for k in keys}
+    assert "hom" in heads and not heads & RETIRED
 
 
 def test_a_space_built_after_its_dimension_builds_no_system(kron,
@@ -318,9 +378,9 @@ def test_a_space_built_after_its_dimension_builds_no_system(kron,
     # columns and delta^0 is nonzero, so both ranks are read first
     x, y = as_cx(simple(kron, 2)), as_cx(projective(kron, 2))
     r = resolve(x).source
-    assert _has_unknowns(r, y, 0) and _has_unknowns(r, y, 1)
+    assert {0, 1} <= set(derived.hom(r, y).support)
     assert derived_hom(x, y, 1) == 3
-    systems = _counting(monkeypatch, derived, "_system")
+    systems = _counting(monkeypatch, derived.HomCx, "_system")
     runs = _counting(monkeypatch, linalg, "_echelon")
     sp = dhom_space(x, y, 1)
     assert sp.dim == 3 and derived_hom(x, y, 1) == 3

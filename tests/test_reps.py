@@ -302,6 +302,23 @@ def test_shape_mismatch_rejected(a2):
         Rep(a2, (1, 1), {"a": RatMatrix.zeros(2, 1)})
 
 
+def test_tagged_module_must_be_its_projective_sum(kron):
+    # the dims of P2 over the Kronecker quiver, but not its action: maps
+    # out of it built from generator images would not be natural
+    zeros = {"a": RatMatrix.zeros(2, 1), "b": RatMatrix.zeros(2, 1)}
+    with pytest.raises(RepError, match="not the projective sum"):
+        Rep(kron, (2, 1), zeros, proj_gens=(2,))
+    with pytest.raises(RepError, match="not the projective sum"):
+        Rep(kron, (0, 1), {"a": RatMatrix.zeros(0, 1),
+                           "b": RatMatrix.zeros(0, 1)}, proj_gens=(2,))
+    with pytest.raises(RepError, match="out of range"):
+        Rep(kron, (0, 0), {"a": RatMatrix.zeros(0, 0),
+                           "b": RatMatrix.zeros(0, 0)}, proj_gens=(3,))
+    p = projective(kron, 2)
+    again = Rep(kron, p.dims, p.arrow_maps, proj_gens=(2,))
+    assert again.arrow_maps == p.arrow_maps
+
+
 def test_naturality_violation_rejected(a2):
     p2 = projective(a2, 2)
     bad = (RatMatrix([[Fraction(1)]], cols=1), RatMatrix([[Fraction(0)]], cols=1))

@@ -41,7 +41,6 @@ from heartglue.yoneda import (
     pushout_action,
     splice_from_class,
     split_ext,
-    yclass,
     yoneda_product,
 )
 
@@ -130,7 +129,7 @@ class TestRoundTrip:
         c = dhom_space(s3, s1, 2).basis()[0]
         x = splice_from_class(c, s3, s1, 2)
         again = splice_from_class(f_map(x), s3, s1, 2)
-        assert yclass(x) == yclass(again)
+        assert f_map(x) == f_map(again)
 
     @given(p=st.integers(-4, 4), q=st.integers(-4, 4))
     @settings(max_examples=20, deadline=None)
@@ -311,10 +310,10 @@ class TestYClass:
         c = dhom_space(s3, s1, 2).basis()[0]
         x = splice_from_class(c, s3, s1, 2)
         y = pushout_action(identity_map(s1), x)
-        assert yclass(x) == yclass(y)
-        assert hash(yclass(x)) == hash(yclass(y))
+        assert f_map(x) == f_map(y)
+        assert hash(f_map(x)) == hash(f_map(y))
         z = splice_from_class(c.scale(2), s3, s1, 2)
-        assert yclass(x) != yclass(z)
+        assert f_map(x) != f_map(z)
 
 
 class TestFactorsThrough:
