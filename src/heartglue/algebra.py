@@ -208,7 +208,9 @@ class PathAlgebraDesc:
 
     memo holds, from construction, the basis index of each path
     ("index"), the basis paths between two vertices ("between") and the
-    relation rewriter ("rewriter").
+    relation rewriter ("rewriter"); reps keeps the algebra's "zero_rep"
+    and the dims and arrow blocks of each P_v, keyed by ("projective",
+    v), there too.
     """
 
     quiver: Quiver

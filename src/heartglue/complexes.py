@@ -20,7 +20,8 @@ ranks (cohomology_dims), and the Hom systems in derived build no map or
 module. A missing term is the algebra's one zero module (reps.zero_rep).
 A shift is one object, kept in the unshifted complex's memo, so
 shift(shift(x, a), b) is shift(x, a + b); a module's complex, module_cx,
-is one object in the module's memo.
+is one object in the module's memo.  A complex's terms and differentials
+never change after construction, so its degrees are sorted once.
 
 Validation policy: Cx checks anchoring and d^2 = 0, CxMap anchoring and
 d f = f d, except when a builder passes the module-private _BUILT as _by
@@ -30,6 +31,14 @@ identity_chain_map, and sums and cones with their injections and
 projections (d^2 = 0 on cone(f) is d f = f d).  Input, solves and
 eliminations stay checked (truncate_std, derived, glue, yoneda), and so
 does every certificate.
+
+Memo policy: each result is kept in the memo of the object it
+describes.  A module's memo holds its complex ("cx") beside the
+"identity" that reps keeps there and compose reads.  A complex's memo
+holds its "degrees"; an unshifted complex's memo holds its shifts,
+keyed by ("shift", k), and each shift's memo holds "unshifted", its
+base and k.  A CxSum's memo holds the chain maps of part i, keyed by
+("injection", i) and ("projection", i).
 """
 
 from __future__ import annotations
@@ -97,7 +106,10 @@ class Cx:
         return zero_map(self.term(i), self.term(i + 1))
 
     def degrees(self) -> list[int]:
-        return sorted(i for i, t in self.terms.items() if t.total_dim > 0)
+        """The degrees of the nonzero terms, increasing, sorted once and
+        kept in the memo: the list is shared, so no caller may change it."""
+        return memoised(self, "degrees", lambda: sorted(
+            i for i, t in self.terms.items() if t.total_dim))
 
     def min_deg(self) -> int | None:
         degs = self.degrees()

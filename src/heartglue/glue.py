@@ -60,12 +60,11 @@ def _scan_range(e: Cx, x: Cx) -> range:
     No check asks for a shift outside this range, so a Hom it does not
     report vanishes at every shift.
     """
-    if e.is_zero_object() or x.is_zero_object():
+    de, dx = e.degrees(), x.degrees()
+    if not (de and dx):
         return range(0)
     pad = e.algebra.vertex_count + 2
-    lo = x.min_deg() - e.max_deg()
-    hi = x.max_deg() - e.min_deg() + pad
-    return range(lo, hi + 1)
+    return range(dx[0] - de[-1], dx[-1] - de[0] + pad + 1)
 
 
 def _homs(a: Cx, b: Cx, top: int | None = None):
@@ -87,19 +86,28 @@ def check_exceptional(obj) -> Cx:
     """Verify scalar endomorphisms and vanishing self-extensions, and
     return the object as a complex.
 
-    Raises ExcError carrying the first violating (shift, dim) pair.
+    Raises ExcError carrying the first violating (shift, dim) pair in
+    increasing shift.  The scan walks the nonzero Homs alone (_homs), as
+    a shift it skips has Hom 0; Hom(E, E) is 0 only when E is acyclic,
+    and then so is every Hom.
     """
     cx = as_cx(obj)
     if cx.is_zero_object():
         raise ExcError("the zero object is not exceptional", shift=0, dim=0)
-    for n in _scan_range(cx, cx):
-        d = derived_hom(cx, cx, n)
-        want = 1 if n == 0 else 0
-        if d != want:
-            raise ExcError(
-                f"Hom(E, E[{n}]) has dimension {d}, expected {want}",
-                shift=n, dim=d)
+    acyclic = True
+    for n, d in _homs(cx, cx):
+        if (n, d) != (0, 1):
+            raise _not_exceptional(n, d)
+        acyclic = False
+    if acyclic:
+        raise _not_exceptional(0, 0)
     return cx
+
+
+def _not_exceptional(n: int, d: int) -> ExcError:
+    want = int(n == 0)
+    return ExcError(f"Hom(E, E[{n}]) has dimension {d}, expected {want}",
+                    shift=n, dim=d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,26 +21,38 @@ no empty product, and naturality skips an arrow whose equation has no
 entries.
 
 A tagged projective sum is the same layout with one copy of P_v per
-generator: copy_rows is the one reader of where each copy's basis sits
-at a vertex, and generator_positions, minimal models and the generator
-data of derived all go through it.
+generator: projective_sum is the block-diagonal join of the P_v, each
+built once per algebra, and shares its join with direct_sum.  copy_rows
+is the one reader of where each copy's basis sits at a vertex, and
+generator_positions, minimal models and the generator data of derived
+all go through it.
 
 Validation policy: Rep checks shapes and relations, and that a tagged
 module is the projective_sum on its generators; RepMap checks shapes and
 naturality.  A builder skips the checks by passing the module-private
 _BUILT as _by where its output holds by construction: projective_sum
-(the definition of a tagged module; its relations hold when
-algebra.reduce_path is right, which a test checks), zero_rep, sums,
-differences, negatives, multiples and composites of maps, identity_map,
-map_from_generators (free on generator images), and direct_sum's Rep and
-block_map (block-diagonal layouts of valid parts).  Input, solves and
+(the definition of a tagged module, joined from the per-vertex P_v,
+whose relations hold when algebra.reduce_path is right, which a test
+checks), zero_rep, sums, differences, negatives, multiples and
+composites of maps, identity_map, map_from_generators (free on generator
+images), and direct_sum's Rep and block_map (block-diagonal layouts of
+valid parts).  Input, solves and
 eliminations stay checked (jsonio, kernel, cokernel, hom_space, derived,
 yoneda).
+
+Memo policy: each result is kept in the memo of the object it
+describes.  A module's memo holds its "identity" map, a map's memo its
+negative ("neg"), and a DirectSum's memo the injection and projection
+of part i, keyed by ("inj", i) and ("proj", i).  The algebra's memo
+holds its "zero_rep" and, keyed by ("projective", v), the dims and
+arrow blocks of P_v: data, not a Rep, which would hold the algebra back
+and so close one more cycle that only the collector frees.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Sequence
 
@@ -257,31 +269,41 @@ def projective(alg: PathAlgebraDesc, i: int) -> Rep:
 
 
 def projective_sum(alg: PathAlgebraDesc, vertices: Sequence[int]) -> Rep:
-    """Direct sum of indecomposable projectives, tagged with its generators."""
+    """Direct sum of indecomposable projectives, tagged with its generators:
+    the block-diagonal join of the P_v, each built once per algebra.  Every
+    call returns a new module; only the immutable blocks are shared."""
+    vertices = tuple(vertices)
     for v in vertices:
         if not 1 <= v <= alg.vertex_count:
             raise AlgebraError(f"vertex {v} out of range")
-    vertices = tuple(vertices)
-    n = alg.vertex_count
-    basis = {j: [(c, p) for c, v in enumerate(vertices)
-                 for p in alg.paths_between(j, v)]
-             for j in range(1, n + 1)}
-    dims = tuple(len(basis[j]) for j in range(1, n + 1))
-    index = {j: {cp: k for k, cp in enumerate(basis[j])} for j in basis}
+    dims, maps = _join(alg, [memoised(alg, ("projective", v),
+                                      partial(_projective, alg, v))
+                             for v in vertices])
+    return Rep(alg, dims, maps, vertices, _by=_BUILT)
+
+
+def _projective(alg: PathAlgebraDesc, v: int) -> tuple[tuple[int, ...], dict]:
+    """The dims and arrow blocks of P_v: at vertex j the residue paths
+    j -> v in path order, each column read off one reduce_path."""
+    paths = [alg.paths_between(j, v) for j in range(1, alg.vertex_count + 1)]
+    dims = tuple(map(len, paths))
     maps = {}
     for a in alg.quiver.arrows:
         s, t = a.source, a.target
+        if not dims[s - 1] * dims[t - 1]:
+            maps[a.name] = RatMatrix.zeros(dims[s - 1], dims[t - 1])
+            continue
+        row = {alg.index_of(s, p.arrows): i
+               for i, p in enumerate(paths[s - 1])}
         cols = []
-        for (c, p) in basis[t]:
+        for p in paths[t - 1]:
             # right action: prepend the arrow to the traversal word
-            combo = alg.reduce_path(s, (a.name,) + p.arrows)
             col = [0] * dims[s - 1]
-            for bidx, coef in combo.items():
-                bp = alg.basis[bidx]
-                col[index[s][(c, bp)]] = coef
+            for b, c in alg.reduce_path(s, (a.name,) + p.arrows).items():
+                col[row[b]] = c.numerator if c.denominator == 1 else c
             cols.append(col)
         maps[a.name] = RatMatrix.from_cols(cols, rows=dims[s - 1])
-    return Rep(alg, dims, maps, vertices, _by=_BUILT)
+    return dims, maps
 
 
 def tagged_basis(m: Rep, j: int) -> list[tuple[int, BasisPath]]:
@@ -499,15 +521,30 @@ def direct_sum(parts: Sequence[Rep]) -> DirectSum:
     nonzero = [p for p in parts if p.total_dim]
     if len(nonzero) == 1 and (nonzero[0].proj_gens is not None) == tagged:
         return DirectSum(nonzero[0], parts)
-    dims = tuple(map(sum, zip(*(p.dims for p in parts))))
-    maps = {a.name: block_matrix(
-        [[p.act_arrow(a.name) if i == j else None for j in range(len(parts))]
-         for i, p in enumerate(parts)],
-        [p.dims[a.source - 1] for p in parts],
-        [p.dims[a.target - 1] for p in parts]) for a in alg.quiver.arrows}
+    dims, maps = _join(alg, [(p.dims, p.arrow_maps) for p in parts])
     # the copy-major tagged layout agrees with the block layout
     tags = tuple(v for p in parts for v in p.proj_gens) if tagged else None
     return DirectSum(Rep(alg, dims, maps, tags, _by=_BUILT), parts)
+
+
+def _join(alg: PathAlgebraDesc,
+          parts: Sequence[tuple[tuple[int, ...], dict]]
+          ) -> tuple[tuple[int, ...], dict]:
+    """The dims and arrow blocks of the sum of parts, each given by its
+    dims and arrow blocks: block-diagonal, part by part at every vertex.
+    The dict is new; the blocks of a one-part sum are the part's."""
+    if len(parts) == 1:
+        dims, maps = parts[0]
+        return dims, dict(maps)
+    dims = tuple(sum(d[j] for d, _ in parts) for j in range(alg.vertex_count))
+    maps = {}
+    for a in alg.quiver.arrows:
+        grid = [[None] * len(parts) for _ in parts]
+        for i, (_, m) in enumerate(parts):
+            grid[i][i] = m[a.name]
+        maps[a.name] = block_matrix(grid, [d[a.source - 1] for d, _ in parts],
+                                    [d[a.target - 1] for d, _ in parts])
+    return dims, maps
 
 
 def block_map(src: DirectSum | Rep, tgt: DirectSum | Rep,

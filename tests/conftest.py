@@ -95,6 +95,32 @@ def chopped_class(x):
     return cls
 
 
+def entrywise_projective_sum(alg, vertices):
+    """The dims and arrow blocks of the projective sum on vertices, built
+    entry by entry: every column of every copy read off its own
+    algebra.reduce_path; an oracle for `reps.projective_sum`, which joins
+    the per-vertex P_v."""
+    n = alg.vertex_count
+    basis = {j: [(c, p) for c, v in enumerate(vertices)
+                 for p in alg.paths_between(j, v)]
+             for j in range(1, n + 1)}
+    dims = tuple(len(basis[j]) for j in range(1, n + 1))
+    index = {j: {cp: k for k, cp in enumerate(basis[j])} for j in basis}
+    maps = {}
+    for a in alg.quiver.arrows:
+        s, t = a.source, a.target
+        cols = []
+        for (c, p) in basis[t]:
+            # right action: prepend the arrow to the traversal word
+            combo = alg.reduce_path(s, (a.name,) + p.arrows)
+            col = [0] * dims[s - 1]
+            for bidx, coef in combo.items():
+                col[index[s][(c, alg.basis[bidx])]] = coef
+            cols.append(col)
+        maps[a.name] = RatMatrix.from_cols(cols, rows=dims[s - 1])
+    return dims, maps
+
+
 def homotopy_boundary_system(r: Cx, t: Cx) -> RatMatrix:
     """The boundary map h -> d_t h + h d_r of homotopies h: r^k -> t^{k-1},
     on generator data in degree order, read in the generator data of maps

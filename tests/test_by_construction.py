@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_map, random_sum
+from conftest import entrywise_projective_sum, random_map, random_sum
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.cli import CORPUS_NAMES, corpus_path
 from heartglue.complexes import (
@@ -221,6 +221,23 @@ def test_projective_sums_satisfy_the_relations(name, data):
     for gens in sums:
         p = projective_sum(alg, gens)
         assert Rep(alg, p.dims, p.arrow_maps).dims == p.dims
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_projective_sums_are_the_entrywise_build(name, data):
+    # the join of the kept P_v against every column read off its own
+    # path reduction: single vertices first, then sums with a repeat
+    alg = GUARDED[name]()
+    n = alg.vertex_count
+    some = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+    sums = [(), *((v,) for v in range(1, n + 1)), tuple(some + some[:1])]
+    for gens in sums:
+        p = projective_sum(alg, gens)
+        dims, maps = entrywise_projective_sum(alg, gens)
+        assert (p.dims, p.proj_gens) == (dims, gens)
+        assert p.arrow_maps == maps
 
 
 def test_cone_functorial_rejects_a_square_that_does_not_commute(kron):

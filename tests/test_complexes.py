@@ -1,6 +1,9 @@
 """Chain complexes: shifts, cones, cohomology, truncation triangles."""
 
+import gc
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -515,3 +518,61 @@ def test_identity_shortcut_matches_the_products(data):
                     want[i] = [a @ b for a, b in pairs]
             assert {i: list(m.blocks)
                     for i, m in got.components.items()} == want
+
+
+def _fresh_degrees(x):
+    return sorted(i for i, t in x.terms.items() if t.total_dim)
+
+
+def test_shifts_truncations_and_cones_sort_their_own_degrees(a2):
+    # each is a new complex and keeps its own degrees, whatever its
+    # inputs already keep; a zero term is no degree
+    p1, p2 = projective(a2, 1), projective(a2, 2)
+    f = hom_space(p1, p2)[0]
+    x = Cx(a2, {-2: zero_rep(a2), -1: p1, 0: p2}, {-1: f})
+    assert x.degrees() == [-1, 0] and x.degrees() is x.memo["degrees"]
+    assert (x.min_deg(), x.max_deg()) == (-1, 0)
+    for k in (1, -2, 3):
+        y = shift(x, k)
+        assert y.degrees() == [-1 - k, -k] == _fresh_degrees(y)
+        assert shift(y, -k) is x
+    assert brutal_below(x, 0).degrees() == [-1]
+    empty = brutal_below(x, -1)
+    assert empty.degrees() == [] and empty.is_zero_object()
+    assert (empty.min_deg(), empty.max_deg()) == (None, None)
+    fc = CxMap(module_cx(p1), module_cx(p2), {0: f})
+    assert cone(fc).cx.degrees() == [-1, 0]
+    c = cone(identity_chain_map(shift(x, 1))).cx
+    assert c.degrees() == [-3, -2, -1] == _fresh_degrees(c)
+
+
+def _bench_workloads():
+    path = (Path(__file__).resolve().parent.parent / "perfbench"
+            / "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_no_kept_degrees_go_stale(tmp_path):
+    # after every CLI job of the three bench workloads, each complex still
+    # alive (the collector off keeps the cyclic ones) that keeps its
+    # degrees keeps a fresh sort of its nonzero terms
+    wl = _bench_workloads()
+    inputs = wl.Inputs(tmp_path)
+    checked = 0
+    for workload in wl.WORKLOADS:
+        for job in wl.cli_jobs(workload):
+            gc.collect()
+            gc.disable()
+            try:
+                wl.CliOp(inputs, *job).run()
+                kept = [o for o in gc.get_objects()
+                        if isinstance(o, Cx) and "degrees" in o.memo]
+            finally:
+                gc.enable()
+            assert [x for x in kept
+                    if x.memo["degrees"] != _fresh_degrees(x)] == []
+            checked += len(kept)
+    assert checked

@@ -11,7 +11,9 @@ from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import (
     Triangle,
     cohomology_dims,
+    cone,
     cx_direct_sum,
+    identity_chain_map,
     is_acyclic,
     shift,
     zero_cx,
@@ -102,6 +104,22 @@ class TestExceptionalObjects:
             check_exceptional(cx_direct_sum([s1, s1]).cx)
         assert err.value.shift == 0
         assert err.value.dim == 4
+
+    def test_first_violation_in_increasing_shift(self, a2):
+        # Hom(P1, P2) = k puts a Hom at shift -1 in X = P1 + P2[1], before
+        # the two-dimensional Hom(X, X)
+        p1, p2 = as_cx(projective(a2, 1)), as_cx(projective(a2, 2))
+        x = cx_direct_sum([p1, shift(p2, 1)]).cx
+        with pytest.raises(ExcError, match=r"E\[-1\]\) has dimension 1"):
+            check_exceptional(x)
+
+    def test_acyclic_complex_rejected(self, a2):
+        # nonzero terms, but zero in the derived category: Hom(E, E) = 0
+        p = as_cx(projective(a2, 2))
+        c = cone(identity_chain_map(p)).cx
+        with pytest.raises(ExcError, match="dimension 0, expected 1") as err:
+            check_exceptional(c)
+        assert (err.value.shift, err.value.dim) == (0, 0)
 
     def test_self_extension_rejected(self, kron):
         with pytest.raises(ExcError) as err:

@@ -1,8 +1,9 @@
-"""derived's memo policy names every memo key that derived uses.
+"""The memo policy of derived, reps and complexes names every memo key
+the module uses.
 
-The "Memo policy:" paragraph of the derived module docstring says what
-each memo holds.  The lint reads every literal key (or the literal head
-of a tuple key) that derived.py passes to memoised, or reads or writes
+The "Memo policy:" paragraph of each module docstring says what each
+memo holds.  The lint reads every literal key (or the literal head of a
+tuple key) that the module passes to memoised, or reads or writes
 through a ``.memo``, and asserts that the paragraph names it in quotes,
 so the policy cannot drift from the code.
 """
@@ -10,8 +11,10 @@ so the policy cannot drift from the code.
 import ast
 from pathlib import Path
 
-DERIVED = (Path(__file__).resolve().parent.parent / "src" / "heartglue"
-           / "derived.py")
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "heartglue"
+DERIVED = SRC / "derived.py"
 
 
 def _literal_head(node) -> str | None:
@@ -73,4 +76,21 @@ def test_policy_names_every_key_derived_uses():
     policy = memo_policy(source)
     heads = memo_key_heads(source)
     assert {"hom", "resolution"} <= heads
+    assert [h for h in sorted(heads) if f'"{h}"' not in policy] == []
+
+
+# Every key head reps and complexes use: the scan must find them all.
+KEYS = {
+    "reps.py": {"identity", "inj", "neg", "proj", "zero_rep", "projective"},
+    "complexes.py": {"cx", "identity", "injection", "projection", "shift",
+                     "unshifted", "degrees"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_policy_names_every_key_the_module_uses(name):
+    source = (SRC / name).read_text(encoding="utf-8")
+    policy = memo_policy(source)
+    heads = memo_key_heads(source)
+    assert heads == KEYS[name]
     assert [h for h in sorted(heads) if f'"{h}"' not in policy] == []

@@ -319,6 +319,21 @@ def test_tagged_module_must_be_its_projective_sum(kron):
     assert again.arrow_maps == p.arrow_maps
 
 
+def test_each_projective_is_a_new_module(commsquare):
+    # the algebra keeps the dims and blocks of each P_v, not a module:
+    # every call builds a new Rep with its own arrow dict
+    for v in range(1, commsquare.vertex_count + 1):
+        p, q = projective(commsquare, v), projective(commsquare, v)
+        assert p is not q and p.arrow_maps is not q.arrow_maps
+        assert p.arrow_maps == q.arrow_maps
+        dims, maps = commsquare.memo[("projective", v)]
+        assert dims == p.dims and maps == p.arrow_maps
+        assert maps is not p.arrow_maps
+    p, q = (reps.projective_sum(commsquare, (1, 2, 1)) for _ in range(2))
+    assert p is not q and p.arrow_maps is not q.arrow_maps
+    assert p.arrow_maps == q.arrow_maps
+
+
 def test_naturality_violation_rejected(a2):
     p2 = projective(a2, 2)
     bad = (RatMatrix([[Fraction(1)]], cols=1), RatMatrix([[Fraction(0)]], cols=1))
