@@ -90,25 +90,26 @@ def _window(job: JobSpec, alg, count: int) -> int:
             else default_window(alg, count))
 
 
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
+def _start(job: JobSpec):
+    """The labelled objects of a job on an algebra file, the fields every
+    report of the job shares, and its first text line."""
+    alg = load_algebra(job.algebra_path)
+    objs = _objects(job, alg)
+    w = _window(job, alg, len(objs))
+    base = {"command": job.command, "window": w,
+            "objects": [label for label, _ in objs]}
+    return objs, base, [f"{job.command}  window={w}"]
 
 
 def _run_ext_table(job: JobSpec):
-    alg = load_algebra(job.algebra_path)
-    objs = [(label, as_cx(v)) for label, v in _objects(job, alg)]
-    w = _window(job, alg, len(objs))
+    objs, base, lines = _start(job)
+    cxs = [as_cx(v) for _, v in objs]
     entries = []
-    for i, (_, a) in enumerate(objs, 1):
-        for j, (_, b) in enumerate(objs, 1):
+    for i, a in enumerate(cxs, 1):
+        for j, b in enumerate(cxs, 1):
             entries += [{"source": i, "target": j, "shift": n, "dim": d}
                         for n, d in _homs(a, b)]
-    report = {"command": "ext-table", "window": w,
-              "objects": [label for label, _ in objs],
-              "entries": entries, "ok": True}
-    lines = [f"ext-table  window={w}"]
+    report = dict(base, entries=entries, ok=True)
     lines += [f"object {i}: {label}"
               for i, (label, _) in enumerate(objs, 1)]
     lines += [f"Hom({e['source']}, {e['target']}[{e['shift']}]) = {e['dim']}"
@@ -119,19 +120,13 @@ def _run_ext_table(job: JobSpec):
 
 
 def _exc_payload(e: ExcError) -> dict:
-    return {"position": _jsonable(getattr(e, "position", None)),
-            "shift": getattr(e, "shift", None),
-            "dim": getattr(e, "dim", None),
-            "message": str(e)}
+    pos = e.position  # None, a 1-based index or an (i, j) pair
+    return {"position": list(pos) if isinstance(pos, tuple) else pos,
+            "shift": e.shift, "dim": e.dim, "message": str(e)}
 
 
 def _run_check_exceptional(job: JobSpec):
-    alg = load_algebra(job.algebra_path)
-    objs = _objects(job, alg)
-    w = _window(job, alg, len(objs))
-    base = {"command": "check-exceptional", "window": w,
-            "objects": [label for label, _ in objs]}
-    lines = [f"check-exceptional  window={w}"]
+    objs, base, lines = _start(job)
     try:
         es = check_sequence([v for _, v in objs])
     except ExcError as e:
@@ -151,12 +146,7 @@ def _run_check_exceptional(job: JobSpec):
 
 
 def _run_glue_hearts(job: JobSpec):
-    alg = load_algebra(job.algebra_path)
-    objs = _objects(job, alg)
-    w = _window(job, alg, len(objs))
-    base = {"command": "glue-hearts", "window": w,
-            "objects": [label for label, _ in objs]}
-    lines = [f"glue-hearts  window={w}"]
+    objs, base, lines = _start(job)
     try:
         es = check_sequence([v for _, v in objs])
         _, heart = glue_sequence(es)
@@ -181,14 +171,9 @@ def _run_glue_hearts(job: JobSpec):
 
 
 def _run_dim_formula(job: JobSpec):
-    alg = load_algebra(job.algebra_path)
-    objs = _objects(job, alg)
+    objs, base, lines = _start(job)
     if len(objs) < 2:
         raise SchemaError("dim-formula needs at least two objects")
-    w = _window(job, alg, len(objs))
-    base = {"command": "dim-formula", "window": w,
-            "objects": [label for label, _ in objs]}
-    lines = [f"dim-formula  window={w}"]
     try:
         es = check_sequence([v for _, v in objs])
         glued, heart = glue_sequence(es)
@@ -261,12 +246,7 @@ def _run_yoneda_oracle(job: JobSpec):
 
 
 def _run_bondal_check(job: JobSpec):
-    alg = load_algebra(job.algebra_path)
-    objs = _objects(job, alg)
-    w = _window(job, alg, len(objs))
-    base = {"command": "bondal-check", "window": w,
-            "objects": [label for label, _ in objs]}
-    lines = [f"bondal-check  window={w}"]
+    objs, base, lines = _start(job)
     try:
         es = check_sequence([v for _, v in objs], strong=True)
         r = bondal_check(es)

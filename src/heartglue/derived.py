@@ -66,8 +66,9 @@ from .complexes import (
     unshifted,
 )
 from .complexes import compose as ccompose
-from .linalg import (Echelon, RatMatrix, block_matrix, echelon, hstack,
-                     kernel_basis, pivot_columns, solve, span_coordinates)
+from .linalg import (Echelon, RatMatrix, block_diagonal, block_matrix,
+                     echelon, hstack, kernel_basis, pivot_columns, solve,
+                     span_coordinates)
 from .reps import (
     Rep,
     RepMap,
@@ -406,11 +407,13 @@ def _map_to_vector(u: CxMap, layout: _GenLayout) -> RatMatrix:
 def _after(blocks, lay: _GenLayout, to: _GenLayout) -> RatMatrix:
     """Generator data of u in lay to that of f u in to, for blocks(k, v)
     the vertex-v block of f in degree k (None for zero): block-diagonal."""
-    n = len(lay.entries)
-    grid: list[list] = [[None] * n for _ in range(n)]
-    for i, (k, _, v, _) in enumerate(lay.entries):
-        grid[i][i] = blocks(k, v)
-    return block_matrix(grid, to.sizes, lay.sizes)
+    diag = []
+    for (k, _, v, _), h, w in zip(lay.entries, to.sizes, lay.sizes,
+                                  strict=True):
+        if (b := blocks(k, v)) is not None and b.shape != (h, w):
+            raise ValueError("a block does not fit its slot")
+        diag.append(RatMatrix.zeros(h, w) if b is None else b)
+    return block_diagonal(diag)
 
 
 def solve_lift(p: Cx, g: RatMatrix, r: CxMap, n: int = 0,

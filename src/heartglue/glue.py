@@ -6,8 +6,8 @@ the whole category.  This module verifies exceptionality, projects objects
 onto the pieces, and glues a t-structure given on each piece into one on
 the total category: membership tests for the glued aisle, truncation
 triangles with computed certificates, and the homological dimension
-bookkeeping for the glued heart.  Compatibility, n-fold compatibility and
-the dimension formula share one Hom scan.
+bookkeeping for the glued heart.  Every check shares one Hom scan, _homs,
+which the support of the Hom complex (derived.HomCx.support) bounds.
 
 Glued truncation works on minimal projective models
 (derived.minimal_model): the object, the left remainder and the rotated
@@ -51,34 +51,18 @@ class ExcError(GlueError):
         self.dim = dim
 
 
-def _scan_range(e: Cx, x: Cx) -> range:
-    """Every shift n where Hom(e, x[n]) can be nonzero.
-
-    Projective resolutions over an admissible quotient of an acyclic
-    quiver have length below the vertex count, so chain maps out of the
-    resolution of e vanish once the degree supports no longer overlap.
-    No check asks for a shift outside this range, so a Hom it does not
-    report vanishes at every shift.
-    """
-    de, dx = e.degrees(), x.degrees()
-    if not (de and dx):
-        return range(0)
-    pad = e.algebra.vertex_count + 2
-    return range(dx[0] - de[-1], dx[-1] - de[0] + pad + 1)
-
-
 def _homs(a: Cx, b: Cx, top: int | None = None):
-    """Yield (n, dim Hom(a, b[n])) for every nonzero Hom in the scan range,
-    in increasing n, walking the support of the Hom complex; with top set,
-    no shift above top is computed."""
-    scan = _scan_range(a, b)
-    if top is not None:
-        scan = range(scan.start, min(scan.stop, top + 1))
-    if not scan:
-        return
+    """Yield (n, dim Hom(a, b[n])) for every nonzero Hom, in increasing n.
+
+    The support of the Hom complex Hom(resolve(a), b) bounds the scan: a
+    shift outside it has no nonzero cochain, so its Hom vanishes.  With
+    top set, no shift above top is computed.
+    """
     c = unshifted(b)[1]  # hom(r, b) reads b[n] at degree n + c
     for n in (m - c for m in hom(resolve(a).source, b).support):
-        if n in scan and (d := derived_hom(a, b, n)):
+        if top is not None and n > top:
+            return
+        if d := derived_hom(a, b, n):
             yield n, d
 
 
@@ -129,9 +113,6 @@ class ExcSequence:
     def object(self, i: int) -> Cx:
         return self.objects[i - 1]
 
-    def hom_dim(self, i: int, j: int, n: int) -> int:
-        return self.hom_table.get((i, j, n), 0)
-
 
 def check_sequence(objs, strong: bool = False) -> ExcSequence:
     """Verify an exceptional sequence, optionally requiring strongness.
@@ -174,15 +155,16 @@ def check_sequence(objs, strong: bool = False) -> ExcSequence:
     return ExcSequence(tuple(verified), is_strong, table)
 
 
-def _hom_parts(e: Cx, x: Cx) -> list[tuple[Cx, CxMap, int]]:
-    """One shifted copy of the resolution of e per basis class of
-    Hom(e, x[n]), each with its evaluation map into x."""
+def _hom_parts(gens, x: Cx) -> list[tuple[Cx, CxMap, int]]:
+    """One shifted copy of the resolution of g per basis class of
+    Hom(g, x[n]), g in gens in turn, each with its evaluation map into x."""
     parts = []
-    for n, _ in _homs(e, x):
-        sp = dhom_space(e, x, n)
-        for cls in sp.basis():
-            u = shift_map(sp.representative(cls), -n)
-            parts.append((u.source, u, n))
+    for g in gens:
+        for n, _ in _homs(g, x):
+            sp = dhom_space(g, x, n)
+            for cls in sp.basis():
+                u = shift_map(sp.representative(cls), -n)
+                parts.append((u.source, u, n))
     return parts
 
 
@@ -212,6 +194,11 @@ class AisleSpec:
     truncate then builds the one triangle, with B = cone(f).  Nested
     truncations call _cut, so only the outermost level builds a cone of
     f and a Triangle.
+
+    One generator list, heart_gens, serves both the aisle and its heart:
+    the aisle is the extension closure of the nonnegative shifts of the
+    heart generators, so the compatibility checks read that list, and an
+    aisle keeps no second one that could drift from it.
     """
 
     algebra = None
@@ -228,9 +215,6 @@ class AisleSpec:
         return a, c.cx, Triangle(a, x, c.cx, f, c.injection(1), cone_of_f=c)
 
     def heart_gens(self) -> tuple[Cx, ...]:
-        raise NotImplementedError
-
-    def aisle_gens(self) -> tuple[Cx, ...]:
         raise NotImplementedError
 
     def sod_gens(self) -> tuple[Cx, ...]:
@@ -266,9 +250,6 @@ class StandardAisle(AisleSpec):
     def heart_gens(self) -> tuple[Cx, ...]:
         return self._hearts
 
-    def aisle_gens(self) -> tuple[Cx, ...]:
-        return self._hearts
-
     def describe(self) -> str:
         return f"standard(cut={self.cut})"
 
@@ -299,14 +280,8 @@ class AddGeneratedAisle(AisleSpec):
                         f"Hom of dimension {d} at shift {n}")
         self._gens = objs
 
-    def _parts(self, x: Cx) -> list[tuple[Cx, CxMap, int]]:
-        parts = []
-        for g in self._gens:
-            parts += _hom_parts(g, x)
-        return parts
-
     def member(self, x: Cx) -> bool:
-        every = self._parts(x)
+        every = _hom_parts(self._gens, x)
         if any(n >= 1 for _, _, n in every):
             return False
         _, ev = _assemble(x, every)
@@ -317,7 +292,7 @@ class AddGeneratedAisle(AisleSpec):
     truncate = AisleSpec.truncate
 
     def _cut(self, x: Cx) -> tuple[Cx, CxMap]:
-        every = self._parts(x)
+        every = _hom_parts(self._gens, x)
         a, f = _assemble(x, every)
         if not is_acyclic(cone(f).cx):
             raise GlueError("object is not generated by the aisle objects")
@@ -326,9 +301,6 @@ class AddGeneratedAisle(AisleSpec):
         return a, f
 
     def heart_gens(self) -> tuple[Cx, ...]:
-        return self._gens
-
-    def aisle_gens(self) -> tuple[Cx, ...]:
         return self._gens
 
     def sod_gens(self) -> tuple[Cx, ...]:
@@ -363,18 +335,13 @@ class GluedAisle(AisleSpec):
         self.right = right
         self.algebra = left.algebra
         self._sod = left.sod_gens() + right.sod_gens()
-        self._aisle = right.aisle_gens() + tuple(
-            shift(g, 1) for g in left.aisle_gens())
         self._hearts = right.heart_gens() + tuple(
             shift(g, 1) for g in left.heart_gens())
 
     def _project(self, x: Cx) -> tuple[Cx, CxMap, CxSum]:
         # component of x along the right piece, with its evaluation map;
         # the cone is the left remainder
-        parts = []
-        for g in self.right.sod_gens():
-            parts += _hom_parts(g, x)
-        v2, ev2 = _assemble(x, parts)
+        v2, ev2 = _assemble(x, _hom_parts(self.right.sod_gens(), x))
         return v2, ev2, cone(ev2)
 
     def member(self, x: Cx) -> bool:
@@ -418,9 +385,6 @@ class GluedAisle(AisleSpec):
     def heart_gens(self) -> tuple[Cx, ...]:
         return self._hearts
 
-    def aisle_gens(self) -> tuple[Cx, ...]:
-        return self._aisle
-
     def sod_gens(self) -> tuple[Cx, ...]:
         return self._sod
 
@@ -441,9 +405,7 @@ def sod_project(x: Cx, es: ExcSequence, k: int) -> Cx:
         raise GlueError(f"component index {k} outside 1..{m}")
     cur = x
     for j in range(m, 0, -1):
-        e = es.object(j)
-        parts = _hom_parts(e, cur)
-        v, ev = _assemble(cur, parts)
+        v, ev = _assemble(cur, _hom_parts((es.object(j),), cur))
         if j == k:
             return v
         cur = cone(ev).cx
@@ -458,8 +420,8 @@ class CompatReport:
     means the right piece maps to the left one, so the two do not form a
     semiorthogonal decomposition at all; kind "negative" means the left
     aisle maps to a positive co-aisle shift on the right.  compatible
-    names 1-based generator positions into the two aisle generator
-    lists; nfold_compatible names the pieces i < k.
+    names 1-based generator positions into the two heart_gens lists;
+    nfold_compatible names the pieces i < k.
     """
 
     ok: bool
@@ -493,7 +455,7 @@ def compatible(a1: AisleSpec, a2: AisleSpec) -> CompatReport:
     on the right, which at the generator level means Hom(G1, G2[n]) = 0
     for every n <= -1.
     """
-    viol = _violations(a1.aisle_gens(), a2.aisle_gens(), -1)
+    viol = _violations(a1.heart_gens(), a2.heart_gens(), -1)
     return CompatReport(not viol, tuple(viol))
 
 
@@ -566,7 +528,7 @@ def nfold_compatible(aisles) -> CompatReport:
     for i in range(1, len(aisles) + 1):
         for k in range(i + 1, len(aisles) + 1):
             viol += [(kind, i, k, n, d) for kind, _, _, n, d in _violations(
-                aisles[i - 1].aisle_gens(), aisles[k - 1].aisle_gens(),
+                aisles[i - 1].heart_gens(), aisles[k - 1].heart_gens(),
                 i - k)]
     return CompatReport(not viol, tuple(viol))
 

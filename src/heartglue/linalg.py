@@ -424,6 +424,23 @@ def block_matrix(grid: Sequence[Sequence[RatMatrix | None]],
     return _raw(tuple(out), den, lefts[-1])
 
 
+def block_diagonal(mats: Sequence[RatMatrix]) -> RatMatrix:
+    """The matrix with mats down its diagonal.  Each block's rows are
+    written once, at its column offset, so the join is linear in the
+    blocks (block_matrix would walk a grid of their count squared).  One
+    block is itself."""
+    if len(mats) == 1:
+        return mats[0]
+    den, grids = _common(mats)
+    out: list[dict] = []
+    left = 0
+    for m, rows in zip(mats, grids):
+        out += [{left + j: x for j, x in r.items()} if r and left else r
+                for r in rows]
+        left += m.cols
+    return _raw(tuple(out), den, left)
+
+
 def _echelon(nz: Sequence[dict]) -> tuple[list[dict], list[int]]:
     """Bareiss forward elimination of sparse int rows.
 

@@ -60,6 +60,7 @@ from .algebra import (AlgebraError, BasisPath, PathAlgebraDesc, memo_field,
                       memoised)
 from .linalg import (
     RatMatrix,
+    block_diagonal,
     block_matrix,
     complement_pivots,
     hstack,
@@ -537,13 +538,8 @@ def _join(alg: PathAlgebraDesc,
         dims, maps = parts[0]
         return dims, dict(maps)
     dims = tuple(sum(d[j] for d, _ in parts) for j in range(alg.vertex_count))
-    maps = {}
-    for a in alg.quiver.arrows:
-        grid = [[None] * len(parts) for _ in parts]
-        for i, (_, m) in enumerate(parts):
-            grid[i][i] = m[a.name]
-        maps[a.name] = block_matrix(grid, [d[a.source - 1] for d, _ in parts],
-                                    [d[a.target - 1] for d, _ in parts])
+    maps = {a.name: block_diagonal([m[a.name] for _, m in parts])
+            for a in alg.quiver.arrows}
     return dims, maps
 
 

@@ -9,7 +9,6 @@ from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import Cx, CxMap, ses_to_triangle
 from heartglue.derived import (_generators, compose_classes, derived_hom,
                                dhom_space)
-from heartglue.glue import _scan_range
 from heartglue.linalg import RatMatrix, block_matrix
 from heartglue.reps import (RepMap, block_map, cokernel, compose as rcompose,
                             direct_sum, eval_columns, generator_positions,
@@ -181,10 +180,25 @@ def is_minimal(x: Cx) -> bool:
     return True
 
 
+def _scan_range(e: Cx, x: Cx) -> range:
+    """Every shift n where Hom(e, x[n]) can be nonzero.
+
+    Projective resolutions over an admissible quotient of an acyclic
+    quiver have length below the vertex count, so chain maps out of the
+    resolution of e vanish once the degree supports no longer overlap.
+    The brute-force window: a Hom scan must find nothing outside it.
+    """
+    de, dx = e.degrees(), x.degrees()
+    if not (de and dx):
+        return range(0)
+    pad = e.algebra.vertex_count + 2
+    return range(dx[0] - de[-1], dx[-1] - de[0] + pad + 1)
+
+
 def in_coaisle(aisle, b: Cx) -> bool:
     """Whether Hom(G[l], B) = 0 for every aisle generator G and l >= 0."""
     return all(derived_hom(g, b, n) == 0
-               for g in aisle.aisle_gens()
+               for g in aisle.heart_gens()
                for n in _scan_range(g, b) if n <= 0)
 
 

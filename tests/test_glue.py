@@ -139,7 +139,7 @@ class TestExceptionalSequences:
         assert len(es) == 2
         assert es.strong
         assert es.hom_table == {(1, 1, 0): 1, (1, 2, 0): 2, (2, 2, 0): 1}
-        assert es.hom_dim(2, 1, 0) == 0
+        assert es.hom_table.get((2, 1, 0), 0) == 0
         assert all(es.object(i) is as_cx(p) for i, p in enumerate(ps, 1))
 
     def test_projectives_with_relation(self, a3rel):
@@ -148,7 +148,7 @@ class TestExceptionalSequences:
         assert es.hom_table == {(1, 1, 0): 1, (2, 2, 0): 1, (3, 3, 0): 1,
                                 (1, 2, 0): 1, (2, 3, 0): 1}
         # the composite of the two arrows dies, so no maps P1 -> P3
-        assert es.hom_dim(1, 3, 0) == 0
+        assert es.hom_table.get((1, 3, 0), 0) == 0
 
     def test_backward_map_rejected(self, kron):
         with pytest.raises(ExcError) as err:
@@ -160,8 +160,8 @@ class TestExceptionalSequences:
     def test_simple_pair_is_exceptional_not_strong(self, a2):
         es = check_sequence([simple(a2, 2), simple(a2, 1)])
         assert not es.strong
-        assert es.hom_dim(1, 2, 1) == 1
-        assert es.hom_dim(1, 2, 0) == 0
+        assert es.hom_table.get((1, 2, 1), 0) == 1
+        assert es.hom_table.get((1, 2, 0), 0) == 0
         with pytest.raises(ExcError) as err:
             check_sequence([simple(a2, 2), simple(a2, 1)], strong=True)
         assert err.value.position == (1, 2)
@@ -279,7 +279,7 @@ class TestGluedHearts:
         es, aisle, heart = a3rel_glued
         assert [cohomology_dims(g) for g in heart.generators] == [
             {0: (0, 1, 1)}, {-1: (1, 1, 0)}, {-2: (1, 0, 0)}]
-        assert len(aisle.aisle_gens()) == 3
+        assert len(aisle.heart_gens()) == 3
         assert aisle.describe() == "glue(glue(add(1), add(1)), add(1))"
 
     def test_nonstrong_pair_still_glues(self, a2):

@@ -360,3 +360,17 @@ def test_block_matrix_fast_paths_join_as_values(case):
 def test_block_matrix_fast_paths_refuse_a_misfit(grid, heights, widths):
     with pytest.raises(ValueError, match="a block does not fit its slot"):
         lin.block_matrix(grid, heights, widths)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=5),
+       st.data())
+def test_block_diagonal_is_the_diagonal_grid(shapes, data):
+    # empty lists, 0 x k and k x 0 blocks, and mixed denominators
+    mats = [pair(data.draw(shaped(r, c)))[0] for r, c in shapes]
+    grid = [[m if i == j else None for j in range(len(mats))]
+            for i, m in enumerate(mats)]
+    got = lin.block_diagonal(mats)
+    assert canonical(got)
+    assert got == lin.block_matrix(grid, [m.rows for m in mats],
+                                   [m.cols for m in mats])
