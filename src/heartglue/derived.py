@@ -2,7 +2,10 @@
 
 Every object is replaced by a quasi-isomorphic bounded-above complex of
 tagged projective sums. A resolution is its augmentation map: resolve(x)
-is the quasi-isomorphism eps: R -> as_cx(x), and R is eps.source. Maps
+is the quasi-isomorphism eps: R -> as_cx(x), and R is eps.source. A
+module is resolved inside its tagged terms: each syzygy is a kernel basis
+in the term it lies in, read off the forward pass that certifies the map
+into that term surjects, and projective_cover covers it there. Maps
 out of R are free on the copy generators, so chain maps, homotopies, and
 lifts all reduce to finite linear systems over the generator data, which
 is one RatMatrix column in _GenLayout order: a block per copy generator,
@@ -77,13 +80,11 @@ from .reps import (
     eval_columns,
     generator_block,
     generator_positions,
-    kernel,
     map_from_generators,
     projective_cover,
     projective_sum,
     zero_map,
 )
-from .reps import compose as rcompose
 
 
 class LiftError(RuntimeError):
@@ -119,18 +120,15 @@ def _resolve(x: Cx) -> CxMap:
             eps = resolve(m)
             return CxMap(shift(eps.source, -b), x, {b: eps.comp(0)})
         # the module in degree 0: resolve it by projective covers
-        cover, pi = projective_cover(m)
+        cover, pi, syzygy = projective_cover(m)
         terms = {0: cover}
         diffs: dict[int, RepMap] = {}
-        ker_rep, incl = kernel(pi)
         deg = 0
-        while ker_rep.total_dim:
+        while any(k.cols for k in syzygy):
             if deg < -(m.algebra.vertex_count + 2):
                 raise LiftError("resolution exceeded the global bound")
-            q, piq = projective_cover(ker_rep)
-            diffs[deg - 1] = rcompose(incl, piq)
-            terms[deg - 1] = q
-            ker_rep, incl = kernel(piq)
+            terms[deg - 1], diffs[deg - 1], syzygy = projective_cover(
+                terms[deg], syzygy)
             deg -= 1
         return CxMap(Cx(m.algebra, terms, diffs), x, {0: pi})
     below = brutal_below(x, b)

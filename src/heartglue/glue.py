@@ -56,8 +56,12 @@ def _homs(a: Cx, b: Cx, top: int | None = None):
 
     The support of the Hom complex Hom(resolve(a), b) bounds the scan: a
     shift outside it has no nonzero cochain, so its Hom vanishes.  With
-    top set, no shift above top is computed.
+    top set, no shift above top is computed, and a is not resolved when
+    every shift lies above top: R_a has no term above a's top degree.
     """
+    da, db = a.degrees(), b.degrees()
+    if not (da and db) or top is not None and db[0] - da[-1] > top:
+        return
     c = unshifted(b)[1]  # hom(r, b) reads b[n] at degree n + c
     for n in (m - c for m in hom(resolve(a).source, b).support):
         if top is not None and n > top:

@@ -37,8 +37,9 @@ checks), zero_rep, sums, differences, negatives, multiples and
 composites of maps, identity_map, map_from_generators (free on generator
 images), and direct_sum's Rep and block_map (block-diagonal layouts of
 valid parts).  Input, solves and
-eliminations stay checked (jsonio, kernel, cokernel, hom_space, derived,
-yoneda).
+eliminations stay checked (jsonio, kernel, cokernel, hom_space, the lifts
+and minimal models of derived, yoneda), and projective_cover certifies by
+ranks that it surjects.  A resolution builds no module but its terms.
 
 Memo policy: each result is kept in the memo of the object it
 describes.  A module's memo holds its "identity" map, a map's memo its
@@ -62,7 +63,7 @@ from .linalg import (
     RatMatrix,
     block_diagonal,
     block_matrix,
-    complement_pivots,
+    echelon,
     hstack,
     kernel_basis,
     kron,
@@ -615,31 +616,38 @@ def exact_certificate(*maps: RepMap) -> None:
                 raise RepError(f"not exact at term {i}, vertex {v}")
 
 
-def top_generators(m: Rep) -> list[tuple[int, RatMatrix]]:
-    """(vertex, column) generators lifting a basis of m / rad m.
-
-    At each vertex the radical part is the span of all arrow-action images;
-    the returned standard basis columns complete it.
+def top_generators(m: Rep, span: Sequence[RatMatrix] | None = None
+                   ) -> list[tuple[int, RatMatrix]]:
+    """(vertex, column) generators lifting a basis of N / rad N, for N the
+    submodule of m spanned at each vertex v by the independent columns of
+    span[v - 1] (all of m by default).  The columns at v are those of
+    span[v - 1] that complete the radical, the span of the arrow images of
+    N: the pivots past it in the forward pass of radical | span[v - 1].
     """
-    alg = m.algebra
+    if span is None:
+        span = [RatMatrix.identity(d) for d in m.dims]
     out = []
-    for v in range(1, alg.vertex_count + 1):
-        incoming = [m.act_arrow(a.name) for a in alg.quiver.arrows if a.source == v]
-        if incoming:
-            radical = hstack(incoming)
-        else:
-            radical = RatMatrix.zeros(m.dim_at(v), 0)
-        unit = RatMatrix.identity(m.dim_at(v))
-        out += [(v, unit.col_matrix(j)) for j in complement_pivots(radical)]
+    for v, basis in enumerate(span, 1):
+        radical = [m.act_arrow(a.name) @ span[a.target - 1]
+                   for a in m.algebra.quiver.arrows if a.source == v]
+        width = sum(r.cols for r in radical)
+        out += [(v, basis.col_matrix(j - width))
+                for j in pivot_columns(hstack(radical + [basis])) if j >= width]
     return out
 
 
-def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
-    """A surjection from a tagged projective sum onto m through its top."""
-    gens = top_generators(m)
+def projective_cover(m: Rep, span: Sequence[RatMatrix] | None = None
+                     ) -> tuple[Rep, RepMap, list[RatMatrix]]:
+    """(P, pi, K): pi maps the tagged projective sum P into m, onto the
+    submodule N spanned by span (all of m by default) through the top of
+    N (top_generators), and K[v - 1] is the kernel basis of pi at v, the
+    syzygy of N inside P.  One forward pass per vertex block of pi reads
+    both K and the certificate that pi surjects onto N."""
+    gens = top_generators(m, span)
     cover = projective_sum(m.algebra, tuple(v for v, _ in gens))
     pi = map_from_generators(cover, m, [col for _, col in gens])
-    for v in range(1, m.algebra.vertex_count + 1):
-        if rank(pi.block(v)) != m.dim_at(v):
-            raise RepError("projective cover failed to surject; broken input")
-    return cover, pi
+    echs = [echelon(b) for b in pi.blocks]
+    covered = m.dims if span is None else tuple(k.cols for k in span)
+    if tuple(len(e.pivots) for e in echs) != covered:
+        raise RepError("projective cover failed to surject; broken input")
+    return cover, pi, [kernel_basis(e) for e in echs]

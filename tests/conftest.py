@@ -9,11 +9,12 @@ from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import Cx, CxMap, ses_to_triangle
 from heartglue.derived import (_generators, compose_classes, derived_hom,
                                dhom_space)
-from heartglue.linalg import RatMatrix, block_matrix
+from heartglue.linalg import (RatMatrix, block_matrix, complement_pivots,
+                              hstack)
 from heartglue.reps import (RepMap, block_map, cokernel, compose as rcompose,
                             direct_sum, eval_columns, generator_positions,
-                            image, map_from_generators, projective_sum,
-                            through_epi)
+                            image, kernel, map_from_generators,
+                            projective_sum, through_epi)
 
 
 @pytest.fixture(scope="session")
@@ -118,6 +119,36 @@ def entrywise_projective_sum(alg, vertices):
             cols.append(col)
         maps[a.name] = RatMatrix.from_cols(cols, rows=dims[s - 1])
     return dims, maps
+
+
+def syzygy_module_resolution(m):
+    """The projective resolution of the module m built through syzygy
+    modules: cover the module by unit columns completing its radical,
+    take the kernel of the cover as a checked module with its inclusion,
+    cover that kernel in its own coordinates, and compose the cover back
+    into the previous term; an oracle for `derived.resolve`, which keeps
+    each syzygy as a kernel basis inside its term.  Returns the terms and
+    differentials by degree, and the augmentation onto m."""
+    alg = m.algebra
+    terms, diffs, aug, incl, deg = {}, {}, None, None, 0
+    while m.total_dim:
+        gens = []
+        for v in range(1, alg.vertex_count + 1):
+            radical = [m.act_arrow(a.name) for a in alg.quiver.arrows
+                       if a.source == v]
+            unit = RatMatrix.identity(m.dim_at(v))
+            gens += [(v, unit.col_matrix(j)) for j in complement_pivots(
+                hstack(radical or [RatMatrix.zeros(m.dim_at(v), 0)]))]
+        q = projective_sum(alg, [v for v, _ in gens])
+        pi = map_from_generators(q, m, [col for _, col in gens])
+        terms[deg] = q
+        if incl is None:
+            aug = pi
+        else:
+            diffs[deg] = rcompose(incl, pi)
+        m, incl = kernel(pi)
+        deg -= 1
+    return terms, diffs, aug
 
 
 def homotopy_boundary_system(r: Cx, t: Cx) -> RatMatrix:

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (_scan_range, homotopy_boundary_system, is_minimal,
-                      random_map, random_sum)
+                      random_map, random_sum, syzygy_module_resolution)
 from heartglue import (algebra, bondal, complexes, derived, glue, linalg,
                        reps, yoneda)
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.glue import _homs
-from heartglue.jsonio import load_algebra
+from heartglue.jsonio import algebra_from_dict, load_algebra
 from heartglue.linalg import RatMatrix, hstack, solve
 from heartglue.reps import (
     Rep,
@@ -530,7 +530,7 @@ def test_roof_class_matches_the_map_level_route(kron, a3rel, commsquare,
     q = data.draw(st.one_of(st.sampled_from(mods), random_module(alg)))
     # K -> P -> Q along the projective cover does not split unless Q is
     # projective; scaling the inclusion scales the class
-    _, pi = projective_cover(q)
+    _, pi, _ = projective_cover(q)
     k, incl = kernel(pi)
     incl = incl.scale(data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)])))
     tri = ses_to_triangle(incl, pi)
@@ -840,6 +840,58 @@ def test_minimal_model_keeps_a_cover_resolution(kron):
     assert dims_table(small) == dims_table(resolve(s).source)
     assert is_acyclic(cone(q).cx)
     assert cohomology_dims(small) == {0: (0, 1)}
+
+
+def assert_syzygy_module_resolution(m):
+    """resolve(m) is the resolution the syzygy modules build: the same
+    generators in every degree, differential blocks and augmentation."""
+    eps = resolve(m)
+    terms, diffs, aug = syzygy_module_resolution(m)
+    r = eps.source
+    assert {k: t.proj_gens for k, t in r.terms.items()} == {
+        k: t.proj_gens for k, t in terms.items()}
+    assert {k: d.blocks for k, d in r.diffs.items()} == {
+        k: d.blocks for k, d in diffs.items()}
+    assert {k: f.blocks for k, f in eps.components.items()} == (
+        {0: aug.blocks} if aug else {})
+
+
+@pytest.mark.parametrize("name", BUNDLED + tuple(SCALED))
+def test_resolution_is_the_syzygy_module_resolution(name):
+    alg = (algebra_from_dict(SCALED[name]) if name in SCALED
+           else load_algebra(str(corpus_path(name))))
+    for v in range(1, alg.vertex_count + 1):
+        assert_syzygy_module_resolution(simple(alg, v))
+        assert_syzygy_module_resolution(projective(alg, v))
+
+
+@pytest.mark.parametrize("alg", [
+    build_algebra(make_quiver(2, [("a", 1, 2), ("b", 1, 2)])),
+    build_algebra(make_quiver(4, [("a", 1, 2), ("b", 1, 3), ("c", 2, 4),
+                                  ("d", 3, 4)]),
+                  [Relation.of([(1, ("a", "c")), (-1, ("b", "d"))])])],
+    ids=["kronecker", "commsquare"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_resolution_and_minimal_model_on_random_modules(alg, data):
+    # covers are minimal, so the minimal model cancels nothing
+    m = data.draw(random_module(alg))
+    assert_syzygy_module_resolution(m)
+    assert minimal_model(m)[0] is resolve(m).source
+
+
+@pytest.mark.parametrize("where", ["module", "syzygy"])
+def test_resolve_certifies_each_cover_surjects(kron, monkeypatch, where):
+    # a cover one generator short fails the rank read off its kernel's
+    # forward pass, on the module's own cover and on a syzygy's
+    real = reps.top_generators
+
+    def short(m, span=None):
+        gens = real(m, span)
+        return gens[:-1] if (span is None) == (where == "module") else gens
+    monkeypatch.setattr(reps, "top_generators", short)
+    with pytest.raises(RepError, match="failed to surject"):
+        resolve(simple(kron, 2))
 
 
 def test_minimal_model_kills_an_identity_cone(kron):

@@ -271,14 +271,14 @@ def test_exactness_certificate_on_four_terms(kron):
 def test_projective_cover_of_simple(a3rel):
     for i in (1, 2, 3):
         s = simple(a3rel, i)
-        cover, pi = projective_cover(s)
+        cover, pi, _ = projective_cover(s)
         assert cover.proj_gens == (i,)
         assert all(rank(pi.block(v)) == s.dim_at(v) for v in (1, 2, 3))
 
 
 def test_projective_cover_of_projective_is_identity_sized(kron):
     p2 = projective(kron, 2)
-    cover, pi = projective_cover(p2)
+    cover, pi, _ = projective_cover(p2)
     assert cover.dims == p2.dims
     assert cover.proj_gens == (2,)
 

@@ -60,7 +60,7 @@ def spaces_objects(alg, simples_only=False):
 class TestYExtValidation:
     def test_projective_cover_sequence(self, a2):
         s2 = simple(a2, 2)
-        p2, pi = projective_cover(s2)
+        p2, pi, _ = projective_cover(s2)
         k, incl = kernel(pi)
         ext = YExt(k, s2, (p2,), (incl, pi))
         assert ext.n == 1
@@ -70,7 +70,7 @@ class TestYExtValidation:
 
     def test_rejects_inexact_sequence(self, a2):
         s2 = simple(a2, 2)
-        p2, pi = projective_cover(s2)
+        p2, pi, _ = projective_cover(s2)
         k, incl = kernel(pi)
         with pytest.raises(YExtError):
             YExt(k, s2, (p2,), (incl, zero_map(p2, s2)))
@@ -79,7 +79,7 @@ class TestYExtValidation:
 
     def test_rejects_wrong_arity_and_endpoints(self, a2):
         s2 = simple(a2, 2)
-        p2, pi = projective_cover(s2)
+        p2, pi, _ = projective_cover(s2)
         k, incl = kernel(pi)
         with pytest.raises(YExtError):
             YExt(k, s2, (), (incl,))
@@ -242,7 +242,7 @@ class TestFunctoriality:
         s2, s3 = simple(a3rel, 2), simple(a3rel, 3)
         c = dhom_space(s3, s2, 1).basis()[0]
         x = splice_from_class(c, s3, s2, 1)
-        p3, pi = projective_cover(s3)
+        p3, pi, _ = projective_cover(s3)
         pulled = pullback_action(x, pi)
         want = compose_classes(c, class_of_module_map(pi))
         assert want.is_zero()
