@@ -28,7 +28,7 @@ from pathlib import Path
 import click
 
 from .complexes import cohomology_dims, shift
-from .derived import as_cx, derived_hom, dhom_space, hom, resolve
+from .derived import as_cx, dhom_space, hom_scan
 from .glue import (AddGeneratedAisle, ExcError, GlueError, _homs,
                    check_dim_formula, check_sequence, glue, glue_sequence)
 from .jsonio import (SchemaError, algebra_to_dict, dump_json, load_algebra,
@@ -218,10 +218,8 @@ def _run_yoneda_oracle(job: JobSpec):
     ok = True
     for i, (_, a) in enumerate(objs, 1):
         for j, (_, b) in enumerate(objs, 1):
-            # a Hom outside the support of the Hom complex is 0
-            support = hom(resolve(a).source, as_cx(b)).support
-            for n in range(1, max_degree + 1):
-                if n not in support or not derived_hom(a, b, n):
+            for n, dim in hom_scan(a, b, max_degree):
+                if n < 1 or not dim():
                     continue
                 sp = dhom_space(a, b, n)
                 good = all(

@@ -332,13 +332,6 @@ def cx_direct_sum(parts: list[Cx]) -> CxSum:
     return _sum(tuple(parts))
 
 
-def heart_cohomology(x: Cx, i: int) -> Rep:
-    """H^i of the complex, as a module."""
-    _, incl = kernel(x.d(i))
-    h, _ = cokernel(through_mono(incl, x.d(i - 1)))
-    return h
-
-
 def cohomology_dims(x: Cx) -> dict[int, tuple[int, ...]]:
     """dim H^i e_v for each nonzero H^i: dim X^i_v - rank d^i_v -
     rank d^{i-1}_v, as M -> M e_v is exact and d^2 = 0."""

@@ -18,7 +18,9 @@ once, for the cycles of one degree and the boundaries of the next.
 derived_hom reads dim H^n off two ranks; a DHomSpace fixes a canonical
 coordinate system by row reduction. The n-cochains are zero outside the
 support, the n where a copy generator of R_X meets a nonzero vertex
-space of Y[n], and Hom scans walk the support alone.
+space of Y[n], and Hom scans walk the support alone (hom_scan). Only
+unshifted R and Y get a Hom complex: maps R[a] -> Y[b][n] are its
+(n + b - a)-cochains, and only this module translates degrees (_at).
 
 Classes compose on generator data. solve_lift, the one lift kernel,
 lifts a column through a quasi-isomorphism, and a post-composition is a
@@ -38,17 +40,18 @@ one, with no component into a zero term.
 Memo policy: each result is kept in the memo of the object it describes
 and nowhere else. A module's memo holds its complex and its identity; a
 complex's memo holds its "resolution", shifts and copy "generators", the
-space Hom(x, y[n]) keyed by (as_cx(y), n), the Hom complex Hom(r, y)
-keyed by ("hom", y) for y no shift (shifts of y read it), and the
-splitting of its differential d^k keyed by ("splitting", k), which
-yoneda pushes resolutions out along; a splitting's memo holds the
-blocks of the pushouts along it that no class changes, keyed by
-(B, nxt); x's memo holds the composite of c1 out of x and c2 keyed by
-("compose", c2, c1); a Hom space's memo holds the factors of its
-coordinates keyed by "coordinates", built by its first class_of_vector.
-Keys compare by identity (a class by its space and coordinate column),
-since classes, lifts and class_of check endpoints with `is`: only the
-objects of the first request hit. An entry dies with its object.
+space Hom(x, y[n]) keyed by (as_cx(y), n), one per x as classes check
+their space with `is`, Hom(r, y) keyed by the unshifted pair as
+("hom", y), which shifts on both sides read, and the splitting of its
+differential d^k keyed by ("splitting", k), which yoneda pushes
+resolutions out along; a splitting's memo holds the blocks of the
+pushouts along it that no class changes, keyed by (B, nxt); x's memo
+holds the composite of c1 out of x and c2 keyed by ("compose", c2, c1);
+a Hom space's memo holds the factors of its coordinates keyed by
+"coordinates", built by its first class_of_vector. Keys compare by
+identity (a class by its space and coordinate column), since classes,
+lifts and class_of check endpoints with `is`: only the objects of the
+first request hit. An entry dies with its object.
 """
 
 from __future__ import annotations
@@ -271,23 +274,18 @@ class _GenLayout:
         self.total = self.offsets[-1]
         self.delta = self.echelon = None
 
-    def rows(self, gens: range) -> range:
-        """The rows of the blocks of the generators gens."""
-        return range(self.offsets[gens.start], self.offsets[gens.stop])
-
-    def blocks(self, part: RatMatrix, gens: range) -> list[RatMatrix]:
-        """The blocks of part, the rows self.rows(gens) of a column."""
-        lo, off = self.offsets[gens.start], self.offsets
-        return [part.take(range(off[i] - lo, off[i + 1] - lo), None)
-                for i in gens]
+    def blocks(self, vec: RatMatrix, gens: range) -> list[RatMatrix]:
+        """The blocks of vec at the generators gens, as rows of vec."""
+        off = self.offsets
+        return [vec.take(range(off[i], off[i + 1]), None) for i in gens]
 
 
 class HomCx:
-    """The Hom complex Hom(r, y) of a tagged r and a y that is no shift.
+    """The Hom complex Hom(r, y) of a tagged r and a y, neither a shift.
 
     support: the degrees n, increasing, with nonzero n-cochains, where a
     copy generator of r^k meets a nonzero vertex space of y^{k+n}.  A
-    degree is built on request from y at k + n, never from a shift of y."""
+    degree is built on request, for every shift of r and y (_at)."""
 
     __slots__ = ("r", "y", "entries", "first", "support", "_layouts")
 
@@ -343,7 +341,7 @@ class HomCx:
             nxt = self.y.term(k + n + 1)
             heights.append(nxt.dim_at(v))
             if (dy := self.y.diffs.get(k + n)) is not None:
-                grid[i][i] = (-dy if n % 2 else dy).block(v)
+                grid[i][i] = -dy.block(v) if n % 2 else dy.block(v)
             dr = self.r.diffs.get(k)
             if dr is None or not (up := self.r.terms[k + 1]).total_dim:
                 continue
@@ -355,32 +353,38 @@ class HomCx:
 
 
 def hom(r: Cx, y: Cx) -> HomCx:
-    """Hom(r, y) for a tagged r, kept in r.memo: hom(r, shift(y, a)) is
-    hom(r, y), and _at(r, shift(y, a), n) reads it at degree n + a."""
-    base = unshifted(y)[0]
-    return memoised(r, ("hom", base), lambda: HomCx(r, base))
+    """Hom(r0, y0) for a tagged r = r0[a] and y = y0[b], r0 and y0 no
+    shifts, kept in r0.memo: every shift of either side reads it."""
+    r0, y0 = unshifted(r)[0], unshifted(y)[0]
+    return memoised(r0, ("hom", y0), lambda: HomCx(r0, y0))
 
 
 def _at(r: Cx, t: Cx, n: int = 0) -> tuple[HomCx, int]:
-    return hom(r, t), n + unshifted(t)[1]
+    """hom(r, t) and its degree m = n + b - a that holds the maps
+    r -> t[n], for r = r0[a] and t = y0[b]: r^k reads r0^{k+a}."""
+    return hom(r, t), n + unshifted(t)[1] - unshifted(r)[1]
 
 
-def _degree(r: Cx, t: Cx, layout: _GenLayout, k: int) -> range | None:
-    """The generators of r^k, as indices into layout.entries; None where
-    r^k or t^k is zero."""
-    term = r.terms.get(k)
-    if term is None or not term.proj_gens or not t.term(k).total_dim:
-        return None
-    return range(layout.first[k], layout.first[k] + len(term.proj_gens))
+def hom_scan(x, y, top: int | None = None):
+    """Yield (n, dim) at each shift n <= top, increasing, where Hom(x, y[n])
+    has nonzero cochains (HomCx.support); dim() is dim Hom(x, y[n]), and
+    Hom(x, y[n]) is 0 at every other n.  x is resolved once per scan."""
+    h, c = _at(resolve(x).source, as_cx(y))
+    for m in h.support:
+        if top is not None and m - c > top:
+            return
+        yield m - c, partial(h.dim, m)
 
 
 def _images(r: Cx, t: Cx, layout: _GenLayout, vec: RatMatrix,
             k: int) -> list[RatMatrix] | None:
     """The degree-k generator blocks of vec, the data of maps r -> t (one
     per column); None where r^k or t^k is zero."""
-    gens = _degree(r, t, layout, k)
-    return (None if gens is None
-            else layout.blocks(vec.take(layout.rows(gens), None), gens))
+    term = r.terms.get(k)
+    if term is None or not term.proj_gens or not t.term(k).total_dim:
+        return None
+    i = layout.first[k + unshifted(r)[1]]
+    return layout.blocks(vec, range(i, i + len(term.proj_gens)))
 
 
 def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
@@ -397,18 +401,20 @@ def _vector_to_map(r: Cx, t: Cx, layout: _GenLayout,
 
 def _map_to_vector(u: CxMap, layout: _GenLayout) -> RatMatrix:
     """The generator data of u, a map out of a tagged complex."""
-    grid = [[None if (b := _block(u, k, v)) is None else b.col_matrix(pos)]
+    a = unshifted(u.source)[1]
+    grid = [[None if (b := _block(u, k - a, v)) is None else b.col_matrix(pos)]
             for (k, _, v, pos) in layout.entries]
     return block_matrix(grid, layout.sizes, [1])
 
 
-def _after(blocks, lay: _GenLayout, to: _GenLayout) -> RatMatrix:
-    """Generator data of u in lay to that of f u in to, for blocks(k, v)
-    the vertex-v block of f in degree k (None for zero): block-diagonal."""
+def _after(blocks, lay: _GenLayout, to: _GenLayout, a: int) -> RatMatrix:
+    """Generator data of u in lay to that of f u in to, for u out of
+    r0[a] and blocks(k, v) the vertex-v block of f in degree k (None for
+    zero): block-diagonal."""
     diag = []
     for (k, _, v, _), h, w in zip(lay.entries, to.sizes, lay.sizes,
                                   strict=True):
-        if (b := blocks(k, v)) is not None and b.shape != (h, w):
+        if (b := blocks(k - a, v)) is not None and b.shape != (h, w):
             raise ValueError("a block does not fit its slot")
         diag.append(RatMatrix.zeros(h, w) if b is None else b)
     return block_diagonal(diag)
@@ -426,7 +432,8 @@ def solve_lift(p: Cx, g: RatMatrix, r: CxMap, n: int = 0,
     chain = hs.delta(ns)
     bnd = RatMatrix.zeros(zlay.total, 0) if strict else ht.delta(nt - 1)
     heights = [chain.rows, zlay.total]
-    after = _after(lambda k, v: _block(r, k + n, v), ulay, zlay)
+    after = _after(lambda k, v: _block(r, k + n, v), ulay, zlay,
+                   unshifted(p)[1])
     system = block_matrix([[chain, None], [after, bnd]],
                           heights, [ulay.total, bnd.cols])
     sol = solve(system, block_matrix([[None], [g]], heights, [1]))
@@ -519,7 +526,7 @@ class DHomSpace:
         solve per degree and vertex for all the generators there.  The
         lift is a chain map into the sequence rolled up over x, so its
         class is that of the roof through it.  Builds no map."""
-        n, r = self.n, self.r
+        n, r, a = self.n, self.r, unshifted(self.r)[1]
         if (len(maps) != n + 1 or maps[0].source is not self.t.term(-n)
                 or maps[n].target is not self.x.term(0)):
             raise LiftError("sequence not anchored to this Hom space")
@@ -528,7 +535,8 @@ class DHomSpace:
         lay = self.layout
         prev: list[RatMatrix] = []  # the lift's generator data in degree k + 1
         for k in range(0, -n - 1, -1):
-            f, i, ngens = maps[n + k], lay.first[k], len(r.terms[k].proj_gens)
+            f, ngens = maps[n + k], len(r.terms[k].proj_gens)
+            i = lay.first[k + a]
             at: dict[int, list[tuple[int, int]]] = {}  # v: (copy, position)
             for (_, c, v, pos) in lay.entries[i:i + ngens]:
                 at.setdefault(v, []).append((c, pos))
@@ -548,7 +556,7 @@ class DHomSpace:
                 for (c, _), col in zip(here, h.columns()):
                     cur[c] = col
             prev = cur
-        grid = [[prev[c] if k == -n else None]
+        grid = [[prev[c] if k == a - n else None]
                 for (k, c, _, _) in lay.entries]
         return self.class_of_vector(block_matrix(grid, lay.sizes, [1]))
 
@@ -558,7 +566,8 @@ class DHomSpace:
         for post(k, v) the blocks of a map out of source(q)[n]."""
         u = solve_lift(self.r, g, q, n)
         h, m = _at(self.r, q.source, n)
-        return self.class_of_vector(_after(post, h.layout(m), self.layout) @ u)
+        to = _after(post, h.layout(m), self.layout, unshifted(self.r)[1])
+        return self.class_of_vector(to @ u)
 
     def representative(self, cls: "DHomClass") -> CxMap:
         vec = self.picked @ cls.column
@@ -566,14 +575,12 @@ class DHomSpace:
 
     def component(self, cls: "DHomClass", k: int) -> RepMap:
         """The degree-k component of the representative of cls, read from
-        generator data alone (zero where it is absent): one product of the
-        degree-k rows of picked with the class column."""
+        generator data alone (zero where it is absent)."""
         src, tgt = self.r.term(k), self.t.term(k)
-        gens = _degree(self.r, self.t, self.layout, k)
-        if gens is None:
-            return zero_map(src, tgt)
-        part = self.picked.take(self.layout.rows(gens), None) @ cls.column
-        return map_from_generators(src, tgt, self.layout.blocks(part, gens))
+        images = _images(self.r, self.t, self.layout,
+                         self.picked @ cls.column, k)
+        return (zero_map(src, tgt) if images is None
+                else map_from_generators(src, tgt, images))
 
 
 class DHomClass:
@@ -629,13 +636,8 @@ def dhom_space(x, y, n: int) -> DHomSpace:
 
 
 def derived_hom(x, y, n: int) -> int:
-    """dim Hom(x, y[n]), read off two ranks (HomCx.dim); builds no Hom
-    space, and one already built answers with its dim."""
-    cx, cy = as_cx(x), as_cx(y)
-    sp = cx.memo.get((cy, n))
-    if sp is not None:
-        return sp.dim
-    h, m = _at(resolve(cx).source, cy, n)
+    """dim Hom(x, y[n]) off two ranks (HomCx.dim); builds no Hom space."""
+    h, m = _at(resolve(x).source, as_cx(y), n)
     return h.dim(m)
 
 

@@ -7,7 +7,7 @@ onto the pieces, and glues a t-structure given on each piece into one on
 the total category: membership tests for the glued aisle, truncation
 triangles with computed certificates, and the homological dimension
 bookkeeping for the glued heart.  Every check shares one Hom scan, _homs,
-which the support of the Hom complex (derived.HomCx.support) bounds.
+which the support of the Hom complex (derived.hom_scan) bounds.
 
 Glued truncation works on minimal projective models
 (derived.minimal_model): the object, the left remainder and the rotated
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from .reps import ID, block_map, simple
 from .complexes import (Cx, CxMap, CxSum, Triangle, cohomology_dims,
                         compose as ccompose, cone, cx_direct_sum, is_acyclic,
-                        shift, shift_map, truncate_std, unshifted, zero_cx)
-from .derived import (as_cx, derived_hom, dhom_space, hom, lift_map,
-                      minimal_model, resolve)
+                        shift, shift_map, truncate_std, zero_cx)
+from .derived import as_cx, dhom_space, hom_scan, lift_map, minimal_model
 
 
 class GlueError(ValueError):
@@ -54,19 +53,16 @@ class ExcError(GlueError):
 def _homs(a: Cx, b: Cx, top: int | None = None):
     """Yield (n, dim Hom(a, b[n])) for every nonzero Hom, in increasing n.
 
-    The support of the Hom complex Hom(resolve(a), b) bounds the scan: a
-    shift outside it has no nonzero cochain, so its Hom vanishes.  With
-    top set, no shift above top is computed, and a is not resolved when
-    every shift lies above top: R_a has no term above a's top degree.
+    The shifts with nonzero cochains (derived.hom_scan) bound the scan:
+    a Hom at any other shift vanishes.  With top set, no shift above top
+    is computed, and a is not resolved when every shift lies above top:
+    R_a has no term above a's top degree.
     """
     da, db = a.degrees(), b.degrees()
     if not (da and db) or top is not None and db[0] - da[-1] > top:
         return
-    c = unshifted(b)[1]  # hom(r, b) reads b[n] at degree n + c
-    for n in (m - c for m in hom(resolve(a).source, b).support):
-        if top is not None and n > top:
-            return
-        if d := derived_hom(a, b, n):
+    for n, dim in hom_scan(a, b, top):
+        if d := dim():
             yield n, d
 
 

@@ -568,6 +568,8 @@ def kernel_basis(m: RatMatrix | Echelon) -> RatMatrix:
     on the pivot columns pc, so it is the same rational basis rref gives.
     """
     cols, rows, pivots = m if isinstance(m, Echelon) else echelon(m)
+    if len(pivots) == cols:  # full column rank: no back substitution
+        return RatMatrix.zeros(cols, 0)
     pivot_set = set(pivots)
     free = {j: t for t, j in enumerate(j for j in range(cols)
                                        if j not in pivot_set)}

@@ -11,10 +11,11 @@ from heartglue.derived import (_generators, compose_classes, derived_hom,
                                dhom_space)
 from heartglue.linalg import (RatMatrix, block_matrix, complement_pivots,
                               hstack)
-from heartglue.reps import (RepMap, block_map, cokernel, compose as rcompose,
-                            direct_sum, eval_columns, generator_positions,
-                            image, kernel, map_from_generators,
-                            projective_sum, through_epi)
+from heartglue.reps import (Rep, RepMap, block_map, cokernel,
+                            compose as rcompose, direct_sum, eval_columns,
+                            generator_positions, image, kernel,
+                            map_from_generators, projective_sum, through_epi,
+                            through_mono)
 
 
 @pytest.fixture(scope="session")
@@ -171,6 +172,14 @@ def homotopy_boundary_system(r: Cx, t: Cx) -> RatMatrix:
                 up, t.term(k), v, dr.block(v).col_matrix(pos))
     return block_matrix(grid, [t.term(k).dim_at(v) for k, _, v, _ in entries],
                         [t.term(k - 1).dim_at(v) for k, _, v, _ in entries])
+
+
+def heart_cohomology(x: Cx, i: int) -> Rep:
+    """H^i of the complex, as a module: the cokernel of d^{i-1} into the
+    kernel of d^i; a reference for the dimensions read off ranks."""
+    _, incl = kernel(x.d(i))
+    h, _ = cokernel(through_mono(incl, x.d(i - 1)))
+    return h
 
 
 def cokernel_pushout(g: RepMap, f: RepMap, nxt: RepMap):

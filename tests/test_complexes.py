@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_map, random_sum
+from conftest import heart_cohomology, random_map, random_sum
 from heartglue.algebra import build_algebra, make_quiver
 from heartglue.derived import DHomClass, as_cx, dhom_space
 from heartglue.linalg import RatMatrix
@@ -37,7 +37,6 @@ from heartglue.complexes import (
     compose,
     cone,
     cx_direct_sum,
-    heart_cohomology,
     identity_chain_map,
     is_acyclic,
     module_cx,

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (_scan_range, homotopy_boundary_system, is_minimal,
-                      random_map, random_sum, syzygy_module_resolution)
+from conftest import (_scan_range, heart_cohomology, homotopy_boundary_system,
+                      is_minimal, random_map, random_sum,
+                      syzygy_module_resolution)
 from heartglue import (algebra, bondal, complexes, derived, glue, linalg,
                        reps, yoneda)
 from heartglue.algebra import Relation, build_algebra, make_quiver
@@ -39,11 +40,11 @@ from heartglue.complexes import (
     cone,
     cohomology_dims,
     cx_direct_sum,
-    heart_cohomology,
     is_acyclic,
     ses_to_triangle,
     shift,
     shift_map,
+    unshifted,
 )
 from heartglue.derived import (
     DHomClass,
@@ -244,15 +245,18 @@ def _check_hom_complex(x, y):
     """delta^n delta^{n-1} = 0 on the Hom complex Hom(r, y), r the
     resolution of x, and its boundary system is minus the oracle's
     d h + h d, at every shift of the scan range, which holds the support;
-    returns the shifts where delta^{n-1} has a nonzero entry."""
+    returns the shifts where delta^{n-1} has a nonzero entry.  For
+    r = r0[s] the complex read is that of r0, and its differential is
+    (-1)^s times the one of r, since d_r is (-1)^s d_r0."""
     r = resolve(x).source
     h, a = derived._at(r, y)
+    sign = -1 if unshifted(r)[1] % 2 else 1
     assert {m - a for m in h.support} <= set(_scan_range(x, y))
     nonzero = 0
     for n in _scan_range(x, y):
         delta, before = h.delta(n + a), h.delta(n + a - 1)
         assert (delta @ before).is_zero()
-        assert before == -homotopy_boundary_system(r, shift(y, n))
+        assert before == homotopy_boundary_system(r, shift(y, n)).scale(-sign)
         nonzero += not before.is_zero()
     return nonzero
 
@@ -336,6 +340,8 @@ def test_hom_scans_walk_the_support(name, tmp_path):
 
 
 def test_a_shift_reads_the_hom_complex_of_its_base(kron):
+    # Hom(r[a], y[b][n]) is Hom(r, y[n + b - a]), and the resolution of
+    # a shifted module is the shift of its resolution
     x, y = as_cx(simple(kron, 2)), _two_term(kron)
     r = resolve(x).source
     h = derived.hom(r, y)
@@ -344,6 +350,99 @@ def test_a_shift_reads_the_hom_complex_of_its_base(kron):
         for n in range(-3, 4):
             assert derived_hom(x, shift(y, a), n) == derived_hom(x, y, n + a)
     assert derived.hom(r, shift(shift(y, 2), -2)) is h
+    for a in range(-2, 3):
+        assert resolve(shift(x, a)).source is shift(r, a)
+        for b in range(-2, 3):
+            assert derived.hom(shift(r, a), shift(y, b)) is h
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_hom_of_shifts_is_the_hom_at_the_moved_degree(name):
+    # Hom(x[a], y[b][n]) = Hom(x, y[n + b - a]), and the support moves
+    # with the degree, on every simple and projective
+    alg = load_algebra(str(corpus_path(name)))
+    n = alg.vertex_count
+    objs = [as_cx(simple(alg, i)) for i in range(1, n + 1)]
+    objs += [as_cx(projective(alg, i)) for i in range(1, n + 1)]
+    for x in objs:
+        for y in objs:
+            scan = _scan_range(x, y)
+            degs = range(scan.start - 1, scan.stop + 1)
+            dims = [derived_hom(x, y, m) for m in degs]
+            support = [m for m, _ in derived.hom_scan(x, y)]
+            for a in range(-2, 3):
+                for b in range(-2, 3):
+                    sx, sy = shift(x, a), shift(y, b)
+                    assert [m for m, _ in derived.hom_scan(sx, sy)] == [
+                        m - b + a for m in support]
+                    assert [derived_hom(sx, sy, m - b + a)
+                            for m in degs] == dims
+
+
+@pytest.mark.parametrize("name", ["kronecker", "A5-rad2"])
+def test_a_scan_of_a_shift_builds_no_differential(name, tmp_path,
+                                                  monkeypatch):
+    # a scan of x against y, then scans of x[a] against y[b]: the later
+    # scans read the differentials and forward passes the first built
+    objs = _objects(load_algebra(_algebra_path(name, tmp_path)))
+    systems = _counting(monkeypatch, derived.HomCx, "_system")
+    runs = _counting(monkeypatch, linalg, "_echelon")
+    first = [(x, y, list(_homs(x, y))) for x in objs for y in objs]
+    built = len(systems), len(runs)
+    assert built[0]
+    for x, y, homs in first:
+        for a, b in ((1, 0), (-2, 1), (3, -1)):
+            assert list(_homs(shift(x, a), shift(y, b))) == [
+                (n - b + a, d) for n, d in homs]
+    assert (len(systems), len(runs)) == built
+    pairs = [(id(h), deg) for h, deg, _ in systems]  # calls keeps them alive
+    assert len(set(pairs)) == len(pairs)
+
+
+def test_a_shifted_source_picks_the_basis_of_its_base(kron, a3rel):
+    # Hom(x[a], y[n + a]) is Hom(x, y[n]): its own space (classes are
+    # anchored by identity) on the same layout, with the same picked
+    # basis, and its classes compose to the same coordinates
+    for alg in (kron, a3rel):
+        objs = _objects(alg)
+        for x in objs:
+            for y in objs:
+                for n, _ in _homs(x, y):
+                    sp = dhom_space(x, y, n)
+                    for a in (-1, 2):
+                        sa = dhom_space(shift(x, a), y, n + a)
+                        assert sa is not sp and sa.layout is sp.layout
+                        assert sa.picked == sp.picked
+                        for z in objs:
+                            for m, _ in _homs(y, z):
+                                basis = dhom_space(y, z, m).basis()
+                                c2 = sum(basis[1:], basis[0])
+                                for c1, c1a in zip(sp.basis(), sa.basis()):
+                                    assert (compose_classes(c2, c1a).coords
+                                            == compose_classes(c2, c1).coords)
+
+
+def test_the_remark_space_reads_the_space_of_its_base():
+    # remark-counterexamples reads Hom(P1[2], P2[2]) on the Kronecker
+    # quiver, which is Hom(P1, P2)
+    alg = load_algebra(str(corpus_path("kronecker")))
+    p1, p2 = as_cx(projective(alg, 1)), as_cx(projective(alg, 2))
+    sp, base = dhom_space(shift(p1, 2), p2, 2), dhom_space(p1, p2, 0)
+    assert sp.dim == base.dim == 2
+    assert sp.layout is base.layout and sp.picked == base.picked
+
+
+def test_extension_class_on_a_shifted_resolution(a3rel):
+    # x = c[1] with c = P_2 in degree 1 is tagged, so x is its own
+    # resolution, a shift: the class of the identity sequence reads the
+    # generators of degree 0 of x, those of degree 1 of c
+    p = projective(a3rel, 2)
+    c = Cx(a3rel, {1: p}, {})
+    x, y = shift(c, 1), as_cx(p)
+    assert resolve(x).source is x
+    cls = dhom_space(x, y, 0).extension_class((identity_map(p),))
+    assert cls.coords == dhom_space(y, y, 0).extension_class(
+        (identity_map(p),)).coords != (0,)
 
 
 RETIRED = {"layout", "system", "echelon", "support"}

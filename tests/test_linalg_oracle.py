@@ -188,6 +188,35 @@ def test_rref_rank_kernel(g):
     assert agree(new, old)
 
 
+@st.composite
+def full_column_rank(draw, tall: bool, max_cols=8):
+    """Grids of full column rank, square or with 1 to 4 rows more than
+    columns: an upper triangle with a nonzero diagonal over random rows,
+    the rows shuffled."""
+    c = draw(st.integers(0, max_cols))
+    r = c + (draw(st.integers(1, 4)) if tall else 0)
+    g = [[draw(nonzero) if i == j
+          else draw(entries) if i < j or i >= c else Fraction(0)
+          for j in range(c)] for i in range(r)]
+    return (r, c, draw(st.permutations(g)))
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["square", "tall"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_at_full_column_rank(tall, data):
+    # every column a pivot: the kernel is the empty cols x 0 matrix, read
+    # from the matrix and from its kept forward pass alike
+    g = data.draw(full_column_rank(tall))
+    new, old = pair(g)
+    c = g[1]
+    assert lin.rank(new) == ref.rank(old) == c
+    want = ref.kernel_basis(old)
+    assert want.shape == (c, 0)
+    assert agree(lin.kernel_basis(new), want)
+    assert agree(lin.kernel_basis(lin.echelon(new)), want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(any_grid, st.data())
 def test_row_order_changes_no_result(g, data):
