@@ -267,18 +267,6 @@ class PathAlgebraDesc:
             return {}
         return self.reduce_path(y.source, y.arrows + x.arrows)
 
-    def multiply(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, ci in u.items():
-            if ci == 0:
-                continue
-            for j, cj in v.items():
-                if cj == 0:
-                    continue
-                for k, ck in self.mult_basis(i, j).items():
-                    out[k] = out.get(k, Fraction(0)) + ci * cj * ck
-        return {k: c for k, c in out.items() if c != 0}
-
 
 def _all_paths(q: Quiver) -> list[BasisPath]:
     out = [BasisPath(i, i, ()) for i in range(1, q.vertex_count + 1)]

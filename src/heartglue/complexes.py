@@ -8,10 +8,10 @@ H^i(shift(x, k)) = H^{i+k}(x). shift(x, 0) returns x itself.
 The cone of a chain map f: X -> Y has C^k = X^{k+1} (+) Y^k with X-part
 first and d(x, y) = (-d_X x, f x + d_Y y).  It is a CxSum with parts
 (shift(X, 1), Y), like a direct sum of complexes; its injection(1) of Y
-and projection(0) to shift(X, 1) are chain maps.  The layout of a direct
-sum lives in reps: a CxSum carries each term as a reps.DirectSum, and its
-differential, injections and projections, like the comparisons built out
-of a cone, are reps.block_maps.
+and projection(0) to shift(X, 1) are chain maps.  A CxSum carries each
+term as a reps.DirectSum; its differential, injections and projections
+are reps.block_maps, a chain map between sums is a cx_block_map, and a
+part whose terms and differentials are the sum's is the sum.
 
 A differential or chain-map component missing from its dict is zero.
 Cx.d and CxMap.comp build that zero map on request; the checks here,
@@ -30,7 +30,7 @@ flips together), sums, negatives, multiples and composites of chain maps,
 identity_chain_map, and sums and cones with their injections and
 projections (d^2 = 0 on cone(f) is d f = f d).  Input, solves and
 eliminations stay checked (truncate_std, derived, glue, yoneda), and so
-does every certificate.
+do every certificate and cx_block_map, which builds glue's assemblies.
 
 Memo policy: each result is kept in the memo of the object it
 describes.  A module's memo holds its complex ("cx") beside the
@@ -48,6 +48,7 @@ from dataclasses import InitVar, dataclass
 from .algebra import PathAlgebraDesc, memo_field, memoised
 from .linalg import RatMatrix, rank
 from .reps import (
+    ID,
     DirectSum,
     Rep,
     RepMap,
@@ -307,6 +308,7 @@ class CxSum:
 def _sum(parts: tuple[Cx, ...], f: CxMap | None = None) -> CxSum:
     degs = sorted(set(k for p in parts for k in p.terms))
     sums = {k: direct_sum([p.term(k) for p in parts]) for k in degs}
+    terms = {k: s.rep for k, s in sums.items()}
     diffs: dict[int, RepMap] = {}
     for k in degs:
         if (k + 1) not in sums:
@@ -317,8 +319,9 @@ def _sum(parts: tuple[Cx, ...], f: CxMap | None = None) -> CxSum:
             grid[1][0] = f.components.get(k + 1)
         if any(g is not None for row in grid for g in row):
             diffs[k] = block_map(sums[k], sums[k + 1], grid)
-    cx = Cx(parts[0].algebra, {k: s.rep for k, s in sums.items()}, diffs,
-            _by=_BUILT)
+    # a part made of the sum's own terms and differentials is the sum
+    cx = next((p for p in parts if (p.terms, p.diffs) == (terms, diffs)),
+              None) or Cx(parts[0].algebra, terms, diffs, _by=_BUILT)
     return CxSum(parts, cx, sums, f)
 
 
@@ -330,6 +333,27 @@ def cx_direct_sum(parts: list[Cx]) -> CxSum:
     if not parts:
         raise CxError("empty direct sum of complexes")
     return _sum(tuple(parts))
+
+
+def cx_block_map(src: CxSum | Cx, tgt: CxSum | Cx,
+                 grid: list[list[CxMap | None]]) -> CxMap:
+    """The checked chain map between two sums whose component from source
+    part j to target part i is grid[i][j], a CxMap, ID or None for zero:
+    a reps.block_map in each degree.  A plain Cx is a sum of one part; a
+    grid whose one map runs from source to target returns that map."""
+    scx, tcx = (x.cx if isinstance(x, CxSum) else x for x in (src, tgt))
+    one = [g for row in grid for g in row if g is not None]
+    if len(one) == 1 and one[0] is not ID and (one[0].source is scx
+                                               and one[0].target is tcx):
+        return one[0]
+    comps = {}
+    for k, s in (src.sums if isinstance(src, CxSum) else src.terms).items():
+        t = tgt.sums.get(k) if isinstance(tgt, CxSum) else tgt.term(k)
+        cells = [[g if g is None or g is ID else g.components.get(k)
+                  for g in row] for row in grid]
+        if t is not None and any(c is not None for row in cells for c in row):
+            comps[k] = block_map(s, t, cells)
+    return CxMap(scx, tcx, comps)
 
 
 def cohomology_dims(x: Cx) -> dict[int, tuple[int, ...]]:
@@ -419,10 +443,8 @@ def truncate_std(x: Cx, level: int) -> Triangle:
     g = CxMap(x, b, g_comps)
 
     cf = cone(f)
-    comparison = CxMap(cf.cx, b, {
-        i: block_map(s, b.term(i), [[None, g.components[i]]])
-        for i, s in cf.sums.items() if i in g.components})
-    return Triangle(a, x, b, f, g, comparison=comparison, cone_of_f=cf)
+    return Triangle(a, x, b, f, g, comparison=cx_block_map(cf, b, [[None, g]]),
+                    cone_of_f=cf)
 
 
 def ses_to_triangle(f: RepMap, g: RepMap) -> Triangle:
@@ -434,9 +456,8 @@ def ses_to_triangle(f: RepMap, g: RepMap) -> Triangle:
     fc = CxMap(lx, mx, {0: f})
     gc = CxMap(mx, nx, {0: g})
     cf = cone(fc)
-    comparison = CxMap(cf.cx, nx,
-                       {0: block_map(cf.sums[0], g.target, [[None, g]])})
-    return Triangle(lx, mx, nx, fc, gc, comparison=comparison, cone_of_f=cf)
+    return Triangle(lx, mx, nx, fc, gc,
+                    comparison=cx_block_map(cf, nx, [[None, gc]]), cone_of_f=cf)
 
 
 def triangle_to_ses(tri: Triangle) -> tuple[RepMap, RepMap] | None:

@@ -66,9 +66,11 @@ from .complexes import (
     CxMap,
     brutal_below,
     cone,
+    cx_block_map,
     identity_chain_map,
     module_cx,
     shift,
+    shift_map,
     unshifted,
 )
 from .complexes import compose as ccompose
@@ -78,7 +80,6 @@ from .linalg import (Echelon, RatMatrix, block_diagonal, block_matrix,
 from .reps import (
     Rep,
     RepMap,
-    block_map,
     copy_rows,
     eval_columns,
     generator_block,
@@ -141,14 +142,8 @@ def _resolve(x: Cx) -> CxMap:
     ra = resolve(a)
     rb = resolve(bprime)
     wt = lift_map(ra.source, ccompose(w, ra), rb, strict=True)
-    co = cone(wt)
-    comps = {}
-    for k, s in co.sums.items():
-        # ra lands in a.term(k + 1) = x.term(k), rb in degree b only
-        grid = [[ra.components.get(k + 1), rb.components.get(k)]]
-        if grid[0] != [None, None]:
-            comps[k] = block_map(s, x.term(k), grid)
-    return CxMap(co.cx, x, comps)
+    # ra[1] lands in a[1], which is x below b; rb in degree b only
+    return cx_block_map(cone(wt), x, [[shift_map(ra, 1), rb]])
 
 
 def _split(copies: list[range], drop: set[int]) -> tuple[list[int], list[int]]:

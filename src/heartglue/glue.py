@@ -24,10 +24,11 @@ are 1-based, matching the vertex convention.
 
 from dataclasses import dataclass
 
-from .reps import ID, block_map, simple
+from .reps import ID, simple
 from .complexes import (Cx, CxMap, CxSum, Triangle, cohomology_dims,
-                        compose as ccompose, cone, cx_direct_sum, is_acyclic,
-                        shift, shift_map, truncate_std, zero_cx)
+                        compose as ccompose, cone, cx_block_map,
+                        cx_direct_sum, is_acyclic, shift, shift_map,
+                        truncate_std, zero_cx)
 from .derived import as_cx, dhom_space, hom_scan, lift_map, minimal_model
 
 
@@ -169,17 +170,13 @@ def _hom_parts(gens, x: Cx) -> list[tuple[Cx, CxMap, int]]:
 
 
 def _assemble(x: Cx, parts) -> tuple[Cx, CxMap]:
-    """Direct sum of the part complexes with the summed evaluation map."""
+    """Direct sum of the part complexes with the summed evaluation map, a
+    checked cx_block_map; one part is its own evaluation map."""
     if not parts:
         v = zero_cx(x.algebra)
         return v, CxMap(v, x, {})
     s = cx_direct_sum([p for p, _, _ in parts])
-    comps = {}
-    for k, ds in s.sums.items():
-        row = [f.components.get(k) for _, f, _ in parts]
-        if any(g is not None for g in row):
-            comps[k] = block_map(ds, x.term(k), [row])
-    return s.cx, CxMap(s.cx, x, comps)
+    return s.cx, cx_block_map(s, x, [[f for _, f, _ in parts]])
 
 
 class AisleSpec:
@@ -310,15 +307,6 @@ class AddGeneratedAisle(AisleSpec):
         return f"add({len(self._gens)})"
 
 
-def _cone_functorial(ca: CxSum, cb: CxSum, m: CxMap) -> CxMap:
-    """cone(f) -> cone(g) induced by m: src(f) -> src(g) over the
-    identity of the shared target, for strictly commuting squares."""
-    return CxMap(ca.cx, cb.cx, {
-        k: block_map(s, cb.sums[k], [[m.components.get(k + 1), None],
-                                     [None, ID]])
-        for k, s in ca.sums.items() if k in cb.sums})
-
-
 class GluedAisle(AisleSpec):
     """The aisle glued from one on the left piece and one on the right.
 
@@ -368,7 +356,8 @@ class GluedAisle(AisleSpec):
         f2 = ccompose(ev2, f2_in)
         ca2 = cone(f2)
         # cone(A2 -> m) -> cone(V2 -> m), functorial over the inclusion
-        r = _cone_functorial(ca2, cproj, f2_in)
+        r = cx_block_map(ca2, cproj, [[shift_map(f2_in, 1), None],
+                                      [None, ID]])
         down, q_down = minimal_model(shift(x1, -1))
         _, f1 = self.left._cut(down)
         j = shift_map(ccompose(q_down, f1), 1)

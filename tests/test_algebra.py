@@ -96,6 +96,17 @@ def test_product_concatenates_in_traversal_order():
     assert alg.mult_basis(a, b) == {}
 
 
+def _times(alg, u, v):
+    """The product of two elements given over the basis, extended
+    bilinearly from mult_basis, zero coefficients dropped."""
+    out: dict[int, Fraction] = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            for k, ck in alg.mult_basis(i, j).items():
+                out[k] = out.get(k, Fraction(0)) + ci * cj * ck
+    return {k: c for k, c in out.items() if c != 0}
+
+
 def test_associativity_exhaustive():
     for make in ALL:
         alg = make()
@@ -104,8 +115,8 @@ def test_associativity_exhaustive():
             for j in range(n):
                 ij = alg.mult_basis(i, j)
                 for k in range(n):
-                    left = alg.multiply(ij, {k: Fraction(1)})
-                    right = alg.multiply({i: Fraction(1)}, alg.mult_basis(j, k))
+                    left = _times(alg, ij, {k: Fraction(1)})
+                    right = _times(alg, {i: Fraction(1)}, alg.mult_basis(j, k))
                     assert left == right
 
 
@@ -138,8 +149,8 @@ def test_identity_element():
         one = {alg.idempotent(i): Fraction(1) for i in range(1, alg.vertex_count + 1)}
         for i in range(alg.dim):
             x = {i: Fraction(1)}
-            assert alg.multiply(one, x) == x
-            assert alg.multiply(x, one) == x
+            assert _times(alg, one, x) == x
+            assert _times(alg, x, one) == x
 
 
 def test_dimension_against_linear_algebra_oracle():

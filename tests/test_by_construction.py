@@ -25,13 +25,13 @@ from heartglue.complexes import (
     CxMap,
     compose,
     cone,
+    cx_block_map,
     cx_direct_sum,
     identity_chain_map,
     module_cx,
     shift,
     shift_map,
 )
-from heartglue.glue import _cone_functorial
 from heartglue.jsonio import load_algebra
 from heartglue.reps import (
     ID,
@@ -240,15 +240,21 @@ def test_projective_sums_are_the_entrywise_build(name, data):
         assert p.arrow_maps == maps
 
 
-def test_cone_functorial_rejects_a_square_that_does_not_commute(kron):
+def test_cx_block_map_rejects_a_square_that_does_not_commute(kron):
     p1, p2 = projective(kron, 1), projective(kron, 2)
     f = hom_space(p1, p2)[0]
     src, tgt = module_cx(p1), module_cx(p2)
     ca = cone(CxMap(src, tgt, {0: f}))
     m = identity_chain_map(src)
+    # cone(f) -> cone(g) induced by m over the identity of the target
+    grid = [[shift_map(m, 1), None], [None, ID]]
     # g m = f: the induced map is a chain map
-    assert _cone_functorial(ca, ca, m).source is ca.cx
+    assert cx_block_map(ca, ca, grid).source is ca.cx
     # g m = 2f != f: it is not, and the check still runs
     cb = cone(CxMap(src, tgt, {0: f.scale(2)}))
     with pytest.raises(CxError, match="not a chain map"):
-        _cone_functorial(ca, cb, m)
+        cx_block_map(ca, cb, grid)
+    # one entry from the whole source to the whole target is that map
+    g = CxMap(src, tgt, {0: f})
+    assert cx_block_map(src, tgt, [[g]]) is g
+    assert cx_block_map(tgt, ca, [[None], [ID]]).target is ca.cx

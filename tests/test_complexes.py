@@ -46,6 +46,7 @@ from heartglue.complexes import (
     shift_map,
     triangle_to_ses,
     truncate_std,
+    zero_cx,
 )
 
 
@@ -176,6 +177,22 @@ def test_cx_direct_sum_biproduct(a2):
     # cohomology is additive
     dims_sum = cohomology_dims(ds.cx)
     assert dims_sum == {0: (0 + 1, 1 + 1)}
+
+
+def test_a_sum_with_one_nonzero_part_is_that_part(a2):
+    p1, p2 = projective(a2, 1), projective(a2, 2)
+    f = hom_space(p1, p2)[0]
+    x = two_term(a2, f)
+    assert cx_direct_sum([x]).cx is x
+    # a map out of the zero complex: its cone is its target, with the
+    # target's own injection back
+    y = module_cx(p2)
+    c = cone(CxMap(zero_cx(a2), y, {}))
+    assert c.cx is y
+    assert c.injection(1).comp(0) is identity_map(p2)
+    # the sum builds its own zero term, so a part that stores one is not it
+    padded = Cx(a2, {-2: zero_rep(a2), 0: p2}, {})
+    assert cx_direct_sum([padded]).cx is not padded
 
 
 def test_brutal_truncation(a2):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_calls, in_coaisle, is_minimal
-from heartglue import linalg
+from heartglue import derived, linalg
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import (
+    CxMap,
     Triangle,
     cohomology_dims,
     cone,
@@ -25,6 +26,7 @@ from heartglue.glue import (
     GlueError,
     HeartDesc,
     StandardAisle,
+    _assemble,
     check_dim_formula,
     check_exceptional,
     check_sequence,
@@ -37,7 +39,7 @@ from heartglue.glue import (
     sod_project,
 )
 from heartglue.linalg import RatMatrix
-from heartglue.reps import Rep, RepMap, projective, simple
+from heartglue.reps import Rep, RepMap, hom_space, projective, simple
 
 
 @pytest.fixture(scope="module")
@@ -630,3 +632,45 @@ def test_glued_truncation_does_no_empty_block_work(monkeypatch):
     assert len(maps) <= TRUNCATE_REPMAP_BOUND
     # the nested levels cut without a triangle: one per public truncate
     assert triangles == [tri]
+
+
+def test_one_part_assembles_to_its_own_evaluation(kron):
+    m1, m2 = projective(kron, 1), projective(kron, 2)
+    p1, p2 = as_cx(m1), as_cx(m2)
+    f = CxMap(p1, p2, {0: hom_space(m1, m2)[0]})
+    v, ev = _assemble(p2, [(p1, f, 0)])
+    assert v is p1 and ev is f
+
+
+def _fresh_a4():
+    return build_algebra(make_quiver(4, [("a", 1, 2), ("b", 2, 3),
+                                         ("c", 3, 4)]))
+
+
+def _fresh_commsquare():
+    q = make_quiver(4, [("a", 1, 2), ("b", 1, 3), ("c", 2, 4), ("d", 3, 4)])
+    return build_algebra(q, [Relation.of([(1, ("a", "c")),
+                                          (-1, ("b", "d"))])])
+
+
+@pytest.mark.parametrize("make", [_fresh_a4, _fresh_commsquare])
+@pytest.mark.parametrize("j", [-1, 0, 1])
+def test_glued_truncation_builds_each_hom_complex_once(monkeypatch, make, j):
+    # a Hom complex per r and y, where a second y around the same terms
+    # and differentials (a sum rebuilt around its one nonzero part) would
+    # build the same deltas and echelons twice
+    alg = make()
+    n = alg.vertex_count
+    es = check_sequence([projective(alg, i) for i in range(1, n + 1)],
+                        strong=True)
+    aisle, _ = glue_sequence(es)
+    x = shift(cx_direct_sum([as_cx(projective(alg, 1)),
+                             shift(as_cx(simple(alg, n)), 1)]).cx, j)
+    built = count_calls(monkeypatch, derived.HomCx, "__init__")
+    a, _, tri = aisle.truncate(x)
+    assert tri.certified() and aisle.member(a)
+    monkeypatch.undo()
+    pairs = [(id(r), tuple((k, id(t)) for k, t in sorted(y.terms.items())),
+              tuple((k, id(d)) for k, d in sorted(y.diffs.items())))
+             for _, r, y in built]
+    assert built and len(set(pairs)) == len(pairs)
