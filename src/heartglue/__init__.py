@@ -5,7 +5,7 @@ Layers, bottom up:
 - linalg: exact rational matrices (rref, kernels, solving).
 - algebra: quivers with admissible relations and their finite path basis.
 - reps: right modules as quiver representations, Hom spaces, (co)kernels,
-  simples, projectives, the vertex filtration.
+  simples, projectives.
 - complexes: bounded complexes, shifts, cones, truncation, triangles.
 - derived: projective resolutions and derived Hom spaces with composition.
 - yoneda: n-extensions, Baer sum, Yoneda product, the comparison map into

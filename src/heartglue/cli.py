@@ -16,6 +16,14 @@ yoneda-oracle has a degree bound, not a shift window: it refuses
 Exit status: 0 when every check in the job passed, 1 when a check
 failed (the report carries the witness), 2 when an input file did not
 parse or validate.
+
+Only the command line loads click.  `run` and `load_corpus` are the
+library's way in (the scripts, the tests and the benchmark call them),
+and loading click and building seven commands would cost each such
+process about 1.4 MB of peak memory (CPython 3.11, click 8).  So `main`,
+the click group that the ``heartglue`` console script, ``python -m
+heartglue.cli`` and click's CliRunner invoke, is built on first access
+to `cli.main`.
 """
 
 from __future__ import annotations
@@ -24,8 +32,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import click
 
 from .complexes import cohomology_dims, shift
 from .derived import as_cx, dhom_space, hom_scan
@@ -394,51 +400,55 @@ _HELP = {
 }
 
 
-@click.group()
-def main():
-    """Exact homological checks over path algebras of ordered quivers."""
+def _command_line():
+    """Build the click group of the seven commands, once."""
+    import click
+
+    @click.group()
+    def main():
+        """Exact homological checks over path algebras of ordered quivers."""
+
+    def command(name: str) -> click.Command:
+        def callback(algebra=None, object_paths=(), **kw):
+            job = JobSpec(name, algebra, tuple(object_paths), **kw)
+            code, rendered = run(job)
+            if not job.out_path:
+                click.echo(rendered, nl=False)
+            sys.exit(code)
+
+        params = [] if name == "remark-counterexamples" else [
+            click.Argument(["algebra"], type=click.Path()),
+            click.Option(["--objects", "object_paths"], multiple=True,
+                         help="Object list file (repeatable); default: "
+                              "the projectives in vertex order.")]
+        params += [
+            click.Option(["--window"], type=click.IntRange(min=1),
+                         help="Shift window the report quotes; every scan "
+                              "covers all shifts where a Hom can be "
+                              "nonzero."),
+            click.Option(["--format", "output"], default="text",
+                         type=click.Choice(["text", "json"]),
+                         help="Report format."),
+            click.Option(["--out", "out_path"],
+                         type=click.Path(dir_okay=False),
+                         help="Write the report to this file instead of "
+                              "stdout."),
+        ]
+        return click.Command(name, params=params, callback=callback,
+                             help=_HELP[name])
+
+    for name in COMMANDS:
+        main.add_command(command(name))
+    globals()["main"] = main
+    return main
 
 
-def _make_command(name: str) -> click.Command:
-    takes_files = name != "remark-counterexamples"
-    params = []
-    if takes_files:
-        params.append(click.Argument(["algebra"], type=click.Path()))
-        params.append(click.Option(
-            ["--objects", "object_paths"], multiple=True,
-            help="Object list file (repeatable); default: the "
-                 "projectives in vertex order."))
-    params += [
-        click.Option(["--window"], type=click.IntRange(min=1), default=None,
-                     help="Shift window the report quotes; every scan "
-                          "covers all shifts where a Hom can be nonzero."),
-        click.Option(["--format", "output"],
-                     type=click.Choice(["text", "json"]), default="text",
-                     help="Report format."),
-        click.Option(["--out", "out_path"],
-                     type=click.Path(dir_okay=False), default=None,
-                     help="Write the report to this file instead of "
-                          "stdout."),
-    ]
-
-    def callback(**kw):
-        job = JobSpec(command=name,
-                      algebra_path=kw.get("algebra"),
-                      object_paths=tuple(kw.get("object_paths", ())),
-                      window=kw["window"], output=kw["output"],
-                      out_path=kw["out_path"])
-        code, rendered = run(job)
-        if not job.out_path:
-            click.echo(rendered, nl=False)
-        sys.exit(code)
-
-    return click.Command(name, params=params, callback=callback,
-                         help=_HELP[name])
-
-
-for _name in COMMANDS:
-    main.add_command(_make_command(_name))
+def __getattr__(name: str):
+    # cli.main, the console script's entry point, is built on first use.
+    if name == "main":
+        return _command_line()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":
-    main()
+    _command_line()()

@@ -56,7 +56,6 @@ from .reps import (
     cokernel,
     composite_blocks,
     direct_sum,
-    exact_certificate,
     identity_map,
     kernel,
     through_epi,
@@ -163,9 +162,13 @@ def _shifted(x: Cx, k: int) -> Cx:
 
 
 def brutal_below(x: Cx, b: int) -> Cx:
-    """The subquotient keeping the terms in degrees strictly below b."""
+    """The subquotient keeping the terms in degrees strictly below b; one
+    term alone is the shift of that module's own complex."""
     terms = {i: t for i, t in x.terms.items() if i < b}
     diffs = {i: d for i, d in x.diffs.items() if i + 1 < b}
+    if len(terms) == 1 and not diffs:
+        (i, t), = terms.items()
+        return shift(module_cx(t), -i)
     return Cx(x.algebra, terms, diffs)
 
 
@@ -445,29 +448,3 @@ def truncate_std(x: Cx, level: int) -> Triangle:
     cf = cone(f)
     return Triangle(a, x, b, f, g, comparison=cx_block_map(cf, b, [[None, g]]),
                     cone_of_f=cf)
-
-
-def ses_to_triangle(f: RepMap, g: RepMap) -> Triangle:
-    """Promote a short exact sequence of modules to a triangle in degree 0."""
-    exact_certificate(f, g)
-    lx = module_cx(f.source)
-    mx = module_cx(f.target)
-    nx = module_cx(g.target)
-    fc = CxMap(lx, mx, {0: f})
-    gc = CxMap(mx, nx, {0: g})
-    cf = cone(fc)
-    return Triangle(lx, mx, nx, fc, gc,
-                    comparison=cx_block_map(cf, nx, [[None, gc]]), cone_of_f=cf)
-
-
-def triangle_to_ses(tri: Triangle) -> tuple[RepMap, RepMap] | None:
-    """Extract the module short exact sequence when every vertex of the
-    triangle is a module in degree 0; None otherwise."""
-    for cx in (tri.left, tri.mid, tri.right):
-        degs = cx.degrees()
-        if degs not in ([], [0]):
-            return None
-    f0 = tri.f.comp(0)
-    g0 = tri.g.comp(0)
-    exact_certificate(f0, g0)
-    return f0, g0

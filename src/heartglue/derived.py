@@ -137,7 +137,7 @@ def _resolve(x: Cx) -> CxMap:
         return CxMap(Cx(m.algebra, terms, diffs), x, {0: pi})
     below = brutal_below(x, b)
     a = shift(below, -1)
-    bprime = Cx(x.algebra, {b: x.terms[b]}, {})
+    bprime = shift(as_cx(x.terms[b]), -b)
     w = CxMap(a, bprime, {b: x.diffs[b - 1]} if b - 1 in x.diffs else {})
     ra = resolve(a)
     rb = resolve(bprime)

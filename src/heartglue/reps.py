@@ -583,22 +583,6 @@ def block_map(src: DirectSum | Rep, tgt: DirectSum | Rep,
     return RepMap(srep, trep, tuple(blocks), _by=_BUILT)
 
 
-def filtration_step(v: Rep, k: int) -> tuple[Rep, RepMap]:
-    """The subrepresentation F^k v supported on vertices <= k, with inclusion."""
-    n = v.algebra.vertex_count
-    if not 0 <= k <= n:
-        raise RepError(f"filtration level {k} outside 0..{n}")
-    return _span(v, [RatMatrix.identity(d) if i < k else RatMatrix.zeros(d, 0)
-                     for i, d in enumerate(v.dims)])
-
-
-def filtration_inclusion(v: Rep, k: int) -> RepMap:
-    """The step inclusion F^{k-1} v -> F^k v."""
-    _, lower = filtration_step(v, k - 1)
-    _, upper = filtration_step(v, k)
-    return through_mono(upper, lower)
-
-
 def exact_certificate(*maps: RepMap) -> None:
     """Raise unless 0 -> maps[0].source -> ... -> maps[-1].target -> 0 is
     exact: consecutive maps compose to zero on their blocks, and at every

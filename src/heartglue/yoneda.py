@@ -43,8 +43,7 @@ from .algebra import memo_field, memoised
 from .linalg import (RatMatrix, block_matrix, hstack, pivot_columns, rank,
                      solve, span_membership)
 from .reps import (ID, Rep, RepError, RepMap, block_map, direct_sum,
-                   exact_certificate, identity_map, kernel, through_mono,
-                   zero_map, zero_rep)
+                   exact_certificate, identity_map, kernel, through_mono)
 from .reps import compose as rcompose
 from .complexes import Cx, CxMap
 from .derived import DHomClass, as_cx, compose_classes, dhom_space
@@ -85,23 +84,6 @@ class YExt:
     @property
     def n(self) -> int:
         return len(self.middle)
-
-
-def split_ext(a: Rep, b: Rep, n: int) -> YExt:
-    """The split n-extension of a by b (zero class in Hom(a, b[n]))."""
-    if n < 1:
-        raise YExtError("extensions have positive length")
-    if n == 1:
-        ds = direct_sum([b, a])
-        return YExt(b, a, (ds.rep,), (ds.injection(0), ds.projection(1)))
-    z = zero_rep(a.algebra)
-    middle = (b,) + (z,) * (n - 2) + (a,)
-    maps = [identity_map(b)]
-    chain = (b,) + middle + (a,)
-    for i in range(1, n):
-        maps.append(zero_map(chain[i], chain[i + 1]))
-    maps.append(identity_map(a))
-    return YExt(b, a, middle, tuple(maps))
 
 
 def _route_sign(n: int) -> int:

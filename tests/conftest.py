@@ -6,16 +6,19 @@ import pytest
 from hypothesis import strategies as st
 
 from heartglue.algebra import Relation, build_algebra, make_quiver
-from heartglue.complexes import Cx, CxMap, ses_to_triangle
+from heartglue.complexes import (Cx, CxMap, Triangle, cone, cx_block_map,
+                                 module_cx)
 from heartglue.derived import (_generators, compose_classes, derived_hom,
                                dhom_space)
 from heartglue.linalg import (RatMatrix, block_matrix, complement_pivots,
                               hstack)
-from heartglue.reps import (Rep, RepMap, block_map, cokernel,
+from heartglue.reps import (Rep, RepMap, _span, block_map, cokernel,
                             compose as rcompose, direct_sum, eval_columns,
-                            generator_positions, image, kernel,
-                            map_from_generators, projective_sum, through_epi,
-                            through_mono)
+                            exact_certificate, generator_positions,
+                            identity_map, image, kernel, map_from_generators,
+                            projective_sum, through_epi, through_mono,
+                            zero_map, zero_rep)
+from heartglue.yoneda import YExt
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +80,53 @@ def class_of_module_map(f: RepMap):
                    {i: RepMap(sp.r.term(i), sp.t.term(i), m.blocks)
                     for i, m in comps.items()})
     return sp.class_of(lifted)
+
+
+def filtration_step(v: Rep, k: int) -> tuple[Rep, RepMap]:
+    """The subrepresentation F^k v supported on vertices <= k, with its
+    inclusion."""
+    return _span(v, [RatMatrix.identity(d) if i < k else RatMatrix.zeros(d, 0)
+                     for i, d in enumerate(v.dims)])
+
+
+def filtration_inclusion(v: Rep, k: int) -> RepMap:
+    """The step inclusion F^{k-1} v -> F^k v."""
+    return through_mono(filtration_step(v, k)[1], filtration_step(v, k - 1)[1])
+
+
+def ses_to_triangle(f: RepMap, g: RepMap) -> Triangle:
+    """A short exact sequence of modules as a triangle in degree 0."""
+    exact_certificate(f, g)
+    lx, mx, nx = module_cx(f.source), module_cx(f.target), module_cx(g.target)
+    fc, gc = CxMap(lx, mx, {0: f}), CxMap(mx, nx, {0: g})
+    cf = cone(fc)
+    return Triangle(lx, mx, nx, fc, gc,
+                    comparison=cx_block_map(cf, nx, [[None, gc]]),
+                    cone_of_f=cf)
+
+
+def triangle_to_ses(tri: Triangle) -> tuple[RepMap, RepMap] | None:
+    """The module short exact sequence of a triangle of modules in degree
+    0; None when a vertex has another degree."""
+    if any(x.degrees() not in ([], [0])
+           for x in (tri.left, tri.mid, tri.right)):
+        return None
+    f0, g0 = tri.f.comp(0), tri.g.comp(0)
+    exact_certificate(f0, g0)
+    return f0, g0
+
+
+def split_ext(a: Rep, b: Rep, n: int) -> YExt:
+    """The split n-extension of a by b: the zero class of Hom(a, b[n])."""
+    if n == 1:
+        ds = direct_sum([b, a])
+        return YExt(b, a, (ds.rep,), (ds.injection(0), ds.projection(1)))
+    middle = (b,) + (zero_rep(a.algebra),) * (n - 2) + (a,)
+    chain = (b,) + middle + (a,)
+    return YExt(b, a, middle,
+                (identity_map(b),)
+                + tuple(zero_map(chain[i], chain[i + 1]) for i in range(1, n))
+                + (identity_map(a),))
 
 
 def chopped_class(x):

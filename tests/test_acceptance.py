@@ -10,14 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import in_coaisle, is_minimal
+from conftest import (filtration_inclusion, filtration_step, in_coaisle,
+                      is_minimal, ses_to_triangle, triangle_to_ses)
 from heartglue.algebra import build_algebra, make_quiver
 from heartglue.bondal import (end_algebra, faithful_full_check,
                               projective_compare, quiver_presentation)
 from heartglue.cli import JobSpec, corpus_path, load_corpus, run
 from heartglue.complexes import (cohomology_dims, cx_direct_sum,
-                                 is_acyclic, ses_to_triangle, shift,
-                                 shift_map, triangle_to_ses)
+                                 is_acyclic, shift, shift_map)
 from heartglue.derived import (DHomClass, as_cx, compose_classes, derived_hom,
                                dhom_space)
 from heartglue.glue import (AddGeneratedAisle, HeartDesc, check_dim_formula,
@@ -25,8 +25,7 @@ from heartglue.glue import (AddGeneratedAisle, HeartDesc, check_dim_formula,
 from heartglue.jsonio import load_algebra
 from heartglue.linalg import RatMatrix, rank
 from heartglue.reps import (Rep, RepError, cokernel, exact_certificate,
-                            filtration_inclusion, filtration_step, hom_space,
-                            kernel, projective, simple, zero_map)
+                            hom_space, kernel, projective, simple, zero_map)
 from heartglue.yoneda import (baer_sum, f_map, f_map_via_quasi_iso,
                               factor_image_dim, factors_through,
                               splice_from_class, yoneda_product)

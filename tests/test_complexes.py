@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import heart_cohomology, random_map, random_sum
+from conftest import (heart_cohomology, random_map, random_sum,
+                      ses_to_triangle, triangle_to_ses)
 from heartglue.algebra import build_algebra, make_quiver
 from heartglue.derived import DHomClass, as_cx, dhom_space
 from heartglue.linalg import RatMatrix
@@ -41,10 +42,8 @@ from heartglue.complexes import (
     is_acyclic,
     module_cx,
     Triangle,
-    ses_to_triangle,
     shift,
     shift_map,
-    triangle_to_ses,
     truncate_std,
     zero_cx,
 )

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (_scan_range, heart_cohomology, homotopy_boundary_system,
                       is_minimal, random_map, random_sum,
-                      syzygy_module_resolution)
+                      ses_to_triangle, syzygy_module_resolution)
 from heartglue import (algebra, bondal, complexes, derived, glue, linalg,
                        reps, yoneda)
 from heartglue.algebra import Relation, build_algebra, make_quiver
@@ -41,7 +41,6 @@ from heartglue.complexes import (
     cohomology_dims,
     cx_direct_sum,
     is_acyclic,
-    ses_to_triangle,
     shift,
     shift_map,
     unshifted,

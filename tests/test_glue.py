@@ -1,5 +1,6 @@
 """Exceptional sequences, aisle gluing, truncation triangles, heart dimensions."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import count_calls, in_coaisle, is_minimal
 from heartglue import derived, linalg
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import (
+    Cx,
     CxMap,
     Triangle,
     cohomology_dims,
@@ -674,3 +676,36 @@ def test_glued_truncation_builds_each_hom_complex_once(monkeypatch, make, j):
               tuple((k, id(d)) for k, d in sorted(y.diffs.items())))
              for _, r, y in built]
     assert built and len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("j", [-1, 0, 1])
+def test_glued_truncation_builds_no_second_complex_around_a_term(
+        monkeypatch, j):
+    # a resolution's one-term piece and a brutal truncation to one term
+    # are shifts of that module's own complex, so they share its memos
+    built = []  # (builder, complex); all kept alive, so no id is reused
+    post = Cx.__post_init__
+
+    def spy(self, _by):
+        built.append((sys._getframe(2).f_code.co_name, self))
+        post(self, _by)
+    monkeypatch.setattr(Cx, "__post_init__", spy)
+    cuts = count_calls(monkeypatch, derived, "brutal_below")
+    alg = _fresh_a4()
+    es = check_sequence([projective(alg, i) for i in range(1, 5)],
+                        strong=True)
+    aisle, _ = glue_sequence(es)
+    x = shift(cx_direct_sum([as_cx(projective(alg, 1)),
+                             shift(as_cx(simple(alg, 4)), 1)]).cx, j)
+    a, _, tri = aisle.truncate(x)
+    monkeypatch.undo()
+    assert tri.certified() and aisle.member(a)
+    seen, repeats = set(), []
+    for who, y in built:
+        data = (tuple((k, id(t)) for k, t in sorted(y.terms.items())),
+                tuple((k, id(d)) for k, d in sorted(y.diffs.items())))
+        if data in seen and who in ("_resolve", "brutal_below"):
+            repeats.append(who)
+        seen.add(data)
+    assert cuts and "_resolve" in {who for who, _ in built}
+    assert repeats == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_calls
+from conftest import count_calls, filtration_inclusion, filtration_step
 from heartglue import reps
 from heartglue.algebra import build_algebra, make_quiver, Relation
 from heartglue.linalg import RatMatrix, rank
@@ -20,8 +20,6 @@ from heartglue.reps import (
     direct_sum,
     eval_columns,
     exact_certificate,
-    filtration_inclusion,
-    filtration_step,
     hom_space,
     identity_map,
     image,

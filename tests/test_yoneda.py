@@ -6,7 +6,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chopped_class, class_of_module_map, cokernel_pushout
+from conftest import (chopped_class, class_of_module_map, cokernel_pushout,
+                      split_ext)
 from heartglue import derived
 from heartglue.algebra import build_algebra, make_quiver
 from heartglue.cli import corpus_path
@@ -40,7 +41,6 @@ from heartglue.yoneda import (
     pullback_action,
     pushout_action,
     splice_from_class,
-    split_ext,
     yoneda_product,
 )
 
