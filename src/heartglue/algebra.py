@@ -147,6 +147,12 @@ class _Rewriter:
                     return start, lead
         return None
 
+    def _step(self, prefix: tuple[str, ...], lead: tuple[str, ...],
+              suffix: tuple[str, ...]) -> dict[tuple[str, ...], Fraction]:
+        """prefix + lead + suffix rewritten once, at its lead.  The words
+        of a rule are distinct, so the rewritten words are too."""
+        return {prefix + r + suffix: c for r, c in self.rules[lead].items()}
+
     def reduce_word(self, word: tuple[str, ...]) -> dict[tuple[str, ...], Fraction]:
         return self.reduce_combo({word: Fraction(1)})
 
@@ -163,9 +169,8 @@ class _Rewriter:
                 return work
             p, (start, lead) = hit
             coef = work.pop(p)
-            prefix, suffix = p[:start], p[start + len(lead):]
-            for rp, rc in self.rules[lead].items():
-                newp = prefix + rp + suffix
+            step = self._step(p[:start], lead, p[start + len(lead):])
+            for newp, rc in step.items():
                 work[newp] = work.get(newp, Fraction(0)) + coef * rc
                 if work[newp] == 0:
                     del work[newp]
@@ -178,25 +183,17 @@ class _Rewriter:
                 # suffix of l1 meets prefix of l2: superposition l1[:-k] l1[-k:] l2[k:]
                 for k in range(1, min(len(l1), len(l2))):
                     if l1[-k:] == l2[:k]:
-                        head, tail = l1[:-k], l2[k:]
-                        via1: dict[tuple[str, ...], Fraction] = {}
-                        for r, c in self.rules[l1].items():
-                            via1[r + tail] = via1.get(r + tail, Fraction(0)) + c
-                        via2: dict[tuple[str, ...], Fraction] = {}
-                        for r, c in self.rules[l2].items():
-                            via2[head + r] = via2.get(head + r, Fraction(0)) + c
+                        via1 = self._step((), l1, l2[k:])
+                        via2 = self._step(l1[:-k], l2, ())
                         if self.reduce_combo(via1) != self.reduce_combo(via2):
                             return False, f"overlap of {l1} and {l2} does not resolve"
                 # l1 properly contained in l2
                 if l1 != l2:
                     for start in range(len(l2) - len(l1) + 1):
                         if l2[start:start + len(l1)] == l1:
-                            prefix, suffix = l2[:start], l2[start + len(l1):]
-                            via1 = {}
-                            for r, c in self.rules[l1].items():
-                                key = prefix + r + suffix
-                                via1[key] = via1.get(key, Fraction(0)) + c
-                            via2 = dict(self.rules[l2])
+                            via1 = self._step(l2[:start], l1,
+                                              l2[start + len(l1):])
+                            via2 = self._step((), l2, ())
                             if self.reduce_combo(via1) != self.reduce_combo(via2):
                                 return False, f"containment of {l1} in {l2} does not resolve"
         return True, ""

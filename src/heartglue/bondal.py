@@ -10,15 +10,15 @@ vertex-i projective with the hom module of the i-th object, and the
 functions below produce that identification as explicit invertible maps
 rather than a dimension count.
 
-bondal keeps no cache of its own: each product, path evaluation and
-induced map is a composite kept by derived.compose_classes, and each
-hom module is kept in the memo of its object (module_functor).
+bondal keeps no cache and no product table of its own: the product,
+each path evaluation and each induced map is a composite kept by
+derived.compose_classes, a class enters a matrix as its coordinate
+column, and each hom module is kept in the memo of its object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (PathAlgebraDesc, Relation, build_algebra, make_quiver,
                       memoised)
@@ -31,7 +31,7 @@ from .derived import (
     identity_class,
 )
 from .glue import ExcSequence, _homs
-from .linalg import RatMatrix, complement_pivots, kernel_basis, rank
+from .linalg import RatMatrix, complement_pivots, hstack, kernel_basis, rank
 from .reps import Rep, RepMap, hom_space, projective
 
 
@@ -78,30 +78,13 @@ class EndAlgebra:
     def unit_index(self, i: int) -> int:
         return self.pair(i, i)[0]
 
-    def coords_over(self, i: int, j: int, cls: DHomClass) -> dict[int, Fraction]:
-        """Coefficients of a class from E_i to E_j over the basis."""
-        idxs = self.pair(i, j)
-        if i == j:
-            lam = self.elements[idxs[0]].cls.coords[0]
-            c = cls.coords[0] / lam
-            return {idxs[0]: c} if c else {}
-        return {k: c for k, c in zip(idxs, cls.coords) if c != 0}
-
-    def product(self, a: int, b: int) -> dict[int, Fraction]:
-        """Coefficients of element a times element b (b composes first)."""
+    def product(self, a: int, b: int) -> DHomClass | None:
+        """Element a times element b (b composes first); None when b
+        does not end where a starts."""
         ea, eb = self.elements[a], self.elements[b]
         if eb.j != ea.i:
-            return {}
-        return self.coords_over(eb.i, ea.j, compose_classes(ea.cls, eb.cls))
-
-    def multiply(self, u: dict[int, Fraction],
-                 v: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                for k, ck in self.product(a, b).items():
-                    out[k] = out.get(k, Fraction(0)) + ca * cb * ck
-        return {k: c for k, c in out.items() if c != 0}
+            return None
+        return compose_classes(ea.cls, eb.cls)
 
 
 def end_algebra(es: ExcSequence) -> EndAlgebra:
@@ -128,22 +111,22 @@ def verify_end_algebra(end: EndAlgebra) -> tuple[int, int]:
 
     Returns the number of (pairs, triples) it covers, dim^2 and dim^3,
     and raises BondalError on any failure.  A product of basis elements
-    that do not meet is {} by the grading, so only the units at the ends
+    that do not meet is zero by the grading, so only the units at the ends
     of each element and the composable triples (b from E_j to E_k, a out
-    of E_k, c into E_j) are computed: both sides of any other are {}.
+    of E_k, c into E_j) are computed, each side as a composite class.
     """
     els = end.elements
     for a, e in enumerate(els):
-        if not (end.product(end.unit_index(e.j), a) == {a: Fraction(1)}
+        if not (end.product(end.unit_index(e.j), a) == e.cls
                 == end.product(a, end.unit_index(e.i))):
             raise BondalError(f"element {a} is not fixed by the unit")
     for b, eb in enumerate(els):
         into = [c for c, ec in enumerate(els) if ec.j == eb.i]
         for a in (a for a, ea in enumerate(els) if ea.i == eb.j):
-            ab, ua = end.product(a, b), {a: Fraction(1)}
+            ab = end.product(a, b)
             for c in into:
-                if (end.multiply(ab, {c: Fraction(1)})
-                        != end.multiply(ua, end.product(b, c))):
+                if (compose_classes(ab, els[c].cls)
+                        != compose_classes(els[a].cls, end.product(b, c))):
                     raise BondalError(
                         f"associativity fails on basis triple {(a, b, c)}")
     return end.dim ** 2, end.dim ** 3
@@ -174,7 +157,8 @@ class Presentation:
         return cls
 
     def eval_combo(self, source: int, target: int,
-                   combo: dict[int, Fraction]) -> DHomClass:
+                   combo: dict) -> DHomClass:
+        """The class of a {basis index: coefficient} combination of paths."""
         sp = dhom_space(self.end.objects[source - 1],
                         self.end.objects[target - 1], 0)
         out = sp.zero()
@@ -184,10 +168,10 @@ class Presentation:
         return out
 
 
-def _composites(end: EndAlgebra, i: int, j: int) -> list[tuple[Fraction, ...]]:
-    return [compose_classes(end.elements[g].cls, end.elements[f].cls).coords
-            for k in range(i + 1, j)
-            for f in end.pair(i, k) for g in end.pair(k, j)]
+def _columns(classes, rows: int) -> RatMatrix:
+    """The coordinate columns of classes side by side."""
+    cols = [c.column for c in classes]
+    return hstack(cols) if cols else RatMatrix.zeros(rows, 0)
 
 
 def quiver_presentation(end: EndAlgebra) -> Presentation:
@@ -206,8 +190,9 @@ def quiver_presentation(end: EndAlgebra) -> Presentation:
             idxs = end.pair(i, j)
             if not idxs:
                 continue
-            spanned = RatMatrix.from_cols(_composites(end, i, j),
-                                          rows=len(idxs))
+            spanned = _columns((end.product(g, f) for k in range(i + 1, j)
+                                for f in end.pair(i, k)
+                                for g in end.pair(k, j)), len(idxs))
             for r in complement_pivots(spanned):
                 name = f"x{len(arrows) + 1}"
                 arrows.append((name, i, j))
@@ -224,8 +209,8 @@ def quiver_presentation(end: EndAlgebra) -> Presentation:
                 continue
             words.sort(key=lambda p: (p.length, p.arrows))
             d = dhom_space(end.objects[i - 1], end.objects[j - 1], 0).dim
-            evals = RatMatrix.from_cols(
-                [draft.eval_path(i, p.arrows).coords for p in words], rows=d)
+            evals = _columns((draft.eval_path(i, p.arrows) for p in words),
+                             d)
             null = kernel_basis(evals)
             for c in range(null.cols):
                 terms = [(null[t, c], words[t].arrows)
@@ -254,7 +239,7 @@ def presentation_multiplicative(pres: Presentation) -> int:
             via_algebra = pres.eval_combo(pb.source, pa.target, combo)
             via_maps = compose_classes(pres.eval_path(pa.source, pa.arrows),
                                        pres.eval_path(pb.source, pb.arrows))
-            if via_algebra.coords != via_maps.coords:
+            if via_algebra != via_maps:
                 raise BondalError(
                     f"evaluation is not multiplicative on {pa} * {pb}")
             checked += 1
@@ -287,9 +272,9 @@ def _hom_module(pres: Presentation, cx: Cx) -> Rep:
     maps = {}
     for a in pres.algebra.quiver.arrows:
         f = pres.arrow_class(a.name)
-        cols = [compose_classes(g, f).coords
-                for g in spaces[a.target - 1].basis()]
-        maps[a.name] = RatMatrix.from_cols(cols, rows=dims[a.source - 1])
+        maps[a.name] = _columns((compose_classes(g, f)
+                                 for g in spaces[a.target - 1].basis()),
+                                dims[a.source - 1])
     return Rep(pres.algebra, dims, maps)
 
 
@@ -306,9 +291,9 @@ def map_functor(pres: Presentation, cls: DHomClass) -> RepMap:
     phix, phiy = module_functor(pres, x), module_functor(pres, y)
     blocks = []
     for v, e in enumerate(end.objects, 1):
-        cols = [compose_classes(cls, g).coords
-                for g in dhom_space(e, x, 0).basis()]
-        blocks.append(RatMatrix.from_cols(cols, rows=phiy.dim_at(v)))
+        blocks.append(_columns((compose_classes(cls, g)
+                                for g in dhom_space(e, x, 0).basis()),
+                               phiy.dim_at(v)))
     return RepMap(phix, phiy, tuple(blocks))
 
 
@@ -324,9 +309,9 @@ def projective_compare(pres: Presentation, i: int) -> RepMap:
             f"the projective has {source.dims}")
     blocks = []
     for v in range(1, alg.vertex_count + 1):
-        cols = [pres.eval_path(v, p.arrows).coords
-                for p in alg.paths_between(v, i)]
-        blocks.append(RatMatrix.from_cols(cols, rows=target.dim_at(v)))
+        blocks.append(_columns((pres.eval_path(v, p.arrows)
+                                for p in alg.paths_between(v, i)),
+                               target.dim_at(v)))
     f = RepMap(source, target, tuple(blocks))
     for v in range(1, alg.vertex_count + 1):
         b = f.block(v)
@@ -351,8 +336,10 @@ class FaithfulReport:
         return self.ok
 
 
-def _flat(f: RepMap) -> list[Fraction]:
-    return [c for b in f.blocks for i in range(b.rows) for c in b.row(i)]
+def _flat(f: RepMap) -> RatMatrix:
+    """The entries of f's blocks, row by row, as one column."""
+    return hstack([b.reshape(1, b.rows * b.cols)
+                   for b in f.blocks]).transpose()
 
 
 def faithful_full_check(pres: Presentation, pairs=None) -> FaithfulReport:
@@ -374,9 +361,7 @@ def faithful_full_check(pres: Presentation, pairs=None) -> FaithfulReport:
         sp = dhom_space(x, y, 0)
         module_dim = len(hom_space(phix, phiy))
         sent = [_flat(map_functor(pres, cls)) for cls in sp.basis()]
-        entries = sum(phiy.dim_at(v) * phix.dim_at(v)
-                      for v in range(1, end.positions + 1))
-        induced = rank(RatMatrix.from_cols(sent, rows=entries))
+        induced = rank(hstack(sent)) if sent else 0
         if not (sp.dim == module_dim == induced):
             mism.append((count, sp.dim, module_dim, induced))
     return FaithfulReport(not mism, count, tuple(mism))

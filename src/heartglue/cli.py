@@ -43,9 +43,6 @@ from .bondal import BondalError, bondal_check
 from .reps import Rep, projective, simple
 from .yoneda import f_map, factor_image_dim, factors_through, splice_from_class
 
-COMMANDS = ("ext-table", "check-exceptional", "glue-hearts", "dim-formula",
-            "yoneda-oracle", "bondal-check", "remark-counterexamples")
-
 CORPUS_NAMES = ("a2", "a3", "a3rel", "commsquare", "kronecker")
 
 
@@ -347,15 +344,32 @@ def _run_remark_counterexamples(job: JobSpec):
     return (0 if ok else 1), report, lines
 
 
-_RUNNERS = {
-    "ext-table": _run_ext_table,
-    "check-exceptional": _run_check_exceptional,
-    "glue-hearts": _run_glue_hearts,
-    "dim-formula": _run_dim_formula,
-    "yoneda-oracle": _run_yoneda_oracle,
-    "bondal-check": _run_bondal_check,
-    "remark-counterexamples": _run_remark_counterexamples,
+# the seven jobs in command-line order: each one's runner and help text
+_JOBS = {
+    "ext-table": (
+        _run_ext_table,
+        "Pairwise hom dimensions of the objects at every shift."),
+    "check-exceptional": (
+        _run_check_exceptional,
+        "Verify the objects form a (strong) exceptional sequence."),
+    "glue-hearts": (
+        _run_glue_hearts,
+        "Glue the objects' aisles and describe the heart."),
+    "dim-formula": (
+        _run_dim_formula,
+        "Compare the glued heart dimension with the piecewise formula."),
+    "yoneda-oracle": (
+        _run_yoneda_oracle,
+        "Splice extensions from classes and read them back."),
+    "bondal-check": (
+        _run_bondal_check,
+        "Present the endomorphism algebra and match hom modules with "
+        "projectives."),
+    "remark-counterexamples": (
+        _run_remark_counterexamples,
+        "Reproduce the bundled factorization counterexamples."),
 }
+COMMANDS = tuple(_JOBS)
 
 
 def run(job: JobSpec) -> tuple[int, str]:
@@ -366,14 +380,14 @@ def run(job: JobSpec) -> tuple[int, str]:
     bytes.
     """
     try:
-        if job.command not in _RUNNERS:
+        if job.command not in _JOBS:
             raise SchemaError(f"unknown command {job.command!r}")
         if job.window is not None and job.window < 1:
             raise SchemaError("window must be at least 1")
         if job.command not in ("remark-counterexamples",) \
                 and not job.algebra_path:
             raise SchemaError(f"{job.command} needs an algebra file")
-        code, report, lines = _RUNNERS[job.command](job)
+        code, report, lines = _JOBS[job.command][0](job)
     except SchemaError as e:
         code = 2
         report = {"command": job.command, "error": str(e), "ok": False}
@@ -383,21 +397,6 @@ def run(job: JobSpec) -> tuple[int, str]:
     if job.out_path:
         Path(job.out_path).write_text(rendered, encoding="utf-8")
     return code, rendered
-
-
-_HELP = {
-    "ext-table": "Pairwise hom dimensions of the objects at every shift.",
-    "check-exceptional": "Verify the objects form a (strong) exceptional "
-                         "sequence.",
-    "glue-hearts": "Glue the objects' aisles and describe the heart.",
-    "dim-formula": "Compare the glued heart dimension with the piecewise "
-                   "formula.",
-    "yoneda-oracle": "Splice extensions from classes and read them back.",
-    "bondal-check": "Present the endomorphism algebra and match hom "
-                    "modules with projectives.",
-    "remark-counterexamples": "Reproduce the bundled factorization "
-                              "counterexamples.",
-}
 
 
 def _command_line():
@@ -435,7 +434,7 @@ def _command_line():
                               "stdout."),
         ]
         return click.Command(name, params=params, callback=callback,
-                             help=_HELP[name])
+                             help=_JOBS[name][1])
 
     for name in COMMANDS:
         main.add_command(command(name))

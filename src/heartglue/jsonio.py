@@ -72,6 +72,8 @@ def load_json(path: str) -> dict:
         raise SchemaError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}:{e.lineno}: {e.msg}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: nested too deeply to parse") from None
 
 
 def dump_json(obj) -> str:
@@ -174,24 +176,29 @@ def module_to_dict(m: Rep) -> dict:
 
 def object_from_dict(d: dict, alg: PathAlgebraDesc,
                      where: str = "object"):
-    """One object spec as a (label, module or complex) pair."""
-    kind = _need(d, "type", where)
-    if kind == "projective":
-        i = _vertex(_need(d, "vertex", where), where, alg.vertex_count)
-        return f"projective {i}", projective(alg, i)
-    if kind == "simple":
-        i = _vertex(_need(d, "vertex", where), where, alg.vertex_count)
-        return f"simple {i}", simple(alg, i)
-    if kind == "module":
-        m = module_from_dict(d, alg, where)
-        return f"module {tuple(m.dims)}", m
-    if kind == "shift":
+    """One object spec as a (label, module or complex) pair; a chain of
+    shifts is unwound in a loop, so no recursion limit bounds its depth."""
+    shifts = []
+    while (kind := _need(d, "type", where)) == "shift":
         k = _need(d, "by", where)
         if not isinstance(k, int) or isinstance(k, bool):
             raise SchemaError(f"{where}: shift amount must be an integer")
-        label, inner = object_from_dict(_need(d, "of", where), alg, where)
-        return f"shift {k} of {label}", shift(as_cx(inner), k)
-    raise SchemaError(f"{where}: unknown object type {kind!r}")
+        shifts.append(k)
+        d = _need(d, "of", where)
+    if kind == "projective":
+        i = _vertex(_need(d, "vertex", where), where, alg.vertex_count)
+        label, obj = f"projective {i}", projective(alg, i)
+    elif kind == "simple":
+        i = _vertex(_need(d, "vertex", where), where, alg.vertex_count)
+        label, obj = f"simple {i}", simple(alg, i)
+    elif kind == "module":
+        obj = module_from_dict(d, alg, where)
+        label = f"module {tuple(obj.dims)}"
+    else:
+        raise SchemaError(f"{where}: unknown object type {kind!r}")
+    for k in reversed(shifts):
+        label, obj = f"shift {k} of {label}", shift(as_cx(obj), k)
+    return label, obj
 
 
 def objects_from_dict(d: dict, alg: PathAlgebraDesc,

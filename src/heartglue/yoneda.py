@@ -310,8 +310,8 @@ def _factor_columns(sp, gens) -> RatMatrix | None:
         gs = dhom_space(gen, sp.y, sp.n - 1)
         for h in hs.basis():
             for g in gs.basis():
-                cols.append(compose_classes(g, h).coords)
-    return RatMatrix.from_cols(cols, rows=sp.dim) if cols else None
+                cols.append(compose_classes(g, h).column)
+    return hstack(cols) if cols else None
 
 
 def factors_through(c: DHomClass, gens) -> bool:

@@ -520,6 +520,24 @@ class TestPlumbing:
         if code == 2:
             assert report["ok"] is False
 
+    # json.load recurses once per nesting level
+    @pytest.mark.parametrize("which", ["algebra", "objects"])
+    def test_deeply_nested_file_exits_2(self, tmp_path, which):
+        p = tmp_path / "deep.json"
+        deep = "[" * 100_000 + "]" * 100_000
+        if which == "algebra":
+            p.write_text(deep, encoding="utf-8")
+            job = JobSpec(command="ext-table", algebra_path=str(p),
+                          output="json")
+        else:
+            p.write_text('{"objects": [' + deep + "]}", encoding="utf-8")
+            job = JobSpec(command="ext-table", algebra_path=corpus("a2"),
+                          object_paths=(str(p),), output="json")
+        code, rendered = run(job)
+        assert code == 2
+        assert json.loads(rendered)["error"] == (
+            f"{p}: nested too deeply to parse")
+
     def test_window_must_be_positive(self):
         code, rendered = run(JobSpec(command="ext-table",
                                      algebra_path=corpus("a2"), window=0))

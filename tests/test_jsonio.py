@@ -147,6 +147,18 @@ class TestObjectSpecs:
         assert label == "shift 2 of shift -1 of projective 1"
         assert cohomology_dims(v) == {-1: (1, 0)}
 
+    def test_deep_shift_chain_unwinds(self, kron):
+        depth = 3000
+        spec = bad = {"type": "projective", "vertex": 1}
+        for _ in range(depth):
+            spec = {"type": "shift", "by": 1, "of": spec}
+        label, v = object_from_dict(spec, kron)
+        assert label == "shift 1 of " * depth + "projective 1"
+        assert cohomology_dims(v) == {-depth: (1, 0)}
+        bad["vertex"] = 3
+        with pytest.raises(SchemaError, match="vertex must be an integer"):
+            object_from_dict(spec, kron)
+
     def test_unknown_type(self, kron):
         with pytest.raises(SchemaError, match="type"):
             object_from_dict({"type": "injective", "vertex": 1}, kron)
