@@ -8,7 +8,10 @@ Conventions used throughout the package:
 - The algebra product x*y composes y first, then x; on composable paths
   x*y = y.arrows + x.arrows. Hence the path ("a", "b") equals b*a.
 - Relations are linear combinations of parallel composable paths of length
-  at least 2, oriented into rewrite rules by largest (length, names) term.
+  at least 2, and they span a two-sided ideal. Paths are ordered by
+  (length, names); the leading words are the largest paths of the ideal's
+  elements, and the normal words, the paths that are not leading words,
+  are the basis.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import as_fraction
+from .linalg import RatMatrix, as_fraction, rref
 
 
 class AlgebraError(ValueError):
@@ -116,98 +119,16 @@ def _path_endpoints(q: Quiver, path: Sequence[str]) -> tuple[int, int]:
     return arrows[0].source, arrows[-1].target
 
 
-def _deglex_key(path: tuple[str, ...]) -> tuple:
-    return (len(path), path)
-
-
-class _Rewriter:
-    """Path rewriting system for an admissible relation set."""
-
-    def __init__(self, quiver: Quiver, relations: Sequence[Relation]):
-        self.rules: dict[tuple[str, ...], dict[tuple[str, ...], Fraction]] = {}
-        for rel in relations:
-            merged: dict[tuple[str, ...], Fraction] = {}
-            for c, p in rel.terms:
-                merged[p] = merged.get(p, Fraction(0)) + c
-            merged = {p: c for p, c in merged.items() if c != 0}
-            if not merged:
-                raise AlgebraError("relation with all coefficients zero")
-            lead = max(merged, key=_deglex_key)
-            lc = merged[lead]
-            rhs = {p: -c / lc for p, c in merged.items() if p != lead}
-            if lead in self.rules and self.rules[lead] != rhs:
-                raise AlgebraError(f"conflicting rules for leading path {lead}")
-            self.rules[lead] = rhs
-
-    def _first_redex(self, word: tuple[str, ...]) -> tuple[int, tuple[str, ...]] | None:
-        for start in range(len(word)):
-            for lead in self.rules:
-                k = len(lead)
-                if word[start:start + k] == lead:
-                    return start, lead
-        return None
-
-    def _step(self, prefix: tuple[str, ...], lead: tuple[str, ...],
-              suffix: tuple[str, ...]) -> dict[tuple[str, ...], Fraction]:
-        """prefix + lead + suffix rewritten once, at its lead.  The words
-        of a rule are distinct, so the rewritten words are too."""
-        return {prefix + r + suffix: c for r, c in self.rules[lead].items()}
-
-    def reduce_word(self, word: tuple[str, ...]) -> dict[tuple[str, ...], Fraction]:
-        return self.reduce_combo({word: Fraction(1)})
-
-    def reduce_combo(self, combo: dict[tuple[str, ...], Fraction]) -> dict[tuple[str, ...], Fraction]:
-        work = {p: c for p, c in combo.items() if c != 0}
-        while True:
-            hit = None
-            for p in sorted(work, key=_deglex_key, reverse=True):
-                found = self._first_redex(p)
-                if found is not None:
-                    hit = (p, found)
-                    break
-            if hit is None:
-                return work
-            p, (start, lead) = hit
-            coef = work.pop(p)
-            step = self._step(p[:start], lead, p[start + len(lead):])
-            for newp, rc in step.items():
-                work[newp] = work.get(newp, Fraction(0)) + coef * rc
-                if work[newp] == 0:
-                    del work[newp]
-
-    def confluent(self) -> tuple[bool, str]:
-        """Exhaustively inspect critical pairs (overlaps and containments)."""
-        leads = list(self.rules)
-        for l1 in leads:
-            for l2 in leads:
-                # suffix of l1 meets prefix of l2: superposition l1[:-k] l1[-k:] l2[k:]
-                for k in range(1, min(len(l1), len(l2))):
-                    if l1[-k:] == l2[:k]:
-                        via1 = self._step((), l1, l2[k:])
-                        via2 = self._step(l1[:-k], l2, ())
-                        if self.reduce_combo(via1) != self.reduce_combo(via2):
-                            return False, f"overlap of {l1} and {l2} does not resolve"
-                # l1 properly contained in l2
-                if l1 != l2:
-                    for start in range(len(l2) - len(l1) + 1):
-                        if l2[start:start + len(l1)] == l1:
-                            via1 = self._step(l2[:start], l1,
-                                              l2[start + len(l1):])
-                            via2 = self._step((), l2, ())
-                            if self.reduce_combo(via1) != self.reduce_combo(via2):
-                                return False, f"containment of {l1} in {l2} does not resolve"
-        return True, ""
-
-
 @dataclass(frozen=True, eq=False)
 class PathAlgebraDesc:
     """Finite-dimensional path algebra with a fixed residue-path basis.
 
-    memo holds, from construction, the basis index of each path
-    ("index"), the basis paths between two vertices ("between") and the
-    relation rewriter ("rewriter"); reps keeps the algebra's "zero_rep"
-    and the dims and arrow blocks of each P_v, keyed by ("projective",
-    v), there too.
+    memo holds, from construction by build_algebra, the basis index of
+    each path ("index"), the basis paths between two vertices ("between")
+    and the normal form of each leading word of the ideal, a {normal
+    word: coefficient} dict keyed by (source, word) ("normal_forms");
+    reps keeps the algebra's "zero_rep" and the dims and arrow blocks of
+    each P_v, keyed by ("projective", v), there too.
     """
 
     quiver: Quiver
@@ -221,8 +142,7 @@ class PathAlgebraDesc:
             between.setdefault((p.source, p.target), []).append(p)
         self.memo.update(
             index={(p.source, p.arrows): i for i, p in enumerate(self.basis)},
-            between={ij: tuple(ps) for ij, ps in between.items()},
-            rewriter=_Rewriter(self.quiver, self.relations))
+            between={ij: tuple(ps) for ij, ps in between.items()})
 
     @property
     def dim(self) -> int:
@@ -248,14 +168,15 @@ class PathAlgebraDesc:
         return self.memo["between"].get((i, j), ())
 
     def reduce_path(self, source: int, arrows: tuple[str, ...]) -> dict[int, Fraction]:
-        """Residue of a composable path as coefficients over the basis."""
+        """Residue of a composable path as coefficients over the basis:
+        the path itself if it is a normal word, else its normal form."""
         if not arrows:
             return {self.idempotent(source): Fraction(1)}
-        combo = self.memo["rewriter"].reduce_word(arrows)
-        out: dict[int, Fraction] = {}
-        for p, c in combo.items():
-            out[self.index_of(source, p)] = c
-        return out
+        i = self.memo["index"].get((source, arrows))
+        if i is not None:
+            return {i: Fraction(1)}
+        return {self.index_of(source, w): c for w, c
+                in self.memo["normal_forms"][(source, arrows)].items()}
 
     def mult_basis(self, i: int, j: int) -> dict[int, Fraction]:
         """Product basis[i] * basis[j] (traverse j first) over the basis."""
@@ -282,12 +203,75 @@ def _all_paths(q: Quiver) -> list[BasisPath]:
     return out
 
 
+def _normal_forms(quiver: Quiver, relations: Sequence[Relation],
+                  paths: Sequence[BasisPath]) -> dict:
+    """The normal form of each leading word of the ideal I the relations
+    span, keyed by (source, word), as a {word: coefficient} dict over the
+    normal words.
+
+    Words are read in traversal order, so w a is w followed by the arrow
+    a.  The quiver is strictly ordered, so I is finite, and its part
+    I(i, j) on the paths i -> j is spanned by the relations from i to j,
+    by I(i, k) a for each arrow a: k -> j, and by b I(k, j) for each arrow
+    b: i -> k.  Proof: I(i, j) is spanned by the elements u r v with r a
+    relation and u, v paths.  If v is nontrivial, peel off its last arrow
+    a, and u r v lies in I(i, k) a; otherwise, if u is nontrivial, peel
+    off its first arrow b, and u r v lies in b I(k, j); otherwise the
+    element is r.  Every such k lies strictly between i and j, so the
+    parts are computed in increasing j - i, each from the reduced rows of
+    smaller parts.  The rref of a part, with its paths as columns in
+    decreasing (length, names) order, pivots on its leading words, and a
+    leading word's normal form is minus the rest of its row.  This is the
+    reduced Groebner basis of I for that order (Bergman 1978; Green 1999).
+    """
+    arrows = {a.name: a for a in quiver.arrows}
+    words: dict[tuple[int, int], list[tuple[str, ...]]] = {}
+    for p in paths:
+        if p.arrows:
+            words.setdefault((p.source, p.target), []).append(p.arrows)
+    # each class's relations, then, once its part is computed, its rows
+    rows: dict[tuple[int, int], list[dict]] = {}
+    for rel in relations:
+        merged: dict[tuple[str, ...], Fraction] = {}
+        for c, w in rel.terms:
+            merged[w] = merged.get(w, Fraction(0)) + c
+        merged = {w: c for w, c in merged.items() if c != 0}
+        if not merged:
+            raise AlgebraError("relation with all coefficients zero")
+        w = next(iter(merged))
+        rows.setdefault((arrows[w[0]].source, arrows[w[-1]].target),
+                        []).append(merged)
+    forms = {}
+    for i, j in sorted(words, key=lambda ij: ij[1] - ij[0]):
+        gens = list(rows.get((i, j), ()))
+        for a in quiver.arrows:
+            if a.target == j:
+                gens += [{w + (a.name,): c for w, c in r.items()}
+                         for r in rows.get((i, a.source), ())]
+            if a.source == i:
+                gens += [{(a.name,) + w: c for w, c in r.items()}
+                         for r in rows.get((a.target, j), ())]
+        if not gens:
+            continue
+        cols = sorted(words[(i, j)], key=lambda w: (len(w), w), reverse=True)
+        red, pivots = rref(RatMatrix([[g.get(w, 0) for w in cols]
+                                      for g in gens]))
+        part = rows[(i, j)] = []
+        for k, lead in enumerate(pivots):
+            row = {cols[t]: x for t, x in enumerate(red.row(k)) if x}
+            part.append(row)
+            forms[(i, cols[lead])] = {w: -x for w, x in row.items()
+                                      if w != cols[lead]}
+    return forms
+
+
 def build_algebra(quiver: Quiver, relations: Sequence[Relation] = ()) -> PathAlgebraDesc:
     """Validate the input and assemble the finite basis of KQ modulo relations.
 
     Rejects quivers that are not strictly ordered (which also enforces
-    acyclicity) and relation sets that are not admissible or whose rewriting
-    system fails the critical-pair check.
+    acyclicity) and relation sets that are not admissible.  Any generating
+    set of the ideal is accepted: the basis is the normal words of the
+    ideal, whatever relations span it.
     """
     if not quiver.is_strictly_ordered():
         bad = [a.name for a in quiver.arrows if a.source >= a.target]
@@ -306,13 +290,11 @@ def build_algebra(quiver: Quiver, relations: Sequence[Relation] = ()) -> PathAlg
             elif ep != endpoints:
                 raise AlgebraError(
                     f"relation mixes non-parallel paths ({endpoints} vs {ep})")
-    rewriter = _Rewriter(quiver, rels)
-    ok, why = rewriter.confluent()
-    if not ok:
-        raise AlgebraError(f"relation rewriting is not confluent: {why}")
-    basis = tuple(p for p in _all_paths(quiver)
-                  if p.is_trivial() or rewriter._first_redex(p.arrows) is None)
+    paths = _all_paths(quiver)
+    forms = _normal_forms(quiver, rels, paths)
+    basis = tuple(p for p in paths if (p.source, p.arrows) not in forms)
     alg = PathAlgebraDesc(quiver, rels, basis)
+    alg.memo["normal_forms"] = forms
     for rel in rels:
         combo: dict[int, Fraction] = {}
         src = _path_endpoints(quiver, rel.terms[0][1])[0]
@@ -320,5 +302,5 @@ def build_algebra(quiver: Quiver, relations: Sequence[Relation] = ()) -> PathAlg
             for k, ck in alg.reduce_path(src, p).items():
                 combo[k] = combo.get(k, Fraction(0)) + c * ck
         if any(c != 0 for c in combo.values()):
-            raise AlgebraError(f"relation {rel} does not vanish after rewriting")
+            raise AlgebraError(f"relation {rel} does not vanish after reduction")
     return alg

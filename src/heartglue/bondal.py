@@ -179,8 +179,9 @@ def quiver_presentation(end: EndAlgebra) -> Presentation:
 
     Arrows x1, x2, ... pick, pair by pair in position order, the
     canonical classes completing the span of two-step composites.
-    Relations are the kernel of path evaluation, written so each one
-    rewrites its longest path into shorter ones.
+    Relations are the kernel of path evaluation, one set per parallel
+    class of paths of length at least 2; build_algebra reduces by the
+    ideal they span.
     """
     m = end.positions
     arrows = []

@@ -66,6 +66,35 @@ def commsquare():
     return build_algebra(q, [Relation.of([(1, ("a", "c")), (-1, ("b", "d"))])])
 
 
+def auslander_vertices(n: int) -> dict[tuple[int, int], int]:
+    """The vertices (i, j), 1 <= i <= j <= n, of the Auslander algebra of
+    kA_n, numbered with i outer and j inner."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return {ij: v for v, ij in enumerate(pairs, 1)}
+
+
+def auslander(n: int, horizontal: str = "a", vertical: str = "b"):
+    """The Auslander algebra of kA_n: arrows horizontal{i}_{j}: (i, j) ->
+    (i, j+1) and vertical{i}_{j}: (i, j) -> (i+1, j), and at each (i, j)
+    with j < n the mesh relation, a commutative square when i < j and a
+    zero path when i = j."""
+    v = auslander_vertices(n)
+    arrows = [(f"{horizontal}{i}_{j}", x, v[(i, j + 1)])
+              for (i, j), x in v.items() if j < n]
+    arrows += [(f"{vertical}{i}_{j}", x, v[(i + 1, j)])
+               for (i, j), x in v.items() if i < j]
+    relations = []
+    for i, j in v:
+        if j == n:
+            continue
+        terms = [(1, (f"{horizontal}{i}_{j}", f"{vertical}{i}_{j + 1}"))]
+        if i < j:
+            terms.append((-1, (f"{vertical}{i}_{j}",
+                               f"{horizontal}{i + 1}_{j}")))
+        relations.append(Relation.of(terms))
+    return build_algebra(make_quiver(len(v), arrows), relations)
+
+
 @pytest.fixture()
 def rng():
     return random.Random(90125)

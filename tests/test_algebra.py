@@ -1,9 +1,11 @@
-"""Path algebra construction: bases, multiplication, rewriting, validation."""
+"""Path algebra construction: bases, multiplication, normal forms, validation."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import auslander
 from heartglue.algebra import (
     AlgebraError,
     BasisPath,
@@ -11,7 +13,7 @@ from heartglue.algebra import (
     build_algebra,
     make_quiver,
 )
-from heartglue.linalg import RatMatrix, rank
+from heartglue.linalg import RatMatrix, rank, span_membership
 
 
 def a2():
@@ -40,7 +42,24 @@ def commsquare():
     )
 
 
-ALL = [a2, a3, a3rel, kronecker, commsquare]
+def commsquare_two_relations():
+    # ac - bd and ac - 2bd: both lead with bd, and together they
+    # kill the diagonal
+    return build_algebra(
+        make_quiver(4, [("a", 1, 2), ("b", 1, 3), ("c", 2, 4), ("d", 3, 4)]),
+        [Relation.of([(1, ["a", "c"]), (-1, ["b", "d"])]),
+         Relation.of([(1, ["a", "c"]), (-2, ["b", "d"])])],
+    )
+
+
+def auslander3():
+    # horizontal arrows a..., vertical b...: the mesh relations are not a
+    # Groebner basis of their ideal for the (length, names) order
+    return auslander(3, "a", "b")
+
+
+ALL = [a2, a3, a3rel, kronecker, commsquare, commsquare_two_relations,
+       auslander3]
 
 
 def test_a2_basis():
@@ -72,6 +91,13 @@ def test_commsquare_identifies_diagonal():
     red_ac = alg.reduce_path(1, ("a", "c"))
     red_bd = alg.reduce_path(1, ("b", "d"))
     assert red_ac == red_bd
+
+
+def test_two_commutativity_relations_kill_the_diagonal():
+    alg = commsquare_two_relations()
+    assert alg.dim == 8
+    assert alg.reduce_path(1, ("a", "c")) == {}
+    assert alg.reduce_path(1, ("b", "d")) == {}
 
 
 def test_idempotent_laws():
@@ -153,46 +179,118 @@ def test_identity_element():
             assert _times(alg, x, one) == x
 
 
+def ideal_span(alg) -> tuple[list[BasisPath], dict, RatMatrix]:
+    """Every path of the free algebra, the index of each, and the matrix
+    whose columns are every u*r*v, r a relation of alg and u, v paths, in
+    dense Fractions: the two-sided ideal spanned the long way."""
+    free = build_algebra(alg.quiver)  # no relations: all paths
+    paths = {(p.source, p.arrows): i for i, p in enumerate(free.basis)}
+    nfree = len(paths)
+    ideal_vectors = []
+    for rel in alg.relations:
+        src = free.quiver.arrow(rel.terms[0][1][0]).source
+        tgt = free.quiver.arrow(rel.terms[0][1][-1]).target
+        for (usrc, u) in paths:
+            for (vsrc, v) in paths:
+                # u * r * v: traverse v, then r, then u
+                uarr = u
+                varr = v
+                if not varr and vsrc != src:
+                    continue
+                if varr and free.quiver.arrow(varr[-1]).target != src:
+                    continue
+                if not uarr and usrc != tgt:
+                    continue
+                if uarr and free.quiver.arrow(uarr[0]).source != tgt:
+                    continue
+                vec = [Fraction(0)] * nfree
+                for c, p in rel.terms:
+                    word = varr + p + uarr
+                    vec[paths[(vsrc if varr else src, word)]] += c
+                ideal_vectors.append(vec)
+    return free.basis, paths, RatMatrix.from_cols(ideal_vectors, rows=nfree)
+
+
+def assert_matches_oracle(alg):
+    """dim A is #paths minus the rank of the ideal, and every path p
+    reduces to parallel basis words with p - reduce_path(p) in the ideal."""
+    free, paths, ideal = ideal_span(alg)
+    assert alg.dim == len(paths) - rank(ideal)
+    for i, p in enumerate(free):
+        vec = [Fraction(0)] * len(paths)
+        vec[i] += 1
+        for k, c in alg.reduce_path(p.source, p.arrows).items():
+            b = alg.basis[k]
+            assert (b.source, b.target) == (p.source, p.target)
+            vec[paths[(b.source, b.arrows)]] -= c
+        assert span_membership(RatMatrix.column(vec), ideal)
+
+
 def test_dimension_against_linear_algebra_oracle():
-    """dim A must equal #paths minus the dimension of the two-sided ideal.
+    """dim A must equal #paths minus the dimension of the two-sided ideal,
+    and each normal form must differ from its path by an ideal element.
 
     Independent route: enumerate all paths of the free algebra, span the
-    ideal by all u*r*v with r a relation and u, v paths, and compare ranks.
-    This split checks that rewriting found a genuine basis.
+    ideal by all u*r*v with r a relation and u, v paths, and compare ranks
+    and memberships.  This split checks that the normal forms are right
+    and their words a genuine basis.
     """
     for make in ALL:
-        alg = make()
+        assert_matches_oracle(make())
 
-        free = build_algebra(alg.quiver)  # no relations: all paths
-        paths = {(p.source, p.arrows): i for i, p in enumerate(free.basis)}
-        nfree = len(paths)
-        if not alg.relations:
-            assert alg.dim == nfree
-            continue
-        ideal_vectors = []
-        for rel in alg.relations:
-            src = free.quiver.arrow(rel.terms[0][1][0]).source
-            tgt = free.quiver.arrow(rel.terms[0][1][-1]).target
-            for (usrc, u) in paths:
-                for (vsrc, v) in paths:
-                    # u * r * v: traverse v, then r, then u
-                    uarr = u
-                    varr = v
-                    if not varr and vsrc != src:
-                        continue
-                    if varr and free.quiver.arrow(varr[-1]).target != src:
-                        continue
-                    if not uarr and usrc != tgt:
-                        continue
-                    if uarr and free.quiver.arrow(uarr[0]).source != tgt:
-                        continue
-                    vec = [Fraction(0)] * nfree
-                    for c, p in rel.terms:
-                        word = varr + p + uarr
-                        vec[paths[(vsrc if varr else src, word)]] += c
-                    ideal_vectors.append(vec)
-        ideal = RatMatrix.from_cols(ideal_vectors, rows=nfree)
-        assert alg.dim == nfree - rank(ideal)
+
+@st.composite
+def random_relation_sets(draw):
+    """A strictly ordered quiver on at most 5 vertices and 7 arrows, and
+    1-3 relations, each a random integer combination of the parallel
+    paths of length >= 2 between two vertices."""
+    n = draw(st.integers(2, 5))
+    ends = draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(1, n)),
+                         min_size=1, max_size=7))
+    arrows = [(f"x{k}", s, max(t, s + 1)) for k, (s, t) in enumerate(ends)]
+    quiver = make_quiver(n, arrows)
+    classes: dict[tuple[int, int], list[tuple[str, ...]]] = {}
+    for p in build_algebra(quiver).basis:
+        if p.length >= 2:
+            classes.setdefault((p.source, p.target), []).append(p.arrows)
+    assume(classes)
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        words = classes[draw(st.sampled_from(sorted(classes)))]
+        coefs = draw(st.lists(st.integers(-3, 3), min_size=len(words),
+                              max_size=len(words)))
+        relations.append(Relation.of(zip(coefs, words)))
+    return quiver, relations
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_relation_sets())
+def test_any_relation_set_builds_and_matches_oracle(drawn):
+    """Every admissible relation set loads, whatever its leading words;
+    only a relation that is zero is refused.  Renaming the arrows in
+    reverse order changes the leading words but not the dimension of any
+    part."""
+    quiver, relations = drawn
+    try:
+        alg = build_algebra(quiver, relations)
+    except AlgebraError as e:
+        assert str(e) == "relation with all coefficients zero"
+        return
+    assert_matches_oracle(alg)
+    names = [a.name for a in quiver.arrows]
+    rename = dict(zip(names, reversed(names)))
+    renamed = build_algebra(
+        make_quiver(quiver.vertex_count,
+                    [(rename[a.name], a.source, a.target)
+                     for a in quiver.arrows]),
+        [Relation.of((c, [rename[x] for x in w]) for c, w in r.terms)
+         for r in relations])
+    assert renamed.dim == alg.dim
+    n = quiver.vertex_count
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert (len(renamed.paths_between(i, j))
+                    == len(alg.paths_between(i, j)))
 
 
 def test_rejects_cycle():
