@@ -241,24 +241,29 @@ def _normal_forms(quiver: Quiver, relations: Sequence[Relation],
         w = next(iter(merged))
         rows.setdefault((arrows[w[0]].source, arrows[w[-1]].target),
                         []).append(merged)
+    into: dict[int, list[Arrow]] = {}
+    out_of: dict[int, list[Arrow]] = {}
+    for a in quiver.arrows:
+        into.setdefault(a.target, []).append(a)
+        out_of.setdefault(a.source, []).append(a)
     forms = {}
     for i, j in sorted(words, key=lambda ij: ij[1] - ij[0]):
         gens = list(rows.get((i, j), ()))
-        for a in quiver.arrows:
-            if a.target == j:
-                gens += [{w + (a.name,): c for w, c in r.items()}
-                         for r in rows.get((i, a.source), ())]
-            if a.source == i:
-                gens += [{(a.name,) + w: c for w, c in r.items()}
-                         for r in rows.get((a.target, j), ())]
+        for a in into.get(j, ()):
+            gens += [{w + (a.name,): c for w, c in r.items()}
+                     for r in rows.get((i, a.source), ())]
+        for a in out_of.get(i, ()):
+            gens += [{(a.name,) + w: c for w, c in r.items()}
+                     for r in rows.get((a.target, j), ())]
         if not gens:
             continue
         cols = sorted(words[(i, j)], key=lambda w: (len(w), w), reverse=True)
-        red, pivots = rref(RatMatrix([[g.get(w, 0) for w in cols]
-                                      for g in gens]))
+        pos = {w: t for t, w in enumerate(cols)}
+        red, pivots = rref(RatMatrix.from_sparse(
+            [{pos[w]: c for w, c in g.items()} for g in gens], len(cols)))
         part = rows[(i, j)] = []
         for k, lead in enumerate(pivots):
-            row = {cols[t]: x for t, x in enumerate(red.row(k)) if x}
+            row = {cols[t]: x for t, x in red.row_entries(k).items()}
             part.append(row)
             forms[(i, cols[lead])] = {w: -x for w, x in row.items()
                                       if w != cols[lead]}

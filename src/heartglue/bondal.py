@@ -13,7 +13,8 @@ rather than a dimension count.
 bondal keeps no cache and no product table of its own: the product,
 each path evaluation and each induced map is a composite kept by
 derived.compose_classes, a class enters a matrix as its coordinate
-column, and each hom module is kept in the memo of its object.
+column, and each hom module is kept in the memo of its presentation,
+keyed by the object, so it goes when the presentation does.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (PathAlgebraDesc, Relation, build_algebra, make_quiver,
-                      memoised)
+                      memo_field, memoised)
 from .complexes import Cx
 from .derived import (
     DHomClass,
@@ -144,6 +145,7 @@ class Presentation:
     end: EndAlgebra
     algebra: PathAlgebraDesc
     arrow_element: dict[str, int]
+    memo: dict = memo_field()
 
     def arrow_class(self, name: str) -> DHomClass:
         return self.end.elements[self.arrow_element[name]].cls
@@ -248,7 +250,7 @@ def presentation_multiplicative(pres: Presentation) -> int:
 
 
 def module_functor(pres: Presentation, x) -> Rep:
-    """Hom module of x over the presented algebra, kept in as_cx(x).memo.
+    """Hom module of x over the presented algebra, kept in pres.memo.
 
     The vertex-v component is Hom(E_v, x) in canonical coordinates, and
     an arrow acts by precomposition with its class.  Objects with maps
@@ -256,7 +258,7 @@ def module_functor(pres: Presentation, x) -> Rep:
     rejected, since the module below would forget those maps.
     """
     cx = as_cx(x)
-    return memoised(cx, ("hom module", pres), lambda: _hom_module(pres, cx))
+    return memoised(pres, ("hom module", cx), lambda: _hom_module(pres, cx))
 
 
 def _hom_module(pres: Presentation, cx: Cx) -> Rep:

@@ -24,6 +24,10 @@ process about 1.4 MB of peak memory (CPython 3.11, click 8).  So `main`,
 the click group that the ``heartglue`` console script, ``python -m
 heartglue.cli`` and click's CliRunner invoke, is built on first access
 to `cli.main`.
+
+Consecutive jobs on one algebra description share its algebra, its
+objects and their memos, through the one entry `jsonio` keeps (see its
+cache policy).
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from .derived import as_cx, dhom_space, hom_scan
 from .glue import (AddGeneratedAisle, ExcError, GlueError, _homs,
                    check_dim_formula, check_sequence, glue, glue_sequence)
 from .jsonio import (SchemaError, algebra_to_dict, dump_json, load_algebra,
-                     load_objects)
+                     load_objects, object_from_dict)
 from .bondal import BondalError, bondal_check
-from .reps import Rep, projective, simple
+from .reps import Rep, projective
 from .yoneda import f_map, factor_image_dim, factors_through, splice_from_class
 
 CORPUS_NAMES = ("a2", "a3", "a3rel", "commsquare", "kronecker")
@@ -79,8 +83,14 @@ def _objects(job: JobSpec, alg):
         for p in job.object_paths:
             out.extend(load_objects(p, alg))
         return out
-    return [(f"projective {i}", projective(alg, i))
-            for i in range(1, alg.vertex_count + 1)]
+    return _at_vertices(alg, "projective")
+
+
+def _at_vertices(alg, *kinds: str) -> list:
+    """The labelled objects of each kind at every vertex, through the
+    object specs that jsonio shares between jobs."""
+    return [object_from_dict({"type": kind, "vertex": i}, alg)
+            for kind in kinds for i in range(1, alg.vertex_count + 1)]
 
 
 def default_window(algebra, count: int = 1) -> int:
@@ -212,10 +222,7 @@ def _run_yoneda_oracle(job: JobSpec):
                 raise SchemaError(
                     f"yoneda-oracle works on plain modules, not {label}")
     else:
-        objs = [(f"simple {i}", simple(alg, i))
-                for i in range(1, alg.vertex_count + 1)]
-        objs += [(f"projective {i}", projective(alg, i))
-                 for i in range(1, alg.vertex_count + 1)]
+        objs = _at_vertices(alg, "simple", "projective")
     entries = []
     checked = 0
     ok = True

@@ -10,6 +10,21 @@ Algebras: {"vertices": n, "arrows": [{"name", "source", "target"}],
 Rational entries are strings like "2/3" or "-1"; plain integers are
 accepted on input.  Dumps always emit strings, so parsing a dump is
 lossless.  Files are UTF-8.
+
+Cache policy: the module keeps one entry, for the algebra description
+loaded last.  Its key is the description's checked parts (vertex count,
+arrows and relations, coefficients parsed), every input to
+build_algebra, so equal descriptions share it however they are spelled,
+and a description that changes on disk misses it.  The entry holds the
+algebra and a table from each object spec's checked parts (kind and
+vertex, or a module's dims and matrices) to the object built for it;
+shifts are kept in the memos of the objects they shift.
+`load_algebra` returns the entry's algebra on a hit and replaces the
+entry on a miss, so the objects and memos of at most one description
+are kept.  An input that fails to load is never stored, and every spec
+is checked on every load.  Objects over any other algebra are built
+afresh.  The entry is module state and is not locked: one thread at a
+time.
 """
 
 from __future__ import annotations
@@ -84,7 +99,10 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def algebra_from_dict(d: dict, where: str = "algebra") -> PathAlgebraDesc:
+def _algebra_parts(d: dict, where: str) -> tuple:
+    """The checked (vertex count, arrows, relations) of a description:
+    every input to build_algebra, so two descriptions with equal parts
+    build equal algebras."""
     n = _need(d, "vertices", where)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError(f"{where}: vertices must be a positive integer")
@@ -112,10 +130,19 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> PathAlgebraDesc:
                 raise SchemaError(f"{spot}: path must be a list of arrow names")
             pairs.append((coef, tuple(path)))
         relations.append(Relation(tuple(pairs)))
+    return n, tuple(arrows), tuple(relations)
+
+
+def _build(parts: tuple, where: str) -> PathAlgebraDesc:
+    n, arrows, relations = parts
     try:
         return build_algebra(make_quiver(n, arrows), relations)
     except AlgebraError as e:
         raise SchemaError(f"{where}: {e}") from None
+
+
+def algebra_from_dict(d: dict, where: str = "algebra") -> PathAlgebraDesc:
+    return _build(_algebra_parts(d, where), where)
 
 
 def algebra_to_dict(alg: PathAlgebraDesc) -> dict:
@@ -129,12 +156,36 @@ def algebra_to_dict(alg: PathAlgebraDesc) -> dict:
     }
 
 
+# the entry: (key, algebra, objects), or None before the first load
+_last: tuple[tuple, PathAlgebraDesc, dict] | None = None
+
+
 def load_algebra(path: str) -> PathAlgebraDesc:
-    return algebra_from_dict(load_json(path), where=path)
+    """The algebra path describes: the entry's when its parts are the
+    entry's key, else a new one, which replaces the entry."""
+    global _last
+    parts = _algebra_parts(load_json(path), path)
+    if _last is None or _last[0] != parts:
+        _last = None  # the old entry's objects go before the new build
+        _last = (parts, _build(parts, path), {})
+    return _last[1]
 
 
-def module_from_dict(d: dict, alg: PathAlgebraDesc,
-                     where: str = "module") -> Rep:
+def _shared(alg: PathAlgebraDesc, key: tuple, build):
+    """The object of key in the entry's table when alg is the entry's
+    algebra, built by build() on the first request; build() itself for
+    any other algebra.  A build that raises stores nothing."""
+    if _last is None or _last[1] is not alg:
+        return build()
+    table = _last[2]
+    got = table.get(key)
+    if got is None:
+        got = table[key] = build()
+    return got
+
+
+def _module_parts(d: dict, alg: PathAlgebraDesc, where: str) -> tuple:
+    """The checked dims and arrow matrices, in arrow order, of a module."""
     dims = _need(d, "dims", where)
     if (not isinstance(dims, list) or len(dims) != alg.vertex_count
             or not all(isinstance(x, int) and not isinstance(x, bool)
@@ -144,7 +195,7 @@ def module_from_dict(d: dict, alg: PathAlgebraDesc,
     raw = _need(d, "arrows", where)
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}: arrows must map arrow names to matrices")
-    maps = {}
+    maps = []
     for a in alg.quiver.arrows:
         rows = raw.get(a.name)
         spot = f"{where}: arrows[{a.name!r}]"
@@ -156,13 +207,24 @@ def module_from_dict(d: dict, alg: PathAlgebraDesc,
         data = tuple(tuple(parse_fraction(v, spot) for v in row)
                      for row in rows)
         try:
-            maps[a.name] = RatMatrix(data, cols=dims[a.target - 1])
+            maps.append(RatMatrix(data, cols=dims[a.target - 1]))
         except ValueError as e:
             raise SchemaError(f"{spot}: {e}") from None
+    return tuple(dims), tuple(maps)
+
+
+def _module(alg: PathAlgebraDesc, dims: tuple, maps: tuple,
+            where: str) -> Rep:
+    names = (a.name for a in alg.quiver.arrows)
     try:
-        return Rep(alg, tuple(dims), maps)
+        return Rep(alg, dims, dict(zip(names, maps)))
     except (RepError, ValueError) as e:
         raise SchemaError(f"{where}: {e}") from None
+
+
+def module_from_dict(d: dict, alg: PathAlgebraDesc,
+                     where: str = "module") -> Rep:
+    return _module(alg, *_module_parts(d, alg, where), where)
 
 
 def module_to_dict(m: Rep) -> dict:
@@ -185,15 +247,15 @@ def object_from_dict(d: dict, alg: PathAlgebraDesc,
             raise SchemaError(f"{where}: shift amount must be an integer")
         shifts.append(k)
         d = _need(d, "of", where)
-    if kind == "projective":
+    if kind in ("projective", "simple"):
         i = _vertex(_need(d, "vertex", where), where, alg.vertex_count)
-        label, obj = f"projective {i}", projective(alg, i)
-    elif kind == "simple":
-        i = _vertex(_need(d, "vertex", where), where, alg.vertex_count)
-        label, obj = f"simple {i}", simple(alg, i)
+        make = projective if kind == "projective" else simple
+        label, obj = f"{kind} {i}", _shared(alg, (kind, i),
+                                            lambda: make(alg, i))
     elif kind == "module":
-        obj = module_from_dict(d, alg, where)
-        label = f"module {tuple(obj.dims)}"
+        dims, maps = _module_parts(d, alg, where)
+        label, obj = f"module {dims}", _shared(
+            alg, (kind, dims, maps), lambda: _module(alg, dims, maps, where))
     else:
         raise SchemaError(f"{where}: unknown object type {kind!r}")
     for k in reversed(shifts):

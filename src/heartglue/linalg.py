@@ -128,6 +128,19 @@ class RatMatrix:
         return RatMatrix(zip(*columns) if columns else [()] * rows,
                          cols=len(columns))
 
+    @staticmethod
+    def from_sparse(rows: Sequence[dict], cols: int) -> "RatMatrix":
+        """The matrix whose row i holds the entries of rows[i], a dict from
+        column to a rational; no zero is read or written."""
+        fracs = [{j: f for j, x in r.items() if (f := as_fraction(x))}
+                 for r in rows]
+        if any(min(r) < 0 or max(r) >= cols for r in fracs if r):
+            raise IndexError(f"from_sparse: a column is out of range({cols})")
+        den = lcm(*(f.denominator for r in fracs for f in r.values()))
+        return _raw(tuple({j: f.numerator * (den // f.denominator)
+                           for j, f in r.items()} if r else _NO
+                          for r in fracs), den, cols)
+
     # basic queries
 
     @property
@@ -144,6 +157,11 @@ class RatMatrix:
         for j, x in self.nz[i].items():
             out[j] = Fraction(x, self.den)
         return tuple(out)
+
+    def row_entries(self, i: int) -> dict[int, Fraction]:
+        """The nonzero entries of row i, keyed by column."""
+        d = self.den
+        return {j: Fraction(x, d) for j, x in self.nz[i].items()}
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         d, j = self.den, self._index(j)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from heartglue import jsonio
 from heartglue.algebra import Relation, build_algebra, make_quiver
 from heartglue.complexes import (Cx, CxMap, Triangle, cone, cx_block_map,
                                  module_cx)
@@ -19,6 +20,13 @@ from heartglue.reps import (Rep, RepMap, _span, block_map, cokernel,
                             projective_sum, through_epi, through_mono,
                             zero_map, zero_rep)
 from heartglue.yoneda import YExt
+
+
+@pytest.fixture(autouse=True)
+def cold_jsonio(monkeypatch):
+    """Each test starts with no loaded description, so no test reads the
+    objects and memos another test left in jsonio's entry."""
+    monkeypatch.setattr(jsonio, "_last", None)
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +106,19 @@ def auslander(n: int, horizontal: str = "a", vertical: str = "b"):
 @pytest.fixture()
 def rng():
     return random.Random(90125)
+
+
+def counting_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call of owner.name."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def class_of_module_map(f: RepMap):

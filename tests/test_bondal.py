@@ -294,11 +294,17 @@ class TestHomModules:
         steps = compose(map_functor(pres, g), map_functor(pres, f))
         assert whole.blocks == steps.blocks
 
-    def test_hom_module_is_kept_with_its_object(self, kron_pres, kron):
+    def test_hom_module_is_kept_with_its_presentation(self, kron_pres, kron):
+        # the presentation's memo holds it, so it goes with the presentation
+        # and a later job on the same objects keeps no stale hom module
         _, _, pres = kron_pres
         reg = regular_kron_module(kron)
-        assert module_functor(pres, reg) is module_functor(pres, reg)
-        assert module_functor(pres, reg) is module_functor(pres, as_cx(reg))
+        kept = module_functor(pres, reg)
+        assert module_functor(pres, reg) is kept
+        assert module_functor(pres, as_cx(reg)) is kept
+        assert pres.memo[("hom module", as_cx(reg))] is kept
+        assert not any(isinstance(k, tuple) and k[0] == "hom module"
+                       for k in as_cx(reg).memo)
 
 
 class TestFullCheck:

@@ -1,19 +1,24 @@
 """Command line front end: reports, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from heartglue.cli import (CORPUS_NAMES, JobSpec, corpus_path, default_window,
-                           load_corpus, main, run)
+from conftest import counting_calls
+from heartglue import cli, derived, jsonio
+from heartglue.cli import (COMMANDS, CORPUS_NAMES, JobSpec, corpus_path,
+                           default_window, load_corpus, main, run)
+from heartglue.derived import as_cx
 from heartglue.glue import check_sequence
 from heartglue.jsonio import dump_json, load_algebra
 from heartglue.reps import projective
@@ -649,3 +654,116 @@ class TestCorpus:
 def _bundled(filename):
     import heartglue.cli as cli
     return str(cli.Path(cli.__file__).parent / "corpus" / filename)
+
+
+class TestConsecutiveJobs:
+    """Jobs on one description share its algebra and objects through
+    jsonio's one entry, and render what a cold run renders."""
+
+    @staticmethod
+    def cold(job, monkeypatch):
+        monkeypatch.setattr(jsonio, "_last", None)
+        return run(job)
+
+    def test_rewritten_description_is_not_stale(self, tmp_path, monkeypatch):
+        p = tmp_path / "alg.json"
+        shutil.copy(corpus_path("a2"), p)
+        job = JobSpec(command="ext-table", algebra_path=str(p),
+                      output="json")
+        first = run(job)
+        shutil.copy(corpus_path("kronecker"), p)
+        second = run(job)
+        assert second != first
+        assert second == self.cold(job, monkeypatch)
+
+    def test_second_ext_table_builds_nothing(self, tmp_path, monkeypatch):
+        job = JobSpec(command="ext-table", algebra_path=corpus("commsquare"),
+                      object_paths=(objects_file(tmp_path, [
+                          {"type": kind, "vertex": i}
+                          for kind in ("simple", "projective")
+                          for i in range(1, 5)]),), output="json")
+        first = run(job)
+        resolutions = counting_calls(monkeypatch, derived, "_resolve")
+        systems = counting_calls(monkeypatch, derived.HomCx, "_system")
+        assert run(job) == first
+        assert resolutions == [] and systems == []
+        assert self.cold(job, monkeypatch) == first
+        assert resolutions and systems
+
+    def test_default_and_explicit_lists_share_objects(self, tmp_path):
+        alg = load_algebra(corpus("commsquare"))
+        default = cli._objects(JobSpec("ext-table", corpus("commsquare")),
+                               alg)
+        explicit = jsonio.load_objects(objects_file(tmp_path, [
+            {"type": "projective", "vertex": i} for i in (4, 3, 2, 1)]), alg)
+        assert [v for _, v in default] == [v for _, v in explicit[::-1]]
+        assert all(a is b for (_, a), (_, b) in zip(default, explicit[::-1]))
+        # and the yoneda-oracle default list holds the same projectives
+        both = cli._at_vertices(alg, "simple", "projective")
+        assert all(a is b for (_, a), (_, b) in zip(default, both[4:]))
+
+    def test_failures_are_never_cached(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(dump_json({"vertices": 2, "arrows": [
+            {"name": "a", "source": 2, "target": 1}]}), encoding="utf-8")
+        job = JobSpec(command="ext-table", algebra_path=str(bad),
+                      output="json")
+        assert run(job)[0] == run(job)[0] == 2
+        good = JobSpec(command="ext-table", algebra_path=corpus("a3"),
+                       output="json")
+        before = run(good)
+        entry = jsonio._last
+        spec = objects_file(tmp_path, [{"type": "projective", "vertex": 1},
+                                       {"type": "simple", "vertex": 4}])
+        failing = JobSpec(command="ext-table", algebra_path=corpus("a3"),
+                          object_paths=(spec,), output="json")
+        assert run(failing)[0] == run(failing)[0] == 2
+        assert jsonio._last is entry
+        assert sorted(entry[2]) == [("projective", i) for i in (1, 2, 3)]
+        assert run(good) == before
+
+    @pytest.mark.parametrize("command", [
+        c for c in COMMANDS if c != "remark-counterexamples"])
+    def test_a_repeated_job_keeps_nothing_more(self, command):
+        # what a job keeps goes in memos keyed by lasting objects, not by
+        # one job's (a hom module lives in its job's presentation)
+        def kept():
+            return [(len(x.memo), len(as_cx(x).memo))
+                    for x in jsonio._last[2].values()]
+
+        job = JobSpec(command=command, algebra_path=corpus("commsquare"),
+                      output="json")
+        first = run(job)
+        once = kept()
+        assert run(job) == first
+        assert kept() == once
+
+    def test_entry_keeps_one_description(self):
+        run(JobSpec(command="glue-hearts", algebra_path=corpus("a3"),
+                    output="json"))
+        alg = weakref.ref(jsonio._last[1])
+        obj = weakref.ref(jsonio._last[2][("projective", 1)])
+        run(JobSpec(command="ext-table", algebra_path=corpus("kronecker"),
+                    output="json"))
+        gc.collect()
+        assert alg() is None and obj() is None
+
+    def test_warm_equals_cold(self, tmp_path, monkeypatch):
+        lists = {
+            name: objects_file(tmp_path, [
+                {"type": kind, "vertex": i} for kind in ("simple", "projective")
+                for i in range(1, load_algebra(corpus(name)).vertex_count + 1)],
+                name=f"{name}.sp.json")
+            for name in ("a3rel", "kronecker")}
+        shifted = objects_file(tmp_path, [
+            {"type": "shift", "by": 1, "of": {"type": "projective",
+                                             "vertex": 1}},
+            {"type": "projective", "vertex": 2}], name="shifted.json")
+        jobs = [JobSpec(command, corpus(name), objects, output=output)
+                for name in ("a3rel", "kronecker")
+                for objects in ((), (lists[name],), (shifted,))
+                for command in COMMANDS if command != "remark-counterexamples"
+                for output in ("text", "json")]
+        warm = [run(job) for job in jobs]
+        assert warm == [self.cold(job, monkeypatch) for job in jobs]
+        assert {code for code, _ in warm} == {0, 1, 2}

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (_scan_range, heart_cohomology, homotopy_boundary_system,
-                      is_minimal, random_map, random_sum,
-                      ses_to_triangle, syzygy_module_resolution)
+from conftest import (_scan_range, counting_calls, heart_cohomology,
+                      homotopy_boundary_system, is_minimal, random_map,
+                      random_sum, ses_to_triangle, syzygy_module_resolution)
 from heartglue import (algebra, bondal, complexes, derived, glue, linalg,
                        reps, yoneda)
 from heartglue.algebra import Relation, build_algebra, make_quiver
@@ -281,19 +281,6 @@ def test_hom_complex_identity_on_random_objects(kron, a3rel, commsquare,
     _check_hom_complex(y, x)
 
 
-def _counting(monkeypatch, owner, name) -> list:
-    """Record the arguments of every call of owner.name."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["kronecker", "A5-rad2"])
 def test_ext_table_builds_each_differential_once(name, tmp_path,
                                                  monkeypatch):
@@ -305,8 +292,8 @@ def test_ext_table_builds_each_differential_once(name, tmp_path,
         {"type": kind, "vertex": i}
         for kind in ("simple", "projective") for i in range(1, n + 1)]}),
         encoding="utf-8")
-    spaces = _counting(monkeypatch, DHomSpace, "__init__")
-    systems = _counting(monkeypatch, derived.HomCx, "_system")
+    spaces = counting_calls(monkeypatch, DHomSpace, "__init__")
+    systems = counting_calls(monkeypatch, derived.HomCx, "_system")
     code, _ = run(JobSpec(command="ext-table",
                           algebra_path=_algebra_path(name, tmp_path),
                           object_paths=(str(objs),), output="json"))
@@ -384,8 +371,8 @@ def test_a_scan_of_a_shift_builds_no_differential(name, tmp_path,
     # a scan of x against y, then scans of x[a] against y[b]: the later
     # scans read the differentials and forward passes the first built
     objs = _objects(load_algebra(_algebra_path(name, tmp_path)))
-    systems = _counting(monkeypatch, derived.HomCx, "_system")
-    runs = _counting(monkeypatch, linalg, "_echelon")
+    systems = counting_calls(monkeypatch, derived.HomCx, "_system")
+    runs = counting_calls(monkeypatch, linalg, "_echelon")
     first = [(x, y, list(_homs(x, y))) for x in objs for y in objs]
     built = len(systems), len(runs)
     assert built[0]
@@ -484,8 +471,8 @@ def test_a_space_built_after_its_dimension_builds_no_system(kron,
     r = resolve(x).source
     assert {0, 1} <= set(derived.hom(r, y).support)
     assert derived_hom(x, y, 1) == 3
-    systems = _counting(monkeypatch, derived.HomCx, "_system")
-    runs = _counting(monkeypatch, linalg, "_echelon")
+    systems = counting_calls(monkeypatch, derived.HomCx, "_system")
+    runs = counting_calls(monkeypatch, linalg, "_echelon")
     sp = dhom_space(x, y, 1)
     assert sp.dim == 3 and derived_hom(x, y, 1) == 3
     assert systems == []

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from heartglue.cli import load_corpus
-from heartglue.complexes import Cx, cohomology_dims
+from heartglue.complexes import Cx, cohomology_dims, shift
+from heartglue.derived import as_cx
 from heartglue.jsonio import (SchemaError, algebra_from_dict, algebra_to_dict,
                               dump_json, fraction_str, load_algebra,
                               load_objects, module_from_dict, module_to_dict,
@@ -202,3 +203,46 @@ class TestFilesAndDumps:
         assert [label for label, _ in out] == ["projective 1",
                                                "shift 3 of projective 2"]
         assert cohomology_dims(out[1][1]) == {-3: (2, 1)}
+
+
+class TestEntry:
+    """load_algebra keeps the description loaded last, with the objects
+    its specs built; see the module's cache policy."""
+
+    @staticmethod
+    def write(tmp_path, name, d):
+        p = tmp_path / name
+        p.write_text(json.dumps(d), encoding="utf-8")
+        return str(p)
+
+    def test_equal_descriptions_share_one_algebra(self, tmp_path):
+        d = {"vertices": 3,
+             "arrows": [{"name": "a", "source": 1, "target": 2},
+                        {"name": "b", "source": 2, "target": 3}],
+             "relations": [[{"coef": 1, "path": ["a", "b"]}]]}
+        alg = load_algebra(self.write(tmp_path, "one.json", d))
+        d["relations"][0][0]["coef"] = "2/2"
+        assert load_algebra(self.write(tmp_path, "two.json", d)) is alg
+        d["relations"] = []
+        other = load_algebra(self.write(tmp_path, "two.json", d))
+        assert other is not alg and other.dim == 6
+
+    def test_specs_share_objects_of_the_entry_only(self, tmp_path, kron):
+        alg = load_algebra(self.write(tmp_path, "kron.json", KRON_DICT))
+        m = {"type": "module", "dims": [1, 1],
+             "arrows": {"a": [[1]], "b": [[0]]}}
+        specs = [{"type": "projective", "vertex": 1},
+                 {"type": "simple", "vertex": 2}, m,
+                 {"type": "shift", "by": 2, "of": {"type": "projective",
+                                                   "vertex": 1}}]
+        first = objects_from_dict({"objects": specs}, alg)
+        again = objects_from_dict({"objects": specs}, alg)
+        assert first == again
+        assert all(x is y for (_, x), (_, y) in zip(first, again))
+        assert first[3][1] is shift(as_cx(first[0][1]), 2)
+        spelled = dict(m, arrows={"a": [["2/2"]], "b": [["0"]]})
+        assert object_from_dict(spelled, alg)[1] is first[2][1]
+        fresh = objects_from_dict({"objects": specs}, kron)
+        assert not any(x is y for (_, x), (_, y) in zip(first, fresh))
+        assert [(label, x.arrow_maps) for label, x in fresh[:3]] == [
+            (label, x.arrow_maps) for label, x in first[:3]]

@@ -92,6 +92,30 @@ def test_constructor_checks():
     assert m[0, 1] == Fraction(2, 3)
 
 
+def test_sparse_rows_in_and_out():
+    rows = [{2: Fraction(1, 2), 0: "-1/3"}, {}, {1: 0, 2: 4}]
+    m = RatMatrix.from_sparse(rows, 3)
+    assert m == RatMatrix([[Fraction(-1, 3), 0, Fraction(1, 2)], [0, 0, 0],
+                           [0, 0, 4]])
+    assert (m.nz, m.den) == (({0: -2, 2: 3}, {}, {2: 24}), 6)
+    assert [m.row_entries(i) for i in range(3)] == [
+        {0: Fraction(-1, 3), 2: Fraction(1, 2)}, {}, {2: Fraction(4)}]
+    assert RatMatrix.from_sparse([{0: 0}], 1) == RatMatrix.zeros(1, 1)
+    assert RatMatrix.from_sparse([], 4) == RatMatrix.zeros(0, 4)
+    for bad in ({3: 1}, {-1: 1}):
+        with pytest.raises(IndexError):
+            RatMatrix.from_sparse([bad], 3)
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_sparse_round_trip(m):
+    rows = [m.row_entries(i) for i in range(m.rows)]
+    assert RatMatrix.from_sparse(rows, m.cols) == m
+    assert all(rows[i].get(j, 0) == m[i, j]
+               for i in range(m.rows) for j in range(m.cols))
+
+
 def test_kernel_of_identity_is_trivial():
     k = kernel_basis(RatMatrix.identity(3))
     assert k.shape == (3, 0)
