@@ -27,7 +27,9 @@ to `cli.main`.
 
 Consecutive jobs on one algebra description share its algebra, its
 objects and their memos, through the one entry `jsonio` keeps (see its
-cache policy).
+cache policy).  A command-line invocation is one job in its own
+process, so only a caller that runs several jobs in one process, such
+as scripts/check_all.py, gains from it.
 """
 
 from __future__ import annotations

@@ -12,19 +12,19 @@ accepted on input.  Dumps always emit strings, so parsing a dump is
 lossless.  Files are UTF-8.
 
 Cache policy: the module keeps one entry, for the algebra description
-loaded last.  Its key is the description's checked parts (vertex count,
-arrows and relations, coefficients parsed), every input to
-build_algebra, so equal descriptions share it however they are spelled,
-and a description that changes on disk misses it.  The entry holds the
-algebra and a table from each object spec's checked parts (kind and
-vertex, or a module's dims and matrices) to the object built for it;
-shifts are kept in the memos of the objects they shift.
-`load_algebra` returns the entry's algebra on a hit and replaces the
-entry on a miss, so the objects and memos of at most one description
-are kept.  An input that fails to load is never stored, and every spec
-is checked on every load.  Objects over any other algebra are built
-afresh.  The entry is module state and is not locked: one thread at a
-time.
+loaded last.  Its key is the description's canonical text (the parsed
+JSON dumped with sorted keys), so a file rewritten with other content
+misses it.  It holds the algebra and a table from the canonical text of
+each base object spec (the spec inside any shifts) to the (label,
+object) built for it; shifts are kept in the memos of the objects they
+shift.  `load_algebra` returns the entry's algebra on a hit and replaces
+the entry on a miss, so the objects and memos of at most one
+description are kept.  An input that fails to load is never stored.
+Specs over any other algebra, or that JSON cannot carry (a foreign
+value, a cycle, nesting too deep to dump), build fresh objects.  Jobs
+run one after another in one process on one description share the
+entry, as scripts/check_all.py runs them.  The entry is module state
+and is not locked: one thread at a time.
 """
 
 from __future__ import annotations
@@ -99,10 +99,7 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _algebra_parts(d: dict, where: str) -> tuple:
-    """The checked (vertex count, arrows, relations) of a description:
-    every input to build_algebra, so two descriptions with equal parts
-    build equal algebras."""
+def algebra_from_dict(d: dict, where: str = "algebra") -> PathAlgebraDesc:
     n = _need(d, "vertices", where)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError(f"{where}: vertices must be a positive integer")
@@ -130,19 +127,10 @@ def _algebra_parts(d: dict, where: str) -> tuple:
                 raise SchemaError(f"{spot}: path must be a list of arrow names")
             pairs.append((coef, tuple(path)))
         relations.append(Relation(tuple(pairs)))
-    return n, tuple(arrows), tuple(relations)
-
-
-def _build(parts: tuple, where: str) -> PathAlgebraDesc:
-    n, arrows, relations = parts
     try:
         return build_algebra(make_quiver(n, arrows), relations)
     except AlgebraError as e:
         raise SchemaError(f"{where}: {e}") from None
-
-
-def algebra_from_dict(d: dict, where: str = "algebra") -> PathAlgebraDesc:
-    return _build(_algebra_parts(d, where), where)
 
 
 def algebra_to_dict(alg: PathAlgebraDesc) -> dict:
@@ -156,36 +144,24 @@ def algebra_to_dict(alg: PathAlgebraDesc) -> dict:
     }
 
 
-# the entry: (key, algebra, objects), or None before the first load
-_last: tuple[tuple, PathAlgebraDesc, dict] | None = None
+# the entry: (canonical text, algebra, {base spec text: (label, object)})
+_last: tuple[str, PathAlgebraDesc, dict] | None = None
 
 
 def load_algebra(path: str) -> PathAlgebraDesc:
-    """The algebra path describes: the entry's when its parts are the
-    entry's key, else a new one, which replaces the entry."""
+    """The algebra path describes: the entry's when the description's
+    canonical text is the entry's, else a new one, which replaces it."""
     global _last
-    parts = _algebra_parts(load_json(path), path)
-    if _last is None or _last[0] != parts:
+    d = load_json(path)
+    text = json.dumps(d, sort_keys=True)
+    if _last is None or _last[0] != text:
         _last = None  # the old entry's objects go before the new build
-        _last = (parts, _build(parts, path), {})
+        _last = (text, algebra_from_dict(d, where=path), {})
     return _last[1]
 
 
-def _shared(alg: PathAlgebraDesc, key: tuple, build):
-    """The object of key in the entry's table when alg is the entry's
-    algebra, built by build() on the first request; build() itself for
-    any other algebra.  A build that raises stores nothing."""
-    if _last is None or _last[1] is not alg:
-        return build()
-    table = _last[2]
-    got = table.get(key)
-    if got is None:
-        got = table[key] = build()
-    return got
-
-
-def _module_parts(d: dict, alg: PathAlgebraDesc, where: str) -> tuple:
-    """The checked dims and arrow matrices, in arrow order, of a module."""
+def module_from_dict(d: dict, alg: PathAlgebraDesc,
+                     where: str = "module") -> Rep:
     dims = _need(d, "dims", where)
     if (not isinstance(dims, list) or len(dims) != alg.vertex_count
             or not all(isinstance(x, int) and not isinstance(x, bool)
@@ -195,7 +171,7 @@ def _module_parts(d: dict, alg: PathAlgebraDesc, where: str) -> tuple:
     raw = _need(d, "arrows", where)
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}: arrows must map arrow names to matrices")
-    maps = []
+    maps = {}
     for a in alg.quiver.arrows:
         rows = raw.get(a.name)
         spot = f"{where}: arrows[{a.name!r}]"
@@ -207,24 +183,13 @@ def _module_parts(d: dict, alg: PathAlgebraDesc, where: str) -> tuple:
         data = tuple(tuple(parse_fraction(v, spot) for v in row)
                      for row in rows)
         try:
-            maps.append(RatMatrix(data, cols=dims[a.target - 1]))
+            maps[a.name] = RatMatrix(data, cols=dims[a.target - 1])
         except ValueError as e:
             raise SchemaError(f"{spot}: {e}") from None
-    return tuple(dims), tuple(maps)
-
-
-def _module(alg: PathAlgebraDesc, dims: tuple, maps: tuple,
-            where: str) -> Rep:
-    names = (a.name for a in alg.quiver.arrows)
     try:
-        return Rep(alg, dims, dict(zip(names, maps)))
+        return Rep(alg, tuple(dims), maps)
     except (RepError, ValueError) as e:
         raise SchemaError(f"{where}: {e}") from None
-
-
-def module_from_dict(d: dict, alg: PathAlgebraDesc,
-                     where: str = "module") -> Rep:
-    return _module(alg, *_module_parts(d, alg, where), where)
 
 
 def module_to_dict(m: Rep) -> dict:
@@ -239,7 +204,9 @@ def module_to_dict(m: Rep) -> dict:
 def object_from_dict(d: dict, alg: PathAlgebraDesc,
                      where: str = "object"):
     """One object spec as a (label, module or complex) pair; a chain of
-    shifts is unwound in a loop, so no recursion limit bounds its depth."""
+    shifts is unwound in a loop, so no recursion limit bounds its depth.
+    Over the entry's algebra the object of a base spec is built once and
+    kept in the entry's table (see the cache policy)."""
     shifts = []
     while (kind := _need(d, "type", where)) == "shift":
         k = _need(d, "by", where)
@@ -247,20 +214,34 @@ def object_from_dict(d: dict, alg: PathAlgebraDesc,
             raise SchemaError(f"{where}: shift amount must be an integer")
         shifts.append(k)
         d = _need(d, "of", where)
-    if kind in ("projective", "simple"):
-        i = _vertex(_need(d, "vertex", where), where, alg.vertex_count)
-        make = projective if kind == "projective" else simple
-        label, obj = f"{kind} {i}", _shared(alg, (kind, i),
-                                            lambda: make(alg, i))
-    elif kind == "module":
-        dims, maps = _module_parts(d, alg, where)
-        label, obj = f"module {dims}", _shared(
-            alg, (kind, dims, maps), lambda: _module(alg, dims, maps, where))
+    shared = _last is not None and _last[1] is alg
+    try:
+        key = json.dumps(d, sort_keys=True) if shared else None
+    except (TypeError, ValueError, RecursionError):
+        key = None  # a spec built in Python that no file can hold
+    if key is None:
+        label, obj = _base_object(d, kind, alg, where)
     else:
-        raise SchemaError(f"{where}: unknown object type {kind!r}")
+        table = _last[2]
+        if key not in table:
+            table[key] = _base_object(d, kind, alg, where)
+        label, obj = table[key]
     for k in reversed(shifts):
         label, obj = f"shift {k} of {label}", shift(as_cx(obj), k)
     return label, obj
+
+
+def _base_object(d: dict, kind: str, alg: PathAlgebraDesc, where: str):
+    if kind == "projective":
+        i = _vertex(_need(d, "vertex", where), where, alg.vertex_count)
+        return f"projective {i}", projective(alg, i)
+    if kind == "simple":
+        i = _vertex(_need(d, "vertex", where), where, alg.vertex_count)
+        return f"simple {i}", simple(alg, i)
+    if kind == "module":
+        obj = module_from_dict(d, alg, where)
+        return f"module {tuple(obj.dims)}", obj
+    raise SchemaError(f"{where}: unknown object type {kind!r}")
 
 
 def objects_from_dict(d: dict, alg: PathAlgebraDesc,

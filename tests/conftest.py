@@ -109,13 +109,13 @@ def rng():
 
 
 def counting_calls(monkeypatch, owner, name) -> list:
-    """Record the arguments of every call of owner.name."""
+    """Record the positional arguments of every call of owner.name."""
     calls = []
     original = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls

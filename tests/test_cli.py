@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -651,6 +652,11 @@ class TestCorpus:
         assert r.exit_code == 0
 
 
+def spec_text(kind, vertex):
+    """The key of a base object spec in jsonio's entry."""
+    return json.dumps({"type": kind, "vertex": vertex}, sort_keys=True)
+
+
 def _bundled(filename):
     import heartglue.cli as cli
     return str(cli.Path(cli.__file__).parent / "corpus" / filename)
@@ -719,7 +725,8 @@ class TestConsecutiveJobs:
                           object_paths=(spec,), output="json")
         assert run(failing)[0] == run(failing)[0] == 2
         assert jsonio._last is entry
-        assert sorted(entry[2]) == [("projective", i) for i in (1, 2, 3)]
+        assert sorted(entry[2]) == [spec_text("projective", i)
+                                    for i in (1, 2, 3)]
         assert run(good) == before
 
     @pytest.mark.parametrize("command", [
@@ -729,7 +736,7 @@ class TestConsecutiveJobs:
         # one job's (a hom module lives in its job's presentation)
         def kept():
             return [(len(x.memo), len(as_cx(x).memo))
-                    for x in jsonio._last[2].values()]
+                    for _, x in jsonio._last[2].values()]
 
         job = JobSpec(command=command, algebra_path=corpus("commsquare"),
                       output="json")
@@ -742,11 +749,27 @@ class TestConsecutiveJobs:
         run(JobSpec(command="glue-hearts", algebra_path=corpus("a3"),
                     output="json"))
         alg = weakref.ref(jsonio._last[1])
-        obj = weakref.ref(jsonio._last[2][("projective", 1)])
+        obj = weakref.ref(jsonio._last[2][spec_text("projective", 1)][1])
         run(JobSpec(command="ext-table", algebra_path=corpus("kronecker"),
                     output="json"))
         gc.collect()
         assert alg() is None and obj() is None
+
+    def test_check_all_script_shares_one_build(self, monkeypatch, capsys):
+        # scripts/check_all.py runs six jobs on one description in one
+        # process: one algebra build, and each base object built once
+        spec = importlib.util.spec_from_file_location(
+            "check_all", Path(SRC).parent / "scripts" / "check_all.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        algebras = counting_calls(monkeypatch, jsonio, "algebra_from_dict")
+        objects = counting_calls(monkeypatch, jsonio, "_base_object")
+        assert script.main([corpus("commsquare")]) == 0
+        assert len(algebras) == 1
+        assert sorted(kind for _, kind, _, _ in objects) == (
+            ["projective"] * 4 + ["simple"] * 4)
+        out = capsys.readouterr().out
+        assert out.count("\nexit 0  ") == len(script.COMMANDS)
 
     def test_warm_equals_cold(self, tmp_path, monkeypatch):
         lists = {

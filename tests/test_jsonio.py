@@ -215,17 +215,25 @@ class TestEntry:
         p.write_text(json.dumps(d), encoding="utf-8")
         return str(p)
 
-    def test_equal_descriptions_share_one_algebra(self, tmp_path):
+    def test_equal_texts_share_one_algebra(self, tmp_path):
         d = {"vertices": 3,
              "arrows": [{"name": "a", "source": 1, "target": 2},
                         {"name": "b", "source": 2, "target": 3}],
              "relations": [[{"coef": 1, "path": ["a", "b"]}]]}
         alg = load_algebra(self.write(tmp_path, "one.json", d))
+        # the same JSON with its keys in another order and other spacing
+        p = tmp_path / "two.json"
+        p.write_text(json.dumps(dict(reversed(d.items())), indent=3),
+                     encoding="utf-8")
+        assert load_algebra(str(p)) is alg
+        # an equal algebra spelled with other text is built afresh
         d["relations"][0][0]["coef"] = "2/2"
-        assert load_algebra(self.write(tmp_path, "two.json", d)) is alg
+        again = load_algebra(self.write(tmp_path, "two.json", d))
+        assert again is not alg
+        assert algebra_to_dict(again) == algebra_to_dict(alg)
         d["relations"] = []
         other = load_algebra(self.write(tmp_path, "two.json", d))
-        assert other is not alg and other.dim == 6
+        assert other is not again and other.dim == 6
 
     def test_specs_share_objects_of_the_entry_only(self, tmp_path, kron):
         alg = load_algebra(self.write(tmp_path, "kron.json", KRON_DICT))
@@ -240,8 +248,24 @@ class TestEntry:
         assert first == again
         assert all(x is y for (_, x), (_, y) in zip(first, again))
         assert first[3][1] is shift(as_cx(first[0][1]), 2)
+        reordered = dict(reversed(m.items()))
+        assert object_from_dict(reordered, alg)[1] is first[2][1]
+        # other text, or a spec no description file holds, builds a new
+        # equal object; only the former is kept
         spelled = dict(m, arrows={"a": [["2/2"]], "b": [["0"]]})
-        assert object_from_dict(spelled, alg)[1] is first[2][1]
+        odd = dict(m, note=object())
+        looped = dict(m)
+        looped["again"] = looped
+        for spec in (spelled, odd, looped):
+            label, x = object_from_dict(spec, alg)
+            assert x is not first[2][1]
+            assert label == first[2][0]
+            assert x.arrow_maps == first[2][1].arrow_maps
+        assert object_from_dict(spelled, alg)[1] is object_from_dict(
+            spelled, alg)[1]
+        for spec in (odd, looped):
+            assert object_from_dict(spec, alg)[1] is not object_from_dict(
+                spec, alg)[1]
         fresh = objects_from_dict({"objects": specs}, kron)
         assert not any(x is y for (_, x), (_, y) in zip(first, fresh))
         assert [(label, x.arrow_maps) for label, x in fresh[:3]] == [
