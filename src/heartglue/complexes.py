@@ -29,7 +29,7 @@ because its output holds by construction: module_cx, shifts (every sign
 flips together), sums, negatives, multiples and composites of chain maps,
 identity_chain_map, and sums and cones with their injections and
 projections (d^2 = 0 on cone(f) is d f = f d).  Input, solves and
-eliminations stay checked (truncate_std, derived, glue, yoneda), and so
+eliminations stay checked (std_cut, derived, glue, yoneda), and so
 do every certificate and cx_block_map, which builds glue's assemblies.
 
 Memo policy: each result is kept in the memo of the object it
@@ -53,12 +53,10 @@ from .reps import (
     Rep,
     RepMap,
     block_map,
-    cokernel,
     composite_blocks,
     direct_sum,
     identity_map,
     kernel,
-    through_epi,
     through_mono,
     zero_map,
     zero_rep,
@@ -403,11 +401,9 @@ class Triangle:
         return is_acyclic(cone(self.comparison).cx)
 
 
-def truncate_std(x: Cx, level: int) -> Triangle:
-    """The standard-aisle truncation triangle at the given cohomological cut.
-
-    Left term keeps cohomology in degrees <= level, right term the rest.
-    """
+def std_cut(x: Cx, level: int) -> tuple[Cx, CxMap]:
+    """tau<=level x with its inclusion into x: the terms of x below level
+    and the kernel of d^level in degree level, with identities below it."""
     lo = x.min_deg()
     if lo is None:
         lo = level
@@ -423,28 +419,4 @@ def truncate_std(x: Cx, level: int) -> Triangle:
     f_comps = {i: identity_map(x.term(i)) for i in range(lo, level)
                if x.term(i).total_dim}
     f_comps[level] = incl
-    f = CxMap(a, x, f_comps)
-
-    q, pr = cokernel(incl)
-    hi = x.max_deg()
-    if hi is None:
-        hi = level
-    hi = max(hi, level)
-    terms_b = {level: q}
-    terms_b.update({i: x.term(i) for i in range(level + 1, hi + 1)})
-    diffs_b = {i: d for i, d in x.diffs.items() if level < i < hi}
-    # induced differential out of the quotient
-    dq = through_epi(pr, x.d(level))
-    if not dq.is_zero():
-        terms_b.setdefault(level + 1, x.term(level + 1))
-        diffs_b[level] = dq
-    b = Cx(x.algebra, terms_b, diffs_b)
-    g_comps = {level: pr}
-    for i in range(level + 1, hi + 1):
-        if x.term(i).total_dim:
-            g_comps[i] = identity_map(x.term(i))
-    g = CxMap(x, b, g_comps)
-
-    cf = cone(f)
-    return Triangle(a, x, b, f, g, comparison=cx_block_map(cf, b, [[None, g]]),
-                    cone_of_f=cf)
+    return a, CxMap(a, x, f_comps)

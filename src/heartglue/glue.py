@@ -9,11 +9,13 @@ triangles with computed certificates, and the homological dimension
 bookkeeping for the glued heart.  Every check shares one Hom scan, _homs,
 which the support of the Hom complex (derived.hom_scan) bounds.
 
-Glued truncation works on minimal projective models
+Every aisle truncates one way: its _cut returns the aisle part A with
+f: A -> X, and AisleSpec.truncate takes B = cone(f) itself, so no
+triangle needs a comparison map.  The standard aisle cuts at a kernel
+(complexes.std_cut).  Glued truncation works on minimal projective models
 (derived.minimal_model): the object, the left remainder and the rotated
 aisle part are each reduced, so the complexes stay near their minimal size
-at every level of the nesting.  It returns A minimal, f: A -> X, and
-B = cone(f) itself, so the triangle needs no comparison map.
+at every level of the nesting, and A is minimal.
 
 Aisles are described intensionally.  ``StandardAisle`` cuts cohomology at
 a fixed degree, ``AddGeneratedAisle`` takes nonnegative shifts of finitely
@@ -28,7 +30,7 @@ from .reps import ID, simple
 from .complexes import (Cx, CxMap, CxSum, Triangle, cohomology_dims,
                         compose as ccompose, cone, cx_block_map,
                         cx_direct_sum, is_acyclic, shift, shift_map,
-                        truncate_std, zero_cx)
+                        std_cut, zero_cx)
 from .derived import as_cx, dhom_space, hom_scan, lift_map, minimal_model
 
 
@@ -186,11 +188,10 @@ class AisleSpec:
     with A in the aisle, B in the complementary co-aisle shifted down,
     and tri the triangle A -> X -> B, certified distinguished.
 
-    A subclass either overrides truncate or implements _cut(x), which
-    returns the aisle part A with its map f: A -> X and builds no cone;
-    truncate then builds the one triangle, with B = cone(f).  Nested
-    truncations call _cut, so only the outermost level builds a cone of
-    f and a Triangle.
+    A subclass implements _cut(x), which returns the aisle part A with
+    its map f: A -> X and builds no cone; truncate builds the one
+    triangle, with B = cone(f).  Nested truncations call _cut, so only
+    the outermost level builds a cone of f and a Triangle.
 
     One generator list, heart_gens, serves both the aisle and its heart:
     the aisle is the extension closure of the nonnegative shifts of the
@@ -240,9 +241,8 @@ class StandardAisle(AisleSpec):
     def member(self, x: Cx) -> bool:
         return all(i <= self.cut for i in cohomology_dims(x))
 
-    def truncate(self, x: Cx) -> tuple[Cx, Cx, Triangle]:
-        tri = truncate_std(x, self.cut)
-        return tri.left, tri.right, tri
+    def _cut(self, x: Cx) -> tuple[Cx, CxMap]:
+        return std_cut(x, self.cut)
 
     def heart_gens(self) -> tuple[Cx, ...]:
         return self._hearts
@@ -403,14 +403,13 @@ def sod_project(x: Cx, es: ExcSequence, k: int) -> Cx:
 
 @dataclass(frozen=True)
 class CompatReport:
-    """Outcome of a compatibility check, pairwise or n-fold.
+    """Outcome of a compatibility check.
 
     Violations are (kind, left, right, shift, dim).  Kind "backward"
     means the right piece maps to the left one, so the two do not form a
     semiorthogonal decomposition at all; kind "negative" means the left
-    aisle maps to a positive co-aisle shift on the right.  compatible
-    names 1-based generator positions into the two heart_gens lists;
-    nfold_compatible names the pieces i < k.
+    aisle maps to a positive co-aisle shift on the right.  left and
+    right are 1-based generator positions into the two heart_gens lists.
     """
 
     ok: bool
@@ -497,29 +496,6 @@ def glue_sequence(es: ExcSequence) -> tuple[AisleSpec, HeartDesc]:
     for i in range(2, len(es) + 1):
         aisle, heart = glue(aisle, AddGeneratedAisle((es.object(i),)))
     return aisle, heart
-
-
-def nfold_compatible(aisles) -> CompatReport:
-    """Check that an ordered family of aisles glues in one go.
-
-    For pieces i < k nothing may map backward from piece k to piece i,
-    and forward maps must miss the deep negative shifts: the condition
-    is Hom(G_i, G_k[n]) = 0 whenever n <= i - k, one shift deeper per
-    intermediate piece.  Violations name the pieces (i, k).  For two
-    pieces this is compatible; glue_sequence reaches the same
-    configurations one pairwise step at a time, and the two are
-    cross-checked in the test suite.
-    """
-    aisles = list(aisles)
-    if not aisles:
-        raise GlueError("nothing to check")
-    viol = []
-    for i in range(1, len(aisles) + 1):
-        for k in range(i + 1, len(aisles) + 1):
-            viol += [(kind, i, k, n, d) for kind, _, _, n, d in _violations(
-                aisles[i - 1].heart_gens(), aisles[k - 1].heart_gens(),
-                i - k)]
-    return CompatReport(not viol, tuple(viol))
 
 
 def _top_shift(gs1, gs2) -> tuple[int, int, int] | None:

@@ -441,13 +441,6 @@ def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
     return cok, proj
 
 
-def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
-    """(image, mono into target, epi from source) with mono @ epi = f."""
-    img, mono = _span(f.target,
-                      [b.take(None, pivot_columns(b)) for b in f.blocks])
-    return img, mono, through_mono(mono, f)
-
-
 def through_mono(incl: RepMap, f: RepMap) -> RepMap:
     """The map h with incl after h equal to f, for incl injective."""
     blocks = []
@@ -457,17 +450,6 @@ def through_mono(incl: RepMap, f: RepMap) -> RepMap:
             raise RepError("map does not factor through the monomorphism")
         blocks.append(x)
     return RepMap(f.source, incl.source, tuple(blocks))
-
-
-def through_epi(pr: RepMap, f: RepMap) -> RepMap:
-    """The map h with h after pr equal to f, for pr surjective."""
-    blocks = []
-    for a, b in zip(pr.blocks, f.blocks):
-        x = solve(a.transpose(), b.transpose())
-        if x is None:
-            raise RepError("map does not factor through the epimorphism")
-        blocks.append(x.transpose())
-    return RepMap(pr.target, f.target, tuple(blocks))
 
 
 ID = object()  # a block_map entry: the identity of a part of both sums
@@ -500,14 +482,6 @@ class DirectSum:
             return identity_map(self.rep)
         return memoised(self, ("proj", i), lambda: block_map(
             self, self.parts[i], [self._unit(i)]))
-
-    @property
-    def injections(self) -> tuple[RepMap, ...]:
-        return tuple(map(self.injection, range(len(self.parts))))
-
-    @property
-    def projections(self) -> tuple[RepMap, ...]:
-        return tuple(map(self.projection, range(len(self.parts))))
 
 
 def direct_sum(parts: Sequence[Rep]) -> DirectSum:

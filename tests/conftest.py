@@ -12,13 +12,12 @@ from heartglue.complexes import (Cx, CxMap, Triangle, cone, cx_block_map,
 from heartglue.derived import (_generators, compose_classes, derived_hom,
                                dhom_space)
 from heartglue.linalg import (RatMatrix, block_matrix, complement_pivots,
-                              hstack)
-from heartglue.reps import (Rep, RepMap, _span, block_map, cokernel,
+                              hstack, pivot_columns, solve)
+from heartglue.reps import (Rep, RepError, RepMap, _span, block_map, cokernel,
                             compose as rcompose, direct_sum, eval_columns,
                             exact_certificate, generator_positions,
-                            identity_map, image, kernel, map_from_generators,
-                            projective_sum, through_epi, through_mono,
-                            zero_map, zero_rep)
+                            identity_map, kernel, map_from_generators,
+                            projective_sum, through_mono, zero_map, zero_rep)
 from heartglue.yoneda import YExt
 
 
@@ -142,6 +141,24 @@ def filtration_step(v: Rep, k: int) -> tuple[Rep, RepMap]:
 def filtration_inclusion(v: Rep, k: int) -> RepMap:
     """The step inclusion F^{k-1} v -> F^k v."""
     return through_mono(filtration_step(v, k)[1], filtration_step(v, k - 1)[1])
+
+
+def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
+    """(image, mono into target, epi from source) with mono @ epi = f."""
+    img, mono = _span(f.target,
+                      [b.take(None, pivot_columns(b)) for b in f.blocks])
+    return img, mono, through_mono(mono, f)
+
+
+def through_epi(pr: RepMap, f: RepMap) -> RepMap:
+    """The map h with h after pr equal to f, for pr surjective."""
+    blocks = []
+    for a, b in zip(pr.blocks, f.blocks):
+        x = solve(a.transpose(), b.transpose())
+        if x is None:
+            raise RepError("map does not factor through the epimorphism")
+        blocks.append(x.transpose())
+    return RepMap(pr.target, f.target, tuple(blocks))
 
 
 def ses_to_triangle(f: RepMap, g: RepMap) -> Triangle:

@@ -44,9 +44,9 @@ from heartglue.complexes import (
     Triangle,
     shift,
     shift_map,
-    truncate_std,
     zero_cx,
 )
+from heartglue.glue import StandardAisle
 
 
 @pytest.fixture(scope="module")
@@ -219,11 +219,11 @@ def test_truncate_std_splits_cohomology(a2):
     p1, p2 = projective(a2, 1), projective(a2, 2)
     f = hom_space(p1, p2)[0]
     x = two_term(a2, f)  # H^0 = S_2 only
-    tri = truncate_std(x, -1)
+    tri = StandardAisle(a2, -1).truncate(x)[2]
     assert cohomology_dims(tri.left) == {}
     assert cohomology_dims(tri.right) == {0: (0, 1)}
     assert tri.certified()
-    tri2 = truncate_std(x, 0)
+    tri2 = StandardAisle(a2, 0).truncate(x)[2]
     assert cohomology_dims(tri2.left) == {0: (0, 1)}
     assert cohomology_dims(tri2.right) == {}
     assert tri2.certified()
@@ -236,7 +236,7 @@ def test_truncate_std_middle_cut(a2):
     # non-exact two-step complex: P2 -> S2 in degrees 0, 1, H^0 = S1, H^1 = 0
     x = Cx(a2, {0: p2, 1: s2}, {0: q})
     assert cohomology_dims(x) == {0: (1, 0)}
-    tri = truncate_std(x, 0)
+    tri = StandardAisle(a2, 0).truncate(x)[2]
     assert cohomology_dims(tri.left) == {0: (1, 0)}
     assert cohomology_dims(tri.right) == {}
     assert tri.certified()
@@ -348,7 +348,7 @@ def test_truncation_triangle_certified_on_random_input(data):
     f = data.draw(random_module_map(alg))
     x = Cx(alg, {-1: f.source, 0: f.target}, {-1: f})
     for level in (-2, -1, 0, 1):
-        tri = truncate_std(x, level)
+        tri = StandardAisle(alg, level).truncate(x)[2]
         assert tri.certified()
         got = cohomology_dims(tri.left)
         want = {i: d for i, d in cohomology_dims(x).items() if i <= level}

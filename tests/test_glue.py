@@ -24,11 +24,14 @@ from heartglue.complexes import (
 from heartglue.derived import as_cx, derived_hom
 from heartglue.glue import (
     AddGeneratedAisle,
+    AisleSpec,
+    CompatReport,
     ExcError,
     GlueError,
     HeartDesc,
     StandardAisle,
     _assemble,
+    _violations,
     check_dim_formula,
     check_exceptional,
     check_sequence,
@@ -36,7 +39,6 @@ from heartglue.glue import (
     glue,
     glue_sequence,
     heart_dim,
-    nfold_compatible,
     rdim,
     sod_project,
 )
@@ -312,6 +314,28 @@ class TestGluedHearts:
             HeartDesc((p1, shift(p2, 1)), provenance="manual")
 
 
+def nfold_compatible(aisles) -> CompatReport:
+    """Check that an ordered family of aisles glues in one go; an oracle
+    for glue_sequence, which glues one pairwise step at a time.
+
+    For pieces i < k nothing may map backward from piece k to piece i,
+    and forward maps must miss the deep negative shifts: the condition
+    is Hom(G_i, G_k[n]) = 0 whenever n <= i - k, one shift deeper per
+    intermediate piece.  Violations name the pieces (i, k).  For two
+    pieces this is compatible.
+    """
+    aisles = list(aisles)
+    if not aisles:
+        raise GlueError("nothing to check")
+    viol = []
+    for i in range(1, len(aisles) + 1):
+        for k in range(i + 1, len(aisles) + 1):
+            viol += [(kind, i, k, n, d) for kind, _, _, n, d in _violations(
+                aisles[i - 1].heart_gens(), aisles[k - 1].heart_gens(),
+                i - k)]
+    return CompatReport(not viol, tuple(viol))
+
+
 class TestNfoldCompatibility:
     def _pieces(self, gens):
         return [AddGeneratedAisle((as_cx(g),)) for g in gens]
@@ -532,6 +556,23 @@ class TestStandardAisle:
         assert tri.certified()
         assert cohomology_dims(a) == {0: (1, 0)}
         assert cohomology_dims(b) == {1: (0, 1)}
+
+
+def test_every_aisle_truncates_through_its_cut():
+    """AisleSpec.truncate alone builds a truncation triangle, B = cone(f)
+    of the f that _cut returns.  An aisle may bind that same function
+    under its own name, which perfbench's tracer needs to span it."""
+    found, todo = [], [AisleSpec]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found += subs
+        todo += subs
+    ours = [c for c in found if c.__module__.startswith("heartglue.")]
+    assert {c.__name__ for c in ours} >= {
+        "StandardAisle", "AddGeneratedAisle", "GluedAisle"}
+    for cls in ours:
+        assert vars(cls).get("truncate", AisleSpec.truncate) is (
+            AisleSpec.truncate), f"{cls.__name__} defines its own truncate"
 
 
 class TestDimensionFormula:
