@@ -5,7 +5,7 @@ only the nonzero spaces are shown.
 """
 
 from heartglue.cli import default_window, load_corpus
-from heartglue.derived import derived_hom
+from heartglue.derived import hom_scan
 from heartglue.reps import projective, simple
 
 
@@ -25,11 +25,8 @@ def main():
         print(f"== {name} (window {w}) ==")
         for la, a in objs:
             for lb, b in objs:
-                hits = []
-                for n in range(-w, w + 1):
-                    d = derived_hom(a, b, n)
-                    if d:
-                        hits.append(f"[{n}]: {d}")
+                hits = [f"[{n}]: {d}" for n, d in hom_scan(a, b, w)
+                        if n >= -w]
                 if hits:
                     print(f"  Hom({la}, {lb}) " + ", ".join(hits))
         print()

@@ -29,9 +29,10 @@ from .derived import (
     as_cx,
     compose_classes,
     dhom_space,
+    hom_scan,
     identity_class,
 )
-from .glue import ExcSequence, _homs
+from .glue import ExcSequence
 from .linalg import RatMatrix, complement_pivots, hstack, kernel_basis, rank
 from .reps import Rep, RepMap, hom_space, projective
 
@@ -264,7 +265,7 @@ def module_functor(pres: Presentation, x) -> Rep:
 def _hom_module(pres: Presentation, cx: Cx) -> Rep:
     end = pres.end
     for i, e in enumerate(end.objects, 1):
-        for n, d in _homs(e, cx):
+        for n, d in hom_scan(e, cx):
             if n:
                 raise BondalError(
                     f"object {i} has maps of dimension {d} into the "
@@ -394,8 +395,8 @@ def hom_table_match(pres: Presentation) -> TableReport:
     for i, ei in enumerate(end.objects, 1):
         for j, ej in enumerate(end.objects, 1):
             pairs += 1
-            de = dict(_homs(ei, ej))
-            dp = dict(_homs(projs[i - 1], projs[j - 1]))
+            de = dict(hom_scan(ei, ej))
+            dp = dict(hom_scan(projs[i - 1], projs[j - 1]))
             mism += [(i, j, n, de.get(n, 0), dp.get(n, 0))
                      for n in sorted(de.keys() | dp.keys())
                      if de.get(n, 0) != dp.get(n, 0)]

@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .complexes import cohomology_dims, shift
 from .derived import as_cx, dhom_space, hom_scan
-from .glue import (AddGeneratedAisle, ExcError, GlueError, _homs,
+from .glue import (AddGeneratedAisle, ExcError, GlueError,
                    check_dim_formula, check_sequence, glue, glue_sequence)
 from .jsonio import (SchemaError, algebra_to_dict, dump_json, load_algebra,
                      load_objects, object_from_dict)
@@ -123,7 +123,7 @@ def _run_ext_table(job: JobSpec):
     for i, a in enumerate(cxs, 1):
         for j, b in enumerate(cxs, 1):
             entries += [{"source": i, "target": j, "shift": n, "dim": d}
-                        for n, d in _homs(a, b)]
+                        for n, d in hom_scan(a, b)]
     report = dict(base, entries=entries, ok=True)
     lines += [f"object {i}: {label}"
               for i, (label, _) in enumerate(objs, 1)]
@@ -230,8 +230,8 @@ def _run_yoneda_oracle(job: JobSpec):
     ok = True
     for i, (_, a) in enumerate(objs, 1):
         for j, (_, b) in enumerate(objs, 1):
-            for n, dim in hom_scan(a, b, max_degree):
-                if n < 1 or not dim():
+            for n, _ in hom_scan(a, b, max_degree):
+                if n < 1:
                     continue
                 sp = dhom_space(a, b, n)
                 good = all(

@@ -18,7 +18,8 @@ once, for the cycles of one degree and the boundaries of the next.
 derived_hom reads dim H^n off two ranks; a DHomSpace fixes a canonical
 coordinate system by row reduction. The n-cochains are zero outside the
 support, the n where a copy generator of R_X meets a nonzero vertex
-space of Y[n], and Hom scans walk the support alone (hom_scan). Only
+space of Y[n]. hom_scan, the one nonzero-Hom scan, walks the support
+alone and yields each nonzero (n, dim Hom(X, Y[n])). Only
 unshifted R and Y get a Hom complex: maps R[a] -> Y[b][n] are its
 (n + b - a)-cochains, and only this module translates degrees (_at).
 
@@ -361,14 +362,22 @@ def _at(r: Cx, t: Cx, n: int = 0) -> tuple[HomCx, int]:
 
 
 def hom_scan(x, y, top: int | None = None):
-    """Yield (n, dim) at each shift n <= top, increasing, where Hom(x, y[n])
-    has nonzero cochains (HomCx.support); dim() is dim Hom(x, y[n]), and
-    Hom(x, y[n]) is 0 at every other n.  x is resolved once per scan."""
-    h, c = _at(resolve(x).source, as_cx(y))
+    """Yield (n, dim Hom(x, y[n])) for every nonzero Hom with n <= top, in
+    increasing n: the one nonzero-Hom scan.  Only the support of the Hom
+    complex (HomCx.support) is read, as a Hom at any other shift
+    vanishes.  x is resolved once per scan, and not at all when either
+    side is zero or every shift lies above top: R_x has no term above
+    x's top degree."""
+    x, y = as_cx(x), as_cx(y)
+    dx, dy = x.degrees(), y.degrees()
+    if not (dx and dy) or top is not None and dy[0] - dx[-1] > top:
+        return
+    h, c = _at(resolve(x).source, y)
     for m in h.support:
         if top is not None and m - c > top:
             return
-        yield m - c, partial(h.dim, m)
+        if d := h.dim(m):
+            yield m - c, d
 
 
 def _images(r: Cx, t: Cx, layout: _GenLayout, vec: RatMatrix,

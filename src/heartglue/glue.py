@@ -6,8 +6,9 @@ the whole category.  This module verifies exceptionality, projects objects
 onto the pieces, and glues a t-structure given on each piece into one on
 the total category: membership tests for the glued aisle, truncation
 triangles with computed certificates, and the homological dimension
-bookkeeping for the glued heart.  Every check shares one Hom scan, _homs,
-which the support of the Hom complex (derived.hom_scan) bounds.
+bookkeeping for the glued heart.  Every check shares one Hom scan,
+derived.hom_scan, which yields the nonzero Homs off the support of the
+Hom complex.
 
 Every aisle truncates one way: its _cut returns the aisle part A with
 f: A -> X, and AisleSpec.truncate takes B = cone(f) itself, so no
@@ -53,36 +54,20 @@ class ExcError(GlueError):
         self.dim = dim
 
 
-def _homs(a: Cx, b: Cx, top: int | None = None):
-    """Yield (n, dim Hom(a, b[n])) for every nonzero Hom, in increasing n.
-
-    The shifts with nonzero cochains (derived.hom_scan) bound the scan:
-    a Hom at any other shift vanishes.  With top set, no shift above top
-    is computed, and a is not resolved when every shift lies above top:
-    R_a has no term above a's top degree.
-    """
-    da, db = a.degrees(), b.degrees()
-    if not (da and db) or top is not None and db[0] - da[-1] > top:
-        return
-    for n, dim in hom_scan(a, b, top):
-        if d := dim():
-            yield n, d
-
-
 def check_exceptional(obj) -> Cx:
     """Verify scalar endomorphisms and vanishing self-extensions, and
     return the object as a complex.
 
     Raises ExcError carrying the first violating (shift, dim) pair in
-    increasing shift.  The scan walks the nonzero Homs alone (_homs), as
-    a shift it skips has Hom 0; Hom(E, E) is 0 only when E is acyclic,
-    and then so is every Hom.
+    increasing shift.  The scan walks the nonzero Homs alone
+    (derived.hom_scan), as a shift it skips has Hom 0; Hom(E, E) is 0
+    only when E is acyclic, and then so is every Hom.
     """
     cx = as_cx(obj)
     if cx.is_zero_object():
         raise ExcError("the zero object is not exceptional", shift=0, dim=0)
     acyclic = True
-    for n, d in _homs(cx, cx):
+    for n, d in hom_scan(cx, cx):
         if (n, d) != (0, 1):
             raise _not_exceptional(n, d)
         acyclic = False
@@ -141,7 +126,7 @@ def check_sequence(objs, strong: bool = False) -> ExcSequence:
             if i == j:
                 table[(i, j, 0)] = 1
                 continue
-            for n, d in _homs(a, b):
+            for n, d in hom_scan(a, b):
                 table[(i, j, n)] = d
                 if i > j:
                     raise ExcError(
@@ -163,7 +148,7 @@ def _hom_parts(gens, x: Cx) -> list[tuple[Cx, CxMap, int]]:
     Hom(g, x[n]), g in gens in turn, each with its evaluation map into x."""
     parts = []
     for g in gens:
-        for n, _ in _homs(g, x):
+        for n, _ in hom_scan(g, x):
             sp = dhom_space(g, x, n)
             for cls in sp.basis():
                 u = shift_map(sp.representative(cls), -n)
@@ -271,7 +256,7 @@ class AddGeneratedAisle(AisleSpec):
             for b in objs:
                 if a is b:
                     continue
-                for n, d in _homs(a, b):
+                for n, d in hom_scan(a, b):
                     raise GlueError(
                         "aisle generators must be orthogonal: found "
                         f"Hom of dimension {d} at shift {n}")
@@ -427,9 +412,9 @@ def _violations(g1s, g2s,
     for i1, g1 in enumerate(g1s, 1):
         for i2, g2 in enumerate(g2s, 1):
             viol += [("backward", i1, i2, n, d)
-                     for n, d in _homs(g2, g1)]
+                     for n, d in hom_scan(g2, g1)]
             viol += [("negative", i1, i2, n, d)
-                     for n, d in _homs(g1, g2, top=deepest)]
+                     for n, d in hom_scan(g1, g2, top=deepest)]
     return viol
 
 
@@ -461,7 +446,7 @@ class HeartDesc:
     def __post_init__(self):
         for a in self.generators:
             for b in self.generators:
-                for n, d in _homs(a, b, top=-1):
+                for n, d in hom_scan(a, b, top=-1):
                     raise GlueError(
                         "not a heart: generators map into a negative "
                         f"shift (dimension {d} at {n})")
@@ -504,7 +489,7 @@ def _top_shift(gs1, gs2) -> tuple[int, int, int] | None:
     best = None
     for i, a in enumerate(gs1, 1):
         for j, b in enumerate(gs2, 1):
-            for n, _ in _homs(a, b):
+            for n, _ in hom_scan(a, b):
                 if best is None or n > best[2]:
                     best = (i, j, n)
     return best

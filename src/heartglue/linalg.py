@@ -115,20 +115,6 @@ class RatMatrix:
                           for f in fracs), den, 1)
 
     @staticmethod
-    def from_cols(columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
-        if columns:
-            height = len(columns[0])
-            if any(len(c) != height for c in columns):
-                raise ValueError("ragged columns")
-            if rows is not None and rows != height:
-                raise ValueError("rows does not match column height")
-            rows = height
-        elif rows is None:
-            raise ValueError("rows is required with no columns")
-        return RatMatrix(zip(*columns) if columns else [()] * rows,
-                         cols=len(columns))
-
-    @staticmethod
     def from_sparse(rows: Sequence[dict], cols: int) -> "RatMatrix":
         """The matrix whose row i holds the entries of rows[i], a dict from
         column to a rational; no zero is read or written."""

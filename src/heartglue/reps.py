@@ -286,25 +286,21 @@ def projective_sum(alg: PathAlgebraDesc, vertices: Sequence[int]) -> Rep:
 
 def _projective(alg: PathAlgebraDesc, v: int) -> tuple[tuple[int, ...], dict]:
     """The dims and arrow blocks of P_v: at vertex j the residue paths
-    j -> v in path order, each column read off one reduce_path."""
+    j -> v in path order, each column read off one reduce_path and filled
+    into sparse rows."""
     paths = [alg.paths_between(j, v) for j in range(1, alg.vertex_count + 1)]
     dims = tuple(map(len, paths))
     maps = {}
     for a in alg.quiver.arrows:
         s, t = a.source, a.target
-        if not dims[s - 1] * dims[t - 1]:
-            maps[a.name] = RatMatrix.zeros(dims[s - 1], dims[t - 1])
-            continue
         row = {alg.index_of(s, p.arrows): i
                for i, p in enumerate(paths[s - 1])}
-        cols = []
-        for p in paths[t - 1]:
+        rows = [{} for _ in range(dims[s - 1])]
+        for j, p in enumerate(paths[t - 1]):
             # right action: prepend the arrow to the traversal word
-            col = [0] * dims[s - 1]
             for b, c in alg.reduce_path(s, (a.name,) + p.arrows).items():
-                col[row[b]] = c.numerator if c.denominator == 1 else c
-            cols.append(col)
-        maps[a.name] = RatMatrix.from_cols(cols, rows=dims[s - 1])
+                rows[row[b]][j] = c
+        maps[a.name] = RatMatrix.from_sparse(rows, dims[t - 1])
     return dims, maps
 
 

@@ -235,7 +235,7 @@ def entrywise_projective_sum(alg, vertices):
             for bidx, coef in combo.items():
                 col[index[s][(c, alg.basis[bidx])]] = coef
             cols.append(col)
-        maps[a.name] = RatMatrix.from_cols(cols, rows=dims[s - 1])
+        maps[a.name] = RatMatrix(cols, cols=dims[s - 1]).transpose()
     return dims, maps
 
 

@@ -208,7 +208,7 @@ def ideal_span(alg) -> tuple[list[BasisPath], dict, RatMatrix]:
                     word = varr + p + uarr
                     vec[paths[(vsrc if varr else src, word)]] += c
                 ideal_vectors.append(vec)
-    return free.basis, paths, RatMatrix.from_cols(ideal_vectors, rows=nfree)
+    return free.basis, paths, RatMatrix(ideal_vectors, cols=nfree).transpose()
 
 
 def assert_matches_oracle(alg):

@@ -14,7 +14,6 @@ from conftest import (_scan_range, counting_calls, heart_cohomology,
 from heartglue import (algebra, bondal, complexes, derived, glue, linalg,
                        reps, yoneda)
 from heartglue.algebra import Relation, build_algebra, make_quiver
-from heartglue.glue import _homs
 from heartglue.jsonio import algebra_from_dict, load_algebra
 from heartglue.linalg import RatMatrix, hstack, solve
 from heartglue.reps import (
@@ -44,6 +43,7 @@ from heartglue.complexes import (
     shift,
     shift_map,
     unshifted,
+    zero_cx,
 )
 from heartglue.derived import (
     DHomClass,
@@ -53,6 +53,7 @@ from heartglue.derived import (
     compose_classes,
     derived_hom,
     dhom_space,
+    hom_scan,
     identity_class,
     lift_map,
     minimal_model,
@@ -319,10 +320,31 @@ def test_hom_scans_walk_the_support(name, tmp_path):
         for y in objs:
             full = [(n, d) for n in _scan_range(x, y)
                     if (d := derived_hom(x, y, n))]
-            assert list(_homs(x, y)) == full
+            assert list(hom_scan(x, y)) == full
             for top in (-2, 0, 1):
-                assert list(_homs(x, y, top)) == [(n, d) for n, d in full
-                                                  if n <= top]
+                assert list(hom_scan(x, y, top)) == [
+                    (n, d) for n, d in full if n <= top]
+
+
+def test_a_scan_above_top_resolves_nothing(kron, monkeypatch):
+    # Hom(x, y[n]) vanishes for n > top when y's least degree less x's
+    # top degree exceeds top: the scan returns before it resolves x
+    x = as_cx(simple(kron, 1))
+    y = shift(x, -2)
+    calls = counting_calls(monkeypatch, derived, "_resolve")
+    assert list(hom_scan(x, y, -1)) == []
+    assert calls == []
+    assert list(hom_scan(x, y)) == [(2, 1)]
+    assert calls
+
+
+def test_a_scan_against_zero_yields_nothing(kron, monkeypatch):
+    zero, p2 = zero_cx(kron), projective(kron, 2)
+    calls = counting_calls(monkeypatch, derived, "_resolve")
+    for x, y in ((zero, p2), (p2, zero), (zero, zero)):
+        for top in (None, -1, 0, 5):
+            assert list(hom_scan(x, y, top)) == []
+    assert calls == []
 
 
 def test_a_shift_reads_the_hom_complex_of_its_base(kron):
@@ -342,6 +364,12 @@ def test_a_shift_reads_the_hom_complex_of_its_base(kron):
             assert derived.hom(shift(r, a), shift(y, b)) is h
 
 
+def _support(x, y) -> list[int]:
+    """The shifts n where Hom(x, y[n]) has nonzero cochains."""
+    h, c = derived._at(resolve(x).source, as_cx(y))
+    return [m - c for m in h.support]
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_hom_of_shifts_is_the_hom_at_the_moved_degree(name):
     # Hom(x[a], y[b][n]) = Hom(x, y[n + b - a]), and the support moves
@@ -355,12 +383,11 @@ def test_hom_of_shifts_is_the_hom_at_the_moved_degree(name):
             scan = _scan_range(x, y)
             degs = range(scan.start - 1, scan.stop + 1)
             dims = [derived_hom(x, y, m) for m in degs]
-            support = [m for m, _ in derived.hom_scan(x, y)]
+            support = _support(x, y)
             for a in range(-2, 3):
                 for b in range(-2, 3):
                     sx, sy = shift(x, a), shift(y, b)
-                    assert [m for m, _ in derived.hom_scan(sx, sy)] == [
-                        m - b + a for m in support]
+                    assert _support(sx, sy) == [m - b + a for m in support]
                     assert [derived_hom(sx, sy, m - b + a)
                             for m in degs] == dims
 
@@ -373,12 +400,12 @@ def test_a_scan_of_a_shift_builds_no_differential(name, tmp_path,
     objs = _objects(load_algebra(_algebra_path(name, tmp_path)))
     systems = counting_calls(monkeypatch, derived.HomCx, "_system")
     runs = counting_calls(monkeypatch, linalg, "_echelon")
-    first = [(x, y, list(_homs(x, y))) for x in objs for y in objs]
+    first = [(x, y, list(hom_scan(x, y))) for x in objs for y in objs]
     built = len(systems), len(runs)
     assert built[0]
     for x, y, homs in first:
         for a, b in ((1, 0), (-2, 1), (3, -1)):
-            assert list(_homs(shift(x, a), shift(y, b))) == [
+            assert list(hom_scan(shift(x, a), shift(y, b))) == [
                 (n - b + a, d) for n, d in homs]
     assert (len(systems), len(runs)) == built
     pairs = [(id(h), deg) for h, deg, _ in systems]  # calls keeps them alive
@@ -393,14 +420,14 @@ def test_a_shifted_source_picks_the_basis_of_its_base(kron, a3rel):
         objs = _objects(alg)
         for x in objs:
             for y in objs:
-                for n, _ in _homs(x, y):
+                for n, _ in hom_scan(x, y):
                     sp = dhom_space(x, y, n)
                     for a in (-1, 2):
                         sa = dhom_space(shift(x, a), y, n + a)
                         assert sa is not sp and sa.layout is sp.layout
                         assert sa.picked == sp.picked
                         for z in objs:
-                            for m, _ in _homs(y, z):
+                            for m, _ in hom_scan(y, z):
                                 basis = dhom_space(y, z, m).basis()
                                 c2 = sum(basis[1:], basis[0])
                                 for c1, c1a in zip(sp.basis(), sa.basis()):
