@@ -410,8 +410,6 @@ class BondalReport:
     ok: bool
     end_dim: int
     algebra_dim: int
-    arrow_count: int
-    relation_count: int
     products_checked: int
     triples_checked: int
     eval_pairs_checked: int
@@ -442,7 +440,5 @@ def bondal_check(es: ExcSequence) -> BondalReport:
     faithful = faithful_full_check(pres)
     table = hom_table_match(pres)
     return BondalReport(faithful.ok and table.ok, end.dim, pres.algebra.dim,
-                        len(pres.algebra.quiver.arrows),
-                        len(pres.algebra.relations),
                         pairs, triples, eval_pairs,
                         faithful, table, pres, comparisons)

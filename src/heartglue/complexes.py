@@ -380,25 +380,15 @@ def is_acyclic(x: Cx) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Triangle:
-    """left --f--> mid --g--> right --> left[1].
+    """A --f--> X --> cone(f) --> A[1], kept as f and cone_of_f: X maps
+    into cone_of_f.cx by injection(1), and that onto A[1] by
+    projection(0).  certified() checks that cone_of_f is the cone of f."""
 
-    cone_of_f carries cone(f); the triangle is certified when right is
-    that cone, or comparison is a quasi-isomorphism cone(f) -> right.
-    """
-
-    left: Cx
-    mid: Cx
-    right: Cx
     f: CxMap
-    g: CxMap
-    comparison: CxMap | None = None
-    cone_of_f: CxSum | None = None
+    cone_of_f: CxSum
 
     def certified(self) -> bool:
-        c = self.cone_of_f
-        if self.comparison is None:
-            return c is not None and c.f is self.f and c.cx is self.right
-        return is_acyclic(cone(self.comparison).cx)
+        return self.cone_of_f.f is self.f
 
 
 def std_cut(x: Cx, level: int) -> tuple[Cx, CxMap]:

@@ -478,11 +478,11 @@ class DHomSpace:
         self.t = shift(y, n)
         h, m = _at(self.r, y, n)
         self.layout = h.layout(m)
-        self.cycles = kernel_basis(h.echelon(m))
+        cycles = kernel_basis(h.echelon(m))
         self.boundaries = h.delta(m - 1)
         nb = self.boundaries.cols
-        pivots = pivot_columns(hstack([self.boundaries, self.cycles]))
-        self.picked = self.cycles.take(None, [p - nb for p in pivots if p >= nb])
+        pivots = pivot_columns(hstack([self.boundaries, cycles]))
+        self.picked = cycles.take(None, [p - nb for p in pivots if p >= nb])
         self.dim = self.picked.cols
         self.memo: dict = {}
 

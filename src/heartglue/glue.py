@@ -11,8 +11,8 @@ derived.hom_scan, which yields the nonzero Homs off the support of the
 Hom complex.
 
 Every aisle truncates one way: its _cut returns the aisle part A with
-f: A -> X, and AisleSpec.truncate takes B = cone(f) itself, so no
-triangle needs a comparison map.  The standard aisle cuts at a kernel
+f: A -> X, and AisleSpec.truncate takes B = cone(f) itself; a Triangle
+is f with its cone, and no more.  The standard aisle cuts at a kernel
 (complexes.std_cut).  Glued truncation works on minimal projective models
 (derived.minimal_model): the object, the left remainder and the rotated
 aisle part are each reduced, so the complexes stay near their minimal size
@@ -195,7 +195,7 @@ class AisleSpec:
     def truncate(self, x: Cx) -> tuple[Cx, Cx, Triangle]:
         a, f = self._cut(x)
         c = cone(f)
-        return a, c.cx, Triangle(a, x, c.cx, f, c.injection(1), cone_of_f=c)
+        return a, c.cx, Triangle(f, c)
 
     def heart_gens(self) -> tuple[Cx, ...]:
         raise NotImplementedError

@@ -68,7 +68,6 @@ from .linalg import (
     kernel_basis,
     kron,
     pivot_columns,
-    rank,
     solve,
 )
 
@@ -551,23 +550,6 @@ def block_map(src: DirectSum | Rep, tgt: DirectSum | Rep,
               else g.blocks[v] for g, w in zip(row, ws)] for row in grid],
             [p.dims[v] for p in tparts], ws))
     return RepMap(srep, trep, tuple(blocks), _by=_BUILT)
-
-
-def exact_certificate(*maps: RepMap) -> None:
-    """Raise unless 0 -> maps[0].source -> ... -> maps[-1].target -> 0 is
-    exact: consecutive maps compose to zero on their blocks, and at every
-    vertex the ranks into and out of each term add up to its dimension."""
-    for i, (f, g) in enumerate(zip(maps, maps[1:])):
-        if f.target is not g.source:
-            raise RepError("sequence maps do not compose")
-        if not all(b.is_zero() for b in composite_blocks(g, f)):
-            raise RepError(f"composite of maps {i},{i + 1} is nonzero")
-    terms = (maps[0].source,) + tuple(f.target for f in maps)
-    for v in range(1, maps[0].source.algebra.vertex_count + 1):
-        ranks = [0] + [rank(f.block(v)) for f in maps] + [0]
-        for i, t in enumerate(terms):
-            if ranks[i] + ranks[i + 1] != t.dim_at(v):
-                raise RepError(f"not exact at term {i}, vertex {v}")
 
 
 def top_generators(m: Rep, span: Sequence[RatMatrix] | None = None

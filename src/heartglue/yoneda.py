@@ -19,8 +19,9 @@ equivalent iff their classes under `f_map` are equal (`DHomClass`
 equality compares the space and the coordinate column).
 
 Pushout, pullback, splice product and Baer sum act on explicit
-sequences; exactness is re-certified by the YExt constructor on every
-build.  A pushout along f is written down from a splitting of f (one
+sequences; the YExt constructor re-certifies exactness on every build,
+as no cohomology (`complexes.cohomology_dims`) of the sequence read as
+one complex.  A pushout along f is written down from a splitting of f (one
 elimination per vertex, kept in the resolution's memo when f is one of
 its differentials); a pullback is the kernel of a two-block map.
 
@@ -43,9 +44,9 @@ from .algebra import memo_field, memoised
 from .linalg import (RatMatrix, block_matrix, hstack, pivot_columns, rank,
                      solve, span_membership)
 from .reps import (ID, Rep, RepError, RepMap, block_map, direct_sum,
-                   exact_certificate, identity_map, kernel, through_mono)
+                   identity_map, kernel, through_mono)
 from .reps import compose as rcompose
-from .complexes import Cx, CxMap
+from .complexes import Cx, CxError, CxMap, cohomology_dims
 from .derived import DHomClass, as_cx, compose_classes, dhom_space
 
 
@@ -58,8 +59,9 @@ class YExt:
     """Exact sequence 0 -> left -> middle[0] -> ... -> middle[-1] -> right -> 0.
 
     maps[0] leaves `left`, maps[-1] lands in `right`, and maps[i] for
-    0 < i < n runs middle[i-1] -> middle[i].  Exactness at every spot is
-    certified on construction by reps.exact_certificate.
+    0 < i < n runs middle[i-1] -> middle[i].  The constructor reads the
+    sequence as one Cx, left in degree 0 to right in degree n + 1, which
+    checks anchoring and d^2 = 0, and certifies it has no cohomology.
     """
 
     left: Rep
@@ -73,13 +75,14 @@ class YExt:
         if len(self.maps) != len(self.middle) + 1:
             raise YExtError("need one more map than middle terms")
         chain = (self.left,) + self.middle + (self.right,)
-        for i, f in enumerate(self.maps):
-            if f.source is not chain[i] or f.target is not chain[i + 1]:
-                raise YExtError(f"map {i} does not match the stored terms")
         try:
-            exact_certificate(*self.maps)
-        except RepError as err:
+            h = cohomology_dims(Cx(self.left.algebra, dict(enumerate(chain)),
+                                   dict(enumerate(self.maps))))
+        except CxError as err:
             raise YExtError(str(err)) from None
+        if h:
+            i = min(h)
+            raise YExtError(f"not exact at term {i}: cohomology dims {h[i]}")
 
     @property
     def n(self) -> int:

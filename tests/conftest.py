@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from heartglue import jsonio
 from heartglue.algebra import Relation, build_algebra, make_quiver
-from heartglue.complexes import (Cx, CxMap, Triangle, cone, cx_block_map,
-                                 module_cx)
+from heartglue.complexes import (Cx, CxMap, Triangle, compose as ccompose,
+                                 cone, cx_block_map, is_acyclic, module_cx)
 from heartglue.derived import (_generators, compose_classes, derived_hom,
                                dhom_space)
 from heartglue.linalg import (RatMatrix, block_matrix, complement_pivots,
                               hstack, pivot_columns, solve)
 from heartglue.reps import (Rep, RepError, RepMap, _span, block_map, cokernel,
                             compose as rcompose, direct_sum, eval_columns,
-                            exact_certificate, generator_positions,
-                            identity_map, kernel, map_from_generators,
-                            projective_sum, through_mono, zero_map, zero_rep)
+                            generator_positions, identity_map, kernel,
+                            map_from_generators, projective_sum, through_mono,
+                            zero_map, zero_rep)
 from heartglue.yoneda import YExt
 
 
@@ -161,25 +161,30 @@ def through_epi(pr: RepMap, f: RepMap) -> RepMap:
     return RepMap(pr.target, f.target, tuple(blocks))
 
 
-def ses_to_triangle(f: RepMap, g: RepMap) -> Triangle:
-    """A short exact sequence of modules as a triangle in degree 0."""
-    exact_certificate(f, g)
+def ses_to_triangle(f: RepMap, g: RepMap) -> tuple[Triangle, CxMap]:
+    """A short exact sequence 0 -> L -f-> M -g-> N -> 0 as a triangle in
+    degree 0: the Triangle of f, and the comparison cone(f) -> N that g
+    induces, certified a quasi-isomorphism by the acyclicity of its cone."""
+    YExt(f.source, g.target, (f.target,), (f, g))
     lx, mx, nx = module_cx(f.source), module_cx(f.target), module_cx(g.target)
-    fc, gc = CxMap(lx, mx, {0: f}), CxMap(mx, nx, {0: g})
+    fc = CxMap(lx, mx, {0: f})
     cf = cone(fc)
-    return Triangle(lx, mx, nx, fc, gc,
-                    comparison=cx_block_map(cf, nx, [[None, gc]]),
-                    cone_of_f=cf)
+    comparison = cx_block_map(cf, nx, [[None, CxMap(mx, nx, {0: g})]])
+    assert is_acyclic(cone(comparison).cx)
+    return Triangle(fc, cf), comparison
 
 
-def triangle_to_ses(tri: Triangle) -> tuple[RepMap, RepMap] | None:
+def triangle_to_ses(tri: Triangle, comparison: CxMap
+                    ) -> tuple[RepMap, RepMap] | None:
     """The module short exact sequence of a triangle of modules in degree
-    0; None when a vertex has another degree."""
+    0 whose third vertex is the target of comparison: cone(f) -> N; None
+    when a vertex has another degree."""
     if any(x.degrees() not in ([], [0])
-           for x in (tri.left, tri.mid, tri.right)):
+           for x in (tri.f.source, tri.f.target, comparison.target)):
         return None
-    f0, g0 = tri.f.comp(0), tri.g.comp(0)
-    exact_certificate(f0, g0)
+    f0 = tri.f.comp(0)
+    g0 = ccompose(comparison, tri.cone_of_f.injection(1)).comp(0)
+    YExt(f0.source, g0.target, (f0.target,), (f0, g0))
     return f0, g0
 
 
@@ -206,9 +211,9 @@ def chopped_class(x):
     for i in range(x.n, 0, -1):
         inc = x.maps[0] if i == 1 else chops[i - 2][1]
         out = x.maps[x.n] if i == x.n else chops[i - 1][2]
-        tri = ses_to_triangle(inc, out)
+        tri, comparison = ses_to_triangle(inc, out)
         delta = dhom_space(out.target, inc.source, 1).roof_class(
-            tri.comparison, tri.cone_of_f.projection(0))
+            comparison, tri.cone_of_f.projection(0))
         cls = delta if cls is None else compose_classes(delta, cls)
     return cls
 

@@ -16,17 +16,17 @@ from heartglue.algebra import build_algebra, make_quiver
 from heartglue.bondal import (end_algebra, faithful_full_check,
                               projective_compare, quiver_presentation)
 from heartglue.cli import JobSpec, corpus_path, load_corpus, run
-from heartglue.complexes import (cohomology_dims, cx_direct_sum,
-                                 is_acyclic, shift, shift_map)
+from heartglue.complexes import (Triangle, cohomology_dims, cone,
+                                 cx_direct_sum, is_acyclic, shift, shift_map)
 from heartglue.derived import (DHomClass, as_cx, compose_classes, derived_hom,
                                dhom_space)
 from heartglue.glue import (AddGeneratedAisle, HeartDesc, check_dim_formula,
                             check_sequence, glue, glue_sequence)
 from heartglue.jsonio import load_algebra
 from heartglue.linalg import RatMatrix, rank
-from heartglue.reps import (Rep, RepError, cokernel, exact_certificate,
+from heartglue.reps import (Rep, RepError, cokernel,
                             hom_space, kernel, projective, simple, zero_map)
-from heartglue.yoneda import (baer_sum, f_map, f_map_via_quasi_iso,
+from heartglue.yoneda import (YExt, baer_sum, f_map, f_map_via_quasi_iso,
                               factor_image_dim, factors_through,
                               splice_from_class, yoneda_product)
 
@@ -321,7 +321,7 @@ def test_criterion_7_projective_structure(corpus):
                     assert quot.dims == expect, (name, i, k)
                 _, step = filtration_step(p, i - 1)
                 top, proj = cokernel(step)
-                exact_certificate(step, proj)
+                YExt(step.source, top, (step.target,), (step, proj))
                 assert top.dims == simple(alg, i).dims, (name, i)
             for i in range(1, nv + 1):
                 for j in range(1, nv + 1):
@@ -337,26 +337,25 @@ def test_criterion_8_ses_triangle_round_trip(corpus):
                      "correspond"):
         rng = random.Random(44100)
         done = 0
-        tri = None
+        tri = comparison = None
         for name in sorted(corpus):
             alg = corpus[name]
             for _ in range(10):
                 f = _random_module_map(rng, alg)
                 _, incl = kernel(f)
                 _, proj = cokernel(incl)
-                tri = ses_to_triangle(incl, proj)
+                tri, comparison = ses_to_triangle(incl, proj)
                 assert tri.certified()
-                back = triangle_to_ses(tri)
+                back = triangle_to_ses(tri, comparison)
                 assert back is not None
                 f0, g0 = back
                 assert f0.blocks == incl.blocks
                 assert g0.blocks == proj.blocks
                 done += 1
         assert done >= 50
-        shifted = type(tri)(shift(tri.left, 1), shift(tri.mid, 1),
-                            shift(tri.right, 1), shift_map(tri.f, 1),
-                            shift_map(tri.g, 1))
-        assert triangle_to_ses(shifted) is None
+        f1 = shift_map(tri.f, 1)
+        assert triangle_to_ses(Triangle(f1, cone(f1)),
+                               shift_map(comparison, 1)) is None
 
 
 def test_criterion_9_bondal_correspondence(corpus):

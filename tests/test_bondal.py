@@ -338,7 +338,8 @@ class TestFullCheck:
         r = bondal_check(es)
         assert bool(r)
         assert (r.end_dim, r.algebra_dim) == (4, 4)
-        assert (r.arrow_count, r.relation_count) == (2, 0)
+        alg = r.presentation.algebra
+        assert (len(alg.quiver.arrows), len(alg.relations)) == (2, 0)
         assert (r.products_checked, r.triples_checked) == (16, 64)
         assert r.eval_pairs_checked == 6
         assert (r.faithful.pairs, r.table.pairs) == (4, 4)
@@ -362,7 +363,8 @@ class TestFullCheck:
         r = bondal_check(es)
         assert bool(r)
         assert (r.end_dim, r.algebra_dim) == (9, 9)
-        assert (r.arrow_count, r.relation_count) == (4, 1)
+        alg = r.presentation.algebra
+        assert (len(alg.quiver.arrows), len(alg.relations)) == (4, 1)
         assert (r.products_checked, r.triples_checked) == (81, 729)
         assert r.eval_pairs_checked == 16
         assert (r.faithful.ok, r.table.ok) == (True, True)

@@ -18,7 +18,6 @@ from heartglue.reps import (
     RepMap,
     block_map,
     direct_sum,
-    exact_certificate,
     hom_space,
     identity_map,
     kernel,
@@ -47,6 +46,7 @@ from heartglue.complexes import (
     zero_cx,
 )
 from heartglue.glue import StandardAisle
+from heartglue.yoneda import YExt
 
 
 @pytest.fixture(scope="module")
@@ -220,12 +220,12 @@ def test_truncate_std_splits_cohomology(a2):
     f = hom_space(p1, p2)[0]
     x = two_term(a2, f)  # H^0 = S_2 only
     tri = StandardAisle(a2, -1).truncate(x)[2]
-    assert cohomology_dims(tri.left) == {}
-    assert cohomology_dims(tri.right) == {0: (0, 1)}
+    assert cohomology_dims(tri.f.source) == {}
+    assert cohomology_dims(tri.cone_of_f.cx) == {0: (0, 1)}
     assert tri.certified()
     tri2 = StandardAisle(a2, 0).truncate(x)[2]
-    assert cohomology_dims(tri2.left) == {0: (0, 1)}
-    assert cohomology_dims(tri2.right) == {}
+    assert cohomology_dims(tri2.f.source) == {0: (0, 1)}
+    assert cohomology_dims(tri2.cone_of_f.cx) == {}
     assert tri2.certified()
 
 
@@ -237,8 +237,8 @@ def test_truncate_std_middle_cut(a2):
     x = Cx(a2, {0: p2, 1: s2}, {0: q})
     assert cohomology_dims(x) == {0: (1, 0)}
     tri = StandardAisle(a2, 0).truncate(x)[2]
-    assert cohomology_dims(tri.left) == {0: (1, 0)}
-    assert cohomology_dims(tri.right) == {}
+    assert cohomology_dims(tri.f.source) == {0: (1, 0)}
+    assert cohomology_dims(tri.cone_of_f.cx) == {}
     assert tri.certified()
 
 
@@ -247,9 +247,9 @@ def test_ses_to_triangle_and_back(a2):
     s2 = simple(a2, 2)
     q = RepMap(p2, s2, (RatMatrix.zeros(0, 1), RatMatrix.identity(1)))
     k, incl = kernel(q)
-    tri = ses_to_triangle(incl, q)
+    tri, comparison = ses_to_triangle(incl, q)
     assert tri.certified()
-    back = triangle_to_ses(tri)
+    back = triangle_to_ses(tri, comparison)
     assert back is not None
     f0, g0 = back
     assert f0.blocks == incl.blocks
@@ -261,11 +261,10 @@ def test_triangle_to_ses_refuses_shifted(a2):
     s2 = simple(a2, 2)
     q = RepMap(p2, s2, (RatMatrix.zeros(0, 1), RatMatrix.identity(1)))
     k, incl = kernel(q)
-    tri = ses_to_triangle(incl, q)
-    shifted = type(tri)(shift(tri.left, 1), shift(tri.mid, 1),
-                        shift(tri.right, 1), shift_map(tri.f, 1),
-                        shift_map(tri.g, 1))
-    assert triangle_to_ses(shifted) is None
+    tri, comparison = ses_to_triangle(incl, q)
+    f1 = shift_map(tri.f, 1)
+    assert triangle_to_ses(Triangle(f1, cone(f1)),
+                           shift_map(comparison, 1)) is None
 
 
 def test_shift_map_stays_chain_map(a2):
@@ -350,10 +349,10 @@ def test_truncation_triangle_certified_on_random_input(data):
     for level in (-2, -1, 0, 1):
         tri = StandardAisle(alg, level).truncate(x)[2]
         assert tri.certified()
-        got = cohomology_dims(tri.left)
+        got = cohomology_dims(tri.f.source)
         want = {i: d for i, d in cohomology_dims(x).items() if i <= level}
         assert got == want
-        got_r = cohomology_dims(tri.right)
+        got_r = cohomology_dims(tri.cone_of_f.cx)
         want_r = {i: d for i, d in cohomology_dims(x).items() if i > level}
         assert got_r == want_r
 
@@ -387,9 +386,9 @@ def test_shifts_and_module_complexes_are_one_object_each(a2):
     q = RepMap(p2, simple(a2, 2), (RatMatrix.zeros(0, 1),
                                    RatMatrix.identity(1)))
     k, incl = kernel(q)
-    tri = ses_to_triangle(incl, q)
-    assert tri.right is as_cx(q.target)
-    assert tri.left is as_cx(k)
+    tri, comparison = ses_to_triangle(incl, q)
+    assert comparison.target is as_cx(q.target)
+    assert tri.f.source is as_cx(k)
     assert tri.cone_of_f.parts[0] is shift(as_cx(k), 1)
 
 
@@ -449,7 +448,7 @@ def test_checks_build_no_module_maps(kron, monkeypatch):
     assert cohomology_dims(x) == {}
     assert cohomology_dims(brutal_below(x, 3)) == {2: q.dims}
     assert built == []
-    exact_certificate(incl, g, proj)
+    YExt(k, q, (ds.rep, p2), (incl, g, proj))
     assert built == []
 
 
@@ -457,14 +456,9 @@ def test_triangle_on_its_cone_is_certified_without_a_comparison(a2):
     p1, p2 = projective(a2, 1), projective(a2, 2)
     f = CxMap(module_cx(p1), module_cx(p2), {0: hom_space(p1, p2)[0]})
     c = cone(f)
-    assert Triangle(f.source, f.target, c.cx, f, c.injection(1),
-                    cone_of_f=c).certified()
-    # a cone of another map, or none at all, certifies nothing
-    other = cone(f.scale(2))
-    assert not Triangle(f.source, f.target, other.cx, f, other.injection(1),
-                        cone_of_f=other).certified()
-    assert not Triangle(f.source, f.target, c.cx, f,
-                        c.injection(1)).certified()
+    assert Triangle(f, c).certified()
+    # a cone of another map certifies nothing
+    assert not Triangle(f, cone(f.scale(2))).certified()
 
 
 def test_identity_chain_maps_compose_away(a2):

@@ -541,9 +541,11 @@ def test_factored_coordinates_match_solve(kron, a3rel, commsquare, data):
 
 def _non_cycle(sp: DHomSpace) -> RatMatrix | None:
     """A unit column of the layout outside the cycles, if there is one."""
+    h, m = derived._at(sp.r, sp.y, sp.n)
+    cycles = linalg.kernel_basis(h.echelon(m))
     eye = RatMatrix.identity(sp.layout.total)
     for i in range(sp.layout.total):
-        if solve(sp.cycles, eye.col_matrix(i)) is None:
+        if solve(cycles, eye.col_matrix(i)) is None:
             return eye.col_matrix(i)
     return None
 
@@ -645,11 +647,11 @@ def test_roof_class_matches_the_map_level_route(kron, a3rel, commsquare,
     _, pi, _ = projective_cover(q)
     k, incl = kernel(pi)
     incl = incl.scale(data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)])))
-    tri = ses_to_triangle(incl, pi)
+    tri, comparison = ses_to_triangle(incl, pi)
     sp = dhom_space(q, k, 1)
     post = tri.cone_of_f.projection(0)
-    lifted = lift_map(sp.r, sp.eps, tri.comparison)
-    assert (sp.roof_class(tri.comparison, post)
+    lifted = lift_map(sp.r, sp.eps, comparison)
+    assert (sp.roof_class(comparison, post)
             == sp.class_of(ccompose(post, lifted)))
 
 

@@ -20,7 +20,6 @@ from heartglue.reps import (
     cokernel,
     direct_sum,
     eval_columns,
-    exact_certificate,
     hom_space,
     identity_map,
     kernel,
@@ -34,6 +33,7 @@ from heartglue.reps import (
     zero_map,
     zero_rep,
 )
+from heartglue.yoneda import YExt, YExtError
 
 
 @pytest.fixture(scope="module")
@@ -238,11 +238,12 @@ def test_exactness_certificate(a2):
     s1 = simple(a2, 1)
     q = RepMap(p2, s2, (RatMatrix.zeros(0, 1), RatMatrix.identity(1)))
     k, incl = kernel(q)
-    exact_certificate(incl, q)
+    YExt(k, s2, (p2,), (incl, q))
     # and a failing pair: zero into P_2 then projection is not exact
     z = zero_map(s1, p2)
-    with pytest.raises(RepError):
-        exact_certificate(z, q)
+    with pytest.raises(YExtError,
+                       match=r"not exact at term 0: cohomology dims \(1, 0\)"):
+        YExt(s1, s2, (p2,), (z, q))
 
 
 def _four_term(kron):
@@ -257,14 +258,16 @@ def _four_term(kron):
 
 def test_exactness_certificate_on_four_terms(kron):
     incl, g, proj = _four_term(kron)
-    assert incl.source.dims == (1, 0) and proj.target.dims == (1, 1)
-    exact_certificate(incl, g, proj)
+    k, mid, p2, q = incl.source, g.source, g.target, proj.target
+    assert k.dims == (1, 0) and q.dims == (1, 1)
+    YExt(k, q, (mid, p2), (incl, g, proj))
     # a zero middle map keeps every composite zero but leaves the
     # homology ker 0 / im incl at P1 + P1
-    with pytest.raises(RepError, match="not exact at term 1"):
-        exact_certificate(incl, zero_map(g.source, g.target), proj)
-    with pytest.raises(RepError, match="composite of maps 1,2"):
-        exact_certificate(incl, g, identity_map(g.target))
+    with pytest.raises(YExtError,
+                       match=r"not exact at term 1: cohomology dims \(1, 0\)"):
+        YExt(k, q, (mid, p2), (incl, zero_map(mid, p2), proj))
+    with pytest.raises(YExtError, match=r"d\^2 != 0 at degree 1"):
+        YExt(k, p2, (mid, p2), (incl, g, identity_map(p2)))
 
 
 def test_projective_cover_of_simple(a3rel):
